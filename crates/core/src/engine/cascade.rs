@@ -1,6 +1,7 @@
 //! Fork-join cascade engine: the top-down view of Parallel SOLVE /
-//! Parallel α-β (programs `P-SOLVE` / `P-SOLVE*` in the paper), on
-//! `rayon` with cooperative cancellation.
+//! Parallel α-β (programs `P-SOLVE` / `P-SOLVE*` in the paper), on the
+//! persistent fork-join pool of [`gt_tree::par`] with cooperative
+//! cancellation.
 //!
 //! At every node, up to `width + 1` consecutive children run
 //! concurrently: the leftmost with the full width budget (it may spawn
@@ -18,7 +19,7 @@
 //! this engine trades a small amount of model fidelity for practical
 //! fork-join performance.  Root values are always exact.
 
-use gt_tree::{TreeSource, Value};
+use gt_tree::{par, TreeSource, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -82,47 +83,14 @@ impl CascadeEngine {
 
     /// Evaluate a NOR tree.
     pub fn solve_nor<S: TreeSource>(&self, source: &S) -> EngineResult {
-        let start = Instant::now();
-        let leaves = AtomicU64::new(0);
-        let never = AtomicBool::new(false);
-        let cancel = CancelChain::root(&never);
-        let v = self
-            .nor(source, &mut Vec::new(), self.width, cancel, &leaves)
-            .expect("root search cannot be cancelled");
-        EngineResult {
-            value: Value::from(v),
-            rounds: 0, // not a round-synchronous engine
-            leaves_evaluated: leaves.load(Ordering::Relaxed),
-            max_round_size: self.width + 1,
-            elapsed: start.elapsed(),
-        }
+        self.solve_nor_cancellable(source, &AtomicBool::new(false))
+            .expect("root search cannot be cancelled")
     }
 
     /// Evaluate a MIN/MAX tree (root is MAX).
     pub fn solve_minmax<S: TreeSource>(&self, source: &S) -> EngineResult {
-        let start = Instant::now();
-        let leaves = AtomicU64::new(0);
-        let never = AtomicBool::new(false);
-        let cancel = CancelChain::root(&never);
-        let v = self
-            .ab(
-                source,
-                &mut Vec::new(),
-                Value::MIN,
-                Value::MAX,
-                true,
-                self.width,
-                cancel,
-                &leaves,
-            )
-            .expect("root search cannot be cancelled");
-        EngineResult {
-            value: v,
-            rounds: 0,
-            leaves_evaluated: leaves.load(Ordering::Relaxed),
-            max_round_size: self.width + 1,
-            elapsed: start.elapsed(),
-        }
+        self.solve_minmax_cancellable(source, &AtomicBool::new(false))
+            .expect("root search cannot be cancelled")
     }
 
     /// Like [`CascadeEngine::solve_nor`], but aborts when `cancel`
@@ -137,16 +105,9 @@ impl CascadeEngine {
         let start = Instant::now();
         let leaves = AtomicU64::new(0);
         let chain = CancelChain::root(cancel);
-        match self.nor(source, &mut Vec::new(), self.width, chain, &leaves) {
-            Some(v) => Ok(EngineResult {
-                value: Value::from(v),
-                rounds: 0,
-                leaves_evaluated: leaves.load(Ordering::Relaxed),
-                max_round_size: self.width + 1,
-                elapsed: start.elapsed(),
-            }),
-            None => Err(Cancelled),
-        }
+        let v = self.nor(source, &mut Vec::new(), self.width, chain, &leaves);
+        let v = Value::from(v.ok_or(Cancelled)?);
+        Ok(self.result(v, leaves.into_inner(), start))
     }
 
     /// Like [`CascadeEngine::solve_minmax`], but aborts when `cancel`
@@ -157,26 +118,17 @@ impl CascadeEngine {
         cancel: &AtomicBool,
     ) -> Result<EngineResult, Cancelled> {
         let start = Instant::now();
-        let leaves = AtomicU64::new(0);
-        let chain = CancelChain::root(cancel);
-        match self.ab(
-            source,
-            &mut Vec::new(),
-            Value::MIN,
-            Value::MAX,
-            true,
-            self.width,
-            chain,
-            &leaves,
-        ) {
-            Some(v) => Ok(EngineResult {
-                value: v,
-                rounds: 0,
-                leaves_evaluated: leaves.load(Ordering::Relaxed),
-                max_round_size: self.width + 1,
-                elapsed: start.elapsed(),
-            }),
-            None => Err(Cancelled),
+        let (v, leaves) = self.ab_root(source, Value::MIN, Value::MAX, true, cancel)?;
+        Ok(self.result(v, leaves, start))
+    }
+
+    fn result(&self, value: Value, leaves: u64, start: Instant) -> EngineResult {
+        EngineResult {
+            value,
+            rounds: 0, // not a round-synchronous engine
+            leaves_evaluated: leaves,
+            max_round_size: self.width + 1,
+            elapsed: start.elapsed(),
         }
     }
 
@@ -205,21 +157,31 @@ impl CascadeEngine {
         beta: Value,
         maximizing: bool,
     ) -> Result<(Value, u64), Cancelled> {
+        self.ab_root(source, alpha, beta, maximizing, &AtomicBool::new(false))
+    }
+
+    /// α-β from the source's root: the value and the leaves evaluated.
+    fn ab_root<S: TreeSource>(
+        &self,
+        source: &S,
+        alpha: Value,
+        beta: Value,
+        maximizing: bool,
+        cancel: &AtomicBool,
+    ) -> Result<(Value, u64), Cancelled> {
         let leaves = AtomicU64::new(0);
-        let never = AtomicBool::new(false);
-        let cancel = CancelChain::root(&never);
-        self.ab(
+        let chain = CancelChain::root(cancel);
+        let v = self.ab(
             source,
             &mut Vec::new(),
             alpha,
             beta,
             maximizing,
             self.width,
-            cancel,
+            chain,
             &leaves,
-        )
-        .map(|v| (v, leaves.load(Ordering::Relaxed)))
-        .ok_or(Cancelled)
+        );
+        Ok((v.ok_or(Cancelled)?, leaves.into_inner()))
     }
 
     /// NOR search.  `None` = pre-empted.
@@ -258,7 +220,8 @@ impl CascadeEngine {
                 let batch_flag = AtomicBool::new(false);
                 let chain = cancel.child(&batch_flag);
                 let base: &[u32] = path;
-                let results: Vec<Option<bool>> = broadcast_batch(k, |j| {
+                let results: Vec<Option<bool>> = par::map(k as usize, |j| {
+                    let j = j as u32;
                     // One exact-size allocation per task instead of a
                     // clone that would regrow on push.
                     let mut p = Vec::with_capacity(base.len() + 1);
@@ -337,7 +300,8 @@ impl CascadeEngine {
                 let chain = cancel.child(&batch_flag);
                 let base: &[u32] = path;
                 let (snap_a, snap_b) = (alpha, beta);
-                let results: Vec<Option<Value>> = broadcast_batch(k, |j| {
+                let results: Vec<Option<Value>> = par::map(k as usize, |j| {
+                    let j = j as u32;
                     let mut p = Vec::with_capacity(base.len() + 1);
                     p.extend_from_slice(base);
                     p.push(i + j);
@@ -379,24 +343,6 @@ impl CascadeEngine {
             }
         }
         Some(best)
-    }
-}
-
-/// Run `k` tasks concurrently and collect their results in index order.
-/// Uses `rayon::join` for pairs (the width-1 common case) and a parallel
-/// iterator otherwise.
-fn broadcast_batch<T: Send>(k: u32, f: impl Fn(u32) -> T + Sync + Send) -> Vec<T> {
-    match k {
-        0 => Vec::new(),
-        1 => vec![f(0)],
-        2 => {
-            let (a, b) = rayon::join(|| f(0), || f(1));
-            vec![a, b]
-        }
-        _ => {
-            use rayon::prelude::*;
-            (0..k).into_par_iter().map(f).collect()
-        }
     }
 }
 

@@ -6,17 +6,22 @@
 //! * [`round`] — the *global* view ("at each step, evaluate all live
 //!   leaves with pruning number ≤ w"): a round-synchronous engine that
 //!   computes the exact frontier of the step-driven simulation and
-//!   evaluates it with a rayon thread pool.  Step counts match the
-//!   model simulation exactly, so the model-level speed-ups of
-//!   Theorem 1/3 translate to wall-clock whenever leaf evaluation
-//!   dominates.
+//!   evaluates it on the fork-join pool of [`gt_tree::par`].  Step
+//!   counts match the model simulation exactly, so the model-level
+//!   speed-ups of Theorem 1/3 translate to wall-clock whenever leaf
+//!   evaluation dominates.
 //! * [`cascade`] — the *top-down* view (program `P-SOLVE`: parallel on
 //!   the leftmost live subtree, sequential look-ahead on its right
-//!   siblings, with aborts): a fork-join engine built on `rayon::join`
-//!   and cancellation flags.  It approximates the dynamic re-budgeting
-//!   of pruning numbers with static budgets (child `j` of a batch gets
-//!   width `w−j`), which keeps it lock-free; correctness is exact,
-//!   step-optimality is approximate.  See DESIGN.md §5.
+//!   siblings, with aborts): a fork-join engine built on
+//!   [`gt_tree::par::map`] and cancellation flags.  It approximates the
+//!   dynamic re-budgeting of pruning numbers with static budgets (child
+//!   `j` of a batch gets width `w−j`), which keeps it lock-free;
+//!   correctness is exact, step-optimality is approximate.  See
+//!   DESIGN.md §5.
+//!
+//! [`ybw`] forks its younger brothers on the same pool.  No engine
+//! spawns a thread per fork: the pool's threads are started once per
+//! process.
 //!
 //! [`gameplay`] drives either engine for move selection in real games.
 

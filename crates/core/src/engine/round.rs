@@ -1,18 +1,18 @@
 //! Round-synchronous threaded engine.
 //!
 //! Drives the exact frontier logic of the `gt-sim` simulators, but
-//! evaluates each round's leaves on a rayon thread pool.  Because the
-//! frontier is identical to the model simulation's, the number of
-//! rounds equals the paper's `P(T)` exactly; wall-clock speed-up then
-//! follows the model speed-up whenever per-leaf evaluation cost
-//! dominates the (serial) frontier bookkeeping — which is precisely the
-//! leaf-evaluation model's accounting.
+//! evaluates each round's leaves on the fork-join pool of
+//! [`gt_tree::par`].  Because the frontier is identical to the model
+//! simulation's, the number of rounds equals the paper's `P(T)`
+//! exactly; wall-clock speed-up then follows the model speed-up
+//! whenever per-leaf evaluation cost dominates the (serial) frontier
+//! bookkeeping — which is precisely the leaf-evaluation model's
+//! accounting.
 
 use gt_sim::alphabeta::Model;
 use gt_sim::nor::Policy;
 use gt_sim::{AlphaBetaSim, ExpansionSim, NorSim, RunStats};
-use gt_tree::{NodeKind, TreeSource, Value};
-use rayon::prelude::*;
+use gt_tree::{par, TreeSource, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -45,34 +45,24 @@ impl EngineResult {
     }
 }
 
-/// Round-synchronous parallel engine.
-///
-/// `sequential_cutoff` avoids paying rayon overhead on tiny rounds: a
-/// round smaller than the cutoff is evaluated on the calling thread.
+/// Round-synchronous parallel engine.  A round of one leaf runs on the
+/// calling thread; larger rounds fork.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundEngine {
     /// The paper's width parameter `w` (0 = sequential).
     pub width: u32,
-    /// Rounds smaller than this run without forking.
-    pub sequential_cutoff: usize,
 }
 
 impl Default for RoundEngine {
     fn default() -> Self {
-        RoundEngine {
-            width: 1,
-            sequential_cutoff: 2,
-        }
+        RoundEngine { width: 1 }
     }
 }
 
 impl RoundEngine {
     /// Engine with the given width.
     pub fn with_width(width: u32) -> Self {
-        RoundEngine {
-            width,
-            ..Default::default()
-        }
+        RoundEngine { width }
     }
 
     /// Evaluate a NOR tree (Parallel SOLVE of width `w`, threaded).
@@ -93,10 +83,9 @@ impl RoundEngine {
         let start = Instant::now();
         let mut sim = NorSim::new(source);
         let mut stats = RunStats::new(false);
-        // Frontier paths and values live outside the loop so every round
-        // after the first reuses the buffers instead of reallocating.
+        // The frontier buffer lives outside the loop so every round
+        // after the first reuses it instead of reallocating.
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
-        let mut values: Vec<(u32, Value)> = Vec::new();
         loop {
             if cancel.load(Ordering::Relaxed) {
                 return Err(Cancelled);
@@ -105,7 +94,7 @@ impl RoundEngine {
             if frontier.is_empty() {
                 break;
             }
-            self.evaluate_batch_into(sim.tree().source(), &frontier, &mut values);
+            let values = evaluate_batch(sim.tree().source(), &frontier);
             sim.apply_step(&values, &mut stats);
         }
         Ok(EngineResult::from_stats(&stats, start.elapsed()))
@@ -129,7 +118,6 @@ impl RoundEngine {
         let mut sim = AlphaBetaSim::new(source, Model::LeafEvaluation);
         let mut stats = RunStats::new(false);
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
-        let mut values: Vec<(u32, Value)> = Vec::new();
         loop {
             if cancel.load(Ordering::Relaxed) {
                 return Err(Cancelled);
@@ -138,7 +126,7 @@ impl RoundEngine {
             if frontier.is_empty() {
                 break;
             }
-            self.evaluate_batch_into(sim.tree().source(), &frontier, &mut values);
+            let values = evaluate_batch(sim.tree().source(), &frontier);
             sim.apply_step(&values, &mut stats);
         }
         Ok(EngineResult::from_stats(&stats, start.elapsed()))
@@ -152,53 +140,28 @@ impl RoundEngine {
         let mut sim = ExpansionSim::new(source);
         let mut stats = RunStats::new(false);
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
-        let mut kinds: Vec<(u32, NodeKind)> = Vec::new();
         loop {
             sim.frontier_paths_into(self.width, &mut frontier);
             if frontier.is_empty() {
                 break;
             }
-            if frontier.len() < self.sequential_cutoff {
-                kinds.clear();
-                kinds.extend(
-                    frontier
-                        .iter()
-                        .map(|(id, path)| (*id, sim.tree().source().expand(path))),
-                );
-            } else {
-                let src = sim.tree().source();
-                kinds = frontier
-                    .par_iter()
-                    .map(|(id, path)| (*id, src.expand(path)))
-                    .collect();
-            }
+            let src = sim.tree().source();
+            let kinds = par::map(frontier.len(), |j| {
+                let (id, path) = &frontier[j];
+                (*id, src.expand(path))
+            });
             sim.apply_expansions(&kinds, &mut stats);
         }
         EngineResult::from_stats(&stats, start.elapsed())
     }
+}
 
-    fn evaluate_batch_into<S: TreeSource>(
-        &self,
-        source: &S,
-        frontier: &[(u32, Vec<u32>)],
-        out: &mut Vec<(u32, Value)>,
-    ) {
-        if frontier.len() < self.sequential_cutoff {
-            out.clear();
-            out.extend(
-                frontier
-                    .iter()
-                    .map(|(id, path)| (*id, source.leaf_value(path))),
-            );
-        } else {
-            // The parallel collect builds its own vector; hand it to the
-            // caller's slot so at least the sequential rounds reuse it.
-            *out = frontier
-                .par_iter()
-                .map(|(id, path)| (*id, source.leaf_value(path)))
-                .collect();
-        }
-    }
+/// Evaluate one round's leaves on the pool, in frontier order.
+fn evaluate_batch<S: TreeSource>(source: &S, frontier: &[(u32, Vec<u32>)]) -> Vec<(u32, Value)> {
+    par::map(frontier.len(), |j| {
+        let (id, path) = &frontier[j];
+        (*id, source.leaf_value(path))
+    })
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! cascade, YBW spawns unbounded sibling parallelism below the first
 //! child instead of a fixed-width look-ahead.
 
-use gt_tree::{TreeSource, Value};
+use gt_tree::{par, TreeSource, Value};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -125,38 +125,32 @@ impl YbwEngine {
         // cutoff by any brother aborts the rest.
         let local_cutoff = AtomicBool::new(false);
         let best_atomic = AtomicI64::new(best);
-        let base = path.clone();
-        let results: Vec<Option<Value>> = {
-            use rayon::prelude::*;
-            (1..d)
-                .into_par_iter()
-                .map(|i| {
-                    if cancel.load(Ordering::Relaxed) || local_cutoff.load(Ordering::Relaxed) {
-                        return None;
-                    }
-                    let mut p = base.clone();
-                    p.push(i);
-                    // Brothers share the parent's cancel; the local
-                    // cutoff flag is checked at entry (cheap best-effort
-                    // abort without chaining a new flag per node).
-                    let r = self.ab(src, &mut p, alpha, beta, !maximizing, cancel, leaves);
-                    if let Some(v) = r {
-                        // Fail-high (fail-low for MIN) triggers a cutoff.
-                        let cut = if maximizing { v >= beta } else { v <= alpha };
-                        if cut {
-                            local_cutoff.store(true, Ordering::Relaxed);
-                        }
-                        // Fold into the running best.
-                        best_atomic
-                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                                Some(if maximizing { cur.max(v) } else { cur.min(v) })
-                            })
-                            .ok();
-                    }
-                    r
-                })
-                .collect()
-        };
+        let base: &[u32] = path;
+        let results: Vec<Option<Value>> = par::map(d as usize - 1, |j| {
+            if cancel.load(Ordering::Relaxed) || local_cutoff.load(Ordering::Relaxed) {
+                return None;
+            }
+            let mut p = base.to_vec();
+            p.push(j as u32 + 1);
+            // Brothers share the parent's cancel; the local cutoff flag
+            // is checked at entry (cheap best-effort abort without
+            // chaining a new flag per node).
+            let r = self.ab(src, &mut p, alpha, beta, !maximizing, cancel, leaves);
+            if let Some(v) = r {
+                // Fail-high (fail-low for MIN) triggers a cutoff.
+                let cut = if maximizing { v >= beta } else { v <= alpha };
+                if cut {
+                    local_cutoff.store(true, Ordering::Relaxed);
+                }
+                // Fold into the running best.
+                best_atomic
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                        Some(if maximizing { cur.max(v) } else { cur.min(v) })
+                    })
+                    .ok();
+            }
+            r
+        });
         if cancel.load(Ordering::Relaxed) {
             return None;
         }

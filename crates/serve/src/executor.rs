@@ -16,7 +16,7 @@
 //! ([`CostClass`]):
 //!
 //! * **Small** jobs — cheap, deterministic specs whose per-job
-//!   dispatch overhead (queue handoff, rayon pool entry, allocator
+//!   dispatch overhead (queue handoff, fork-join pool entry, allocator
 //!   traffic, cache/single-flight bookkeeping) rivals their actual
 //!   evaluation cost.  A worker drains up to `batch_max` of them from
 //!   one algorithm's queue in a single dispatch and evaluates the

@@ -698,8 +698,10 @@ fn retry_after_hint_ms(queued: usize, workers: usize, mean_engine_us: Option<f64
 }
 
 /// One registered deadline.  Weak handles keep the reaper from
-/// extending any request's lifetime: an entry whose pending reply was
-/// already answered (and dropped) upgrades to nothing and is skipped.
+/// extending any request's lifetime, though each still pins its
+/// `Pending` and `Flight` allocations until the entry goes.  An entry
+/// whose pending reply was already answered is skipped when due, and
+/// swept out earlier as the heap grows (see [`Reaper::register`]).
 struct ReaperEntry {
     deadline: Instant,
     seq: u64,
@@ -730,9 +732,15 @@ impl Ord for ReaperEntry {
 
 struct ReaperState {
     heap: BinaryHeap<ReaperEntry>,
+    /// The next sweep of answered entries runs once the heap holds twice
+    /// this many: its size after the last sweep, floored.
+    swept_len: usize,
     seq: u64,
     stopped: bool,
 }
+
+/// Floor of [`ReaperState::swept_len`].
+const REAPER_SWEEP_FLOOR: usize = 32;
 
 /// The deadline reaper: one thread, a min-heap of expiry times.
 /// Replaces the old model where every dispatched request parked its
@@ -747,6 +755,7 @@ impl Reaper {
         Reaper {
             state: Mutex::new(ReaperState {
                 heap: BinaryHeap::new(),
+                swept_len: REAPER_SWEEP_FLOOR,
                 seq: 0,
                 stopped: false,
             }),
@@ -754,6 +763,10 @@ impl Reaper {
         }
     }
 
+    /// Register a deadline.  Most requests are answered long before
+    /// theirs, so whenever the heap has doubled since the last sweep,
+    /// answered entries are dropped: the heap stays proportional to the
+    /// requests still outstanding, at O(1) amortized cost per call.
     fn register(&self, deadline: Instant, pending: &Arc<Pending>, flight: &Arc<Flight<Pending>>) {
         {
             let mut st = self.state.lock().unwrap();
@@ -765,6 +778,13 @@ impl Reaper {
                 pending: Arc::downgrade(pending),
                 flight: Arc::downgrade(flight),
             });
+            if st.heap.len() >= 2 * st.swept_len {
+                st.heap.retain(|e| {
+                    let pending = e.pending.upgrade();
+                    pending.is_some_and(|p| !p.answered.load(Ordering::SeqCst))
+                });
+                st.swept_len = st.heap.len().max(REAPER_SWEEP_FLOOR);
+            }
         }
         // The new entry may be the earliest; re-arm the timer.
         self.cv.notify_one();
@@ -804,9 +824,8 @@ impl Reaper {
             // before the timeout reply can trigger a follow-up.
             p.release_tenant_slot();
             metrics.timeout.fetch_add(1, Ordering::Relaxed);
-            let _ = p
-                .conn
-                .enqueue(&error_line(&p.id, ErrorCode::Timeout, "deadline exceeded"));
+            // Traced before the reply goes out, so a client that has
+            // seen its 408 can always fetch the trace (`op:"trace"`).
             let latency_us = p.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
             let flight = due.flight.upgrade();
             recorder.record(trace_from(
@@ -816,6 +835,9 @@ impl Reaper {
                 None,
                 latency_us,
             ));
+            let _ = p
+                .conn
+                .enqueue(&error_line(&p.id, ErrorCode::Timeout, "deadline exceeded"));
             p.conn.release_slot();
             // Leaving the flight cancels the run if nobody else waits.
             if let Some(f) = flight {
@@ -850,6 +872,9 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        // The fork-join engines' pool starts now, so its threads belong
+        // to the fixed census rather than appearing under load.
+        gt_tree::par::start_pool();
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(Metrics::default());
@@ -2151,6 +2176,21 @@ fn dispatch_eval(
     let recorder = &shared.recorder;
     let key = cache_key;
     let algo_name = work.algo_label().to_string();
+    // Every path below builds the request's pending reply exactly once.
+    let new_pending = |answered: bool, coalesced: bool, slot: Option<GovernorSlot>| Pending {
+        answered: AtomicBool::new(answered),
+        id,
+        coalesced,
+        start,
+        key: key.clone(),
+        algo: algo_name.clone(),
+        parse_us,
+        probe_us,
+        trace,
+        tenant: tenant.clone(),
+        slot: Mutex::new(slot),
+        conn: Arc::clone(conn),
+    };
     // Every dispatched request lands on its tenant's card and claims
     // a tenant-inflight slot (leaders and coalesced followers alike —
     // the cap bounds dispatched-and-unanswered requests, however they
@@ -2167,20 +2207,7 @@ fn dispatch_eval(
                     shared.workers,
                     m.mean_engine_us(),
                 );
-                let pending = Pending {
-                    answered: AtomicBool::new(true),
-                    id,
-                    coalesced: false,
-                    start,
-                    key,
-                    algo: algo_name,
-                    parse_us,
-                    probe_us,
-                    trace,
-                    tenant: tenant.clone(),
-                    slot: Mutex::new(None),
-                    conn: Arc::clone(conn),
-                };
+                let pending = new_pending(true, false, None);
                 m.shed.fetch_add(1, Ordering::Relaxed);
                 m.tenant_stats(t).shed.fetch_add(1, Ordering::Relaxed);
                 let _ = conn.enqueue(&error_line_with(
@@ -2203,20 +2230,7 @@ fn dispatch_eval(
     };
     let (pending, flight) = match shared.flights.join(&key) {
         Joined::Leader(flight) => {
-            let pending = Arc::new(Pending {
-                answered: AtomicBool::new(false),
-                id,
-                coalesced: false,
-                start,
-                key: key.clone(),
-                algo: algo_name.clone(),
-                parse_us,
-                probe_us,
-                trace,
-                tenant: tenant.clone(),
-                slot: Mutex::new(slot),
-                conn: Arc::clone(conn),
-            });
+            let pending = Arc::new(new_pending(false, false, slot));
             // Fresh flight: nothing published yet, attach always parks.
             let _ = flight.attach(&pending);
             let class = CostClass::classify(cost, shared.small_cost_max);
@@ -2256,20 +2270,7 @@ fn dispatch_eval(
         }
         Joined::Follower(flight) => {
             m.coalesced_hits.fetch_add(1, Ordering::Relaxed);
-            let pending = Arc::new(Pending {
-                answered: AtomicBool::new(false),
-                id,
-                coalesced: true,
-                start,
-                key: key.clone(),
-                algo: algo_name,
-                parse_us,
-                probe_us,
-                trace,
-                tenant: tenant.clone(),
-                slot: Mutex::new(slot),
-                conn: Arc::clone(conn),
-            });
+            let pending = Arc::new(new_pending(false, true, slot));
             if let Some(result) = flight.attach(&pending) {
                 // The flight completed between join and attach.
                 answer_pending(&pending, m, &result, recorder, Some(&flight.stamps));
@@ -2277,8 +2278,9 @@ fn dispatch_eval(
             (pending, flight)
         }
     };
-    // Cheap pre-check only: an answered pending is dropped soon and
-    // its weak entry self-cleans, so a racing answer is harmless.
+    // Cheap pre-check only: an entry whose request is answered after
+    // this point is skipped at its deadline, or swept out earlier by a
+    // later registration, so a racing answer is harmless.
     if !pending.answered.load(Ordering::SeqCst) {
         shared.reaper.register(deadline, &pending, &flight);
     }
@@ -2495,6 +2497,49 @@ mod tests {
             workers: 1,
             io_threads: 1,
         }
+    }
+
+    #[test]
+    fn answered_registrations_leave_the_reaper_heap_bounded() {
+        let reaper = Reaper::new();
+        let Joined::Leader(flight) = FlightTable::new().join("k") else {
+            panic!("a fresh table has no flights");
+        };
+        let conn = Arc::new(ConnReply::new(
+            TOKEN_BASE,
+            Arc::new(IoHandle::new().unwrap()),
+        ));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut outstanding = Vec::new();
+        for i in 0..10_000 {
+            let pending = Arc::new(Pending {
+                answered: AtomicBool::new(false),
+                id: None,
+                coalesced: false,
+                start: Instant::now(),
+                key: String::new(),
+                algo: String::new(),
+                parse_us: 0,
+                probe_us: 0,
+                trace: None,
+                tenant: None,
+                slot: Mutex::new(None),
+                conn: Arc::clone(&conn),
+            });
+            reaper.register(deadline, &pending, &flight);
+            if i % 1_000 == 0 {
+                outstanding.push(pending);
+            } else {
+                // Answered: the claim is taken and the handles drop.
+                assert!(pending.try_claim());
+            }
+        }
+        let len = reaper.state.lock().unwrap().heap.len();
+        assert!(
+            (outstanding.len()..=2 * REAPER_SWEEP_FLOOR).contains(&len),
+            "10k registrations with {} outstanding left {len} heap entries",
+            outstanding.len()
+        );
     }
 
     #[test]

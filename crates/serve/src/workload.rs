@@ -9,13 +9,13 @@
 //! deadline bounds any admitted workload and no size ceiling is
 //! needed.
 
-use gt_core::engine::{Cancelled, CascadeEngine, RoundEngine, TtSearch, YbwEngine};
+use gt_core::engine::{Cancelled, CascadeEngine, EngineResult, RoundEngine, TtSearch, YbwEngine};
 use gt_games::{Connect4, Game, Nim, TicTacToe};
-use gt_sim::{parallel_alphabeta_cancellable, parallel_solve_cancellable};
+use gt_sim::{parallel_alphabeta_cancellable, parallel_solve_cancellable, RunStats};
 use gt_tree::minimax::{
-    seq_alphabeta_cancellable, seq_alphabeta_windowed_cancellable, seq_solve_cancellable,
+    seq_alphabeta_cancellable, seq_alphabeta_windowed_cancellable, seq_solve_cancellable, SeqStats,
 };
-use gt_tree::par::{par_alphabeta, par_solve};
+use gt_tree::par::{par_alphabeta, par_solve, ParStats};
 use gt_tree::split::parse_path;
 use gt_tree::{GenSpec, SourceVisitor, SubtreeSpec, SubtreeView, TreeSource, Value};
 use std::collections::BTreeMap;
@@ -133,6 +133,59 @@ impl EvalOutcome {
     }
 }
 
+impl From<SeqStats> for EvalOutcome {
+    fn from(st: SeqStats) -> Self {
+        EvalOutcome {
+            value: st.value,
+            work: st.leaves_evaluated,
+            max_width: 1,
+            pruned: st.cutoffs,
+            ..Default::default()
+        }
+    }
+}
+
+impl From<RunStats> for EvalOutcome {
+    fn from(st: RunStats) -> Self {
+        EvalOutcome {
+            value: st.value,
+            work: st.total_work,
+            steps: st.steps,
+            max_width: st.processors_used,
+            pruned: st.cutoffs,
+            ..Default::default()
+        }
+    }
+}
+
+impl From<EngineResult> for EvalOutcome {
+    fn from(r: EngineResult) -> Self {
+        EvalOutcome {
+            value: r.value,
+            work: r.leaves_evaluated,
+            steps: r.rounds,
+            // YBW does not track its own frontier width and reports 0.
+            max_width: r.max_round_size.max(1),
+            ..Default::default()
+        }
+    }
+}
+
+impl From<ParStats> for EvalOutcome {
+    fn from(st: ParStats) -> Self {
+        EvalOutcome {
+            value: st.value,
+            work: st.leaves_evaluated,
+            max_width: st.workers,
+            pruned: st.cutoffs,
+            steals: st.steals,
+            retired: st.retired,
+            narrowings: st.window_narrowings,
+            ..Default::default()
+        }
+    }
+}
+
 /// Why an evaluation did not produce an outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalError {
@@ -159,40 +212,58 @@ pub struct ValidatedRequest {
     pub cache_key: String,
 }
 
-const ALGOS: &[&str] = &[
-    "seq-solve",
-    "alphabeta",
-    "parallel-solve",
-    "round",
-    "cascade",
-    "ybw",
-    "tt",
-    "par-alphabeta",
-    "par-solve",
+/// The workloads an algorithm accepts: NOR trees, minmax trees, either
+/// tree family (the engine follows the spec), or a game ([`GAMES`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    Nor,
+    Minmax,
+    Tree,
+    Game,
+}
+
+/// Every algorithm the server runs, with the workload family it accepts.
+const ALGOS: &[(&str, Family)] = &[
+    ("seq-solve", Family::Nor),
+    ("alphabeta", Family::Minmax),
+    ("parallel-solve", Family::Tree),
+    ("round", Family::Tree),
+    ("cascade", Family::Tree),
+    ("ybw", Family::Minmax),
+    ("tt", Family::Game),
+    ("par-alphabeta", Family::Minmax),
+    ("par-solve", Family::Nor),
 ];
 
 /// Names of games the `tt` algorithm accepts as `spec` kinds.
 const GAMES: &[&str] = &["ttt", "tictactoe", "connect4", "nim"];
 
+/// Names of the algorithms whose family admits `ok`, joined for a message.
+fn algo_names(ok: impl Fn(Family) -> bool) -> String {
+    let names: Vec<&str> = ALGOS.iter().filter(|a| ok(a.1)).map(|a| a.0).collect();
+    names.join(", ")
+}
+
 /// Check a request end to end: both strings parse, the algorithm
-/// exists, the workload builds, and the tree family matches the
-/// algorithm's semantics.
+/// exists, the workload builds, and the workload's family is one the
+/// algorithm accepts.
 pub fn validate(spec_text: &str, algo_text: &str) -> Result<ValidatedRequest, String> {
     let spec = GenSpec::parse(spec_text)?;
     let algo = AlgoSpec::parse(algo_text)?;
-    if !ALGOS.contains(&algo.name.as_str()) {
+    let Some(&(_, family)) = ALGOS.iter().find(|a| a.0 == algo.name) else {
         return Err(format!(
             "unknown algorithm {:?} (expected one of {})",
             algo.name,
-            ALGOS.join(", ")
+            algo_names(|_| true)
         ));
-    }
+    };
     algo.width()?;
-    if algo.name == "tt" {
+    if family == Family::Game {
         if !GAMES.contains(&spec.kind.as_str()) {
             return Err(format!(
-                "algorithm \"tt\" searches a game, not a generated tree; \
+                "algorithm {:?} searches a game, not a generated tree; \
                  spec kind must be one of {} (got {:?})",
+                algo.name,
                 GAMES.join(", "),
                 spec.kind
             ));
@@ -201,26 +272,18 @@ pub fn validate(spec_text: &str, algo_text: &str) -> Result<ValidatedRequest, St
         // size ceiling is needed.
         tt_depth(&spec)?;
     } else {
-        // Tree algorithms: the generator must build, and the family
-        // must match the algorithm's semantics.
         spec.build()?;
-        match algo.name.as_str() {
-            "seq-solve" if spec.is_minmax() => {
-                return Err("seq-solve evaluates NOR trees; use alphabeta for minmax specs".into());
-            }
-            "par-solve" if spec.is_minmax() => {
-                return Err(
-                    "par-solve evaluates NOR trees; use par-alphabeta for minmax specs".into(),
-                );
-            }
-            "alphabeta" | "ybw" | "par-alphabeta" if !spec.is_minmax() => {
-                return Err(format!(
-                    "{} evaluates minmax trees; use seq-solve/round/cascade/par-solve \
-                     for NOR specs",
-                    algo.name
-                ));
-            }
-            _ => {}
+        let (kind, wanted) = if spec.is_minmax() {
+            ("minmax", Family::Minmax)
+        } else {
+            ("NOR", Family::Nor)
+        };
+        if family != Family::Tree && family != wanted {
+            return Err(format!(
+                "{} does not evaluate {kind} trees; for {kind} specs use one of {}",
+                algo.name,
+                algo_names(|f| f == Family::Tree || f == wanted)
+            ));
         }
     }
     let cache_key = canonical_key(&spec, &algo);
@@ -328,14 +391,7 @@ pub fn evaluate_subtree(sub: &SubtreeSpec, cancel: &AtomicBool) -> Result<EvalOu
             } else {
                 seq_solve_cancellable(&view, false, self.cancel)?
             };
-            Ok(EvalOutcome {
-                value: st.value,
-                work: st.leaves_evaluated,
-                steps: 0,
-                max_width: 1,
-                pruned: st.cutoffs,
-                ..Default::default()
-            })
+            Ok(st.into())
         }
     }
     sub.spec
@@ -346,20 +402,7 @@ pub fn evaluate_subtree(sub: &SubtreeSpec, cancel: &AtomicBool) -> Result<EvalOu
 /// [`estimated_cost`] for a subtree: the whole tree's uniform leaf
 /// count shrunk by the levels the path has already descended.
 pub fn estimated_subtree_cost(sub: &SubtreeSpec) -> u64 {
-    let d: u64 = sub
-        .spec
-        .params
-        .get("d")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let n: u32 = sub
-        .spec
-        .params
-        .get("n")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    d.max(1)
-        .saturating_pow(n.saturating_sub(sub.path.len() as u32))
+    uniform_leaves(&sub.spec, sub.path.len())
 }
 
 /// Rough size of the workload in positions/leaves, saturating.  The
@@ -379,6 +422,12 @@ pub fn estimated_cost(spec: &GenSpec, algo: &AlgoSpec) -> u64 {
         };
         return branching.saturating_pow(depth.min(64));
     }
+    uniform_leaves(spec, 0)
+}
+
+/// `d^(n − levels)`: the leaves below one node `levels` deep in a
+/// uniform tree with the spec's arity and height, saturating.
+fn uniform_leaves(spec: &GenSpec, levels: usize) -> u64 {
     let d: u64 = spec
         .params
         .get("d")
@@ -389,7 +438,7 @@ pub fn estimated_cost(spec: &GenSpec, algo: &AlgoSpec) -> u64 {
         .get("n")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    d.max(1).saturating_pow(n)
+    d.max(1).saturating_pow(n.saturating_sub(levels as u32))
 }
 
 fn tt_depth(spec: &GenSpec) -> Result<u32, String> {
@@ -409,7 +458,6 @@ where
     Ok(EvalOutcome {
         value,
         work: tt.stats.evals,
-        steps: 0,
         max_width: 1,
         pruned: tt.stats.hits,
         ..Default::default()
@@ -454,8 +502,8 @@ pub fn evaluate_with_grant(
     // type, so the hot path pays no virtual call per node.  (On small
     // specs the dyn-dispatch tax rivals the protocol overhead.)
     struct EngineRun<'a> {
-        spec: &'a GenSpec,
         algo: &'a AlgoSpec,
+        minmax: bool,
         width: u32,
         cancel: &'a AtomicBool,
         grant: u32,
@@ -464,135 +512,42 @@ pub fn evaluate_with_grant(
         type Out = Result<EvalOutcome, EvalError>;
         fn visit<S: TreeSource + Send + 'static>(self, src: S) -> Self::Out {
             let EngineRun {
-                spec,
                 algo,
+                minmax,
                 width,
                 cancel,
                 grant,
             } = self;
-            let outcome = match algo.name.as_str() {
-                "seq-solve" => {
-                    let st = seq_solve_cancellable(&src, false, cancel)?;
-                    EvalOutcome {
-                        value: st.value,
-                        work: st.leaves_evaluated,
-                        steps: 0,
-                        max_width: 1,
-                        pruned: st.cutoffs,
-                        ..Default::default()
-                    }
+            let round = RoundEngine::with_width(width);
+            let cascade = CascadeEngine::with_width(width);
+            Ok(match (algo.name.as_str(), minmax) {
+                ("seq-solve", _) => seq_solve_cancellable(&src, false, cancel)?.into(),
+                ("alphabeta", _) => seq_alphabeta_cancellable(&src, false, cancel)?.into(),
+                ("parallel-solve", true) => {
+                    parallel_alphabeta_cancellable(&src, width, false, cancel)?.into()
                 }
-                "alphabeta" => {
-                    let st = seq_alphabeta_cancellable(&src, false, cancel)?;
-                    EvalOutcome {
-                        value: st.value,
-                        work: st.leaves_evaluated,
-                        steps: 0,
-                        max_width: 1,
-                        pruned: st.cutoffs,
-                        ..Default::default()
-                    }
+                ("parallel-solve", false) => {
+                    parallel_solve_cancellable(&src, width, false, cancel)?.into()
                 }
-                "parallel-solve" => {
-                    let st = if spec.is_minmax() {
-                        parallel_alphabeta_cancellable(&src, width, false, cancel)?
-                    } else {
-                        parallel_solve_cancellable(&src, width, false, cancel)?
-                    };
-                    EvalOutcome {
-                        value: st.value,
-                        work: st.total_work,
-                        steps: st.steps,
-                        max_width: st.processors_used,
-                        pruned: st.cutoffs,
-                        ..Default::default()
-                    }
+                ("round", true) => round.solve_minmax_cancellable(&src, cancel)?.into(),
+                ("round", false) => round.solve_nor_cancellable(&src, cancel)?.into(),
+                ("cascade", true) => cascade.solve_minmax_cancellable(&src, cancel)?.into(),
+                ("cascade", false) => cascade.solve_nor_cancellable(&src, cancel)?.into(),
+                ("ybw", _) => {
+                    let cutoff = algo.u32_param("cutoff", 0).map_err(EvalError::Bad)?;
+                    YbwEngine::with_cutoff(cutoff)
+                        .solve_minmax_cancellable(&src, cancel)?
+                        .into()
                 }
-                "round" => {
-                    let engine = RoundEngine::with_width(width);
-                    let r = if spec.is_minmax() {
-                        engine.solve_minmax_cancellable(&src, cancel)?
-                    } else {
-                        engine.solve_nor_cancellable(&src, cancel)?
-                    };
-                    EvalOutcome {
-                        value: r.value,
-                        work: r.leaves_evaluated,
-                        steps: r.rounds,
-                        max_width: r.max_round_size,
-                        pruned: 0,
-                        ..Default::default()
-                    }
-                }
-                "cascade" => {
-                    let engine = CascadeEngine::with_width(width);
-                    let r = if spec.is_minmax() {
-                        engine.solve_minmax_cancellable(&src, cancel)?
-                    } else {
-                        engine.solve_nor_cancellable(&src, cancel)?
-                    };
-                    EvalOutcome {
-                        value: r.value,
-                        work: r.leaves_evaluated,
-                        steps: r.rounds,
-                        max_width: r.max_round_size,
-                        pruned: 0,
-                        ..Default::default()
-                    }
-                }
-                "ybw" => {
-                    let engine = match algo.params.get("cutoff") {
-                        Some(v) => YbwEngine::with_cutoff(
-                            v.parse()
-                                .map_err(|e| EvalError::Bad(format!("bad cutoff={v}: {e}")))?,
-                        ),
-                        None => YbwEngine::default(),
-                    };
-                    let r = engine.solve_minmax_cancellable(&src, cancel)?;
-                    EvalOutcome {
-                        value: r.value,
-                        work: r.leaves_evaluated,
-                        steps: r.rounds,
-                        // YBW does not track its own frontier width.
-                        max_width: r.max_round_size.max(1),
-                        pruned: 0,
-                        ..Default::default()
-                    }
-                }
-                "par-alphabeta" => {
-                    let st = par_alphabeta(&src, grant.max(1), cancel)?;
-                    EvalOutcome {
-                        value: st.value,
-                        work: st.leaves_evaluated,
-                        steps: 0,
-                        max_width: st.workers,
-                        pruned: st.cutoffs,
-                        steals: st.steals,
-                        retired: st.retired,
-                        narrowings: st.window_narrowings,
-                    }
-                }
-                "par-solve" => {
-                    let st = par_solve(&src, grant.max(1), cancel)?;
-                    EvalOutcome {
-                        value: st.value,
-                        work: st.leaves_evaluated,
-                        steps: 0,
-                        max_width: st.workers,
-                        pruned: st.cutoffs,
-                        steals: st.steals,
-                        retired: st.retired,
-                        narrowings: st.window_narrowings,
-                    }
-                }
-                other => return Err(EvalError::Bad(format!("unknown algorithm {other:?}"))),
-            };
-            Ok(outcome)
+                ("par-alphabeta", _) => par_alphabeta(&src, grant.max(1), cancel)?.into(),
+                ("par-solve", _) => par_solve(&src, grant.max(1), cancel)?.into(),
+                (other, _) => return Err(EvalError::Bad(format!("unknown algorithm {other:?}"))),
+            })
         }
     }
     spec.build_visit(EngineRun {
-        spec,
         algo,
+        minmax: spec.is_minmax(),
         width,
         cancel,
         grant,

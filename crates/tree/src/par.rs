@@ -28,6 +28,10 @@
 //!
 //! [`Chase–Lev`-style discipline]: https://doi.org/10.1145/1073970.1073974
 //!
+//! The module also owns the process-wide fork-join pool ([`join`],
+//! [`map`], [`start_pool`]) that the fork-join engines of `gt-core`
+//! run on; see the `pool` submodule.
+//!
 //! ## Value determinism
 //!
 //! Sibling results are absorbed in *arrival* order, which varies run to
@@ -51,6 +55,9 @@ use crate::split::{Aggregator, NodeMode, SubtreeView};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+mod pool;
+pub use pool::{join, map, start_pool};
 
 /// A shared α/β window packed into one `AtomicU64`, so stealers can
 /// re-probe the current bounds (and detect `α ≥ β`) with a single

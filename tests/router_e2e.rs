@@ -294,14 +294,32 @@ fn killing_one_of_three_replicas_mid_burst_is_invisible_to_clients() {
         .iter()
         .map(|s| s.local_addr().to_string())
         .collect();
+    // Probe rounds seconds apart, and the burst starts right after one
+    // has seen every replica healthy.  The dying replica must still rank
+    // healthy when the burst reaches it: a probe that sees the drain
+    // first routes around the corpse, and nothing fails over.
     let router = Router::start(RouterConfig {
         replicas: addrs.clone(),
         retries: 5,
-        probe_interval_ms: 25,
+        probe_interval_ms: 5_000,
         probe_timeout_ms: 100,
         ..RouterConfig::default()
     })
     .unwrap();
+    let probed = Instant::now() + Duration::from_secs(10);
+    while !stats_of(router.local_addr())
+        .get("replicas")
+        .and_then(Json::as_array)
+        .is_some_and(|rs| {
+            rs.iter().all(|r| {
+                r.get("last_probe_age_s").and_then(Json::as_f64).is_some()
+                    && r.get("state").and_then(Json::as_str) == Some("healthy")
+            })
+        })
+    {
+        assert!(Instant::now() < probed, "no probe saw every replica up");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     let stream = TcpStream::connect(router.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
