@@ -87,7 +87,8 @@ pub struct RouterMetrics {
     /// In-flight subeval results discarded on arrival because a
     /// cutoff had already settled their level (the no-abort rule).
     pub subevals_discarded_on_cutoff: AtomicU64,
-    /// Subevals a cutoff skipped before they were ever dispatched.
+    /// Subevals never dispatched: a cutoff skipped them, or the plan
+    /// was answered while they were still staged.
     pub subevals_skipped_on_cutoff: AtomicU64,
     /// Deepest eldest chain any plan has used (monotone high-water).
     pub split_depth: AtomicU64,
@@ -441,7 +442,7 @@ impl RouterSnapshot {
         counter(
             &mut out,
             "router_subevals_skipped_on_cutoff_total",
-            "Subevals skipped before dispatch by a cutoff.",
+            "Subevals never dispatched: skipped by a cutoff or overtaken by the answer.",
             self.subevals_skipped_on_cutoff,
         );
         let _ = writeln!(

@@ -34,11 +34,11 @@ impl Client {
         })
     }
 
-    /// Write a raw request line without waiting for its reply.
+    /// Write a raw request line without waiting for its reply.  The
+    /// line and its newline go out in one `write` call, so a NODELAY
+    /// socket sends one segment, not two.
     pub fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Write a request without waiting for its reply (pipelining).

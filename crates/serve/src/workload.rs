@@ -12,12 +12,10 @@
 use gt_core::engine::{Cancelled, CascadeEngine, EngineResult, RoundEngine, TtSearch, YbwEngine};
 use gt_games::{Connect4, Game, Nim, TicTacToe};
 use gt_sim::{parallel_alphabeta_cancellable, parallel_solve_cancellable, RunStats};
-use gt_tree::minimax::{
-    seq_alphabeta_cancellable, seq_alphabeta_windowed_cancellable, seq_solve_cancellable, SeqStats,
-};
+use gt_tree::minimax::{seq_alphabeta_cancellable, seq_solve_cancellable, SeqStats};
 use gt_tree::par::{par_alphabeta, par_solve, ParStats};
-use gt_tree::split::parse_path;
-use gt_tree::{GenSpec, SourceVisitor, SubtreeSpec, SubtreeView, TreeSource, Value};
+use gt_tree::split::{parse_path, sub_evaluate_cancellable};
+use gt_tree::{GenSpec, SourceVisitor, SubtreeSpec, TreeSource, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -367,36 +365,13 @@ pub fn validate_subeval(
 }
 
 /// Run one validated subtree evaluation on the calling thread: NOR
-/// families run the short-circuit solver on the subtree view, minmax
+/// families run the short-circuit solver rooted at the path, minmax
 /// families run windowed fail-soft α-β with the player chosen by the
-/// path's depth parity.
+/// path's depth parity (see [`sub_evaluate_cancellable`]).
 pub fn evaluate_subtree(sub: &SubtreeSpec, cancel: &AtomicBool) -> Result<EvalOutcome, EvalError> {
-    struct SubRun<'a> {
-        sub: &'a SubtreeSpec,
-        cancel: &'a AtomicBool,
-    }
-    impl SourceVisitor for SubRun<'_> {
-        type Out = Result<EvalOutcome, EvalError>;
-        fn visit<S: TreeSource + Send + 'static>(self, src: S) -> Self::Out {
-            let view = SubtreeView::new(src, self.sub.path.clone());
-            let st = if self.sub.spec.is_minmax() {
-                seq_alphabeta_windowed_cancellable(
-                    &view,
-                    false,
-                    self.sub.alpha,
-                    self.sub.beta,
-                    self.sub.maximizing(),
-                    self.cancel,
-                )?
-            } else {
-                seq_solve_cancellable(&view, false, self.cancel)?
-            };
-            Ok(st.into())
-        }
-    }
-    sub.spec
-        .build_visit(SubRun { sub, cancel })
-        .map_err(EvalError::Bad)?
+    Ok(sub_evaluate_cancellable(sub, cancel)
+        .map_err(EvalError::Bad)??
+        .into())
 }
 
 /// [`estimated_cost`] for a subtree: the whole tree's uniform leaf
@@ -521,7 +496,7 @@ pub fn evaluate_with_grant(
             let round = RoundEngine::with_width(width);
             let cascade = CascadeEngine::with_width(width);
             Ok(match (algo.name.as_str(), minmax) {
-                ("seq-solve", _) => seq_solve_cancellable(&src, false, cancel)?.into(),
+                ("seq-solve", _) => seq_solve_cancellable(&src, &[], false, cancel)?.into(),
                 ("alphabeta", _) => seq_alphabeta_cancellable(&src, false, cancel)?.into(),
                 ("parallel-solve", true) => {
                     parallel_alphabeta_cancellable(&src, width, false, cancel)?.into()

@@ -50,7 +50,7 @@ pub use explicit::ExplicitTree;
 pub use par::{par_alphabeta, par_alphabeta_windowed, par_solve, AtomicWindow, ParStats};
 pub use source::{Cancelled, NodeKind, TreeSource, Value};
 pub use spec::{GenSpec, SourceVisitor};
-pub use split::{Aggregator, NodeMode, SubtreeSpec, SubtreeView};
+pub use split::{Aggregator, NodeMode, SubtreeSpec};
 
 /// `B(d, n)`: the class of uniform `d`-ary NOR (AND/OR) trees of height `n`.
 ///

@@ -13,6 +13,14 @@
 //!   classical fail-hard depth-first procedure with `α ≥ β` cutoffs,
 //!   reporting `S̃(T)` and `L̃(T)`.
 //!
+//! [`seq_solve_cancellable`], [`seq_alphabeta_windowed`] and
+//! [`seq_alphabeta_windowed_cancellable`] also take a `root` path and
+//! evaluate the subtree hanging there, in place: the path buffer starts
+//! as `root` and children are pushed and popped on it, so the source
+//! sees whole-tree paths and the subtree needs no adapter.  Counters
+//! are those of the subtree alone, and recorded `leaf_paths` are
+//! absolute (each begins with `root`).
+//!
 //! These recursive versions exist alongside the step-driven simulators in
 //! `gt-sim` for two reasons: they are *fast* (no per-step frontier scan),
 //! and they provide an independent implementation to cross-check the
@@ -39,6 +47,7 @@ pub struct SeqStats {
     /// skipped (NOR short-circuit on a nonzero child; `α ≥ β` cutoffs).
     pub cutoffs: u64,
     /// The evaluated leaf paths in evaluation order, when requested.
+    /// Paths are absolute: a rooted run's paths begin with its root.
     pub leaf_paths: Option<Vec<Vec<u32>>>,
 }
 
@@ -114,14 +123,17 @@ pub fn and_or_value<S: TreeSource>(source: &S) -> Value {
 /// evaluation order — the ingredient of the skeleton `H_T`.
 pub fn seq_solve<S: TreeSource>(source: &S, record_leaves: bool) -> SeqStats {
     let never = AtomicBool::new(false);
-    seq_solve_cancellable(source, record_leaves, &never).expect("never cancelled")
+    seq_solve_cancellable(source, &[], record_leaves, &never).expect("never cancelled")
 }
 
-/// [`seq_solve`] with cooperative cancellation: the flag is sampled every
+/// [`seq_solve`] of the subtree at `root` (empty for the whole tree),
+/// with cooperative cancellation: the flag is sampled every
 /// [`CANCEL_CHECK_MASK`]` + 1` leaf evaluations (cheap enough to be free)
-/// and a set flag abandons the run with [`Cancelled`].
+/// and a set flag abandons the run with [`Cancelled`].  NOR subtrees
+/// are NOR trees, so no player or window is needed.
 pub fn seq_solve_cancellable<S: TreeSource>(
     source: &S,
+    root: &[u32],
     record_leaves: bool,
     cancel: &AtomicBool,
 ) -> Result<SeqStats, Cancelled> {
@@ -167,7 +179,7 @@ pub fn seq_solve_cancellable<S: TreeSource>(
         cutoffs: 0,
         record: record_leaves.then(Vec::new),
     };
-    let value = go(&mut c, &mut Vec::new())?;
+    let value = go(&mut c, &mut root.to_vec())?;
     Ok(SeqStats {
         value,
         leaves_evaluated: c.leaves,
@@ -191,14 +203,23 @@ pub fn seq_alphabeta_cancellable<S: TreeSource>(
     record_leaves: bool,
     cancel: &AtomicBool,
 ) -> Result<SeqStats, Cancelled> {
-    seq_alphabeta_windowed_cancellable(source, record_leaves, Value::MIN, Value::MAX, true, cancel)
+    seq_alphabeta_windowed_cancellable(
+        source,
+        &[],
+        record_leaves,
+        Value::MIN,
+        Value::MAX,
+        true,
+        cancel,
+    )
 }
 
-/// α-β from an arbitrary starting window and player: the entry point
-/// for *partial* (subtree) evaluation, where the caller has already
-/// established bounds at an ancestor and knows which player moves at
-/// the subtree root (`maximizing`).  With `(Value::MIN, Value::MAX,
-/// true)` this is exactly [`seq_alphabeta`].
+/// α-β of the subtree at `root` from an arbitrary starting window and
+/// player: the entry point for *partial* (subtree) evaluation, where
+/// the caller has already established bounds at an ancestor and knows
+/// which player moves at the subtree root (`maximizing`).  With
+/// `(&[], Value::MIN, Value::MAX, true)` this is exactly
+/// [`seq_alphabeta`].
 ///
 /// The search is fail-soft: the returned value may fall outside
 /// `(alpha, beta)`, in which case it is a bound on the true value (an
@@ -206,19 +227,21 @@ pub fn seq_alphabeta_cancellable<S: TreeSource>(
 /// `value >= beta`) rather than the value itself.
 pub fn seq_alphabeta_windowed<S: TreeSource>(
     source: &S,
+    root: &[u32],
     record_leaves: bool,
     alpha: Value,
     beta: Value,
     maximizing: bool,
 ) -> SeqStats {
     let never = AtomicBool::new(false);
-    seq_alphabeta_windowed_cancellable(source, record_leaves, alpha, beta, maximizing, &never)
+    seq_alphabeta_windowed_cancellable(source, root, record_leaves, alpha, beta, maximizing, &never)
         .expect("never cancelled")
 }
 
 /// [`seq_alphabeta_windowed`] with cooperative cancellation.
 pub fn seq_alphabeta_windowed_cancellable<S: TreeSource>(
     source: &S,
+    root: &[u32],
     record_leaves: bool,
     alpha: Value,
     beta: Value,
@@ -282,7 +305,7 @@ pub fn seq_alphabeta_windowed_cancellable<S: TreeSource>(
         cutoffs: 0,
         record: record_leaves.then(Vec::new),
     };
-    let value = go(&mut c, &mut Vec::new(), alpha, beta, maximizing)?;
+    let value = go(&mut c, &mut root.to_vec(), alpha, beta, maximizing)?;
     Ok(SeqStats {
         value,
         leaves_evaluated: c.leaves,
@@ -415,7 +438,7 @@ mod tests {
     fn windowed_alphabeta_full_window_is_plain_alphabeta() {
         let s = UniformSource::minmax_iid(3, 4, 0, 100, 13);
         let plain = seq_alphabeta(&s, true);
-        let windowed = seq_alphabeta_windowed(&s, true, Value::MIN, Value::MAX, true);
+        let windowed = seq_alphabeta_windowed(&s, &[], true, Value::MIN, Value::MAX, true);
         assert_eq!(plain, windowed);
     }
 
@@ -426,7 +449,7 @@ mod tests {
             let truth = minimax_value(&s);
             let full = seq_alphabeta(&s, false);
             let (alpha, beta) = (truth - 5, truth + 5);
-            let narrow = seq_alphabeta_windowed(&s, false, alpha, beta, true);
+            let narrow = seq_alphabeta_windowed(&s, &[], false, alpha, beta, true);
             // The truth lies strictly inside the window, so the windowed
             // search returns it exactly — with no more work than the
             // full-window search.
@@ -434,10 +457,10 @@ mod tests {
             assert!(narrow.leaves_evaluated <= full.leaves_evaluated);
             // A window strictly above the truth fails low: the result is
             // an upper bound on the truth, at or below α.
-            let lo = seq_alphabeta_windowed(&s, false, truth + 1, truth + 10, true);
+            let lo = seq_alphabeta_windowed(&s, &[], false, truth + 1, truth + 10, true);
             assert!(lo.value >= truth && lo.value <= truth + 1, "seed {seed}");
             // A window strictly below fails high: a lower bound, ≥ β.
-            let hi = seq_alphabeta_windowed(&s, false, truth - 10, truth - 1, true);
+            let hi = seq_alphabeta_windowed(&s, &[], false, truth - 10, truth - 1, true);
             assert!(hi.value <= truth && hi.value >= truth - 1, "seed {seed}");
         }
     }
@@ -447,7 +470,7 @@ mod tests {
         let never = AtomicBool::new(false);
         let s = UniformSource::nor_iid(2, 8, 0.5, 7);
         let plain = seq_solve(&s, true);
-        let c = seq_solve_cancellable(&s, true, &never).unwrap();
+        let c = seq_solve_cancellable(&s, &[], true, &never).unwrap();
         assert_eq!(plain, c);
         let m = UniformSource::minmax_iid(3, 4, 0, 50, 7);
         let plain = seq_alphabeta(&m, true);
@@ -459,7 +482,7 @@ mod tests {
     fn preset_flag_cancels_before_any_leaf() {
         let set = AtomicBool::new(true);
         let s = UniformSource::nor_worst_case(2, 10);
-        assert_eq!(seq_solve_cancellable(&s, false, &set), Err(Cancelled));
+        assert_eq!(seq_solve_cancellable(&s, &[], false, &set), Err(Cancelled));
         let m = UniformSource::minmax_worst_ordered(2, 10);
         assert_eq!(seq_alphabeta_cancellable(&m, false, &set), Err(Cancelled));
     }
@@ -494,7 +517,7 @@ mod tests {
             reads: std::sync::atomic::AtomicU64::new(0),
             flag: &flag,
         };
-        assert_eq!(seq_solve_cancellable(&s, false, &flag), Err(Cancelled));
+        assert_eq!(seq_solve_cancellable(&s, &[], false, &flag), Err(Cancelled));
         let reads = s.reads.load(Ordering::Relaxed);
         assert!(
             (3000..3000 + 2048).contains(&reads),

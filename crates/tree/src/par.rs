@@ -51,7 +51,7 @@
 
 use crate::minimax::{seq_alphabeta_windowed_cancellable, seq_solve_cancellable};
 use crate::source::{Cancelled, TreeSource, Value};
-use crate::split::{Aggregator, NodeMode, SubtreeView};
+use crate::split::{Aggregator, NodeMode};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -273,15 +273,16 @@ impl<'a, S: TreeSource> Pool<'a, S> {
         None
     }
 
-    /// Evaluate the subtree at `path` sequentially under `(alpha, beta)`.
+    /// Evaluate the subtree at `path` sequentially under `(alpha, beta)`,
+    /// rooted in place on the shared source.
     fn eval_leafward(&self, path: &[u32], alpha: Value, beta: Value) -> Result<Value, Cancelled> {
-        let view = SubtreeView::new(self.source, path.to_vec());
         let st = match self.kind {
-            EvalKind::Nor => seq_solve_cancellable(&view, false, self.cancel)?,
+            EvalKind::Nor => seq_solve_cancellable(self.source, path, false, self.cancel)?,
             EvalKind::Minmax { .. } => {
                 let maximizing = self.kind.mode_at(path.len()) == NodeMode::Max;
                 seq_alphabeta_windowed_cancellable(
-                    &view,
+                    self.source,
+                    path,
                     false,
                     alpha,
                     beta,
@@ -462,10 +463,16 @@ fn seq_fallback<S: TreeSource>(
     cancel: &AtomicBool,
 ) -> Result<ParStats, Cancelled> {
     let st = match kind {
-        EvalKind::Nor => seq_solve_cancellable(source, false, cancel)?,
-        EvalKind::Minmax { root_maximizing } => {
-            seq_alphabeta_windowed_cancellable(source, false, alpha, beta, root_maximizing, cancel)?
-        }
+        EvalKind::Nor => seq_solve_cancellable(source, &[], false, cancel)?,
+        EvalKind::Minmax { root_maximizing } => seq_alphabeta_windowed_cancellable(
+            source,
+            &[],
+            false,
+            alpha,
+            beta,
+            root_maximizing,
+            cancel,
+        )?,
     };
     Ok(ParStats {
         value: st.value,

@@ -15,9 +15,10 @@
 //!   leaf values from `(seed, full path)`, any replica can regenerate
 //!   its assigned subtree locally from the spec alone — the wire
 //!   carries a few dozen bytes, never tree data.
-//! * [`SubtreeView`] — a [`TreeSource`] adapter that prefixes the
-//!   subtree root path onto every `arity`/`leaf_value` query, so the
-//!   existing evaluators run unmodified on the subtree.
+//! * [`sub_evaluate`] — what a replica computes for a spec: the
+//!   sequential evaluators run *rooted* at the subtree's path on the
+//!   concrete generated source (see [`crate::minimax`]), so a subtree
+//!   costs what its leaves cost, with no path-prefixing adapter.
 //! * [`split_children`] / [`Aggregator`] — the splitter that
 //!   decomposes a spec into the root's child subtrees, and the fold
 //!   that absorbs child values through the NOR / minimax recursion
@@ -35,10 +36,13 @@
 //! [`sub_evaluate`] plus [`split_value_reference`] encode that
 //! equivalence and the proptests in `tests/split_proptest.rs` hold it
 //! over every generator family.
+//!
+//! [`seq_alphabeta_windowed`]: crate::minimax::seq_alphabeta_windowed
 
-use crate::minimax::{seq_alphabeta_windowed, seq_solve, SeqStats};
-use crate::source::{TreeSource, Value};
-use crate::spec::GenSpec;
+use crate::minimax::{seq_alphabeta_windowed_cancellable, seq_solve_cancellable, SeqStats};
+use crate::source::{Cancelled, TreeSource, Value};
+use crate::spec::{GenSpec, SourceVisitor};
+use std::sync::atomic::AtomicBool;
 
 /// Render a subtree root path as dot-joined indices (`"0.2.1"`); the
 /// whole-tree root is the empty string.
@@ -148,46 +152,6 @@ impl SubtreeSpec {
             alpha,
             beta,
         })
-    }
-}
-
-/// A [`TreeSource`] that exposes the subtree rooted at `root` of an
-/// underlying source, by prefixing `root` onto every query path.  The
-/// generators derive leaf values from the full path, so the view
-/// reproduces the subtree *exactly* — the property that lets a replica
-/// regenerate its assignment from a [`SubtreeSpec`] alone.
-pub struct SubtreeView<S> {
-    inner: S,
-    root: Vec<u32>,
-}
-
-impl<S: TreeSource> SubtreeView<S> {
-    /// View `inner` from `root` down.
-    pub fn new(inner: S, root: Vec<u32>) -> SubtreeView<S> {
-        SubtreeView { inner, root }
-    }
-
-    fn full(&self, path: &[u32]) -> Vec<u32> {
-        let mut p = Vec::with_capacity(self.root.len() + path.len());
-        p.extend_from_slice(&self.root);
-        p.extend_from_slice(path);
-        p
-    }
-}
-
-impl<S: TreeSource> TreeSource for SubtreeView<S> {
-    fn arity(&self, path: &[u32]) -> u32 {
-        self.inner.arity(&self.full(path))
-    }
-
-    fn leaf_value(&self, path: &[u32]) -> Value {
-        self.inner.leaf_value(&self.full(path))
-    }
-
-    fn height_hint(&self) -> Option<u32> {
-        self.inner
-            .height_hint()
-            .map(|h| h.saturating_sub(self.root.len() as u32))
     }
 }
 
@@ -338,23 +302,46 @@ impl Aggregator {
 
 /// Evaluate one [`SubtreeSpec`] sequentially: the reference for what a
 /// replica computes when handed the spec over the wire.  NOR families
-/// run `seq_solve` on the view (NOR subtrees are NOR trees; the window
-/// is irrelevant to a boolean short-circuit fold); minimax families
-/// run windowed α-β with the player chosen by depth parity.
+/// run `seq_solve` rooted at the path (NOR subtrees are NOR trees; the
+/// window is irrelevant to a boolean short-circuit fold); minimax
+/// families run windowed α-β with the player chosen by depth parity.
 pub fn sub_evaluate(sub: &SubtreeSpec) -> Result<SeqStats, String> {
-    let source = sub.spec.build()?;
-    let view = SubtreeView::new(source, sub.path.clone());
-    if sub.spec.is_minmax() {
-        Ok(seq_alphabeta_windowed(
-            &view,
-            false,
-            sub.alpha,
-            sub.beta,
-            sub.maximizing(),
-        ))
-    } else {
-        Ok(seq_solve(&view, false))
+    let never = AtomicBool::new(false);
+    Ok(sub_evaluate_cancellable(sub, &never)?.expect("never cancelled"))
+}
+
+/// [`sub_evaluate`] with cooperative cancellation.  The outer error is
+/// a spec that does not build; the inner one a set `cancel` flag.  The
+/// evaluator runs on the concrete source [`GenSpec::build_visit`] hands
+/// over, so every `arity`/`leaf_value` call is direct.
+pub fn sub_evaluate_cancellable(
+    sub: &SubtreeSpec,
+    cancel: &AtomicBool,
+) -> Result<Result<SeqStats, Cancelled>, String> {
+    struct Rooted<'a> {
+        sub: &'a SubtreeSpec,
+        cancel: &'a AtomicBool,
     }
+    impl SourceVisitor for Rooted<'_> {
+        type Out = Result<SeqStats, Cancelled>;
+        fn visit<S: TreeSource + Send + 'static>(self, source: S) -> Self::Out {
+            let Rooted { sub, cancel } = self;
+            if sub.spec.is_minmax() {
+                seq_alphabeta_windowed_cancellable(
+                    &source,
+                    &sub.path,
+                    false,
+                    sub.alpha,
+                    sub.beta,
+                    sub.maximizing(),
+                    cancel,
+                )
+            } else {
+                seq_solve_cancellable(&source, &sub.path, false, cancel)
+            }
+        }
+    }
+    sub.spec.build_visit(Rooted { sub, cancel })
 }
 
 /// Split → sub-evaluate → aggregate, strictly eldest-first with the
@@ -362,7 +349,9 @@ pub fn sub_evaluate(sub: &SubtreeSpec) -> Result<SeqStats, String> {
 /// leaf or `depth == 0` falls back to [`sub_evaluate`]).  Returns the
 /// value and the total leaves evaluated across all sub-evaluations —
 /// the in-order scatter-gather reference that must agree with
-/// [`seq_solve`] / [`seq_alphabeta_windowed`] on the whole tree.
+/// [`seq_solve`](crate::minimax::seq_solve) /
+/// [`seq_alphabeta_windowed`](crate::minimax::seq_alphabeta_windowed)
+/// on the whole tree.
 pub fn split_value_reference(sub: &SubtreeSpec, depth: u32) -> Result<(Value, u64), String> {
     let source = sub.spec.build()?;
     split_value_inner(&source, sub, depth)
@@ -405,7 +394,7 @@ fn split_value_inner<S: TreeSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimax::{seq_alphabeta, seq_solve};
+    use crate::minimax::{seq_alphabeta, seq_alphabeta_windowed, seq_solve};
 
     fn spec(text: &str) -> GenSpec {
         GenSpec::parse(text).unwrap()
@@ -442,23 +431,68 @@ mod tests {
     }
 
     #[test]
-    fn view_reproduces_the_subtree_exactly() {
-        let g = spec("minmax:d=3,n=5,seed=7");
-        let whole = g.build().unwrap();
-        for path in [vec![0], vec![2, 1], vec![1, 2, 0]] {
-            let view = SubtreeView::new(g.build().unwrap(), path.clone());
-            // Every leaf under the view matches the whole tree's leaf at
-            // the prefixed path; spot-check the leftmost and rightmost.
-            let depth_left = 5 - path.len();
-            let left: Vec<u32> = vec![0; depth_left];
-            let mut full_left = path.clone();
-            full_left.extend_from_slice(&left);
-            assert_eq!(view.leaf_value(&left), whole.leaf_value(&full_left));
-            let right: Vec<u32> = vec![2; depth_left];
-            let mut full_right = path.clone();
-            full_right.extend_from_slice(&right);
-            assert_eq!(view.leaf_value(&right), whole.leaf_value(&full_right));
-            assert_eq!(view.height_hint(), Some(depth_left as u32));
+    fn rooted_evaluation_matches_an_explicit_copy_of_the_subtree() {
+        use crate::explicit::ExplicitTree;
+        use crate::minimax::minimax_value;
+        let never = AtomicBool::new(false);
+        let counters =
+            |st: &SeqStats| (st.value, st.leaves_evaluated, st.nodes_expanded, st.cutoffs);
+        for text in [
+            "nor:d=3,n=5,seed=11",
+            "crit:d=2,n=7,seed=3",
+            "worst:d=2,n=6",
+            "allones:d=3,n=4",
+            "minmax:d=3,n=5,seed=7",
+            "minmax-best:d=2,n=7,value=42",
+            "minmax-worst:d=3,n=4",
+            "minmax-corr:d=3,n=5,seed=2",
+        ] {
+            let g = spec(text);
+            let n: u32 = g.params["n"].parse().unwrap();
+            let whole = ExplicitTree::from_source(&g.build().unwrap(), n);
+            // The whole tree, a mid-level subtree, and a leaf parent.
+            let mid = vec![1; (n / 2) as usize];
+            let leaf_parent = vec![0; (n - 1) as usize];
+            for path in [Vec::new(), mid, leaf_parent] {
+                let copy = whole.descend(&path).unwrap().clone();
+                let truth = minimax_value(&copy);
+                let windows = [(Value::MIN, Value::MAX), (truth - 2, truth + 3)];
+                for (alpha, beta) in windows {
+                    let sub = SubtreeSpec {
+                        spec: g.clone(),
+                        path: path.clone(),
+                        alpha,
+                        beta,
+                    };
+                    let source = g.build().unwrap();
+                    let (rooted, reference) = if g.is_minmax() {
+                        let max = sub.maximizing();
+                        (
+                            seq_alphabeta_windowed(&source, &path, true, alpha, beta, max),
+                            seq_alphabeta_windowed(&copy, &[], true, alpha, beta, max),
+                        )
+                    } else {
+                        (
+                            seq_solve_cancellable(&source, &path, true, &never).unwrap(),
+                            seq_solve(&copy, true),
+                        )
+                    };
+                    let at = format!("{text} at {path:?} window {alpha}..{beta}");
+                    assert_eq!(counters(&rooted), counters(&reference), "{at}");
+                    // Recorded leaves are absolute: the root, then the
+                    // copy's relative path.
+                    let absolute: Vec<Vec<u32>> = reference
+                        .leaf_paths
+                        .unwrap()
+                        .into_iter()
+                        .map(|rel| [path.clone(), rel].concat())
+                        .collect();
+                    // The wire entry point is the same rooted run.
+                    let wire = sub_evaluate(&sub).unwrap();
+                    assert_eq!(counters(&wire), counters(&rooted), "{at}");
+                    assert_eq!(rooted.leaf_paths, Some(absolute), "{at}");
+                }
+            }
         }
     }
 

@@ -102,7 +102,7 @@ proptest! {
         let spec = GenSpec::parse(&spec_text(kind, d, n, seed)).unwrap();
         let source = spec.build().unwrap();
         let (alpha, beta) = (lo, lo + width);
-        let seq = seq_alphabeta_windowed(&source, false, alpha, beta, true).value;
+        let seq = seq_alphabeta_windowed(&source, &[], false, alpha, beta, true).value;
         let never = AtomicBool::new(false);
         for workers in 1..=8u32 {
             let par = par_alphabeta_windowed(&source, workers, alpha, beta, true, &never)
