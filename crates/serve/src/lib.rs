@@ -28,8 +28,9 @@
 //!   micro-batched across keys into one dispatch; big jobs get a
 //!   dedicated dispatch; submissions past the bounded depth are shed
 //!   with a 429-style `busy` error instead of growing a backlog.
-//! * **Deadlines without parked threads** ([`server`]) — per-request
-//!   deadlines live in a single reaper thread's min-heap and drive the
+//! * **Deadlines without parked threads** ([`server`], [`deadline`]) —
+//!   per-request deadlines live in a single reaper thread's min-heap
+//!   (the same heap type times the router's pacer) and drive the
 //!   engines' cooperative cancellation
 //!   (`gt_core::engine::Cancelled`); an expired request gets a timely
 //!   `timeout` reply even while its abandoned work winds down.
@@ -80,6 +81,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod deadline;
 pub mod executor;
 pub mod io;
 pub mod loadgen;
