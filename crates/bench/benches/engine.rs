@@ -29,7 +29,7 @@ fn bench_leaf_cost_sweep(c: &mut Criterion) {
             b.iter(|| black_box(e.solve_minmax(&src).value))
         });
         g.bench_with_input(BenchmarkId::new("ybw", work), &work, |b, _| {
-            let e = YbwEngine::default();
+            let e = YbwEngine;
             b.iter(|| black_box(e.solve_minmax(&src).value))
         });
     }

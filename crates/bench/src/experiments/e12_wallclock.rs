@@ -23,6 +23,9 @@ pub fn leaf_cost_sweep(quick: bool) -> Vec<(u32, f64, f64, f64, f64)> {
     } else {
         &[0, 64, 256, 1024, 4096]
     };
+    // Start the pool untimed, as `gtree serve` does at boot, so the
+    // first engine to fork does not pay for spawning it.
+    gt_tree::par::start_pool();
     costs
         .iter()
         .map(|&work| {
@@ -35,7 +38,7 @@ pub fn leaf_cost_sweep(quick: bool) -> Vec<(u32, f64, f64, f64, f64)> {
             assert_eq!(round.value, seq.value);
             let casc = CascadeEngine::with_width(2).solve_minmax(&src);
             assert_eq!(casc.value, seq.value);
-            let ybw = YbwEngine::default().solve_minmax(&src);
+            let ybw = YbwEngine.solve_minmax(&src);
             assert_eq!(ybw.value, seq.value);
             (
                 work,

@@ -878,7 +878,13 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("value"), "{out}");
-        assert!(out.contains("workers  : 4"), "{out}");
+        // Loops beyond the pool threads free at the time never start.
+        let workers: u32 = out
+            .lines()
+            .find_map(|l| l.strip_prefix("workers  : "))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no workers line: {out}"));
+        assert!((1..=4).contains(&workers), "{out}");
         assert!(out.contains("steals"), "{out}");
         // NOR family defaults to par-solve.
         let nor = run_str(&["run", "--gen", "crit:n=6"]).unwrap();

@@ -3,27 +3,40 @@
 //! persistent fork-join pool of [`gt_tree::par`] with cooperative
 //! cancellation.
 //!
-//! At every node, up to `width + 1` consecutive children run
-//! concurrently: the leftmost with the full width budget (it may spawn
-//! further parallelism below — the paper's "parallel on left subtree"),
-//! and the `j`-th look-ahead sibling with budget `width − j` (budget 0 is
-//! a pure sequential search — the paper's `S-SOLVE` look-ahead).  When a
-//! child's result decides the node (a `1` child of a NOR node, an `α ≥
-//! β` cutoff of a MIN/MAX node), the remaining in-flight siblings are
-//! aborted through a shared flag — the paper's pre-emption.
+//! At every node whose children are worth a fork, up to `width + 1`
+//! consecutive children run concurrently: the leftmost with the full
+//! width budget (the paper's "parallel on left subtree"), and the
+//! `j`-th look-ahead sibling with budget `width − j`.  When a child's
+//! result decides the node (a `1` child of a NOR node, an `α ≥ β`
+//! cutoff of a MIN/MAX node), its batch siblings are pre-empted through
+//! a shared flag, which they poll at every node and batch boundary
+//! above the grain.
+//!
+//! Two kinds of node run as one rooted sequential search instead, a
+//! *macro-leaf* in the paper's model: a node whose children fall below
+//! [`par::worth_a_fork`] by shape (see [`super::children_worth_a_fork`]),
+//! and every width-0 arm (the paper's `S-SOLVE` look-ahead).  A
+//! macro-leaf polls only the request's cancel flag: it is too small to
+//! be worth aborting, and it always finishes, so its leaf count depends
+//! on the input alone.  On trees whose forks pay only near the root,
+//! the leaf count is therefore exact; where the whole tree is below
+//! the grain it equals sequential α-β's.
 //!
 //! The paper's algorithm *re-budgets* pruning numbers dynamically as
 //! siblings die; this engine assigns budgets statically per batch, which
 //! keeps it lock-free and allocation-light.  The exact dynamic semantics
 //! (and the paper's step counts) live in `gt-sim` / [`super::round`];
 //! this engine trades a small amount of model fidelity for practical
-//! fork-join performance.  Root values are always exact.
+//! fork-join performance.  Root values are always exact: a fail-soft
+//! macro-leaf value outside its window is a bound on the correct side.
 
+use gt_tree::minimax::seq_solve_cancellable;
 use gt_tree::{par, TreeSource, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use super::round::EngineResult;
+use super::{children_worth_a_fork, macro_leaf_ab};
 
 /// Marker returned when a search was pre-empted — the workspace-wide
 /// [`gt_tree::Cancelled`], re-exported here because engine signatures
@@ -59,6 +72,14 @@ impl<'a> CancelChain<'a> {
             cur = c.parent;
         }
         false
+    }
+
+    /// The request's own flag, at the root of the chain.
+    fn request(&self) -> &'a AtomicBool {
+        match self.parent {
+            Some(p) => p.request(),
+            None => self.flag,
+        }
     }
 }
 
@@ -105,7 +126,7 @@ impl CascadeEngine {
         let start = Instant::now();
         let leaves = AtomicU64::new(0);
         let chain = CancelChain::root(cancel);
-        let v = self.nor(source, &mut Vec::new(), self.width, chain, &leaves);
+        let v = self.nor(source, &[], self.width, chain, &leaves);
         let v = Value::from(v.ok_or(Cancelled)?);
         Ok(self.result(v, leaves.into_inner(), start))
     }
@@ -173,7 +194,7 @@ impl CascadeEngine {
         let chain = CancelChain::root(cancel);
         let v = self.ab(
             source,
-            &mut Vec::new(),
+            &[],
             alpha,
             beta,
             maximizing,
@@ -188,7 +209,7 @@ impl CascadeEngine {
     fn nor<S: TreeSource>(
         &self,
         src: &S,
-        path: &mut Vec<u32>,
+        path: &[u32],
         width: u32,
         cancel: CancelChain<'_>,
         leaves: &AtomicU64,
@@ -197,10 +218,10 @@ impl CascadeEngine {
             return None;
         }
         let d = src.arity(path);
-        if d == 0 {
-            let v = src.leaf_value(path);
-            leaves.fetch_add(1, Ordering::Relaxed);
-            return Some(v != 0);
+        if width == 0 || !children_worth_a_fork(src, path, d) {
+            let st = seq_solve_cancellable(src, path, false, cancel.request()).ok()?;
+            leaves.fetch_add(st.leaves_evaluated, Ordering::Relaxed);
+            return Some(st.value != 0);
         }
         let mut i: u32 = 0;
         while i < d {
@@ -208,54 +229,43 @@ impl CascadeEngine {
                 return None;
             }
             let k = (width + 1).min(d - i);
-            if k == 1 {
-                path.push(i);
-                let r = self.nor(src, path, width, cancel, leaves);
-                path.pop();
-                match r? {
-                    true => return Some(false),
-                    false => i += 1,
+            let batch_flag = AtomicBool::new(false);
+            let chain = cancel.child(&batch_flag);
+            let results: Vec<Option<bool>> = par::map(k as usize, |j| {
+                let j = j as u32;
+                // One exact-size allocation per task instead of a
+                // clone that would regrow on push.
+                let mut p = Vec::with_capacity(path.len() + 1);
+                p.extend_from_slice(path);
+                p.push(i + j);
+                let r = self.nor(src, &p, width - j, chain, leaves);
+                if r == Some(true) {
+                    // This child decides the node: pre-empt siblings.
+                    batch_flag.store(true, Ordering::Relaxed);
                 }
-            } else {
-                let batch_flag = AtomicBool::new(false);
-                let chain = cancel.child(&batch_flag);
-                let base: &[u32] = path;
-                let results: Vec<Option<bool>> = par::map(k as usize, |j| {
-                    let j = j as u32;
-                    // One exact-size allocation per task instead of a
-                    // clone that would regrow on push.
-                    let mut p = Vec::with_capacity(base.len() + 1);
-                    p.extend_from_slice(base);
-                    p.push(i + j);
-                    let r = self.nor(src, &mut p, width - j, chain, leaves);
-                    if r == Some(true) {
-                        // This child decides the node: pre-empt siblings.
-                        batch_flag.store(true, Ordering::Relaxed);
-                    }
-                    r
-                });
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                if results.contains(&Some(true)) {
-                    return Some(false);
-                }
-                debug_assert!(
-                    results.iter().all(|r| *r == Some(false)),
-                    "batch member aborted without a deciding sibling"
-                );
-                i += k;
+                r
+            });
+            if cancel.is_cancelled() {
+                return None;
             }
+            if results.contains(&Some(true)) {
+                return Some(false);
+            }
+            debug_assert!(
+                results.iter().all(|r| *r == Some(false)),
+                "batch member aborted without a deciding sibling"
+            );
+            i += k;
         }
         Some(true)
     }
 
-    /// Fail-hard alpha-beta.  `None` = pre-empted.
+    /// Fail-soft alpha-beta.  `None` = pre-empted.
     #[allow(clippy::too_many_arguments)]
     fn ab<S: TreeSource>(
         &self,
         src: &S,
-        path: &mut Vec<u32>,
+        path: &[u32],
         mut alpha: Value,
         mut beta: Value,
         maximizing: bool,
@@ -267,10 +277,8 @@ impl CascadeEngine {
             return None;
         }
         let d = src.arity(path);
-        if d == 0 {
-            let v = src.leaf_value(path);
-            leaves.fetch_add(1, Ordering::Relaxed);
-            return Some(v);
+        if width == 0 || !children_worth_a_fork(src, path, d) {
+            return macro_leaf_ab(src, path, alpha, beta, maximizing, cancel.request(), leaves);
         }
         let mut best = if maximizing { Value::MIN } else { Value::MAX };
         let mut i: u32 = 0;
@@ -279,11 +287,37 @@ impl CascadeEngine {
                 return None;
             }
             let k = (width + 1).min(d - i);
-            if k == 1 {
-                path.push(i);
-                let v = self.ab(src, path, alpha, beta, !maximizing, width, cancel, leaves);
-                path.pop();
-                let v = v?;
+            let batch_flag = AtomicBool::new(false);
+            let chain = cancel.child(&batch_flag);
+            let (snap_a, snap_b) = (alpha, beta);
+            let results: Vec<Option<Value>> = par::map(k as usize, |j| {
+                let j = j as u32;
+                let mut p = Vec::with_capacity(path.len() + 1);
+                p.extend_from_slice(path);
+                p.push(i + j);
+                let r = self.ab(
+                    src,
+                    &p,
+                    snap_a,
+                    snap_b,
+                    !maximizing,
+                    width - j,
+                    chain,
+                    leaves,
+                );
+                if let Some(v) = r {
+                    // A fail-high (fail-low for MIN) decides the node.
+                    let cutoff = if maximizing { v >= snap_b } else { v <= snap_a };
+                    if cutoff {
+                        batch_flag.store(true, Ordering::Relaxed);
+                    }
+                }
+                r
+            });
+            if cancel.is_cancelled() {
+                return None;
+            }
+            for v in results.into_iter().flatten() {
                 if maximizing {
                     best = best.max(v);
                     alpha = alpha.max(best);
@@ -291,56 +325,11 @@ impl CascadeEngine {
                     best = best.min(v);
                     beta = beta.min(best);
                 }
-                if alpha >= beta {
-                    return Some(best);
-                }
-                i += 1;
-            } else {
-                let batch_flag = AtomicBool::new(false);
-                let chain = cancel.child(&batch_flag);
-                let base: &[u32] = path;
-                let (snap_a, snap_b) = (alpha, beta);
-                let results: Vec<Option<Value>> = par::map(k as usize, |j| {
-                    let j = j as u32;
-                    let mut p = Vec::with_capacity(base.len() + 1);
-                    p.extend_from_slice(base);
-                    p.push(i + j);
-                    let r = self.ab(
-                        src,
-                        &mut p,
-                        snap_a,
-                        snap_b,
-                        !maximizing,
-                        width - j,
-                        chain,
-                        leaves,
-                    );
-                    if let Some(v) = r {
-                        // A fail-high (fail-low for MIN) decides the node.
-                        let cutoff = if maximizing { v >= snap_b } else { v <= snap_a };
-                        if cutoff {
-                            batch_flag.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    r
-                });
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                for v in results.into_iter().flatten() {
-                    if maximizing {
-                        best = best.max(v);
-                        alpha = alpha.max(best);
-                    } else {
-                        best = best.min(v);
-                        beta = beta.min(best);
-                    }
-                }
-                if alpha >= beta {
-                    return Some(best);
-                }
-                i += k;
             }
+            if alpha >= beta {
+                return Some(best);
+            }
+            i += k;
         }
         Some(best)
     }
@@ -350,13 +339,16 @@ impl CascadeEngine {
 mod tests {
     use super::*;
     use gt_tree::gen::UniformSource;
-    use gt_tree::minimax::{minimax_value, nor_value};
+    use gt_tree::minimax::{minimax_value, nor_value, seq_alphabeta};
     use gt_tree::ExplicitTree;
+
+    // Tests of the fork path also run a d=2, n=14 input, whose root
+    // and depth-1 nodes fork: smaller trees are single macro-leaves.
 
     #[test]
     fn nor_value_exact_for_all_widths() {
-        for seed in 0..10 {
-            let s = UniformSource::nor_iid(2, 9, 0.5, seed);
+        for (seed, n) in (0..10).map(|seed| (seed, 9)).chain([(10, 14)]) {
+            let s = UniformSource::nor_iid(2, n, 0.5, seed);
             let truth = nor_value(&s);
             for w in [0u32, 1, 2, 3] {
                 let r = CascadeEngine::with_width(w).solve_nor(&s);
@@ -367,8 +359,10 @@ mod tests {
 
     #[test]
     fn minmax_value_exact_for_all_widths() {
-        for seed in 0..10 {
-            let s = UniformSource::minmax_iid(3, 5, -100, 100, seed);
+        let sources = (0..10)
+            .map(|seed| UniformSource::minmax_iid(3, 5, -100, 100, seed))
+            .chain([UniformSource::minmax_iid(2, 14, -100, 100, 10)]);
+        for (seed, s) in sources.enumerate() {
             let truth = minimax_value(&s);
             for w in [0u32, 1, 2, 3] {
                 let r = CascadeEngine::with_width(w).solve_minmax(&s);
@@ -392,12 +386,35 @@ mod tests {
     }
 
     #[test]
+    fn width_one_leaf_count_depends_only_on_the_input() {
+        // The benchmark's `cold` shapes: M(4,6) is one macro-leaf, and
+        // M(4,7) forks at the root only, where a MAX node under the
+        // full window never cuts off.
+        for n in [6, 7] {
+            let s = UniformSource::minmax_iid(4, n, -1000, 1000, 7);
+            let first = CascadeEngine::with_width(1).solve_minmax(&s);
+            for run in 1..50 {
+                let r = CascadeEngine::with_width(1).solve_minmax(&s);
+                assert_eq!(
+                    r.leaves_evaluated, first.leaves_evaluated,
+                    "n={n} run {run}"
+                );
+            }
+            let seq = seq_alphabeta(&s, false);
+            assert_eq!(first.value, seq.value);
+            if n == 6 {
+                assert_eq!(first.leaves_evaluated, seq.leaves_evaluated);
+            }
+        }
+    }
+
+    #[test]
     fn speculation_is_bounded_overhead() {
         // Corollary 1: total work of the width-1 algorithm is within a
         // constant factor of sequential.  The cascade engine speculates,
         // so check a generous factor on random instances.
-        for seed in 0..10 {
-            let s = UniformSource::nor_iid(2, 10, 0.5, seed);
+        for (seed, n) in (0..10).map(|seed| (seed, 10)).chain([(10, 14)]) {
+            let s = UniformSource::nor_iid(2, n, 0.5, seed);
             let seq = gt_tree::minimax::seq_solve(&s, false).leaves_evaluated;
             let par = CascadeEngine::with_width(1).solve_nor(&s).leaves_evaluated;
             assert!(
@@ -446,18 +463,22 @@ mod tests {
     #[test]
     fn unset_cancel_flag_matches_plain_solve() {
         let flag = AtomicBool::new(false);
-        let s = UniformSource::nor_iid(2, 9, 0.5, 4);
-        let plain = CascadeEngine::with_width(1).solve_nor(&s);
-        let cancellable = CascadeEngine::with_width(1)
-            .solve_nor_cancellable(&s, &flag)
-            .unwrap();
-        assert_eq!(cancellable.value, plain.value);
-        let s = UniformSource::minmax_iid(3, 5, -50, 50, 4);
-        let plain = CascadeEngine::with_width(2).solve_minmax(&s);
-        let cancellable = CascadeEngine::with_width(2)
-            .solve_minmax_cancellable(&s, &flag)
-            .unwrap();
-        assert_eq!(cancellable.value, plain.value);
+        for n in [9, 14] {
+            let s = UniformSource::nor_iid(2, n, 0.5, 4);
+            let plain = CascadeEngine::with_width(1).solve_nor(&s);
+            let cancellable = CascadeEngine::with_width(1)
+                .solve_nor_cancellable(&s, &flag)
+                .unwrap();
+            assert_eq!(cancellable.value, plain.value);
+        }
+        for (d, n) in [(3, 5), (2, 14)] {
+            let s = UniformSource::minmax_iid(d, n, -50, 50, 4);
+            let plain = CascadeEngine::with_width(2).solve_minmax(&s);
+            let cancellable = CascadeEngine::with_width(2)
+                .solve_minmax_cancellable(&s, &flag)
+                .unwrap();
+            assert_eq!(cancellable.value, plain.value);
+        }
     }
 
     #[test]
@@ -477,13 +498,16 @@ mod tests {
 
     #[test]
     fn worst_case_tree_parallel_still_exact() {
-        let s = UniformSource::nor_worst_case(2, 10);
-        let r = CascadeEngine::with_width(2).solve_nor(&s);
-        assert_eq!(r.value, 1);
-        // The worst-case ordering forces the *sequential* algorithm to
-        // visit every leaf; speculative siblings racing each other can
-        // cancel in-flight work, so the parallel engine may do less.
-        // The leaf count is nondeterministic but never exceeds the tree.
-        assert!(r.leaves_evaluated > 0 && r.leaves_evaluated <= 1 << 10);
+        for n in [10, 14] {
+            let s = UniformSource::nor_worst_case(2, n);
+            let r = CascadeEngine::with_width(2).solve_nor(&s);
+            assert_eq!(r.value, 1);
+            // The worst-case ordering forces the *sequential* algorithm
+            // to visit every leaf; speculative siblings racing each
+            // other can cancel in-flight work, so the parallel engine
+            // may do less.  The leaf count is nondeterministic but
+            // never exceeds the tree.
+            assert!(r.leaves_evaluated > 0 && r.leaves_evaluated <= 1 << n);
+        }
     }
 }

@@ -21,7 +21,11 @@
 //!
 //! [`ybw`] forks its younger brothers on the same pool.  No engine
 //! spawns a thread per fork: the pool's threads are started once per
-//! process.
+//! process.  Every fork site asks [`gt_tree::par::worth_a_fork`] first:
+//! cascade and YBW estimate an arm from the tree's shape
+//! ([`children_worth_a_fork`]) and run a node whose children fall
+//! below the grain as one sequential search; round estimates a round
+//! from its size and the per-leaf time it measured.
 //!
 //! [`gameplay`] drives either engine for move selection in real games.
 
@@ -40,3 +44,38 @@ pub use memo::{TtSearch, TtStats};
 pub use mtdf::{mtdf, MtdfStats};
 pub use round::{EngineResult, RoundEngine};
 pub use ybw::YbwEngine;
+
+use gt_tree::minimax::seq_alphabeta_windowed_cancellable;
+use gt_tree::{par, TreeSource, Value};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// Are the children of the node at `path`, of arity `d`, worth a fork
+/// by shape alone?  Each child is taken to have `d^r` leaves, `r` being
+/// its remaining height under the source's `height_hint`, each costing
+/// [`par::SHAPE_LEAF_NS`].  The answer depends only on the input.  A
+/// leaf never forks, and a source with no height hint always does.
+pub(crate) fn children_worth_a_fork<S: TreeSource>(src: &S, path: &[u32], d: u32) -> bool {
+    d > 0
+        && src.height_hint().is_none_or(|h| {
+            let r = h.saturating_sub(path.len() as u32 + 1);
+            par::worth_a_fork(u64::from(d).saturating_pow(r), par::SHAPE_LEAF_NS)
+        })
+}
+
+/// A macro-leaf of the α-β engines: the subtree at `path` as one rooted
+/// sequential α-β under `(alpha, beta)`, polling only the request's
+/// `cancel` flag.  Adds its leaves to `leaves`; `None` = cancelled.
+pub(crate) fn macro_leaf_ab<S: TreeSource>(
+    src: &S,
+    path: &[u32],
+    alpha: Value,
+    beta: Value,
+    maximizing: bool,
+    cancel: &AtomicBool,
+    leaves: &AtomicU64,
+) -> Option<Value> {
+    let st = seq_alphabeta_windowed_cancellable(src, path, false, alpha, beta, maximizing, cancel)
+        .ok()?;
+    leaves.fetch_add(st.leaves_evaluated, Ordering::Relaxed);
+    Some(st.value)
+}

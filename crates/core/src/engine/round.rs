@@ -8,6 +8,12 @@
 //! whenever per-leaf evaluation cost dominates the (serial) frontier
 //! bookkeeping — which is precisely the leaf-evaluation model's
 //! accounting.
+//!
+//! A round forks only when half of it is worth a fork under
+//! [`par::worth_a_fork`], at the per-leaf time measured on the last
+//! round that ran inline; the first round always runs inline.  Rounds
+//! and work do not depend on the schedule, so deciding by time costs
+//! nothing in exactness.
 
 use gt_sim::alphabeta::Model;
 use gt_sim::nor::Policy;
@@ -45,8 +51,8 @@ impl EngineResult {
     }
 }
 
-/// Round-synchronous parallel engine.  A round of one leaf runs on the
-/// calling thread; larger rounds fork.
+/// Round-synchronous parallel engine.  A round too cheap to pay for a
+/// fork runs on the calling thread; larger rounds fork.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundEngine {
     /// The paper's width parameter `w` (0 = sequential).
@@ -86,6 +92,7 @@ impl RoundEngine {
         // The frontier buffer lives outside the loop so every round
         // after the first reuses it instead of reallocating.
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
+        let mut leaf_ns = 0;
         loop {
             if cancel.load(Ordering::Relaxed) {
                 return Err(Cancelled);
@@ -94,7 +101,7 @@ impl RoundEngine {
             if frontier.is_empty() {
                 break;
             }
-            let values = evaluate_batch(sim.tree().source(), &frontier);
+            let values = evaluate_batch(sim.tree().source(), &frontier, &mut leaf_ns);
             sim.apply_step(&values, &mut stats);
         }
         Ok(EngineResult::from_stats(&stats, start.elapsed()))
@@ -118,6 +125,7 @@ impl RoundEngine {
         let mut sim = AlphaBetaSim::new(source, Model::LeafEvaluation);
         let mut stats = RunStats::new(false);
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
+        let mut leaf_ns = 0;
         loop {
             if cancel.load(Ordering::Relaxed) {
                 return Err(Cancelled);
@@ -126,7 +134,7 @@ impl RoundEngine {
             if frontier.is_empty() {
                 break;
             }
-            let values = evaluate_batch(sim.tree().source(), &frontier);
+            let values = evaluate_batch(sim.tree().source(), &frontier, &mut leaf_ns);
             sim.apply_step(&values, &mut stats);
         }
         Ok(EngineResult::from_stats(&stats, start.elapsed()))
@@ -140,13 +148,14 @@ impl RoundEngine {
         let mut sim = ExpansionSim::new(source);
         let mut stats = RunStats::new(false);
         let mut frontier: Vec<(u32, Vec<u32>)> = Vec::new();
+        let mut node_ns = 0;
         loop {
             sim.frontier_paths_into(self.width, &mut frontier);
             if frontier.is_empty() {
                 break;
             }
             let src = sim.tree().source();
-            let kinds = par::map(frontier.len(), |j| {
+            let kinds = map_round(frontier.len(), &mut node_ns, |j| {
                 let (id, path) = &frontier[j];
                 (*id, src.expand(path))
             });
@@ -156,12 +165,29 @@ impl RoundEngine {
     }
 }
 
-/// Evaluate one round's leaves on the pool, in frontier order.
-fn evaluate_batch<S: TreeSource>(source: &S, frontier: &[(u32, Vec<u32>)]) -> Vec<(u32, Value)> {
-    par::map(frontier.len(), |j| {
+/// Evaluate one round's leaves in frontier order (see [`map_round`]).
+fn evaluate_batch<S: TreeSource>(
+    source: &S,
+    frontier: &[(u32, Vec<u32>)],
+    leaf_ns: &mut u64,
+) -> Vec<(u32, Value)> {
+    map_round(frontier.len(), leaf_ns, |j| {
         let (id, path) = &frontier[j];
         (*id, source.leaf_value(path))
     })
+}
+
+/// `(0..n).map(f)` for one non-empty round: on the pool when half the
+/// round, at `item_ns` per item, is worth a fork; otherwise inline,
+/// timed, and `item_ns` set to the time per item it measured.
+fn map_round<T: Send>(n: usize, item_ns: &mut u64, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if par::worth_a_fork(n as u64 / 2, *item_ns) {
+        return par::map(n, f);
+    }
+    let start = Instant::now();
+    let out: Vec<T> = (0..n).map(f).collect();
+    *item_ns = (start.elapsed().as_nanos() / n as u128) as u64;
+    out
 }
 
 #[cfg(test)]
@@ -189,6 +215,13 @@ mod tests {
                 let r = RoundEngine::with_width(w).solve_minmax(&s);
                 assert_eq!(r.value, minimax_value(&s), "w={w} seed={seed}");
             }
+        }
+        // Leaves expensive enough that the wider rounds fork.
+        use gt_games::{GameTreeSource, SyntheticGame};
+        let s = GameTreeSource::from_initial(SyntheticGame::new(3, 5, 20_000, 1), 5);
+        let truth = minimax_value(&s);
+        for w in [1u32, 2] {
+            assert_eq!(RoundEngine::with_width(w).solve_minmax(&s).value, truth);
         }
     }
 

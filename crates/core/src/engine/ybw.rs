@@ -8,6 +8,11 @@
 //! window, aborting them on a cutoff.  Compared to the paper's width-1
 //! cascade, YBW spawns unbounded sibling parallelism below the first
 //! child instead of a fixed-width look-ahead.
+//!
+//! Forks stop at the grain of [`gt_tree::par::worth_a_fork`]: a node
+//! whose children fall below it by shape (see
+//! [`super::children_worth_a_fork`]) runs as one rooted sequential α-β,
+//! a macro-leaf that polls only the request's cancel flag.
 
 use gt_tree::{par, TreeSource, Value};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -15,22 +20,13 @@ use std::time::Instant;
 
 use super::cascade::Cancelled;
 use super::round::EngineResult;
+use super::{children_worth_a_fork, macro_leaf_ab};
 
 /// Young-Brothers-Wait parallel α-β.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct YbwEngine {
-    /// Below this remaining depth the search runs sequentially (tiny
-    /// subtrees are not worth forking).  Depth here means path length
-    /// from the root; 0 disables the cutoff.
-    pub sequential_below: u32,
-}
+pub struct YbwEngine;
 
 impl YbwEngine {
-    /// Engine with a sequential cutoff at the given depth-from-root.
-    pub fn with_cutoff(sequential_below: u32) -> Self {
-        YbwEngine { sequential_below }
-    }
-
     /// Evaluate a MIN/MAX tree (root MAX).
     pub fn solve_minmax<S: TreeSource>(&self, source: &S) -> EngineResult {
         let never = AtomicBool::new(false);
@@ -83,15 +79,13 @@ impl YbwEngine {
             return None;
         }
         let d = src.arity(path);
-        if d == 0 {
-            leaves.fetch_add(1, Ordering::Relaxed);
-            return Some(src.leaf_value(path));
+        if !children_worth_a_fork(src, path, d) {
+            return macro_leaf_ab(src, path, alpha, beta, maximizing, cancel, leaves);
         }
         // Eldest brother first, full window.
         path.push(0);
-        let first = self.ab(src, path, alpha, beta, !maximizing, cancel, leaves)?;
+        let best = self.ab(src, path, alpha, beta, !maximizing, cancel, leaves)?;
         path.pop();
-        let mut best = first;
         let (mut alpha, mut beta) = (alpha, beta);
         if maximizing {
             alpha = alpha.max(best);
@@ -99,26 +93,6 @@ impl YbwEngine {
             beta = beta.min(best);
         }
         if alpha >= beta || d == 1 {
-            return Some(best);
-        }
-        let deep = self.sequential_below > 0 && path.len() as u32 >= self.sequential_below;
-        if deep {
-            // Sequential tail for small subtrees.
-            for i in 1..d {
-                path.push(i);
-                let v = self.ab(src, path, alpha, beta, !maximizing, cancel, leaves)?;
-                path.pop();
-                if maximizing {
-                    best = best.max(v);
-                    alpha = alpha.max(best);
-                } else {
-                    best = best.min(v);
-                    beta = beta.min(best);
-                }
-                if alpha >= beta {
-                    break;
-                }
-            }
             return Some(best);
         }
         // Younger brothers in parallel with the narrowed window; a
@@ -175,26 +149,26 @@ mod tests {
     use gt_tree::minimax::minimax_value;
     use gt_tree::ExplicitTree;
 
+    // Most tests also run a d=2, n=14 input, whose root and depth-1
+    // nodes fork: smaller trees are single macro-leaves.
+
     #[test]
     fn exact_on_random_uniform_trees() {
-        for seed in 0..15 {
-            let s = UniformSource::minmax_iid(3, 5, -100, 100, seed);
+        let sources = (0..15)
+            .map(|seed| UniformSource::minmax_iid(3, 5, -100, 100, seed))
+            .chain([UniformSource::minmax_iid(2, 14, -100, 100, 15)]);
+        for (seed, s) in sources.enumerate() {
             let truth = minimax_value(&s);
-            assert_eq!(YbwEngine::default().solve_minmax(&s).value, truth);
-            assert_eq!(
-                YbwEngine::with_cutoff(2).solve_minmax(&s).value,
-                truth,
-                "seed {seed} with cutoff"
-            );
+            assert_eq!(YbwEngine.solve_minmax(&s).value, truth, "seed {seed}");
         }
     }
 
     #[test]
     fn exact_with_duplicate_leaf_values() {
-        for seed in 0..10 {
-            let s = UniformSource::minmax_iid(2, 7, 0, 3, seed);
+        for (seed, n) in (0..10).map(|seed| (seed, 7)).chain([(10, 14)]) {
+            let s = UniformSource::minmax_iid(2, n, 0, 3, seed);
             assert_eq!(
-                YbwEngine::default().solve_minmax(&s).value,
+                YbwEngine.solve_minmax(&s).value,
                 minimax_value(&s),
                 "seed {seed}"
             );
@@ -203,32 +177,23 @@ mod tests {
 
     #[test]
     fn exact_on_ordered_extremes() {
-        let best = UniformSource::minmax_best_ordered(2, 8, 5);
-        assert_eq!(YbwEngine::default().solve_minmax(&best).value, 5);
-        let worst = UniformSource::minmax_worst_ordered(2, 8);
-        assert_eq!(
-            YbwEngine::default().solve_minmax(&worst).value,
-            minimax_value(&worst)
-        );
+        for n in [8, 14] {
+            let best = UniformSource::minmax_best_ordered(2, n, 5);
+            assert_eq!(YbwEngine.solve_minmax(&best).value, 5);
+            let worst = UniformSource::minmax_worst_ordered(2, n);
+            assert_eq!(YbwEngine.solve_minmax(&worst).value, minimax_value(&worst));
+        }
     }
 
     #[test]
     fn single_leaf_and_irregular_trees() {
-        assert_eq!(
-            YbwEngine::default()
-                .solve_minmax(&ExplicitTree::leaf(9))
-                .value,
-            9
-        );
+        assert_eq!(YbwEngine.solve_minmax(&ExplicitTree::leaf(9)).value, 9);
         let t = ExplicitTree::internal(vec![
             ExplicitTree::leaf(4),
             ExplicitTree::internal(vec![ExplicitTree::leaf(6), ExplicitTree::leaf(2)]),
             ExplicitTree::leaf(5),
         ]);
-        assert_eq!(
-            YbwEngine::default().solve_minmax(&t).value,
-            minimax_value(&t)
-        );
+        assert_eq!(YbwEngine.solve_minmax(&t).value, minimax_value(&t));
     }
 
     #[test]
@@ -236,13 +201,11 @@ mod tests {
         let s = UniformSource::minmax_iid(3, 5, -100, 100, 7);
         let flag = AtomicBool::new(true);
         assert!(matches!(
-            YbwEngine::default().solve_minmax_cancellable(&s, &flag),
+            YbwEngine.solve_minmax_cancellable(&s, &flag),
             Err(Cancelled)
         ));
         flag.store(false, Ordering::Relaxed);
-        let r = YbwEngine::default()
-            .solve_minmax_cancellable(&s, &flag)
-            .unwrap();
+        let r = YbwEngine.solve_minmax_cancellable(&s, &flag).unwrap();
         assert_eq!(r.value, minimax_value(&s));
     }
 
@@ -250,12 +213,14 @@ mod tests {
     fn eldest_first_keeps_speculation_bounded_on_best_ordered() {
         // With perfect ordering the eldest brother always causes the
         // cutoff, so YBW's total work stays close to sequential.
-        let s = UniformSource::minmax_best_ordered(2, 10, 0);
-        let seq = gt_tree::minimax::seq_alphabeta(&s, false).leaves_evaluated;
-        let ybw = YbwEngine::default().solve_minmax(&s).leaves_evaluated;
-        assert!(
-            ybw <= 2 * seq,
-            "YBW speculation too high on ordered tree: {ybw} vs {seq}"
-        );
+        for n in [10, 14] {
+            let s = UniformSource::minmax_best_ordered(2, n, 0);
+            let seq = gt_tree::minimax::seq_alphabeta(&s, false).leaves_evaluated;
+            let ybw = YbwEngine.solve_minmax(&s).leaves_evaluated;
+            assert!(
+                ybw <= 2 * seq,
+                "YBW speculation too high on ordered tree: {ybw} vs {seq}"
+            );
+        }
     }
 }

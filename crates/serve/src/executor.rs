@@ -409,9 +409,9 @@ pub fn adaptive_batch_cap(queued: usize, workers: usize, batch_max: usize) -> us
 /// without any reference back into the executor.
 ///
 /// The grant is *advisory* sizing, not a thread reservation: the
-/// work-stealing engine spawns its own scoped threads for the
-/// evaluation and joins them before the dispatch returns, so the pool
-/// never loses a worker.  Sizing by idleness keeps a saturated pool at
+/// work-stealing engine runs its extra workers as jobs on the
+/// fork-join pool and waits for them before the dispatch returns, so
+/// the executor never loses a worker.  Sizing by idleness keeps a saturated pool at
 /// one thread per evaluation (exactly the pre-grant behaviour) while
 /// an idle pool lends its spare parallelism to the one big job.
 pub struct ActiveGauge {

@@ -25,7 +25,8 @@ pub struct AlgoSpec {
     /// Algorithm name (`seq-solve`, `alphabeta`, `parallel-solve`,
     /// `round`, `cascade`, `ybw`, `tt`, `par-alphabeta`, `par-solve`).
     pub name: String,
-    /// Key/value parameters (`w`, `cutoff`, ...).
+    /// Key/value parameters (`w`, ...); ones an algorithm does not use
+    /// are ignored.
     pub params: BTreeMap<String, String>,
 }
 
@@ -450,11 +451,11 @@ pub fn evaluate(
 }
 
 /// Run one validated request with a worker grant: the `par-*`
-/// work-stealing algorithms spread the single evaluation across
-/// `grant` threads (the calling thread plus `grant - 1` scoped
-/// spawns, all joined before returning); every other algorithm
-/// ignores the grant and runs exactly as [`evaluate`].  The one
-/// cancellation flag is polled by every thread of the grant, so a
+/// work-stealing algorithms spread the single evaluation across up to
+/// `grant` threads (the calling thread plus `grant - 1` worker jobs on
+/// the fork-join pool, all finished before returning); every other
+/// algorithm ignores the grant and runs exactly as [`evaluate`].  The
+/// one cancellation flag is polled by every thread of the grant, so a
 /// deadline reaper flipping it stops the whole evaluation.
 pub fn evaluate_with_grant(
     spec: &GenSpec,
@@ -508,12 +509,7 @@ pub fn evaluate_with_grant(
                 ("round", false) => round.solve_nor_cancellable(&src, cancel)?.into(),
                 ("cascade", true) => cascade.solve_minmax_cancellable(&src, cancel)?.into(),
                 ("cascade", false) => cascade.solve_nor_cancellable(&src, cancel)?.into(),
-                ("ybw", _) => {
-                    let cutoff = algo.u32_param("cutoff", 0).map_err(EvalError::Bad)?;
-                    YbwEngine::with_cutoff(cutoff)
-                        .solve_minmax_cancellable(&src, cancel)?
-                        .into()
-                }
+                ("ybw", _) => YbwEngine.solve_minmax_cancellable(&src, cancel)?.into(),
                 ("par-alphabeta", _) => par_alphabeta(&src, grant.max(1), cancel)?.into(),
                 ("par-solve", _) => par_solve(&src, grant.max(1), cancel)?.into(),
                 (other, _) => return Err(EvalError::Bad(format!("unknown algorithm {other:?}"))),

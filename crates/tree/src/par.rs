@@ -28,9 +28,20 @@
 //!
 //! [`Chase–Lev`-style discipline]: https://doi.org/10.1145/1073970.1073974
 //!
-//! The module also owns the process-wide fork-join pool ([`join`],
-//! [`map`], [`start_pool`]) that the fork-join engines of `gt-core`
-//! run on; see the `pool` submodule.
+//! The workers run on the process-wide fork-join pool ([`join`],
+//! [`map`], [`start_pool`]; see the `pool` submodule) that the
+//! fork-join engines of `gt-core` also run on.  Worker 0 is the caller
+//! and the others are pool jobs, so an evaluation spawns no thread,
+//! and it finishes even when no pool thread is free: a worker job
+//! taken back after the root settled returns at once.
+//!
+//! ## The fork rule
+//!
+//! [`worth_a_fork`] is the one rule every fork site applies: an arm is
+//! forked only when its estimated cost exceeds [`FORK_WAKE_NS`], the
+//! cost of waking a parked pool thread.  Below that grain a fork site
+//! runs the arm inline, as a sequential *macro-leaf* in the paper's
+//! leaf-evaluation model.
 //!
 //! ## Value determinism
 //!
@@ -53,11 +64,34 @@ use crate::minimax::{seq_alphabeta_windowed_cancellable, seq_solve_cancellable};
 use crate::source::{Cancelled, TreeSource, Value};
 use crate::split::{Aggregator, NodeMode};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 mod pool;
 pub use pool::{join, map, start_pool};
+
+/// What a fork must beat: waking a parked pool thread and handing it
+/// an arm.  Measured on a 2-vCPU VM by timing [`join`] of two spinning
+/// arms against running them back to back, each after the pool had
+/// idled 200 µs: the fork took the arm's time plus 25–34 µs (medians
+/// over 200 forks per arm size, arms of 20–100 µs), so it broke even
+/// at arms of 25–30 µs.
+pub const FORK_WAKE_NS: u64 = 30_000;
+
+/// What one leaf of a full uniform subtree costs a rooted sequential
+/// α-β search, pruned leaves included: the per-leaf time for estimates
+/// made from a tree's shape alone.  Same VM: `seq_alphabeta` over 200
+/// random M(4,6) trees took a median 8.3 ns per leaf of the full tree
+/// (6.5 ns at M(4,7)).
+pub const SHAPE_LEAF_NS: u64 = 8;
+
+/// Is an arm of `leaves` leaves, each costing `leaf_ns`, worth a fork?
+/// Yes when it costs more than [`FORK_WAKE_NS`].  Shape estimates pass
+/// [`SHAPE_LEAF_NS`], which puts the grain at 3751 leaves; a fork site
+/// with no per-leaf time yet passes 0 and runs inline.
+pub fn worth_a_fork(leaves: u64, leaf_ns: u64) -> bool {
+    leaves.saturating_mul(leaf_ns) > FORK_WAKE_NS
+}
 
 /// A shared α/β window packed into one `AtomicU64`, so stealers can
 /// re-probe the current bounds (and detect `α ≥ β`) with a single
@@ -179,7 +213,8 @@ pub struct ParStats {
     pub retired: u64,
     /// Successful [`AtomicWindow::narrow`] bound movements.
     pub window_narrowings: u64,
-    /// Worker threads the evaluation actually ran on.
+    /// Worker loops that started before the root settled: the caller
+    /// plus the pool threads that joined in time.
     pub workers: u32,
 }
 
@@ -249,6 +284,7 @@ struct Pool<'a, S> {
     steals: AtomicU64,
     retired: AtomicU64,
     narrowings: AtomicU64,
+    workers: AtomicU32,
 }
 
 impl<'a, S: TreeSource> Pool<'a, S> {
@@ -424,6 +460,11 @@ impl<'a, S: TreeSource> Pool<'a, S> {
     }
 
     fn worker_loop(&self, worker: usize) -> Result<(), Cancelled> {
+        if self.finished.load(Ordering::Acquire) {
+            // Taken back by its caller after the root settled.
+            return Ok(());
+        }
+        self.workers.fetch_add(1, Ordering::Relaxed);
         let mut idle_spins = 0u32;
         loop {
             if self.finished.load(Ordering::Acquire) {
@@ -521,6 +562,7 @@ fn par_evaluate<S: TreeSource>(
         steals: AtomicU64::new(0),
         retired: AtomicU64::new(0),
         narrowings: AtomicU64::new(0),
+        workers: AtomicU32::new(0),
     };
     let root = Arc::new(NodeState {
         path: Vec::new(),
@@ -537,21 +579,10 @@ fn par_evaluate<S: TreeSource>(
             path: vec![0],
         },
     );
-    let pool = &pool;
-    let outcome: Result<(), Cancelled> = std::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers)
-            .map(|w| s.spawn(move || pool.worker_loop(w)))
-            .collect();
-        let mine = pool.worker_loop(0);
-        for h in handles {
-            match h.join().expect("gt-par worker panicked") {
-                Ok(()) => {}
-                Err(Cancelled) => return Err(Cancelled),
-            }
-        }
-        mine
-    });
-    outcome?;
+    // Worker 0 runs on the caller and the rest are pool jobs.
+    map(workers, |w| pool.worker_loop(w))
+        .into_iter()
+        .collect::<Result<(), Cancelled>>()?;
     let value = pool
         .result
         .lock()
@@ -565,11 +596,11 @@ fn par_evaluate<S: TreeSource>(
         steals: pool.steals.load(Ordering::Relaxed),
         retired: pool.retired.load(Ordering::Relaxed),
         window_narrowings: pool.narrowings.load(Ordering::Relaxed),
-        workers: workers as u32,
+        workers: pool.workers.load(Ordering::Relaxed),
     })
 }
 
-/// Parallel SOLVE over `workers` threads: the work-stealing
+/// Parallel SOLVE over up to `workers` threads: the work-stealing
 /// counterpart of [`seq_solve`](crate::minimax::seq_solve), with an
 /// identical root value for every worker count (NOR values are exact
 /// under any absorption order).
@@ -588,7 +619,7 @@ pub fn par_solve<S: TreeSource>(
     )
 }
 
-/// Parallel α-β over `workers` threads from the full window: root
+/// Parallel α-β over up to `workers` threads from the full window: root
 /// value identical to [`seq_alphabeta`](crate::minimax::seq_alphabeta)
 /// for every worker count.
 pub fn par_alphabeta<S: TreeSource>(
@@ -765,11 +796,28 @@ mod tests {
         let st = par_alphabeta(&src, 4, &never()).unwrap();
         assert_eq!(st.value, seq_alphabeta(&src, false).value);
         assert!(st.leaves_evaluated > 0);
-        assert_eq!(st.workers, 4);
+        // The caller always runs a loop; pool threads join if free.
+        assert!((1..=4).contains(&st.workers), "workers {}", st.workers);
         // Worst-ordered trees admit no cutoffs, so every published
-        // sibling task really runs; with 4 workers chewing one deque
-        // the run is overwhelmingly likely to steal, but the value
-        // contract above is the hard assertion.
+        // sibling task really runs; with several workers chewing one
+        // deque the run is overwhelmingly likely to steal, but the
+        // value contract above is the hard assertion.
+    }
+
+    #[test]
+    fn the_fork_rule_pins_its_grain_on_the_benchmark_shapes() {
+        assert_eq!((FORK_WAKE_NS, SHAPE_LEAF_NS), (30_000, 8));
+        // `cold`'s M(4,6): the root's children have 4^5 leaves each, so
+        // the whole tree is one macro-leaf.
+        assert!(!worth_a_fork(4u64.pow(5), SHAPE_LEAF_NS));
+        // `cold`'s M(4,7) and E12's (4,7) game: the root forks over
+        // children of 4^6 leaves, and each child is a macro-leaf.
+        assert!(worth_a_fork(4u64.pow(6), SHAPE_LEAF_NS));
+        // The grain itself, and no fork without a per-leaf time.
+        assert!(!worth_a_fork(3750, SHAPE_LEAF_NS));
+        assert!(worth_a_fork(3751, SHAPE_LEAF_NS));
+        assert!(!worth_a_fork(u64::MAX, 0));
+        assert!(worth_a_fork(u64::MAX, u64::MAX));
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! from any number of threads cannot deadlock.  Because an unstarted
 //! `b` always comes back to its caller, the forks complete even if
 //! every pool thread is busy.
+//!
+//! A job may be long: the work-stealing workers of `par_evaluate` run
+//! as jobs and hold their pool thread until the evaluation ends.  That
+//! keeps the argument above, because the worker on the caller can
+//! finish an evaluation alone.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -74,7 +79,8 @@ where
 
 /// `(0..n).map(f)`, with the calls spread over the pool: the index range
 /// is halved recursively through [`join`], and the results come back in
-/// index order.  A one-element input runs inline on the caller.
+/// index order.  Index 0 always runs on the caller, so a one-element
+/// input runs inline.
 pub fn map<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
     fn fill<U: Send>(slots: &mut [Option<U>], first: usize, f: &(impl Fn(usize) -> U + Sync)) {
         if let [slot] = slots {

@@ -29,6 +29,12 @@ fn every_nor_algorithm_agrees_on_the_value() {
         assert_eq!(RoundEngine::with_width(1).solve_nor(&src).value, truth);
         assert_eq!(CascadeEngine::with_width(1).solve_nor(&src).value, truth);
     }
+    // Big enough that the cascade engine forks.
+    let src = UniformSource::nor_iid(2, 14, critical_bias(2), 10);
+    assert_eq!(
+        CascadeEngine::with_width(1).solve_nor(&src).value,
+        nor_value(&src)
+    );
 }
 
 #[test]
@@ -45,6 +51,11 @@ fn every_minmax_algorithm_agrees_on_the_value() {
         assert_eq!(RoundEngine::with_width(2).solve_minmax(&src).value, truth);
         assert_eq!(CascadeEngine::with_width(2).solve_minmax(&src).value, truth);
     }
+    let src = UniformSource::minmax_iid(2, 14, -100, 100, 10);
+    assert_eq!(
+        CascadeEngine::with_width(2).solve_minmax(&src).value,
+        minimax_value(&src)
+    );
 }
 
 #[test]
@@ -117,4 +128,11 @@ fn games_round_trip_through_all_machinery() {
     let truth = minimax_value(&src);
     assert_eq!(parallel_alphabeta(&src, 2, false).value, truth);
     assert_eq!(RoundEngine::with_width(2).solve_minmax(&src).value, truth);
+    // Tic-Tac-Toe six plies deep: the cascade forks at the top two
+    // plies (9^5 and 8^4 leaves below each child).
+    let src = GameTreeSource::from_initial(TicTacToe, 6);
+    assert_eq!(
+        CascadeEngine::with_width(1).solve_minmax(&src).value,
+        minimax_value(&src)
+    );
 }

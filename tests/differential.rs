@@ -11,7 +11,7 @@ use karp_zhang::sim::{n_parallel_alphabeta, n_parallel_solve, parallel_alphabeta
 use karp_zhang::tree::gen::{critical_bias, IidBernoulli, NearUniformSource, UniformSource};
 use karp_zhang::tree::minimax::{minimax_value, nor_value, seq_alphabeta, seq_solve};
 use karp_zhang::tree::scout::scout;
-use karp_zhang::tree::source::{mix64, TreeSource};
+use karp_zhang::tree::source::{mix64, TreeSource, Value};
 use karp_zhang::tree::sss::sss_star;
 
 /// One fully cross-checked NOR instance.
@@ -40,11 +40,7 @@ fn check_nor<S: TreeSource>(src: &S, binary: bool, ctx: &str) {
         truth,
         "{ctx}: round engine"
     );
-    assert_eq!(
-        CascadeEngine::with_width(2).solve_nor(src).value,
-        truth,
-        "{ctx}: cascade engine"
-    );
+    check_nor_forks(src, truth, ctx);
     // The message machine handles any arity now; exercise it with a
     // small processor budget to stress multiplexing too.
     let _ = binary;
@@ -78,21 +74,33 @@ fn check_minmax<S: TreeSource>(src: &S, ctx: &str) {
         truth,
         "{ctx}: randomized ab"
     );
-    assert_eq!(
-        CascadeEngine::with_width(2).solve_minmax(src).value,
-        truth,
-        "{ctx}: cascade ab"
-    );
-    assert_eq!(
-        YbwEngine::default().solve_minmax(src).value,
-        truth,
-        "{ctx}: ybw"
-    );
+    check_minmax_forks(src, truth, ctx);
     assert_eq!(
         RoundEngine::with_width(1).solve_minmax(src).value,
         truth,
         "{ctx}: round ab"
     );
+}
+
+// The engines that fork by the tree's shape.  Each test also runs them
+// alone on one input big enough that they fork (d=2, n=14 and the
+// like), where the simulators above would be slow.
+
+fn check_nor_forks<S: TreeSource>(src: &S, truth: Value, ctx: &str) {
+    assert_eq!(
+        CascadeEngine::with_width(2).solve_nor(src).value,
+        truth,
+        "{ctx}: cascade engine"
+    );
+}
+
+fn check_minmax_forks<S: TreeSource>(src: &S, truth: Value, ctx: &str) {
+    assert_eq!(
+        CascadeEngine::with_width(2).solve_minmax(src).value,
+        truth,
+        "{ctx}: cascade ab"
+    );
+    assert_eq!(YbwEngine.solve_minmax(src).value, truth, "{ctx}: ybw");
 }
 
 #[test]
@@ -110,6 +118,8 @@ fn differential_nor_uniform() {
         let src = UniformSource::nor_iid(d, n, p, seed);
         check_nor(&src, d == 2, &format!("B({d},{n}) p={p} seed={seed}"));
     }
+    let big = UniformSource::nor_iid(2, 14, critical_bias(2), mix64(30));
+    check_nor_forks(&big, nor_value(&big), "B(2,14)");
 }
 
 #[test]
@@ -119,6 +129,9 @@ fn differential_nor_near_uniform() {
         let src = NearUniformSource::new(3, 6, 0.5, 0.5, seed, IidBernoulli::new(0.4, seed));
         check_nor(&src, false, &format!("near-uniform seed={seed}"));
     }
+    let seed = mix64(15 ^ 0xABCD);
+    let big = NearUniformSource::new(3, 12, 0.5, 0.5, seed, IidBernoulli::new(0.4, seed));
+    check_nor_forks(&big, nor_value(&big), "near-uniform n=12");
 }
 
 #[test]
@@ -131,6 +144,8 @@ fn differential_minmax_uniform() {
         let src = UniformSource::minmax_iid(d, n, -hi, hi, seed);
         check_minmax(&src, &format!("M({d},{n}) hi={hi} seed={seed}"));
     }
+    let big = UniformSource::minmax_iid(2, 14, -100, 100, mix64(30 ^ 0x5555));
+    check_minmax_forks(&big, minimax_value(&big), "M(2,14)");
 }
 
 #[test]
@@ -145,6 +160,10 @@ fn differential_minmax_extreme_orderings() {
             &format!("worst-ordered M({d},{n})"),
         );
     }
+    let big = UniformSource::minmax_best_ordered(2, 14, 3);
+    check_minmax_forks(&big, 3, "best-ordered M(2,14)");
+    let big = UniformSource::minmax_worst_ordered(2, 14);
+    check_minmax_forks(&big, minimax_value(&big), "worst-ordered M(2,14)");
 }
 
 #[test]
@@ -157,4 +176,6 @@ fn differential_nor_extremes() {
     }
     let src = UniformSource::nor_worst_case(3, 4);
     check_nor(&src, false, "worst-case B(3,4)");
+    let big = UniformSource::nor_worst_case(2, 14);
+    check_nor_forks(&big, nor_value(&big), "worst-case B(2,14)");
 }
