@@ -647,11 +647,7 @@ fn run_serve(args: &[String]) -> Result<String, CliError> {
             break;
         }
     }
-    let snapshot = server.join();
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", snapshot.to_json().render());
-    out.push_str(&snapshot.render_ascii());
-    Ok(out)
+    Ok(format!("{}\n", server.join().0.render()))
 }
 
 fn run_route(args: &[String]) -> Result<String, CliError> {
@@ -741,8 +737,7 @@ fn run_route(args: &[String]) -> Result<String, CliError> {
             break;
         }
     }
-    let snapshot = router.join();
-    Ok(format!("{}\n", snapshot.to_json().render()))
+    Ok(format!("{}\n", router.join().0.render()))
 }
 
 fn run_loadgen_cmd(args: &[String]) -> Result<String, CliError> {

@@ -20,8 +20,9 @@
 //!   candidate; the first reply wins and the loser is discarded under
 //!   last-waiter-out semantics.
 //! * **Observability** ([`metrics`]) — per-replica request / retry /
-//!   hedge / eject counters and a route-latency histogram, surfaced
-//!   through `op:"stats"` and the Prometheus `/metrics` listener.
+//!   hedge / eject counters and a route-latency histogram, declared
+//!   once in one family table and rendered from it for `op:"stats"`
+//!   and the Prometheus `/metrics` listener.
 //! * **Distributed tracing** ([`trace`]) — a sampled span recorder
 //!   assembles one span tree per request (routing decision, every
 //!   dispatch/retry/hedge attempt, split-plan structure, replica-side
@@ -41,7 +42,7 @@ pub mod split;
 pub mod trace;
 
 pub use health::{HealthPolicy, HealthState};
-pub use metrics::{ReplicaSnapshot, RouterMetrics, RouterSnapshot};
+pub use metrics::RouterMetrics;
 pub use router::{Router, RouterConfig};
 pub use split::SplitConfig;
-pub use trace::{SpanRecorder, TraceHandle, TraceStats};
+pub use trace::{SpanRecorder, TraceHandle};

@@ -1,25 +1,27 @@
-//! Router metrics registry: fleet-level counters, per-replica
-//! counters, and a route-latency histogram.
+//! Router metrics: fleet-level counters, per-replica counters, a
+//! route-latency histogram, and the one table that declares how each
+//! is exported.
 //!
-//! The registry is all atomics (plus gt-serve's lock-free
+//! Counters are atomics (plus gt-serve's lock-free
 //! [`LatencyHistogram`]) so the data path never takes a lock to count.
-//! [`RouterMetrics::snapshot`] freezes the fleet-level half; the
-//! router adds per-replica rows (whose counters live next to the
-//! connection state) to form a [`RouterSnapshot`], which renders both
-//! as `op:"stats"` JSON and Prometheus text exposition for the
-//! `/metrics` listener.
+//! [`ROUTER_FAMILIES`] declares every series once, reading a
+//! [`RouterView`]; `op:"stats"`, the `/metrics` listener and the
+//! shutdown dump of `gtree route` are all rendered from it by
+//! [`gt_serve::registry`].
 
 use crate::membership::MembershipCounters;
-use crate::trace::TraceStats;
-use gt_analysis::json::Json;
-use gt_serve::metrics::{HistogramSnapshot, LatencyHistogram};
+use crate::router::{Inner, Replica};
+use gt_serve::metrics::LatencyHistogram;
 use gt_serve::protocol::PROTOCOL_VERSION;
+use gt_serve::registry::{
+    build_info, counter, gauge, histogram, info, one, uptime, Family, Sample, Value,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-replica data-path counters.  These live on the replica (next
-/// to its connections), not in [`RouterMetrics`], but snapshot into
-/// the same [`RouterSnapshot`].
+/// to its connections), not in [`RouterMetrics`].
 #[derive(Default)]
 pub struct ReplicaCounters {
     /// Eval attempts written to this replica.
@@ -138,601 +140,503 @@ impl RouterMetrics {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Freeze the fleet-level counters.  The router supplies the
-    /// per-replica rows it assembles from live replica state and the
-    /// routing table's membership revision.
-    pub fn snapshot(
-        &self,
-        replicas: Vec<ReplicaSnapshot>,
-        trace: TraceStats,
-        membership_version: u64,
-    ) -> RouterSnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        RouterSnapshot {
-            uptime_us: self.start.elapsed().as_micros() as u64,
-            trace,
-            membership_version,
-            members_joined: load(&self.members.joined),
-            members_refreshed: load(&self.members.refreshed),
-            members_reweighted: load(&self.members.reweighted),
-            members_stale_joins: load(&self.members.stale_joins),
-            members_duplicate_joins: load(&self.members.duplicate_joins),
-            requests: load(&self.requests),
-            ok: load(&self.ok),
-            forwarded_errors: load(&self.forwarded_errors),
-            retries: load(&self.retries),
-            hedges: load(&self.hedges),
-            hedge_wins: load(&self.hedge_wins),
-            hedge_losers: load(&self.hedge_losers),
-            shed: load(&self.shed),
-            expired: load(&self.expired),
-            draining: load(&self.draining),
-            bad_request: load(&self.bad_request),
-            stale_replies: load(&self.stale_replies),
-            unrouted: load(&self.unrouted),
-            connections: load(&self.connections),
-            splits_total: load(&self.splits_total),
-            subevals_dispatched: load(&self.subevals_dispatched),
-            subevals_retried: load(&self.subevals_retried),
-            subevals_discarded_on_cutoff: load(&self.subevals_discarded_on_cutoff),
-            subevals_skipped_on_cutoff: load(&self.subevals_skipped_on_cutoff),
-            split_depth: load(&self.split_depth),
-            route_latency: self.route_latency.snapshot_full(),
-            replicas,
-        }
-    }
-
     /// Raise the split-depth high-water mark.
     pub fn record_split_depth(&self, depth: u64) {
         self.split_depth.fetch_max(depth, Ordering::Relaxed);
     }
 }
 
-/// One replica's row in the stats snapshot.
-#[derive(Debug, Clone)]
-pub struct ReplicaSnapshot {
-    pub addr: String,
-    /// Health state name (`healthy`/`degraded`/`ejected`/`half-open`).
-    pub state: &'static str,
-    /// Routing preference tier (0 best, 3 worst).
-    pub tier: u8,
-    /// Weighted-rendezvous routing weight.
-    pub weight: u64,
-    /// Last generation this member announced (0 for static seeds).
-    pub generation: u64,
-    /// Times this replica has been ejected.
-    pub ejects: u64,
-    pub sent: u64,
-    pub ok: u64,
-    pub busy: u64,
-    pub errors: u64,
-    pub transport: u64,
-    pub probe_failures: u64,
-    /// Requests currently awaiting a reply from this replica.
-    pub inflight: u64,
-    /// Seconds since the prober last finished a probe of this
-    /// replica; `None` until the first probe completes.
-    pub last_probe_age_s: Option<f64>,
+/// What [`ROUTER_FAMILIES`] read: the router, one read of its member
+/// list (so every per-replica family walks the same rows), and one
+/// clock read.
+pub(crate) struct RouterView {
+    pub inner: Arc<Inner>,
+    pub members: Arc<Vec<Arc<Replica>>>,
+    pub now_us: u64,
 }
 
-impl ReplicaSnapshot {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("addr", Json::from(self.addr.as_str())),
-            ("state", Json::from(self.state)),
-            ("tier", Json::from(u64::from(self.tier))),
-            ("weight", Json::from(self.weight)),
-            ("generation", Json::from(self.generation)),
-            ("ejects", Json::from(self.ejects)),
-            ("sent", Json::from(self.sent)),
-            ("ok", Json::from(self.ok)),
-            ("busy", Json::from(self.busy)),
-            ("errors", Json::from(self.errors)),
-            ("transport", Json::from(self.transport)),
-            ("probe_failures", Json::from(self.probe_failures)),
-            ("inflight", Json::from(self.inflight)),
-            (
-                "last_probe_age_s",
-                match self.last_probe_age_s {
-                    Some(age) => Json::from(age),
-                    None => Json::Null,
-                },
-            ),
-        ])
+impl RouterView {
+    pub(crate) fn of(inner: &Arc<Inner>) -> RouterView {
+        RouterView {
+            inner: Arc::clone(inner),
+            members: inner.members(),
+            now_us: inner.metrics.uptime_us(),
+        }
     }
 }
 
-/// A frozen view of the whole router: fleet counters, route latency,
-/// and one row per replica.
-#[derive(Debug, Clone)]
-pub struct RouterSnapshot {
-    pub uptime_us: u64,
-    pub requests: u64,
-    pub ok: u64,
-    pub forwarded_errors: u64,
-    pub retries: u64,
-    pub hedges: u64,
-    pub hedge_wins: u64,
-    pub hedge_losers: u64,
-    pub shed: u64,
-    pub expired: u64,
-    pub draining: u64,
-    pub bad_request: u64,
-    pub stale_replies: u64,
-    pub unrouted: u64,
-    pub connections: u64,
-    pub splits_total: u64,
-    pub subevals_dispatched: u64,
-    pub subevals_retried: u64,
-    pub subevals_discarded_on_cutoff: u64,
-    pub subevals_skipped_on_cutoff: u64,
-    pub split_depth: u64,
-    /// Routing-table revision: bumped on every membership change.
-    pub membership_version: u64,
-    pub members_joined: u64,
-    pub members_refreshed: u64,
-    pub members_reweighted: u64,
-    pub members_stale_joins: u64,
-    pub members_duplicate_joins: u64,
-    pub route_latency: HistogramSnapshot,
-    pub replicas: Vec<ReplicaSnapshot>,
-    /// Span-recorder counters (traces started/finished, spans opened,
-    /// live and ring-buffered trees).
-    pub trace: TraceStats,
+fn per_replica(v: &RouterView, pick: impl Fn(&Replica) -> Value) -> Vec<Sample> {
+    let rows = v.members.iter();
+    rows.map(|r| Sample::new([("replica", r.addr.clone())], pick(r)))
+        .collect()
 }
 
-impl RouterSnapshot {
-    /// The `stats` object returned by `op:"stats"`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", Json::from(PROTOCOL_VERSION)),
-            ("uptime_us", Json::from(self.uptime_us)),
-            ("uptime_s", Json::from(self.uptime_us as f64 / 1e6)),
-            ("requests", Json::from(self.requests)),
-            ("ok", Json::from(self.ok)),
-            ("forwarded_errors", Json::from(self.forwarded_errors)),
-            ("retries", Json::from(self.retries)),
-            ("hedges", Json::from(self.hedges)),
-            ("hedge_wins", Json::from(self.hedge_wins)),
-            ("hedge_losers", Json::from(self.hedge_losers)),
-            ("shed", Json::from(self.shed)),
-            ("expired", Json::from(self.expired)),
-            ("draining", Json::from(self.draining)),
-            ("bad_request", Json::from(self.bad_request)),
-            ("stale_replies", Json::from(self.stale_replies)),
-            ("unrouted", Json::from(self.unrouted)),
-            ("connections", Json::from(self.connections)),
-            ("splits_total", Json::from(self.splits_total)),
-            ("subevals_dispatched", Json::from(self.subevals_dispatched)),
-            ("subevals_retried", Json::from(self.subevals_retried)),
-            (
-                "subevals_discarded_on_cutoff",
-                Json::from(self.subevals_discarded_on_cutoff),
-            ),
-            (
-                "subevals_skipped_on_cutoff",
-                Json::from(self.subevals_skipped_on_cutoff),
-            ),
-            ("split_depth", Json::from(self.split_depth)),
-            (
-                "membership",
-                Json::obj([
-                    ("version", Json::from(self.membership_version)),
-                    ("members", Json::from(self.replicas.len())),
-                    ("joined", Json::from(self.members_joined)),
-                    ("refreshed", Json::from(self.members_refreshed)),
-                    ("reweighted", Json::from(self.members_reweighted)),
-                    ("stale_joins", Json::from(self.members_stale_joins)),
-                    ("duplicate_joins", Json::from(self.members_duplicate_joins)),
-                ]),
-            ),
-            (
-                "traces",
-                Json::obj([
-                    ("started", Json::from(self.trace.started)),
-                    ("finished", Json::from(self.trace.finished)),
-                    ("spans", Json::from(self.trace.spans)),
-                    ("active", Json::from(self.trace.active)),
-                    ("ringed", Json::from(self.trace.ringed)),
-                ]),
-            ),
-            ("route_latency", self.route_latency.to_json()),
-            (
-                "replicas",
-                Json::Array(self.replicas.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Prometheus text exposition (format 0.0.4) for the `/metrics`
-    /// listener.  Route latency renders as a summary.
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        fn counter(out: &mut String, name: &str, help: &str, v: u64) {
-            use std::fmt::Write as _;
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        let mut out = String::new();
-        counter(
-            &mut out,
-            "router_requests_total",
-            "Eval requests accepted from clients.",
-            self.requests,
-        );
-        counter(
-            &mut out,
-            "router_ok_total",
-            "Ok replies relayed to clients.",
-            self.ok,
-        );
-        counter(
-            &mut out,
-            "router_retries_total",
-            "Failover re-dispatches to another replica.",
-            self.retries,
-        );
-        counter(
-            &mut out,
-            "router_hedges_total",
-            "Hedge attempts launched.",
-            self.hedges,
-        );
-        counter(
-            &mut out,
-            "router_hedge_wins_total",
-            "Requests won by the hedge copy.",
-            self.hedge_wins,
-        );
-        counter(
-            &mut out,
-            "router_ejects_total",
-            "Replica ejections by the health prober.",
-            self.replicas.iter().map(|r| r.ejects).sum(),
-        );
-        counter(
-            &mut out,
-            "router_shed_total",
-            "Requests shed by the router (window full or unroutable).",
-            self.shed,
-        );
-        counter(
-            &mut out,
-            "router_expired_total",
-            "Requests that exhausted their deadline in the router.",
-            self.expired,
-        );
-        counter(
-            &mut out,
-            "router_forwarded_errors_total",
-            "Upstream error replies relayed verbatim.",
-            self.forwarded_errors,
-        );
-        counter(
-            &mut out,
-            "router_connections_total",
-            "Client connections accepted.",
-            self.connections,
-        );
-        counter(
-            &mut out,
-            "router_splits_total",
-            "Evals decomposed into scatter-gather split plans.",
-            self.splits_total,
-        );
-        counter(
-            &mut out,
-            "router_subevals_dispatched_total",
-            "Subevals placed on replicas.",
-            self.subevals_dispatched,
-        );
-        counter(
-            &mut out,
-            "router_subevals_retried_total",
-            "Subevals re-dispatched down the hash order.",
-            self.subevals_retried,
-        );
-        counter(
-            &mut out,
-            "router_subevals_discarded_on_cutoff_total",
-            "In-flight subeval results discarded after a cutoff.",
-            self.subevals_discarded_on_cutoff,
-        );
-        counter(
-            &mut out,
-            "router_subevals_skipped_on_cutoff_total",
-            "Subevals never dispatched: skipped by a cutoff or overtaken by the answer.",
-            self.subevals_skipped_on_cutoff,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP router_split_depth Deepest eldest chain any split plan has used."
-        );
-        let _ = writeln!(out, "# TYPE router_split_depth gauge");
-        let _ = writeln!(out, "router_split_depth {}", self.split_depth);
-
-        let _ = writeln!(out, "# HELP router_members Members in the routing table.");
-        let _ = writeln!(out, "# TYPE router_members gauge");
-        let _ = writeln!(out, "router_members {}", self.replicas.len());
-        let _ = writeln!(
-            out,
-            "# HELP router_membership_version Routing-table revision (bumped per membership change)."
-        );
-        let _ = writeln!(out, "# TYPE router_membership_version gauge");
-        let _ = writeln!(out, "router_membership_version {}", self.membership_version);
-        counter(
-            &mut out,
-            "router_members_joined_total",
-            "Members admitted by a join announcement.",
-            self.members_joined,
-        );
-        counter(
-            &mut out,
-            "router_members_refreshed_total",
-            "Re-joins of a known address with a higher generation.",
-            self.members_refreshed,
-        );
-        counter(
-            &mut out,
-            "router_members_reweighted_total",
-            "In-place weight changes.",
-            self.members_reweighted,
-        );
-        counter(
-            &mut out,
-            "router_members_stale_joins_total",
-            "Stale (lower-generation) announcements ignored.",
-            self.members_stale_joins,
-        );
-        counter(
-            &mut out,
-            "router_members_duplicate_joins_total",
-            "Announce retries that changed nothing.",
-            self.members_duplicate_joins,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP router_replica_weight Weighted-rendezvous routing weight per member."
-        );
-        let _ = writeln!(out, "# TYPE router_replica_weight gauge");
-        for r in &self.replicas {
-            let _ = writeln!(
-                out,
-                "router_replica_weight{{replica=\"{}\"}} {}",
-                r.addr, r.weight
-            );
-        }
-
-        counter(
-            &mut out,
-            "router_span_traces_started_total",
-            "Traces the span recorder opened (sampled or client-pinned).",
-            self.trace.started,
-        );
-        counter(
-            &mut out,
-            "router_span_traces_finished_total",
-            "Traces whose root span has closed.",
-            self.trace.finished,
-        );
-        counter(
-            &mut out,
-            "router_span_spans_total",
-            "Spans opened across all traces.",
-            self.trace.spans,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP router_span_active_traces Traces still being assembled."
-        );
-        let _ = writeln!(out, "# TYPE router_span_active_traces gauge");
-        let _ = writeln!(out, "router_span_active_traces {}", self.trace.active);
-        let _ = writeln!(
-            out,
-            "# HELP router_span_ring_traces Finished traces held in the query ring."
-        );
-        let _ = writeln!(out, "# TYPE router_span_ring_traces gauge");
-        let _ = writeln!(out, "router_span_ring_traces {}", self.trace.ringed);
-
-        let _ = writeln!(
-            out,
-            "# HELP router_route_latency_us End-to-end ok-reply latency."
-        );
-        let _ = writeln!(out, "# TYPE router_route_latency_us summary");
-        for (label, q) in [("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99)] {
-            let v = self.route_latency.quantile_us(q).unwrap_or(0);
-            let _ = writeln!(out, "router_route_latency_us{{quantile=\"{label}\"}} {v}");
-        }
-        let _ = writeln!(
-            out,
-            "router_route_latency_us_sum {}",
-            self.route_latency.sum_us
-        );
-        let _ = writeln!(
-            out,
-            "router_route_latency_us_count {}",
-            self.route_latency.count
-        );
-
-        let _ = writeln!(
-            out,
-            "# HELP router_replica_requests_total Eval attempts sent per replica."
-        );
-        let _ = writeln!(out, "# TYPE router_replica_requests_total counter");
-        for r in &self.replicas {
-            let _ = writeln!(
-                out,
-                "router_replica_requests_total{{replica=\"{}\"}} {}",
-                r.addr, r.sent
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP router_replica_tier Routing tier (0 healthy .. 3 ejected)."
-        );
-        let _ = writeln!(out, "# TYPE router_replica_tier gauge");
-        for r in &self.replicas {
-            let _ = writeln!(
-                out,
-                "router_replica_tier{{replica=\"{}\"}} {}",
-                r.addr, r.tier
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP router_replica_inflight Requests awaiting a reply per replica."
-        );
-        let _ = writeln!(out, "# TYPE router_replica_inflight gauge");
-        for r in &self.replicas {
-            let _ = writeln!(
-                out,
-                "router_replica_inflight{{replica=\"{}\"}} {}",
-                r.addr, r.inflight
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP router_replica_last_probe_age_s Seconds since the last health probe finished."
-        );
-        let _ = writeln!(out, "# TYPE router_replica_last_probe_age_s gauge");
-        for r in &self.replicas {
-            if let Some(age) = r.last_probe_age_s {
-                let _ = writeln!(
-                    out,
-                    "router_replica_last_probe_age_s{{replica=\"{}\"}} {age:.3}",
-                    r.addr
-                );
-            }
-        }
-        out
-    }
+fn ejects(r: &Replica) -> u64 {
+    r.health
+        .lock()
+        .expect("health lock holders never panic")
+        .ejects
 }
+
+fn state_name(r: &Replica) -> Value {
+    let health = r.health.lock().expect("health lock holders never panic");
+    health.state().name().into()
+}
+
+/// Every series the router exports, each declared once, in `stats` key
+/// order.
+pub(crate) const ROUTER_FAMILIES: &[Family<RouterView>] = &[
+    info("version", "Wire protocol version.", |_| {
+        one(PROTOCOL_VERSION)
+    }),
+    info("uptime_us", "Microseconds since the router started.", |v| {
+        one(v.now_us)
+    }),
+    uptime("router_uptime_seconds", |v| one(v.now_us as f64 / 1e6)),
+    build_info("router_build_info"),
+    counter(
+        "router_requests_total",
+        "requests",
+        "Eval requests accepted from clients.",
+        |v| one(&v.inner.metrics.requests),
+    ),
+    counter(
+        "router_ok_total",
+        "ok",
+        "Ok replies relayed to clients.",
+        |v| one(&v.inner.metrics.ok),
+    ),
+    counter(
+        "router_forwarded_errors_total",
+        "forwarded_errors",
+        "Upstream error replies relayed verbatim.",
+        |v| one(&v.inner.metrics.forwarded_errors),
+    ),
+    counter(
+        "router_retries_total",
+        "retries",
+        "Failover re-dispatches to another replica.",
+        |v| one(&v.inner.metrics.retries),
+    ),
+    counter(
+        "router_hedges_total",
+        "hedges",
+        "Hedge attempts launched.",
+        |v| one(&v.inner.metrics.hedges),
+    ),
+    counter(
+        "router_hedge_wins_total",
+        "hedge_wins",
+        "Requests won by the hedge copy.",
+        |v| one(&v.inner.metrics.hedge_wins),
+    ),
+    counter(
+        "router_hedge_losers_total",
+        "hedge_losers",
+        "Duplicate replies discarded because the other copy won.",
+        |v| one(&v.inner.metrics.hedge_losers),
+    ),
+    counter(
+        "router_shed_total",
+        "shed",
+        "Requests shed by the router (window full or unroutable).",
+        |v| one(&v.inner.metrics.shed),
+    ),
+    counter(
+        "router_expired_total",
+        "expired",
+        "Requests that exhausted their deadline in the router.",
+        |v| one(&v.inner.metrics.expired),
+    ),
+    counter(
+        "router_draining_total",
+        "draining",
+        "Requests rejected because the router is draining.",
+        |v| one(&v.inner.metrics.draining),
+    ),
+    counter(
+        "router_bad_request_total",
+        "bad_request",
+        "Malformed or invalid client requests.",
+        |v| one(&v.inner.metrics.bad_request),
+    ),
+    counter(
+        "router_stale_replies_total",
+        "stale_replies",
+        "Upstream replies that matched no pending request.",
+        |v| one(&v.inner.metrics.stale_replies),
+    ),
+    counter(
+        "router_unrouted_total",
+        "unrouted",
+        "Requests that ran out of routable candidates.",
+        |v| one(&v.inner.metrics.unrouted),
+    ),
+    counter(
+        "router_connections_total",
+        "connections",
+        "Client connections accepted.",
+        |v| one(&v.inner.metrics.connections),
+    ),
+    counter(
+        "router_splits_total",
+        "splits_total",
+        "Evals decomposed into scatter-gather split plans.",
+        |v| one(&v.inner.metrics.splits_total),
+    ),
+    counter(
+        "router_subevals_dispatched_total",
+        "subevals_dispatched",
+        "Subevals placed on replicas.",
+        |v| one(&v.inner.metrics.subevals_dispatched),
+    ),
+    counter(
+        "router_subevals_retried_total",
+        "subevals_retried",
+        "Subevals re-dispatched down the hash order.",
+        |v| one(&v.inner.metrics.subevals_retried),
+    ),
+    counter(
+        "router_subevals_discarded_on_cutoff_total",
+        "subevals_discarded_on_cutoff",
+        "In-flight subeval results discarded after a cutoff.",
+        |v| one(&v.inner.metrics.subevals_discarded_on_cutoff),
+    ),
+    counter(
+        "router_subevals_skipped_on_cutoff_total",
+        "subevals_skipped_on_cutoff",
+        "Subevals never dispatched: skipped by a cutoff or overtaken by the answer.",
+        |v| one(&v.inner.metrics.subevals_skipped_on_cutoff),
+    ),
+    gauge(
+        "router_split_depth",
+        "split_depth",
+        "Deepest eldest chain any split plan has used.",
+        |v| one(&v.inner.metrics.split_depth),
+    ),
+    counter(
+        "router_ejects_total",
+        "ejects",
+        "Replica ejections by the health prober, summed over members.",
+        |v| one(v.members.iter().map(|r| ejects(r)).sum::<u64>()),
+    ),
+    gauge(
+        "router_membership_version",
+        "membership.version",
+        "Routing-table revision (bumped per membership change).",
+        |v| one(v.inner.table.version()),
+    ),
+    gauge(
+        "router_members",
+        "membership.members",
+        "Members in the routing table.",
+        |v| one(v.members.len()),
+    ),
+    counter(
+        "router_members_joined_total",
+        "membership.joined",
+        "Members admitted by a join announcement.",
+        |v| one(&v.inner.metrics.members.joined),
+    ),
+    counter(
+        "router_members_refreshed_total",
+        "membership.refreshed",
+        "Re-joins of a known address with a higher generation.",
+        |v| one(&v.inner.metrics.members.refreshed),
+    ),
+    counter(
+        "router_members_reweighted_total",
+        "membership.reweighted",
+        "In-place weight changes.",
+        |v| one(&v.inner.metrics.members.reweighted),
+    ),
+    counter(
+        "router_members_stale_joins_total",
+        "membership.stale_joins",
+        "Stale (lower-generation) announcements ignored.",
+        |v| one(&v.inner.metrics.members.stale_joins),
+    ),
+    counter(
+        "router_members_duplicate_joins_total",
+        "membership.duplicate_joins",
+        "Announce retries that changed nothing.",
+        |v| one(&v.inner.metrics.members.duplicate_joins),
+    ),
+    counter(
+        "router_span_traces_started_total",
+        "traces.started",
+        "Traces the span recorder opened (sampled or client-pinned).",
+        |v| one(v.inner.recorder.started_total()),
+    ),
+    counter(
+        "router_span_traces_finished_total",
+        "traces.finished",
+        "Traces whose request has been answered.",
+        |v| one(v.inner.recorder.finished_total()),
+    ),
+    counter(
+        "router_span_spans_total",
+        "traces.spans",
+        "Spans of every finished trace.",
+        |v| one(v.inner.recorder.spans_total()),
+    ),
+    gauge(
+        "router_span_active_traces",
+        "traces.active",
+        "Traces still being assembled.",
+        |v| one(v.inner.recorder.held().0),
+    ),
+    gauge(
+        "router_span_ring_traces",
+        "traces.ringed",
+        "Finished traces held in the query ring.",
+        |v| one(v.inner.recorder.held().1),
+    ),
+    histogram(
+        "router_route_latency_seconds",
+        "route_latency",
+        "End-to-end latency of ok replies.",
+        |v| one(&v.inner.metrics.route_latency),
+    ),
+    info("replicas[].addr", "The member's address.", |v| {
+        per_replica(v, |r| r.addr.as_str().into())
+    }),
+    info(
+        "replicas[].state",
+        "Health state (healthy, degraded, ejected, half-open).",
+        |v| per_replica(v, state_name),
+    ),
+    gauge(
+        "router_replica_tier",
+        "replicas[].tier",
+        "Routing tier (0 healthy .. 3 ejected).",
+        |v| per_replica(v, |r| Value::from(u64::from(r.tier()))),
+    ),
+    gauge(
+        "router_replica_weight",
+        "replicas[].weight",
+        "Weighted-rendezvous routing weight per member.",
+        |v| per_replica(v, |r| Value::from(&r.weight)),
+    ),
+    gauge(
+        "router_replica_generation",
+        "replicas[].generation",
+        "Last generation each member announced (0 for static seeds).",
+        |v| per_replica(v, |r| Value::from(&r.generation)),
+    ),
+    counter(
+        "router_replica_ejects_total",
+        "replicas[].ejects",
+        "Ejections of each member by the health prober.",
+        |v| per_replica(v, |r| Value::from(ejects(r))),
+    ),
+    counter(
+        "router_replica_requests_total",
+        "replicas[].sent",
+        "Eval attempts sent per replica.",
+        |v| per_replica(v, |r| Value::from(&r.counters.sent)),
+    ),
+    counter(
+        "router_replica_ok_total",
+        "replicas[].ok",
+        "Ok replies received per replica.",
+        |v| per_replica(v, |r| Value::from(&r.counters.ok)),
+    ),
+    counter(
+        "router_replica_busy_total",
+        "replicas[].busy",
+        "Busy (429/503) replies received per replica.",
+        |v| per_replica(v, |r| Value::from(&r.counters.busy)),
+    ),
+    counter(
+        "router_replica_errors_total",
+        "replicas[].errors",
+        "Other error replies received per replica.",
+        |v| per_replica(v, |r| Value::from(&r.counters.errors)),
+    ),
+    counter(
+        "router_replica_transport_errors_total",
+        "replicas[].transport",
+        "Transport failures per replica (write errors, resets, orphaned requests).",
+        |v| per_replica(v, |r| Value::from(&r.counters.transport)),
+    ),
+    counter(
+        "router_replica_probe_failures_total",
+        "replicas[].probe_failures",
+        "Failed health probes per replica.",
+        |v| per_replica(v, |r| Value::from(&r.counters.probe_failures)),
+    ),
+    gauge(
+        "router_replica_inflight",
+        "replicas[].inflight",
+        "Requests awaiting a reply per replica.",
+        |v| per_replica(v, |r| Value::from(r.inflight())),
+    ),
+    gauge(
+        "router_replica_last_probe_age_seconds",
+        "replicas[].last_probe_age_s",
+        "Seconds since the last health probe of each member finished.",
+        |v| {
+            per_replica(v, |r| match r.last_probe_us.load(Ordering::Relaxed) {
+                u64::MAX => Value::Absent,
+                at => Value::from(v.now_us.saturating_sub(at) as f64 / 1e6),
+            })
+        },
+    ),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membership::JoinAction;
+    use crate::router::{Router, RouterConfig};
+    use crate::trace::ROOT_SPAN;
+    use gt_analysis::Json;
+    use gt_serve::registry::{prometheus_text, stats_json};
+    use std::time::Duration;
 
-    fn replica_row(addr: &str) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            addr: addr.to_string(),
-            state: "healthy",
-            tier: 0,
-            weight: 2,
-            generation: 1,
-            ejects: 2,
-            sent: 10,
-            ok: 8,
-            busy: 1,
-            errors: 0,
-            transport: 1,
-            probe_failures: 3,
-            inflight: 1,
-            last_probe_age_s: Some(0.25),
+    /// A router over two spawned replicas whose prober has finished
+    /// its first round and will not run again during the test.
+    fn quiet_router() -> Router {
+        let router = Router::start(RouterConfig {
+            spawn: 2,
+            probe_interval_ms: 60_000,
+            trace_sample: 1.0,
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let inner = router.inner();
+        while inner
+            .members()
+            .iter()
+            .any(|r| r.last_probe_us.load(Ordering::Relaxed) == u64::MAX)
+        {
+            std::thread::sleep(Duration::from_millis(5));
         }
+        for r in inner.members().iter() {
+            r.weight.store(2, Ordering::Relaxed);
+            r.counters.sent.fetch_add(10, Ordering::Relaxed);
+            r.health.lock().unwrap().ejects = 2;
+        }
+        for _ in 0..3 {
+            let h = inner.recorder.begin(None, "x").unwrap();
+            h.event(ROOT_SPAN, "route", "0".into(), "ok");
+            h.end(ROOT_SPAN, "ok");
+            inner.recorder.finish(&h);
+        }
+        router
     }
 
     #[test]
-    fn snapshot_round_trips_counters_into_json() {
-        let m = RouterMetrics::default();
+    fn stats_round_trip_counters_into_json() {
+        let router = quiet_router();
+        let inner = router.inner();
+        let m = &inner.metrics;
         m.requests.fetch_add(7, Ordering::Relaxed);
         m.retries.fetch_add(3, Ordering::Relaxed);
         m.splits_total.fetch_add(2, Ordering::Relaxed);
         m.subevals_dispatched.fetch_add(9, Ordering::Relaxed);
         m.subevals_discarded_on_cutoff
             .fetch_add(1, Ordering::Relaxed);
+        m.hedge_losers.fetch_add(4, Ordering::Relaxed);
         m.record_split_depth(3);
         m.record_split_depth(2);
         m.route_latency.record(500);
-        m.members.record(crate::membership::JoinAction::Admit);
-        m.members.record(crate::membership::JoinAction::Reweight);
-        let snap = m.snapshot(
-            vec![replica_row("127.0.0.1:7171")],
-            TraceStats {
-                started: 5,
-                finished: 4,
-                spans: 21,
-                active: 1,
-                ringed: 4,
-            },
-            3,
-        );
-        let j = snap.to_json();
-        assert_eq!(j.get("version").and_then(Json::as_u64), Some(1));
+        m.members.record(JoinAction::Admit);
+        m.members.record(JoinAction::Reweight);
+        let s = stats_json(ROUTER_FAMILIES, &RouterView::of(inner));
+        assert_eq!(s.u64("version"), 1);
         assert!(
-            j.get("uptime_s").and_then(Json::as_f64).is_some(),
+            s.get("uptime_s").and_then(Json::as_f64).is_some(),
             "stats must expose uptime_s for parity with the replica tier"
         );
-        assert_eq!(j.get("requests").and_then(Json::as_u64), Some(7));
-        let traces = j.get("traces").expect("traces block");
-        assert_eq!(traces.get("started").and_then(Json::as_u64), Some(5));
-        assert_eq!(traces.get("ringed").and_then(Json::as_u64), Some(4));
-        assert_eq!(j.get("retries").and_then(Json::as_u64), Some(3));
-        assert_eq!(j.get("splits_total").and_then(Json::as_u64), Some(2));
-        assert_eq!(j.get("subevals_dispatched").and_then(Json::as_u64), Some(9));
+        assert_eq!(s.u64("requests"), 7);
+        assert_eq!(s.u64("traces.started"), 3);
+        assert_eq!(s.u64("traces.spans"), 6);
+        assert_eq!(s.u64("traces.ringed"), 3);
+        assert_eq!(s.u64("retries"), 3);
+        assert_eq!(s.u64("hedge_losers"), 4);
+        assert_eq!(s.u64("splits_total"), 2);
+        assert_eq!(s.u64("subevals_dispatched"), 9);
+        assert_eq!(s.u64("subevals_discarded_on_cutoff"), 1);
         assert_eq!(
-            j.get("subevals_discarded_on_cutoff").and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            j.get("split_depth").and_then(Json::as_u64),
-            Some(3),
+            s.u64("split_depth"),
+            3,
             "split_depth is a high-water mark, not a sum"
         );
-        let membership = j.get("membership").expect("membership block");
-        assert_eq!(membership.get("version").and_then(Json::as_u64), Some(3));
-        assert_eq!(membership.get("members").and_then(Json::as_u64), Some(1));
-        assert_eq!(membership.get("joined").and_then(Json::as_u64), Some(1));
-        assert_eq!(membership.get("reweighted").and_then(Json::as_u64), Some(1));
-        let replicas = match j.get("replicas") {
-            Some(Json::Array(rs)) => rs,
-            other => panic!("replicas not an array: {other:?}"),
-        };
-        assert_eq!(replicas.len(), 1);
+        assert_eq!(s.u64("route_latency.count"), 1);
+        assert_eq!(s.u64("route_latency.sum_us"), 500);
+        assert_eq!(s.u64("membership.version"), inner.table.version());
+        assert_eq!(s.u64("membership.members"), 2);
+        assert_eq!(s.u64("membership.joined"), 1);
+        assert_eq!(s.u64("membership.reweighted"), 1);
+        let addrs = router.replica_addrs();
         assert_eq!(
-            replicas[0].get("addr").and_then(Json::as_str),
-            Some("127.0.0.1:7171")
+            s.get("replicas.0.addr").and_then(Json::as_str),
+            Some(addrs[0].as_str())
         );
-        assert_eq!(replicas[0].get("ejects").and_then(Json::as_u64), Some(2));
-        assert_eq!(replicas[0].get("weight").and_then(Json::as_u64), Some(2));
         assert_eq!(
-            replicas[0].get("generation").and_then(Json::as_u64),
-            Some(1)
+            s.get("replicas.0.state").and_then(Json::as_str),
+            Some("healthy")
         );
+        assert_eq!(s.u64("replicas.0.ejects"), 2);
+        assert_eq!(s.u64("replicas.0.weight"), 2);
+        assert_eq!(s.u64("replicas.0.generation"), 0);
+        assert_eq!(s.u64("replicas.1.sent"), 10);
+        assert_eq!(s.u64("ejects"), 4);
+        router.join();
     }
 
     #[test]
     fn prometheus_exposition_names_the_required_series() {
-        let m = RouterMetrics::default();
+        let router = quiet_router();
+        let inner = router.inner();
+        let m = &inner.metrics;
         m.retries.fetch_add(4, Ordering::Relaxed);
         m.splits_total.fetch_add(1, Ordering::Relaxed);
         m.subevals_skipped_on_cutoff.fetch_add(5, Ordering::Relaxed);
         m.route_latency.record(1_000);
-        m.members.record(crate::membership::JoinAction::Admit);
-        let text = m
-            .snapshot(
-                vec![replica_row("127.0.0.1:7171"), replica_row("127.0.0.1:7172")],
-                TraceStats {
-                    started: 6,
-                    finished: 6,
-                    spans: 30,
-                    active: 0,
-                    ringed: 6,
-                },
-                1,
-            )
-            .render_prometheus();
+        m.members.record(JoinAction::Admit);
+        // Pretend replica 0 was last probed 250 ms ago.
+        while inner.metrics.uptime_us() < 300_000 {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let r0 = &inner.members()[0];
+        r0.last_probe_us.store(
+            inner.metrics.uptime_us().saturating_sub(250_000),
+            Ordering::Relaxed,
+        );
+        let text = prometheus_text(ROUTER_FAMILIES, &RouterView::of(inner));
+        let addrs = router.replica_addrs();
         assert!(text.contains("router_retries_total 4"), "{text}");
         assert!(text.contains("router_requests_total"), "{text}");
+        let sent = format!(
+            "router_replica_requests_total{{replica=\"{}\"}} 10",
+            addrs[1]
+        );
+        assert!(text.contains(&sent), "{text}");
+        // Route latency is a histogram in seconds, aggregatable across
+        // routers: 1000 µs lands in the [512, 1024) µs bucket.
         assert!(
-            text.contains("router_replica_requests_total{replica=\"127.0.0.1:7172\"} 10"),
+            text.contains("# TYPE router_route_latency_seconds histogram"),
             "{text}"
         );
         assert!(
-            text.contains("router_route_latency_us{quantile=\"0.5\"}"),
+            text.contains("router_route_latency_seconds_bucket{le=\"0.000512\"} 0"),
             "{text}"
         );
-        assert!(text.contains("router_route_latency_us_count 1"), "{text}");
+        assert!(
+            text.contains("router_route_latency_seconds_bucket{le=\"0.001024\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("router_route_latency_seconds_sum 0.001\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("router_route_latency_seconds_count 1"),
+            "{text}"
+        );
         // ejects sums across replicas
         assert!(text.contains("router_ejects_total 4"), "{text}");
         assert!(text.contains("router_splits_total 1"), "{text}");
@@ -746,21 +650,32 @@ mod tests {
         );
         assert!(text.contains("router_split_depth 0"), "{text}");
         assert!(text.contains("router_members 2"), "{text}");
-        assert!(text.contains("router_membership_version 1"), "{text}");
+        let version = format!("router_membership_version {}", inner.table.version());
+        assert!(text.contains(&version), "{text}");
         assert!(text.contains("router_members_joined_total 1"), "{text}");
+        let weight = format!("router_replica_weight{{replica=\"{}\"}} 2", addrs[0]);
+        assert!(text.contains(&weight), "{text}");
         assert!(
-            text.contains("router_replica_weight{replica=\"127.0.0.1:7171\"} 2"),
+            text.contains("router_span_traces_started_total 3"),
             "{text}"
         );
+        assert!(text.contains("router_span_spans_total 6"), "{text}");
+        assert!(text.contains("router_span_ring_traces 3"), "{text}");
+        let age = format!(
+            "router_replica_last_probe_age_seconds{{replica=\"{}\"}} ",
+            addrs[0]
+        );
+        let age: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(age.as_str()))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no probe age for {}: {text}", addrs[0]));
+        assert!((0.25..0.35).contains(&age), "probe age {age}");
+        assert!(text.contains("router_build_info{version=\""), "{text}");
         assert!(
-            text.contains("router_span_traces_started_total 6"),
+            text.contains("# TYPE router_uptime_seconds gauge"),
             "{text}"
         );
-        assert!(text.contains("router_span_spans_total 30"), "{text}");
-        assert!(text.contains("router_span_ring_traces 6"), "{text}");
-        assert!(
-            text.contains("router_replica_last_probe_age_s{replica=\"127.0.0.1:7171\"} 0.250"),
-            "{text}"
-        );
+        router.join();
     }
 }

@@ -28,7 +28,7 @@
 use crate::hash;
 use crate::health::{tier_route, HealthMachine, HealthPolicy};
 use crate::membership::{self, JoinAction, RoutingTable};
-use crate::metrics::{ReplicaCounters, ReplicaSnapshot, RouterMetrics, RouterSnapshot};
+use crate::metrics::{ReplicaCounters, RouterMetrics, RouterView, ROUTER_FAMILIES};
 use crate::split::{plan_levels, Dispatch, Effects, FailKind, Outcome, SplitConfig, SplitMachine};
 use crate::trace::{SpanRecorder, TraceHandle, ROOT_SPAN};
 use gt_analysis::Json;
@@ -37,6 +37,7 @@ use gt_serve::io::{BufferPool, LineAction, LineReader, Poller, Waker};
 use gt_serve::protocol::{
     error_line_with, ok_line, ErrorCode, Op, Request, Response, TraceContext, PROTOCOL_VERSION,
 };
+use gt_serve::registry::{prometheus_text, stats_json, Stats};
 use gt_serve::trace::{spawn_metrics_listener, MetricsListener};
 use gt_serve::workload;
 use gt_tree::split::{path_text, SubtreeSpec};
@@ -226,22 +227,22 @@ enum PendingReply {
 
 /// One replica: its address, connection pool, health trajectory, and
 /// data-path counters.
-struct Replica {
+pub(crate) struct Replica {
     idx: usize,
-    addr: String,
+    pub(crate) addr: String,
     conns: Vec<Arc<UpstreamConn>>,
     rr: AtomicUsize,
-    health: Mutex<HealthMachine>,
-    counters: ReplicaCounters,
+    pub(crate) health: Mutex<HealthMachine>,
+    pub(crate) counters: ReplicaCounters,
     /// Routing weight under weighted rendezvous hashing; updated in
     /// place by `join` announcements (see [`crate::membership`]).
-    weight: AtomicU64,
+    pub(crate) weight: AtomicU64,
     /// Last generation this member announced (0 for static seeds).
-    generation: AtomicU64,
+    pub(crate) generation: AtomicU64,
     /// When the prober last finished a round trip against this
     /// replica, in `RouterMetrics::uptime_us` units; `u64::MAX`
     /// until the first probe completes.
-    last_probe_us: AtomicU64,
+    pub(crate) last_probe_us: AtomicU64,
 }
 
 impl Replica {
@@ -266,11 +267,11 @@ impl Replica {
         }
     }
 
-    fn tier(&self) -> u8 {
+    pub(crate) fn tier(&self) -> u8 {
         self.health.lock().unwrap().state().tier()
     }
 
-    fn inflight(&self) -> u64 {
+    pub(crate) fn inflight(&self) -> u64 {
         self.conns
             .iter()
             .map(|c| c.pending.lock().unwrap().len() as u64)
@@ -414,7 +415,7 @@ impl Pacer {
 // Shared router state.
 // ---------------------------------------------------------------------------
 
-struct Inner {
+pub(crate) struct Inner {
     config: RouterConfig,
     /// The append-only member list.  Swapped whole (never mutated in
     /// place) so every reader takes one `Arc` snapshot; raw replica
@@ -423,14 +424,14 @@ struct Inner {
     replicas: RwLock<Arc<Vec<Arc<Replica>>>>,
     /// `(addr, weight)` pairs routing hashes over; rebuilt from the
     /// member list on every membership change.
-    table: RoutingTable,
+    pub(crate) table: RoutingTable,
     /// Serializes membership changes; the data path never takes it.
     member_lock: Mutex<()>,
     /// Upstream reader threads spawned for members that joined at
     /// runtime, joined at shutdown after the static pool's threads.
     joined_threads: Mutex<Vec<JoinHandle<()>>>,
-    metrics: RouterMetrics,
-    recorder: SpanRecorder,
+    pub(crate) metrics: RouterMetrics,
+    pub(crate) recorder: SpanRecorder,
     pacer: Pacer,
     seq: AtomicU64,
     /// Client-facing drain flag: stop accepting, reject new evals.
@@ -442,7 +443,7 @@ struct Inner {
 impl Inner {
     /// The current member list.  Holders keep whatever snapshot they
     /// took; a concurrent join never perturbs it.
-    fn members(&self) -> Arc<Vec<Arc<Replica>>> {
+    pub(crate) fn members(&self) -> Arc<Vec<Arc<Replica>>> {
         Arc::clone(&self.replicas.read().unwrap())
     }
 }
@@ -2067,7 +2068,7 @@ fn handle_client_line(
         }
         Op::Stats => write_line(
             writer,
-            &ok_line(&req.id, vec![("stats", snapshot_of(inner).to_json())]),
+            &ok_line(&req.id, vec![("stats", stats_of(inner).0)]),
         ),
         Op::Trace => {
             if !inner.recorder.enabled() {
@@ -2353,44 +2354,8 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener, io: Vec<Arc<ClientIoHan
     }
 }
 
-fn snapshot_of(inner: &Inner) -> RouterSnapshot {
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    let now_us = inner.metrics.uptime_us();
-    let rows = inner
-        .members()
-        .iter()
-        .map(|r| {
-            let (state, ejects) = {
-                let h = r.health.lock().unwrap();
-                (h.state(), h.ejects)
-            };
-            let probed_at = r.last_probe_us.load(Ordering::Relaxed);
-            let last_probe_age_s = if probed_at == u64::MAX {
-                None
-            } else {
-                Some(now_us.saturating_sub(probed_at) as f64 / 1e6)
-            };
-            ReplicaSnapshot {
-                addr: r.addr.clone(),
-                state: state.name(),
-                tier: state.tier(),
-                weight: r.weight.load(Ordering::Relaxed),
-                generation: r.generation.load(Ordering::Relaxed),
-                ejects,
-                sent: load(&r.counters.sent),
-                ok: load(&r.counters.ok),
-                busy: load(&r.counters.busy),
-                errors: load(&r.counters.errors),
-                transport: load(&r.counters.transport),
-                probe_failures: load(&r.counters.probe_failures),
-                inflight: r.inflight(),
-                last_probe_age_s,
-            }
-        })
-        .collect();
-    inner
-        .metrics
-        .snapshot(rows, inner.recorder.stats(), inner.table.version())
+fn stats_of(inner: &Arc<Inner>) -> Stats {
+    stats_json(ROUTER_FAMILIES, &RouterView::of(inner))
 }
 
 // ---------------------------------------------------------------------------
@@ -2519,7 +2484,7 @@ impl Router {
                 let inner2 = Arc::clone(&inner);
                 Some(spawn_metrics_listener(
                     addr.as_str(),
-                    Arc::new(move || snapshot_of(&inner2).render_prometheus()),
+                    Arc::new(move || prometheus_text(ROUTER_FAMILIES, &RouterView::of(&inner2))),
                 )?)
             }
             None => None,
@@ -2536,6 +2501,11 @@ impl Router {
             metrics_listener,
             spawned,
         })
+    }
+
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &Arc<Inner> {
+        &self.inner
     }
 
     /// The client-facing bound address.
@@ -2570,9 +2540,9 @@ impl Router {
         self.inner.draining.load(Ordering::SeqCst)
     }
 
-    /// Live stats snapshot.
-    pub fn snapshot(&self) -> RouterSnapshot {
-        snapshot_of(&self.inner)
+    /// The live `stats` object, as `op:"stats"` returns it.
+    pub fn stats(&self) -> Stats {
+        stats_of(&self.inner)
     }
 
     /// Drain and stop everything, in dependency order: the listener
@@ -2580,8 +2550,8 @@ impl Router {
     /// accepted eval has been answered — the pacer and upstream pools
     /// must still be alive for that), then the pacer, then upstream
     /// and probe threads, then owned replicas.  Returns the final
-    /// stats snapshot.
-    pub fn join(mut self) -> RouterSnapshot {
+    /// `stats`.
+    pub fn join(mut self) -> Stats {
         self.inner.draining.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
@@ -2612,7 +2582,7 @@ impl Router {
         if let Some(l) = self.metrics_listener.take() {
             l.shutdown();
         }
-        let snap = snapshot_of(&self.inner);
+        let snap = stats_of(&self.inner);
         for server in self.spawned.drain(..) {
             server.request_shutdown();
             let _ = server.join();
@@ -2803,9 +2773,9 @@ mod tests {
         let stats = client.stats().unwrap();
         assert!(stats.ok);
         let snap = router.join();
-        assert_eq!(snap.ok, 2);
-        assert_eq!(snap.requests, 2);
-        assert_eq!(snap.forwarded_errors, 0);
+        assert_eq!(snap.u64("ok"), 2);
+        assert_eq!(snap.u64("requests"), 2);
+        assert_eq!(snap.u64("forwarded_errors"), 0);
     }
 
     #[test]
@@ -2837,9 +2807,9 @@ mod tests {
         assert!(reply.leaves().unwrap_or(0) > 0, "{reply:?}");
 
         let snap = router.join();
-        assert_eq!(snap.splits_total, 1, "{snap:?}");
-        assert!(snap.subevals_dispatched >= 2, "{snap:?}");
-        assert_eq!(snap.ok, 1);
+        assert_eq!(snap.u64("splits_total"), 1, "{snap:?}");
+        assert!(snap.u64("subevals_dispatched") >= 2, "{snap:?}");
+        assert_eq!(snap.u64("ok"), 1);
     }
 
     #[test]
@@ -2862,9 +2832,9 @@ mod tests {
         assert!(reply.ok, "{reply:?}");
         assert_eq!(reply.value(), Some(1));
         let snap = router.join();
-        assert_eq!(snap.splits_total, 1, "{snap:?}");
-        assert_eq!(snap.subevals_skipped_on_cutoff, 3, "{snap:?}");
-        assert_eq!(snap.subevals_dispatched, 7, "{snap:?}");
+        assert_eq!(snap.u64("splits_total"), 1, "{snap:?}");
+        assert_eq!(snap.u64("subevals_skipped_on_cutoff"), 3, "{snap:?}");
+        assert_eq!(snap.u64("subevals_dispatched"), 7, "{snap:?}");
     }
 
     #[test]
@@ -2924,12 +2894,17 @@ mod tests {
         let reply = client.eval("worst:d=2,n=6", "cascade:w=1", None).unwrap();
         assert!(reply.ok, "{reply:?}");
         let snap = router.join();
-        assert_eq!(snap.members_joined, 1, "{snap:?}");
-        assert_eq!(snap.members_reweighted, 1, "{snap:?}");
-        assert_eq!(snap.members_duplicate_joins, 1, "{snap:?}");
-        assert_eq!(snap.members_stale_joins, 1, "{snap:?}");
-        assert_eq!(snap.replicas.len(), 2);
-        assert!(snap.membership_version >= 2, "{snap:?}");
+        assert_eq!(snap.u64("membership.joined"), 1, "{snap:?}");
+        assert_eq!(snap.u64("membership.reweighted"), 1, "{snap:?}");
+        assert_eq!(snap.u64("membership.duplicate_joins"), 1, "{snap:?}");
+        assert_eq!(snap.u64("membership.stale_joins"), 1, "{snap:?}");
+        assert_eq!(
+            snap.get("replicas")
+                .and_then(Json::as_array)
+                .map(<[_]>::len),
+            Some(2)
+        );
+        assert!(snap.u64("membership.version") >= 2, "{snap:?}");
         extra.request_shutdown();
         extra.join();
     }

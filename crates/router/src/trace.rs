@@ -212,16 +212,6 @@ impl TraceHandle {
     }
 }
 
-/// Counters the metrics snapshot reads off the recorder.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceStats {
-    pub started: u64,
-    pub finished: u64,
-    pub spans: u64,
-    pub active: u64,
-    pub ringed: u64,
-}
-
 struct RecorderState {
     active: HashMap<String, Arc<TraceHandle>>,
     finished: VecDeque<Arc<TraceHandle>>,
@@ -240,6 +230,8 @@ pub struct SpanRecorder {
     sampled_seq: AtomicU64,
     started: AtomicU64,
     finished_total: AtomicU64,
+    /// Spans of every finished trace, added as each one finishes.
+    spans_total: AtomicU64,
     state: Mutex<RecorderState>,
 }
 
@@ -253,6 +245,7 @@ impl SpanRecorder {
             sampled_seq: AtomicU64::new(0),
             started: AtomicU64::new(0),
             finished_total: AtomicU64::new(0),
+            spans_total: AtomicU64::new(0),
             state: Mutex::new(RecorderState {
                 active: HashMap::new(),
                 finished: VecDeque::new(),
@@ -323,6 +316,8 @@ impl SpanRecorder {
     /// the finished ring (oldest evicted beyond capacity).
     pub fn finish(&self, handle: &Arc<TraceHandle>) {
         self.finished_total.fetch_add(1, Ordering::Relaxed);
+        self.spans_total
+            .fetch_add(handle.span_count() as u64, Ordering::Relaxed);
         let mut st = self.state.lock().unwrap();
         st.active.remove(&handle.trace_id);
         st.finished.push_back(Arc::clone(handle));
@@ -350,24 +345,29 @@ impl SpanRecorder {
         st.finished.iter().rev().take(n).cloned().collect()
     }
 
-    pub fn stats(&self) -> TraceStats {
-        let (active, ringed, spans) = {
-            let st = self.state.lock().unwrap();
-            let spans = st
-                .active
-                .values()
-                .chain(st.finished.iter())
-                .map(|h| h.span_count() as u64)
-                .sum();
-            (st.active.len() as u64, st.finished.len() as u64, spans)
-        };
-        TraceStats {
-            started: self.started.load(Ordering::Relaxed),
-            finished: self.finished_total.load(Ordering::Relaxed),
-            spans,
-            active,
-            ringed,
-        }
+    /// Traces opened so far (sampled or client-pinned).
+    pub fn started_total(&self) -> u64 {
+        self.started.load(Ordering::Relaxed)
+    }
+
+    /// Traces whose request has been answered.
+    pub fn finished_total(&self) -> u64 {
+        self.finished_total.load(Ordering::Relaxed)
+    }
+
+    /// Spans of every finished trace — monotone, unlike a sum over the
+    /// trees the ring still holds.
+    pub fn spans_total(&self) -> u64 {
+        self.spans_total.load(Ordering::Relaxed)
+    }
+
+    /// Traces still being assembled, and finished ones in the ring.
+    pub fn held(&self) -> (u64, u64) {
+        let st = self
+            .state
+            .lock()
+            .expect("recorder lock holders never panic");
+        (st.active.len() as u64, st.finished.len() as u64)
     }
 }
 
@@ -414,7 +414,8 @@ mod tests {
         let s = spans[2].get("start_us").and_then(Json::as_u64).unwrap();
         let e = spans[2].get("end_us").and_then(Json::as_u64).unwrap();
         assert!(e >= s);
-        assert_eq!(rec.stats().finished, 1);
+        assert_eq!(rec.finished_total(), 1);
+        assert_eq!(rec.spans_total(), 3);
     }
 
     #[test]
@@ -455,9 +456,32 @@ mod tests {
         assert_eq!(latest.len(), 2);
         assert_eq!(latest[0].trace_id, ids[2]);
         assert_eq!(latest[1].trace_id, ids[1]);
-        let stats = rec.stats();
-        assert_eq!(stats.started, 3);
-        assert_eq!(stats.ringed, 2);
+        assert_eq!(rec.started_total(), 3);
+        assert_eq!(rec.held(), (0, 2));
+    }
+
+    #[test]
+    fn span_total_counts_every_finished_trace_and_never_falls() {
+        let rec = SpanRecorder::new(1.0, 2);
+        let mut last = 0;
+        for i in 0..8u64 {
+            let h = rec.begin(None, "x").unwrap();
+            h.event(ROOT_SPAN, "route", "0".into(), "ok");
+            h.event(ROOT_SPAN, "dispatch", "a".into(), "ok");
+            // Trees of different sizes, so ring eviction changes what
+            // a sum over the held trees would say.
+            for _ in 0..i % 3 {
+                h.event(ROOT_SPAN, "retry", "b".into(), "busy");
+            }
+            h.end(ROOT_SPAN, "ok");
+            rec.finish(&h);
+            let now = rec.spans_total();
+            assert!(now >= last, "span total fell from {last} to {now}");
+            last = now;
+        }
+        let expected: u64 = (0..8u64).map(|i| 3 + i % 3).sum();
+        assert_eq!(rec.spans_total(), expected);
+        assert_eq!(rec.held(), (0, 2));
     }
 
     #[test]

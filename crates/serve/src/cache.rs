@@ -311,48 +311,6 @@ pub struct CacheStats {
     pub per_shard_evictions: Vec<u64>,
 }
 
-impl CacheStats {
-    /// Serialize for the `stats` reply.
-    pub fn to_json(&self) -> gt_analysis::Json {
-        use gt_analysis::Json;
-        Json::obj([
-            ("shards", Json::from(self.per_shard_len.len() as u64)),
-            ("len", Json::from(self.len as u64)),
-            ("capacity", Json::from(self.capacity as u64)),
-            ("hits", Json::from(self.hits)),
-            ("misses", Json::from(self.misses)),
-            ("admitted", Json::from(self.admitted)),
-            ("evictions", Json::from(self.evictions)),
-            ("ttl_evictions", Json::from(self.ttl_evictions)),
-            (
-                "ttl_ms",
-                match self.ttl_ms {
-                    Some(ms) => Json::from(ms),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "per_shard_len",
-                Json::Array(
-                    self.per_shard_len
-                        .iter()
-                        .map(|&n| Json::from(n as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "per_shard_evictions",
-                Json::Array(
-                    self.per_shard_evictions
-                        .iter()
-                        .map(|&n| Json::from(n))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 /// An LRU cache split across a power-of-two number of independently
 /// locked shards.  Keys are routed by their `DefaultHasher` hash, so
 /// hot concurrent traffic spreads its lock contention `1/N`-wise.
@@ -702,10 +660,16 @@ mod tests {
             s.len as u64 + s.evictions + s.ttl_evictions,
             "conservation law includes TTL expiry"
         );
-        let j = s.to_json();
-        use gt_analysis::Json;
-        assert_eq!(j.get("ttl_evictions").and_then(Json::as_u64), Some(6));
-        assert_eq!(j.get("ttl_ms").and_then(Json::as_u64), Some(15));
+        let view = crate::metrics::ServeView {
+            metrics: Default::default(),
+            cache: s,
+            executor_queued: 0,
+            flights_inflight: 0,
+            io_threads: 1,
+        };
+        let j = crate::registry::stats_json(crate::metrics::SERVE_FAMILIES, &view);
+        assert_eq!(j.u64("cache.ttl_evictions"), 6);
+        assert_eq!(j.u64("cache.ttl_ms"), 15);
     }
 
     #[test]

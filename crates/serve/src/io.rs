@@ -30,7 +30,7 @@
 //! * [`raise_nofile_limit`] — best-effort `RLIMIT_NOFILE` soft→hard
 //!   bump so one process can actually hold 10k+ sockets.
 
-use crate::metrics::{HistogramSnapshot, LatencyHistogram};
+use crate::metrics::LatencyHistogram;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, IoSlice, Write};
 use std::net::TcpStream;
@@ -107,7 +107,7 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
 // ---------------------------------------------------------------------------
 
 /// Health counters for one I/O event loop, updated lock-free by the
-/// owning thread each iteration and read by the metrics renderers.
+/// owning thread each iteration and read by the serve family table.
 /// `wait_us` is time spent asleep in `epoll_wait`/`poll` (idle);
 /// `work_us` is everything else in the iteration — socket reads,
 /// request parsing, outbox drains — i.e. how long freshly-ready
@@ -144,35 +144,6 @@ impl IoLoopStats {
         self.connections.store(connections, Ordering::Relaxed);
         self.outbox_bytes.store(outbox_bytes, Ordering::Relaxed);
     }
-
-    /// Freeze into plain data for rendering.
-    pub fn snapshot(&self) -> IoLoopSnapshot {
-        IoLoopSnapshot {
-            iterations: self.iterations.load(Ordering::Relaxed),
-            wait_us: self.wait_us.load(Ordering::Relaxed),
-            work_us: self.work_us.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            outbox_bytes: self.outbox_bytes.load(Ordering::Relaxed),
-            lag: self.lag.snapshot_full(),
-        }
-    }
-}
-
-/// A frozen [`IoLoopStats`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct IoLoopSnapshot {
-    /// See [`IoLoopStats::iterations`].
-    pub iterations: u64,
-    /// See [`IoLoopStats::wait_us`].
-    pub wait_us: u64,
-    /// See [`IoLoopStats::work_us`].
-    pub work_us: u64,
-    /// See [`IoLoopStats::connections`].
-    pub connections: u64,
-    /// See [`IoLoopStats::outbox_bytes`].
-    pub outbox_bytes: u64,
-    /// See [`IoLoopStats::lag`].
-    pub lag: HistogramSnapshot,
 }
 
 // ---------------------------------------------------------------------------
@@ -1019,19 +990,20 @@ mod tests {
     }
 
     #[test]
-    fn io_loop_stats_accumulate_and_snapshot() {
+    fn io_loop_stats_accumulate() {
         let s = IoLoopStats::default();
         s.record_iteration(100, 20);
         s.record_iteration(50, 5);
         s.set_gauges(3, 4096);
-        let snap = s.snapshot();
-        assert_eq!(snap.iterations, 2);
-        assert_eq!(snap.wait_us, 150);
-        assert_eq!(snap.work_us, 25);
-        assert_eq!(snap.connections, 3);
-        assert_eq!(snap.outbox_bytes, 4096);
-        assert_eq!(snap.lag.count, 2);
-        assert_eq!(snap.lag.sum_us, 25);
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(load(&s.iterations), 2);
+        assert_eq!(load(&s.wait_us), 150);
+        assert_eq!(load(&s.work_us), 25);
+        assert_eq!(load(&s.connections), 3);
+        assert_eq!(load(&s.outbox_bytes), 4096);
+        let lag = s.lag.snapshot();
+        assert_eq!(lag.count, 2);
+        assert_eq!(lag.sum, 25);
     }
 
     #[test]

@@ -42,16 +42,18 @@
 //!   requests for the same canonical key share one engine run; the
 //!   duplicates wait on the leader's flight instead of occupying
 //!   queue slots.
-//! * **Metrics registry** ([`metrics`]) — request/reject/timeout/cache
-//!   counters, a log-bucketed latency histogram, and per-algorithm
-//!   stage histograms with aggregated engine work counters, exposed
-//!   via a `stats` request and dumped as JSON on shutdown.
-//! * **Tracing and exposition** ([`trace`]) — every request is stamped
-//!   through recv → parse → probe → enqueue → dispatch → engine →
-//!   write; a bounded flight recorder retains recent and notable
-//!   (slow/shed/timed-out) traces for the `trace` request, and a
-//!   minimal HTTP listener serves the whole registry as Prometheus
-//!   text exposition on `--metrics-addr` (see `docs/OBSERVABILITY.md`).
+//! * **Metrics** ([`metrics`], [`registry`]) — request/reject/timeout/
+//!   cache counters, a log-bucketed latency histogram, and
+//!   per-algorithm stage histograms with aggregated engine work
+//!   counters.  One table declares every series once; the `stats`
+//!   request, the shutdown dump and the Prometheus text exposition on
+//!   `--metrics-addr` are all rendered from it (see
+//!   `docs/OBSERVABILITY.md`).
+//! * **Tracing** ([`trace`]) — every request is stamped through recv →
+//!   parse → probe → enqueue → dispatch → engine → write; a bounded
+//!   flight recorder retains recent and notable (slow/shed/timed-out)
+//!   traces for the `trace` request, and a minimal HTTP listener
+//!   serves `/metrics`.
 //! * **Load generator** ([`loadgen`]) — open- and closed-loop client
 //!   fleets, optionally pipelined, so throughput and tail latency are
 //!   measurable in-repo.
@@ -76,7 +78,7 @@
 //! assert!(reply.ok);
 //! server.request_shutdown();
 //! let stats = server.join();
-//! assert_eq!(stats.ok, 1);
+//! assert_eq!(stats.u64("ok"), 1);
 //! ```
 
 pub mod cache;
@@ -88,6 +90,7 @@ pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;
+pub mod registry;
 pub mod server;
 pub mod singleflight;
 pub mod snapshot;
@@ -101,8 +104,9 @@ pub use executor::{
 };
 pub use io::{BufferPool, LineAction, LineReader, Poller, Waker};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, TenantReport};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::Metrics;
 pub use protocol::{ErrorCode, Op, Request, Response};
+pub use registry::Stats;
 pub use server::{Config, Server};
 pub use singleflight::{Flight, FlightResult, FlightTable, Joined};
 pub use trace::{FlightRecorder, MetricsListener, StageStamps, TraceRecord};

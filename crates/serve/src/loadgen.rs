@@ -1045,8 +1045,12 @@ mod tests {
         let stats = server.join();
         // The server accounted every socket: 50 idle + 1 worker (plus
         // none left open at join time).
-        assert!(stats.connections >= 51, "connections {}", stats.connections);
-        assert_eq!(stats.open_conns, 0);
+        assert!(
+            stats.u64("connections") >= 51,
+            "connections {}",
+            stats.u64("connections")
+        );
+        assert_eq!(stats.u64("open_conns"), 0);
     }
 
     #[test]

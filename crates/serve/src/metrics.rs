@@ -1,27 +1,34 @@
-//! The serving metrics registry: lock-free counters plus log-bucketed
-//! latency histograms, including a per-algorithm stage breakdown.
+//! The serve tier's metrics: where each counter is recorded, and the
+//! one table that declares how each is exported.
 //!
-//! Counters are plain relaxed atomics — every code path that touches
-//! them is already synchronized by the channels it communicates over,
-//! so the registry never becomes a contention point.  Latencies land in
-//! power-of-two microsecond buckets; quantiles are read back by linear
-//! interpolation within the bucket containing the target rank, so
-//! unimodal load no longer collapses p50/p90/p99 onto one bucket bound.
-//! Each algorithm additionally gets four stage histograms (`queue_wait`,
-//! `batch_wait`, `engine`, `write`) and the paper's work counters
-//! (leaves, steps, max frontier width, pruning events), registered
-//! lazily on first dispatch.  Rendering rides on
-//! [`gt_analysis::histogram`] and [`gt_analysis::Json`].
+//! Counters are plain relaxed atomics on named fields of [`Metrics`]
+//! and its lazily registered cards ([`AlgoStages`] per algorithm,
+//! [`TenantStats`] per tenant, `IoLoopStats` per I/O thread).  Every
+//! code path that touches them is already synchronized by the channels
+//! it communicates over, so the registry never becomes a contention
+//! point.  Distributions land in power-of-two [`Histogram`] buckets;
+//! quantiles are read back by linear interpolation within the bucket
+//! holding the target rank, so unimodal load does not collapse
+//! p50/p90/p99 onto one bucket bound.  Each algorithm gets four stage
+//! histograms (`queue_wait`, `batch_wait`, `engine`, `write`) and the
+//! paper's work counters (leaves, steps, max frontier width, pruning
+//! events).
+//!
+//! [`SERVE_FAMILIES`] declares every series once: its exposition name,
+//! type, help text and `stats` key, and how to read it from a
+//! [`ServeView`].  The `stats` reply, `/metrics` and the shutdown dump
+//! are all rendered from it by [`crate::registry`].
 
-use crate::io::{IoLoopSnapshot, IoLoopStats};
+use crate::cache::CacheStats;
+use crate::io::IoLoopStats;
+use crate::registry::{
+    build_info, counter, gauge, histogram, info, one, uptime, Family, Sample, Unit, Value,
+};
 use crate::workload::EvalOutcome;
-use gt_analysis::{histogram, Json};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-
-const BUCKETS: usize = 40;
 
 /// Inclusive-exclusive value range of bucket `i`: `[0,2)` for bucket 0,
 /// `[2^i, 2^{i+1})` above it.
@@ -30,162 +37,96 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
     (lo, 1u64 << (i + 1))
 }
 
-/// `q`-quantile over power-of-two bucket counts, linearly interpolated
-/// within the target bucket (rank semantics: the value at the ceiling
-/// rank, with uniform mass assumed across each bucket's range).
-fn quantile_from_buckets(buckets: &[u64], count: u64, q: f64) -> Option<u64> {
-    if count == 0 {
-        return None;
-    }
-    let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if seen + c >= target {
-            let (lo, hi) = bucket_bounds(i);
-            let frac = (target - seen) as f64 / c as f64;
-            return Some(lo + (frac * (hi - lo) as f64) as u64);
-        }
-        seen += c;
-    }
-    None
-}
-
-/// Lock-free latency histogram over power-of-two microsecond buckets.
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
+/// Lock-free histogram over `N` power-of-two buckets: bucket `i`
+/// counts observations in `[2^i, 2^{i+1})` (0 and 1 land in bucket 0,
+/// everything past the top bound in the last bucket).
+pub struct Histogram<const N: usize> {
+    buckets: [AtomicU64; N],
     count: AtomicU64,
-    sum_us: AtomicU64,
+    sum: AtomicU64,
 }
 
-impl Default for LatencyHistogram {
+/// Microsecond latencies (and the unitless executor queue depth).
+pub type LatencyHistogram = Histogram<40>;
+
+/// Executor dispatch sizes — the cross-key micro-batching telemetry.
+pub type BatchHistogram = Histogram<12>;
+
+impl<const N: usize> Default for Histogram<N> {
     fn default() -> Self {
-        LatencyHistogram {
+        Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
         }
     }
 }
 
-impl LatencyHistogram {
-    fn bucket_index(us: u64) -> usize {
-        // Bucket i covers [2^i, 2^{i+1}); 0 µs lands in bucket 0.
-        (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1)
+impl<const N: usize> Histogram<N> {
+    fn bucket_index(v: u64) -> usize {
+        (63 - v.max(1).leading_zeros() as usize).min(N - 1)
     }
 
-    /// Record one observation, in microseconds.
-    pub fn record(&self, us: u64) {
-        self.buckets[Self::bucket_index(us)].fetch_add(1, Ordering::Relaxed);
+    /// Record one observation.
+    pub fn record(&self, v: u64) {
+        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Freeze the histogram into a plain-data [`HistogramSnapshot`].
-    pub fn snapshot_full(&self) -> HistogramSnapshot {
+    pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count.load(Ordering::Relaxed),
-            sum_us: self.sum_us.load(Ordering::Relaxed),
-            buckets: self.snapshot(),
+            sum: self.sum.load(Ordering::Relaxed),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
         }
     }
 }
 
-/// A frozen latency histogram: counts plus derived statistics.
+/// A frozen histogram: counts plus derived statistics.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,
-    /// Sum of all observations, microseconds.
-    pub sum_us: u64,
+    /// Sum of all observations.
+    pub sum: u64,
     /// Power-of-two bucket counts.
     pub buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
-    /// Interpolated `q`-quantile in microseconds.
-    pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        quantile_from_buckets(&self.buckets, self.count, q)
-    }
-
-    /// Mean in microseconds.
-    pub fn mean_us(&self) -> Option<f64> {
+    /// `q`-quantile, `0.0 < q <= 1.0`, linearly interpolated within
+    /// the bucket holding the target rank (rank semantics: the value
+    /// at the ceiling rank, with uniform mass assumed across each
+    /// bucket's range); `None` when nothing was recorded.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
-            None
-        } else {
-            Some(self.sum_us as f64 / self.count as f64)
+            return None;
         }
-    }
-
-    /// Compact JSON summary (`count`, `sum_us`, mean and quantiles).
-    pub fn to_json(&self) -> Json {
-        let q = |q: f64| match self.quantile_us(q) {
-            Some(us) => Json::from(us),
-            None => Json::Null,
-        };
-        Json::obj([
-            ("count", Json::from(self.count)),
-            ("sum_us", Json::from(self.sum_us)),
-            (
-                "mean_us",
-                match self.mean_us() {
-                    Some(m) => Json::from(m),
-                    None => Json::Null,
-                },
-            ),
-            ("p50_us", q(0.50)),
-            ("p90_us", q(0.90)),
-            ("p99_us", q(0.99)),
-        ])
-    }
-}
-
-const BATCH_BUCKETS: usize = 12;
-
-/// Lock-free histogram of executor dispatch sizes, in power-of-two
-/// buckets — the cross-key micro-batching telemetry.
-pub struct BatchHistogram {
-    buckets: [AtomicU64; BATCH_BUCKETS],
-    batches: AtomicU64,
-    jobs: AtomicU64,
-}
-
-impl Default for BatchHistogram {
-    fn default() -> Self {
-        BatchHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            batches: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
+        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if seen + c >= target {
+                let (lo, hi) = bucket_bounds(i);
+                let frac = (target - seen) as f64 / c as f64;
+                return Some(lo + (frac * (hi - lo) as f64) as u64);
+            }
+            seen += c;
         }
-    }
-}
-
-impl BatchHistogram {
-    fn bucket_index(size: usize) -> usize {
-        (63 - (size.max(1) as u64).leading_zeros() as usize).min(BATCH_BUCKETS - 1)
+        None
     }
 
-    /// Record one dispatch of `size` jobs.
-    pub fn record(&self, size: usize) {
-        self.buckets[Self::bucket_index(size)].fetch_add(1, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.jobs.fetch_add(size as u64, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+    /// Mean observation.
+    pub fn mean(&self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 }
 
@@ -226,68 +167,6 @@ impl AlgoStages {
         self.max_width
             .fetch_max(u64::from(outcome.max_width), Ordering::Relaxed);
     }
-
-    fn snapshot(&self, algo: &str) -> AlgoStagesSnapshot {
-        AlgoStagesSnapshot {
-            algo: algo.to_string(),
-            queue_wait: self.queue_wait.snapshot_full(),
-            batch_wait: self.batch_wait.snapshot_full(),
-            engine: self.engine.snapshot_full(),
-            write: self.write.snapshot_full(),
-            evals: self.evals.load(Ordering::Relaxed),
-            leaves: self.leaves.load(Ordering::Relaxed),
-            steps: self.steps.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            max_width: self.max_width.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Frozen copy of one algorithm's [`AlgoStages`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlgoStagesSnapshot {
-    /// Algorithm name (the request's `algo` selector name).
-    pub algo: String,
-    /// See [`AlgoStages::queue_wait`].
-    pub queue_wait: HistogramSnapshot,
-    /// See [`AlgoStages::batch_wait`].
-    pub batch_wait: HistogramSnapshot,
-    /// See [`AlgoStages::engine`].
-    pub engine: HistogramSnapshot,
-    /// See [`AlgoStages::write`].
-    pub write: HistogramSnapshot,
-    /// See [`AlgoStages::evals`].
-    pub evals: u64,
-    /// See [`AlgoStages::leaves`].
-    pub leaves: u64,
-    /// See [`AlgoStages::steps`].
-    pub steps: u64,
-    /// See [`AlgoStages::pruned`].
-    pub pruned: u64,
-    /// See [`AlgoStages::max_width`].
-    pub max_width: u64,
-}
-
-impl AlgoStagesSnapshot {
-    /// Serialize for the `stats` reply.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("queue_wait", self.queue_wait.to_json()),
-            ("batch_wait", self.batch_wait.to_json()),
-            ("engine", self.engine.to_json()),
-            ("write", self.write.to_json()),
-            (
-                "work",
-                Json::obj([
-                    ("evals", Json::from(self.evals)),
-                    ("leaves", Json::from(self.leaves)),
-                    ("steps", Json::from(self.steps)),
-                    ("pruned", Json::from(self.pruned)),
-                    ("max_width", Json::from(self.max_width)),
-                ]),
-            ),
-        ])
-    }
 }
 
 /// Per-tenant request accounting, registered lazily on the first
@@ -304,45 +183,6 @@ pub struct TenantStats {
     pub shed: AtomicU64,
     /// End-to-end latency of this tenant's answered requests.
     pub latency: LatencyHistogram,
-}
-
-impl TenantStats {
-    fn snapshot(&self, tenant: &str) -> TenantSnapshot {
-        TenantSnapshot {
-            tenant: tenant.to_string(),
-            requests: self.requests.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            latency: self.latency.snapshot_full(),
-        }
-    }
-}
-
-/// Frozen copy of one tenant's [`TenantStats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantSnapshot {
-    /// Tenant id (the request's `tenant` field).
-    pub tenant: String,
-    /// See [`TenantStats::requests`].
-    pub requests: u64,
-    /// See [`TenantStats::ok`].
-    pub ok: u64,
-    /// See [`TenantStats::shed`].
-    pub shed: u64,
-    /// See [`TenantStats::latency`].
-    pub latency: HistogramSnapshot,
-}
-
-impl TenantSnapshot {
-    /// Serialize for the `stats` reply.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("requests", Json::from(self.requests)),
-            ("ok", Json::from(self.ok)),
-            ("shed", Json::from(self.shed)),
-            ("latency", self.latency.to_json()),
-        ])
-    }
 }
 
 /// Server start time with a `Default` impl so [`Metrics`] can keep
@@ -500,7 +340,7 @@ impl Metrics {
         let mut sum = 0u64;
         let mut count = 0u64;
         for s in stages.values() {
-            sum += s.engine.sum_us.load(Ordering::Relaxed);
+            sum += s.engine.sum.load(Ordering::Relaxed);
             count += s.engine.count.load(Ordering::Relaxed);
         }
         if count == 0 {
@@ -510,392 +350,506 @@ impl Metrics {
         }
     }
 
-    /// Freeze the registry into a plain-data snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let r = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            received: r(&self.received),
-            ok: r(&self.ok),
-            bad_request: r(&self.bad_request),
-            shed: r(&self.shed),
-            timeout: r(&self.timeout),
-            draining: r(&self.draining),
-            internal: r(&self.internal),
-            cache_hits: r(&self.cache_hits),
-            cache_misses: r(&self.cache_misses),
-            coalesced_hits: r(&self.coalesced_hits),
-            evaluated: r(&self.evaluated),
-            subeval_requests: r(&self.subeval_requests),
-            subevals: r(&self.subevals),
-            connections: r(&self.connections),
-            open_conns: r(&self.open_conns),
-            idle_closed: r(&self.idle_closed),
-            overflow_closed: r(&self.overflow_closed),
-            overlong_closed: r(&self.overlong_closed),
-            par_steals: r(&self.par_steals),
-            par_retires: r(&self.par_retires),
-            par_narrowings: r(&self.par_narrowings),
-            par_grants: r(&self.par_grants),
-            par_grant_threads: r(&self.par_grant_threads),
-            latency_count: self.latency.count.load(Ordering::Relaxed),
-            latency_sum_us: self.latency.sum_us.load(Ordering::Relaxed),
-            latency_buckets: self.latency.snapshot(),
-            batches: self.batches.batches.load(Ordering::Relaxed),
-            batch_jobs: self.batches.jobs.load(Ordering::Relaxed),
-            batch_size_buckets: self.batches.snapshot(),
-            cachepull_served: r(&self.cachepull_served),
-            cachepull_entries: r(&self.cachepull_entries),
-            warmfill_entries: r(&self.warmfill_entries),
-            snapshot_restored: r(&self.snapshot_restored),
-            stages: self
-                .stages
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(name, s)| s.snapshot(name))
-                .collect(),
-            tenants: self
-                .tenants
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(name, s)| s.snapshot(name))
-                .collect(),
-            io_loops: self
-                .io_loops
-                .read()
-                .unwrap()
-                .iter()
-                .map(|s| s.snapshot())
-                .collect(),
-            queue_depth: self.queue_depth.snapshot_full(),
-            uptime_us: self.uptime_us(),
-        }
+    fn algos(&self) -> Vec<(String, Arc<AlgoStages>)> {
+        cards(&self.stages)
+    }
+
+    fn tenant_cards(&self) -> Vec<(String, Arc<TenantStats>)> {
+        cards(&self.tenants)
     }
 }
 
-/// A point-in-time copy of every metric, safe to serialize or compare.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// See [`Metrics::received`].
-    pub received: u64,
-    /// See [`Metrics::ok`].
-    pub ok: u64,
-    /// See [`Metrics::bad_request`].
-    pub bad_request: u64,
-    /// See [`Metrics::shed`].
-    pub shed: u64,
-    /// See [`Metrics::timeout`].
-    pub timeout: u64,
-    /// See [`Metrics::draining`].
-    pub draining: u64,
-    /// See [`Metrics::internal`].
-    pub internal: u64,
-    /// See [`Metrics::cache_hits`].
-    pub cache_hits: u64,
-    /// See [`Metrics::cache_misses`].
-    pub cache_misses: u64,
-    /// See [`Metrics::coalesced_hits`].
-    pub coalesced_hits: u64,
-    /// See [`Metrics::evaluated`].
-    pub evaluated: u64,
-    /// See [`Metrics::subeval_requests`].
-    pub subeval_requests: u64,
-    /// See [`Metrics::subevals`].
-    pub subevals: u64,
-    /// See [`Metrics::connections`].
-    pub connections: u64,
-    /// See [`Metrics::open_conns`].
-    pub open_conns: u64,
-    /// See [`Metrics::idle_closed`].
-    pub idle_closed: u64,
-    /// See [`Metrics::overflow_closed`].
-    pub overflow_closed: u64,
-    /// See [`Metrics::overlong_closed`].
-    pub overlong_closed: u64,
-    /// See [`Metrics::par_steals`].
-    pub par_steals: u64,
-    /// See [`Metrics::par_retires`].
-    pub par_retires: u64,
-    /// See [`Metrics::par_narrowings`].
-    pub par_narrowings: u64,
-    /// See [`Metrics::par_grants`].
-    pub par_grants: u64,
-    /// See [`Metrics::par_grant_threads`].
-    pub par_grant_threads: u64,
-    /// Observations recorded in the latency histogram.
-    pub latency_count: u64,
-    /// Sum of all recorded latencies, microseconds.
-    pub latency_sum_us: u64,
-    /// Power-of-two bucket counts (bucket `i` covers `[2^i, 2^{i+1})` µs).
-    pub latency_buckets: Vec<u64>,
-    /// Executor dispatches performed.
-    pub batches: u64,
-    /// Jobs carried by those dispatches (`batch_jobs / batches` is the
-    /// mean micro-batch size).
-    pub batch_jobs: u64,
-    /// Power-of-two dispatch-size bucket counts (bucket `i` covers
-    /// batches of `[2^i, 2^{i+1})` jobs).
-    pub batch_size_buckets: Vec<u64>,
-    /// See [`Metrics::cachepull_served`].
-    pub cachepull_served: u64,
-    /// See [`Metrics::cachepull_entries`].
-    pub cachepull_entries: u64,
-    /// See [`Metrics::warmfill_entries`].
-    pub warmfill_entries: u64,
-    /// See [`Metrics::snapshot_restored`].
-    pub snapshot_restored: u64,
-    /// Per-algorithm stage histograms and work aggregates, sorted by
-    /// algorithm name.
-    pub stages: Vec<AlgoStagesSnapshot>,
-    /// Per-tenant request accounting, sorted by tenant id.
-    pub tenants: Vec<TenantSnapshot>,
-    /// Per-io-thread event-loop health, in loop order.
-    pub io_loops: Vec<IoLoopSnapshot>,
-    /// Executor queue-depth-over-time samples (power-of-two depth
-    /// buckets).
-    pub queue_depth: HistogramSnapshot,
-    /// Server uptime at snapshot time, microseconds.
-    pub uptime_us: u64,
+fn cards<T>(map: &RwLock<BTreeMap<String, Arc<T>>>) -> Vec<(String, Arc<T>)> {
+    let map = map.read().expect("card registration never panics");
+    map.iter()
+        .map(|(k, v)| (k.clone(), Arc::clone(v)))
+        .collect()
 }
 
-impl MetricsSnapshot {
-    /// The `q`-quantile latency in µs, `0.0 < q <= 1.0`, linearly
-    /// interpolated within the bucket holding the target rank (so
-    /// distinct quantiles stay distinct even when one bucket holds all
-    /// the mass); `None` when nothing was recorded.
-    pub fn latency_quantile_us(&self, q: f64) -> Option<u64> {
-        quantile_from_buckets(&self.latency_buckets, self.latency_count, q)
-    }
-
-    /// Mean latency in microseconds.
-    pub fn latency_mean_us(&self) -> Option<f64> {
-        if self.latency_count == 0 {
-            None
-        } else {
-            Some(self.latency_sum_us as f64 / self.latency_count as f64)
-        }
-    }
-
-    /// Serialize for the `stats` reply and the shutdown dump.
-    pub fn to_json(&self) -> Json {
-        let quantile = |q: f64| match self.latency_quantile_us(q) {
-            Some(us) => Json::from(us),
-            None => Json::Null,
-        };
-        Json::obj([
-            ("received", Json::from(self.received)),
-            ("ok", Json::from(self.ok)),
-            ("bad_request", Json::from(self.bad_request)),
-            ("shed", Json::from(self.shed)),
-            ("timeout", Json::from(self.timeout)),
-            ("draining", Json::from(self.draining)),
-            ("internal", Json::from(self.internal)),
-            ("cache_hits", Json::from(self.cache_hits)),
-            ("cache_misses", Json::from(self.cache_misses)),
-            ("coalesced_hits", Json::from(self.coalesced_hits)),
-            ("evaluated", Json::from(self.evaluated)),
-            ("subeval_requests", Json::from(self.subeval_requests)),
-            ("subevals", Json::from(self.subevals)),
-            ("connections", Json::from(self.connections)),
-            ("open_conns", Json::from(self.open_conns)),
-            ("idle_closed", Json::from(self.idle_closed)),
-            ("overflow_closed", Json::from(self.overflow_closed)),
-            ("overlong_closed", Json::from(self.overlong_closed)),
-            ("par_steals", Json::from(self.par_steals)),
-            ("par_retires", Json::from(self.par_retires)),
-            ("par_narrowings", Json::from(self.par_narrowings)),
-            ("par_grants", Json::from(self.par_grants)),
-            ("par_grant_threads", Json::from(self.par_grant_threads)),
-            ("latency_count", Json::from(self.latency_count)),
-            (
-                "latency_mean_us",
-                match self.latency_mean_us() {
-                    Some(m) => Json::from(m),
-                    None => Json::Null,
-                },
-            ),
-            ("latency_p50_us", quantile(0.50)),
-            ("latency_p90_us", quantile(0.90)),
-            ("latency_p99_us", quantile(0.99)),
-            (
-                "latency_buckets",
-                Json::Array(
-                    self.latency_buckets
-                        .iter()
-                        .map(|&c| Json::from(c))
-                        .collect(),
-                ),
-            ),
-            ("batches", Json::from(self.batches)),
-            ("batch_jobs", Json::from(self.batch_jobs)),
-            (
-                "batch_mean_size",
-                if self.batches == 0 {
-                    Json::Null
-                } else {
-                    Json::from(self.batch_jobs as f64 / self.batches as f64)
-                },
-            ),
-            (
-                "batch_size_buckets",
-                Json::Array(
-                    self.batch_size_buckets
-                        .iter()
-                        .map(|&c| Json::from(c))
-                        .collect(),
-                ),
-            ),
-            ("cachepull_served", Json::from(self.cachepull_served)),
-            ("cachepull_entries", Json::from(self.cachepull_entries)),
-            ("warmfill_entries", Json::from(self.warmfill_entries)),
-            ("snapshot_restored", Json::from(self.snapshot_restored)),
-            (
-                "stages",
-                Json::Object(
-                    self.stages
-                        .iter()
-                        .map(|s| (s.algo.clone(), s.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "tenants",
-                Json::Object(
-                    self.tenants
-                        .iter()
-                        .map(|t| (t.tenant.clone(), t.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "io_loops",
-                Json::Array(
-                    self.io_loops
-                        .iter()
-                        .map(|l| {
-                            Json::obj([
-                                ("iterations", Json::from(l.iterations)),
-                                ("wait_us", Json::from(l.wait_us)),
-                                ("work_us", Json::from(l.work_us)),
-                                ("connections", Json::from(l.connections)),
-                                ("outbox_bytes", Json::from(l.outbox_bytes)),
-                                ("lag", l.lag.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("queue_depth", self.queue_depth.to_json()),
-            ("uptime_s", Json::from(self.uptime_us as f64 / 1e6)),
-            ("version", Json::from(env!("CARGO_PKG_VERSION"))),
-        ])
-    }
-
-    /// Human-readable dump: counters plus an ASCII latency histogram.
-    pub fn render_ascii(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "received    : {}", self.received);
-        let _ = writeln!(out, "ok          : {}", self.ok);
-        let _ = writeln!(out, "bad_request : {}", self.bad_request);
-        let _ = writeln!(out, "shed        : {}", self.shed);
-        let _ = writeln!(out, "timeout     : {}", self.timeout);
-        let _ = writeln!(out, "draining    : {}", self.draining);
-        let _ = writeln!(out, "internal    : {}", self.internal);
-        let _ = writeln!(out, "cache_hits  : {}", self.cache_hits);
-        let _ = writeln!(out, "cache_misses: {}", self.cache_misses);
-        let _ = writeln!(out, "coalesced   : {}", self.coalesced_hits);
-        let _ = writeln!(out, "evaluated   : {}", self.evaluated);
-        if self.subeval_requests > 0 {
-            let _ = writeln!(
-                out,
-                "subevals    : {} ({} requests)",
-                self.subevals, self.subeval_requests
-            );
-        }
-        let _ = writeln!(
-            out,
-            "connections : {} ({} open)",
-            self.connections, self.open_conns
-        );
-        if self.idle_closed + self.overflow_closed + self.overlong_closed > 0 {
-            let _ = writeln!(
-                out,
-                "conn closes : {} idle, {} outbox overflow, {} over-long",
-                self.idle_closed, self.overflow_closed, self.overlong_closed
-            );
-        }
-        if self.par_grants > 0 {
-            let _ = writeln!(
-                out,
-                "par grants  : {} (mean {:.2} threads; {} steals, {} retires, {} narrowings)",
-                self.par_grants,
-                self.par_grant_threads as f64 / self.par_grants as f64,
-                self.par_steals,
-                self.par_retires,
-                self.par_narrowings,
-            );
-        }
-        if self.snapshot_restored + self.warmfill_entries > 0 {
-            let _ = writeln!(
-                out,
-                "warm boot   : {} snapshot entries, {} warm-filled from peers",
-                self.snapshot_restored, self.warmfill_entries
-            );
-        }
-        for t in &self.tenants {
-            let _ = writeln!(
-                out,
-                "tenant {:12}: {} requests, {} ok, {} shed, p99~{}us",
-                t.tenant,
-                t.requests,
-                t.ok,
-                t.shed,
-                t.latency.quantile_us(0.99).unwrap_or(0),
-            );
-        }
-        if self.batches > 0 {
-            let _ = writeln!(
-                out,
-                "batches     : {} ({} jobs, mean size {:.2})",
-                self.batches,
-                self.batch_jobs,
-                self.batch_jobs as f64 / self.batches as f64,
-            );
-        }
-        if self.latency_count > 0 {
-            let _ = writeln!(
-                out,
-                "latency     : n={} mean={:.0}us p50~{}us p99~{}us",
-                self.latency_count,
-                self.latency_mean_us().unwrap_or(0.0),
-                self.latency_quantile_us(0.5).unwrap_or(0),
-                self.latency_quantile_us(0.99).unwrap_or(0),
-            );
-            // Trim to the occupied bucket range for a compact chart.
-            let lo = self
-                .latency_buckets
-                .iter()
-                .position(|&c| c > 0)
-                .unwrap_or(0);
-            let hi = self
-                .latency_buckets
-                .iter()
-                .rposition(|&c| c > 0)
-                .unwrap_or(0);
-            let rows: Vec<(String, u64)> = (lo..=hi)
-                .map(|i| (format!("<{}us", 1u128 << (i + 1)), self.latency_buckets[i]))
-                .collect();
-            out.push_str(&histogram::bars(&rows, 40));
-        }
-        out
-    }
+/// What [`SERVE_FAMILIES`] read: the live registry plus one read of
+/// the state whose size they report.
+pub(crate) struct ServeView {
+    pub metrics: Arc<Metrics>,
+    pub cache: CacheStats,
+    pub executor_queued: usize,
+    pub flights_inflight: usize,
+    pub io_threads: usize,
 }
+
+fn per_algo(v: &ServeView, pick: impl Fn(&AlgoStages) -> Value) -> Vec<Sample> {
+    let algos = v.metrics.algos().into_iter();
+    algos
+        .map(|(a, s)| Sample::new([("algo", a)], pick(&s)))
+        .collect()
+}
+
+fn per_tenant(v: &ServeView, pick: impl Fn(&TenantStats) -> Value) -> Vec<Sample> {
+    let tenants = v.metrics.tenant_cards().into_iter();
+    tenants
+        .map(|(t, s)| Sample::new([("tenant", t)], pick(&s)))
+        .collect()
+}
+
+fn per_loop(v: &ServeView, pick: impl Fn(&IoLoopStats) -> Value) -> Vec<Sample> {
+    let loops = v
+        .metrics
+        .io_loops
+        .read()
+        .expect("loop registration never panics");
+    let loops = loops.iter().enumerate();
+    loops
+        .map(|(i, l)| Sample::new([("loop", i.to_string())], pick(l)))
+        .collect()
+}
+
+fn per_shard<T: Copy + Into<Value>>(values: &[T]) -> Vec<Sample> {
+    let shards = values.iter().enumerate();
+    shards
+        .map(|(i, &n)| Sample::new([("shard", i.to_string())], n))
+        .collect()
+}
+
+/// Every series the serve tier exports, each declared once, in `stats`
+/// key order.
+pub(crate) const SERVE_FAMILIES: &[Family<ServeView>] = &[
+    counter(
+        "gtserve_requests_total",
+        "received",
+        "Request lines received, malformed ones included.",
+        |v| one(&v.metrics.received),
+    ),
+    counter("gtserve_ok_total", "ok", "Successful eval replies.", |v| {
+        one(&v.metrics.ok)
+    }),
+    counter(
+        "gtserve_bad_request_total",
+        "bad_request",
+        "Malformed or invalid requests.",
+        |v| one(&v.metrics.bad_request),
+    ),
+    counter(
+        "gtserve_shed_total",
+        "shed",
+        "Requests shed by backpressure.",
+        |v| one(&v.metrics.shed),
+    ),
+    counter(
+        "gtserve_timeout_total",
+        "timeout",
+        "Requests that missed their deadline.",
+        |v| one(&v.metrics.timeout),
+    ),
+    counter(
+        "gtserve_draining_total",
+        "draining",
+        "Requests rejected during drain.",
+        |v| one(&v.metrics.draining),
+    ),
+    counter(
+        "gtserve_internal_total",
+        "internal",
+        "Internal failures.",
+        |v| one(&v.metrics.internal),
+    ),
+    counter(
+        "gtserve_cache_hits_total",
+        "cache_hits",
+        "Evals answered from the result cache.",
+        |v| one(&v.metrics.cache_hits),
+    ),
+    counter(
+        "gtserve_cache_misses_total",
+        "cache_misses",
+        "Evals that had to run an engine.",
+        |v| one(&v.metrics.cache_misses),
+    ),
+    counter(
+        "gtserve_coalesced_total",
+        "coalesced_hits",
+        "Evals that joined an in-flight run.",
+        |v| one(&v.metrics.coalesced_hits),
+    ),
+    counter(
+        "gtserve_evaluated_total",
+        "evaluated",
+        "Engine runs completed.",
+        |v| one(&v.metrics.evaluated),
+    ),
+    counter(
+        "gtserve_subeval_requests_total",
+        "subeval_requests",
+        "subeval request lines received.",
+        |v| one(&v.metrics.subeval_requests),
+    ),
+    counter(
+        "gtserve_subevals_total",
+        "subevals",
+        "Subtree evaluations completed.",
+        |v| one(&v.metrics.subevals),
+    ),
+    counter(
+        "gtserve_connections_total",
+        "connections",
+        "Connections accepted.",
+        |v| one(&v.metrics.connections),
+    ),
+    gauge(
+        "gtserve_open_connections",
+        "open_conns",
+        "Connections currently registered with an I/O thread.",
+        |v| one(&v.metrics.open_conns),
+    ),
+    counter(
+        "gtserve_conn_idle_closed_total",
+        "idle_closed",
+        "Connections closed by the idle timeout.",
+        |v| one(&v.metrics.idle_closed),
+    ),
+    counter(
+        "gtserve_conn_overflow_closed_total",
+        "overflow_closed",
+        "Connections closed for overflowing their outbound queue.",
+        |v| one(&v.metrics.overflow_closed),
+    ),
+    counter(
+        "gtserve_conn_overlong_closed_total",
+        "overlong_closed",
+        "Connections closed for an over-long request line.",
+        |v| one(&v.metrics.overlong_closed),
+    ),
+    counter(
+        "gtserve_engine_par_steals_total",
+        "par_steals",
+        "Work-stealing engine: tasks stolen across worker deques.",
+        |v| one(&v.metrics.par_steals),
+    ),
+    counter(
+        "gtserve_engine_par_retires_total",
+        "par_retires",
+        "Work-stealing engine: tasks retired unrun by cutoffs (the pre-emption rule).",
+        |v| one(&v.metrics.par_retires),
+    ),
+    counter(
+        "gtserve_engine_par_window_narrowings_total",
+        "par_narrowings",
+        "Work-stealing engine: shared alpha/beta window bound movements.",
+        |v| one(&v.metrics.par_narrowings),
+    ),
+    counter(
+        "gtserve_engine_par_grants_total",
+        "par_grants",
+        "Multi-thread worker grants issued to par-* evaluations.",
+        |v| one(&v.metrics.par_grants),
+    ),
+    counter(
+        "gtserve_engine_par_grant_threads_total",
+        "par_grant_threads",
+        "Threads covered by those grants (divide by grants for the mean width).",
+        |v| one(&v.metrics.par_grant_threads),
+    ),
+    histogram(
+        "gtserve_latency_seconds",
+        "latency_",
+        "End-to-end server-side latency of eval requests.",
+        |v| one(&v.metrics.latency),
+    ),
+    counter(
+        "gtserve_batches_total",
+        "batches",
+        "Executor dispatches performed.",
+        |v| one(&v.metrics.batches.count),
+    ),
+    counter(
+        "gtserve_batch_jobs_total",
+        "batch_jobs",
+        "Jobs carried by executor dispatches.",
+        |v| one(&v.metrics.batches.sum),
+    ),
+    info(
+        "batch_mean_size",
+        "Mean jobs per dispatch: batch_jobs / batches.",
+        |v| one(v.metrics.batches.snapshot().mean()),
+    ),
+    Family {
+        unit: Unit::One,
+        ..histogram(
+            "gtserve_batch_size",
+            "batch_size_",
+            "Jobs per executor dispatch (le = jobs).",
+            |v| one(&v.metrics.batches),
+        )
+    },
+    counter(
+        "gtserve_cachepull_served_total",
+        "cachepull_served",
+        "cachepull requests served to warm-filling peers.",
+        |v| one(&v.metrics.cachepull_served),
+    ),
+    counter(
+        "gtserve_cachepull_entries_total",
+        "cachepull_entries",
+        "Entries shipped across served cachepulls.",
+        |v| one(&v.metrics.cachepull_entries),
+    ),
+    counter(
+        "gtserve_warmfill_entries_total",
+        "warmfill_entries",
+        "Cache entries warm-filled from peers at (re)join.",
+        |v| one(&v.metrics.warmfill_entries),
+    ),
+    counter(
+        "gtserve_snapshot_restored_total",
+        "snapshot_restored",
+        "Cache entries restored from the boot snapshot.",
+        |v| one(&v.metrics.snapshot_restored),
+    ),
+    histogram(
+        "gtserve_stage_latency_seconds",
+        "stages.{algo}.{stage}",
+        "Per-stage latency by algorithm (queue_wait, batch_wait, engine, write).",
+        |v| {
+            let mut out = Vec::new();
+            for (algo, s) in v.metrics.algos() {
+                for (stage, h) in [
+                    ("queue_wait", &s.queue_wait),
+                    ("batch_wait", &s.batch_wait),
+                    ("engine", &s.engine),
+                    ("write", &s.write),
+                ] {
+                    out.push(Sample::new(
+                        [("algo", algo.clone()), ("stage", stage.to_string())],
+                        h,
+                    ));
+                }
+            }
+            out
+        },
+    ),
+    counter(
+        "gtserve_engine_work_total",
+        "stages.{algo}.work.{counter}",
+        "Engine work counters by algorithm (paper: leaves = W(T), steps = rounds).",
+        |v| {
+            let mut out = Vec::new();
+            for (algo, s) in v.metrics.algos() {
+                for (c, n) in [
+                    ("evals", &s.evals),
+                    ("leaves", &s.leaves),
+                    ("steps", &s.steps),
+                    ("pruned", &s.pruned),
+                ] {
+                    out.push(Sample::new(
+                        [("algo", algo.clone()), ("counter", c.to_string())],
+                        n,
+                    ));
+                }
+            }
+            out
+        },
+    ),
+    gauge(
+        "gtserve_engine_max_width",
+        "stages.{algo}.work.max_width",
+        "Largest evaluation frontier any run reached (processors used).",
+        |v| per_algo(v, |s| Value::from(&s.max_width)),
+    ),
+    counter(
+        "gtserve_tenant_requests_total",
+        "tenants.{tenant}.requests",
+        "Requests attributed to each tenant.",
+        |v| per_tenant(v, |t| Value::from(&t.requests)),
+    ),
+    counter(
+        "gtserve_tenant_ok_total",
+        "tenants.{tenant}.ok",
+        "Successful replies to each tenant.",
+        |v| per_tenant(v, |t| Value::from(&t.ok)),
+    ),
+    counter(
+        "gtserve_tenant_shed_total",
+        "tenants.{tenant}.shed",
+        "Requests shed by a tenant's inflight cap.",
+        |v| per_tenant(v, |t| Value::from(&t.shed)),
+    ),
+    histogram(
+        "gtserve_tenant_latency_seconds",
+        "tenants.{tenant}.latency",
+        "End-to-end latency by tenant.",
+        |v| per_tenant(v, |t| Value::from(&t.latency)),
+    ),
+    counter(
+        "gtserve_io_loop_iterations_total",
+        "io_loops[].iterations",
+        "Event-loop iterations completed, per I/O thread.",
+        |v| per_loop(v, |l| Value::from(&l.iterations)),
+    ),
+    Family {
+        unit: Unit::Micros,
+        ..counter(
+            "gtserve_io_loop_wait_seconds_total",
+            "io_loops[].wait_us",
+            "Seconds spent blocked in epoll/poll waits, per I/O thread.",
+            |v| per_loop(v, |l| Value::from(&l.wait_us)),
+        )
+    },
+    Family {
+        unit: Unit::Micros,
+        ..counter(
+            "gtserve_io_loop_work_seconds_total",
+            "io_loops[].work_us",
+            "Seconds spent doing work between waits, per I/O thread.",
+            |v| per_loop(v, |l| Value::from(&l.work_us)),
+        )
+    },
+    gauge(
+        "gtserve_io_loop_connections",
+        "io_loops[].connections",
+        "Connections currently owned by each I/O thread.",
+        |v| per_loop(v, |l| Value::from(&l.connections)),
+    ),
+    gauge(
+        "gtserve_io_loop_outbox_bytes",
+        "io_loops[].outbox_bytes",
+        "Bytes queued in each I/O thread's connection outboxes.",
+        |v| per_loop(v, |l| Value::from(&l.outbox_bytes)),
+    ),
+    histogram(
+        "gtserve_io_loop_lag_seconds",
+        "io_loops[].lag",
+        "Per-iteration event-loop work time (loop-iteration lag), per I/O thread.",
+        |v| per_loop(v, |l| Value::from(&l.lag)),
+    ),
+    Family {
+        unit: Unit::One,
+        ..histogram(
+            "gtserve_executor_queue_depth",
+            "queue_depth",
+            "Executor queue depth sampled over time (le = jobs queued).",
+            |v| one(&v.metrics.queue_depth),
+        )
+    },
+    uptime("gtserve_uptime_seconds", |v| {
+        one(v.metrics.uptime_us() as f64 / 1e6)
+    }),
+    info("version", "Package version of the running binary.", |_| {
+        one(env!("CARGO_PKG_VERSION"))
+    }),
+    build_info("gtserve_build_info"),
+    gauge(
+        "gtserve_cache_shards",
+        "cache.shards",
+        "Independently locked cache shards.",
+        |v| one(v.cache.per_shard_len.len()),
+    ),
+    gauge(
+        "gtserve_cache_entries",
+        "cache.len",
+        "Entries currently cached.",
+        |v| one(v.cache.len),
+    ),
+    gauge(
+        "gtserve_cache_capacity",
+        "cache.capacity",
+        "Configured cache capacity.",
+        |v| one(v.cache.capacity),
+    ),
+    counter(
+        "gtserve_cache_lookup_hits_total",
+        "cache.hits",
+        "Result-cache lookups that found a live entry, as the cache counts them.",
+        |v| one(v.cache.hits),
+    ),
+    counter(
+        "gtserve_cache_lookup_misses_total",
+        "cache.misses",
+        "Result-cache lookups that found none, as the cache counts them.",
+        |v| one(v.cache.misses),
+    ),
+    counter(
+        "gtserve_cache_admitted_total",
+        "cache.admitted",
+        "Cache inserts that created an entry.",
+        |v| one(v.cache.admitted),
+    ),
+    counter(
+        "gtserve_cache_evictions_total",
+        "cache.evictions",
+        "Cache entries displaced to make room.",
+        |v| one(v.cache.evictions),
+    ),
+    counter(
+        "gtserve_cache_ttl_evictions_total",
+        "cache.ttl_evictions",
+        "Cache entries aged out by TTL.",
+        |v| one(v.cache.ttl_evictions),
+    ),
+    info(
+        "cache.ttl_ms",
+        "Configured cache TTL in milliseconds (null: none).",
+        |v| one(v.cache.ttl_ms),
+    ),
+    gauge(
+        "gtserve_cache_shard_entries",
+        "cache.per_shard_len[]",
+        "Entries per cache shard.",
+        |v| per_shard(&v.cache.per_shard_len),
+    ),
+    counter(
+        "gtserve_cache_shard_evictions_total",
+        "cache.per_shard_evictions[]",
+        "Evictions per cache shard (capacity and TTL).",
+        |v| per_shard(&v.cache.per_shard_evictions),
+    ),
+    gauge(
+        "gtserve_executor_queued",
+        "executor_queued",
+        "Jobs waiting in the executor's queues.",
+        |v| one(v.executor_queued),
+    ),
+    gauge(
+        "gtserve_flights_inflight",
+        "flights_inflight",
+        "Engine runs currently in flight (single-flight table size).",
+        |v| one(v.flights_inflight),
+    ),
+    gauge(
+        "gtserve_io_threads",
+        "io_threads",
+        "I/O event-loop threads.",
+        |v| one(v.io_threads),
+    ),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{prometheus_text, stats_json, Stats};
+    use gt_analysis::Json;
+
+    fn view_of(metrics: Metrics) -> ServeView {
+        ServeView {
+            metrics: Arc::new(metrics),
+            cache: CacheStats {
+                hits: 1,
+                misses: 2,
+                admitted: 2,
+                evictions: 0,
+                ttl_evictions: 0,
+                len: 2,
+                capacity: 256,
+                ttl_ms: None,
+                per_shard_len: vec![1, 1],
+                per_shard_evictions: vec![0, 0],
+            },
+            executor_queued: 3,
+            flights_inflight: 1,
+            io_threads: 2,
+        }
+    }
+
+    fn stats(m: Metrics) -> Stats {
+        stats_json(SERVE_FAMILIES, &view_of(m))
+    }
 
     #[test]
     fn bucket_boundaries() {
@@ -905,7 +859,8 @@ mod tests {
         assert_eq!(LatencyHistogram::bucket_index(3), 1);
         assert_eq!(LatencyHistogram::bucket_index(4), 2);
         assert_eq!(LatencyHistogram::bucket_index(1024), 10);
-        assert_eq!(LatencyHistogram::bucket_index(u64::MAX), BUCKETS - 1);
+        assert_eq!(LatencyHistogram::bucket_index(u64::MAX), 39);
+        assert_eq!(BatchHistogram::bucket_index(u64::MAX), 11);
     }
 
     #[test]
@@ -914,14 +869,14 @@ mod tests {
         for us in [10u64, 10, 10, 10, 10, 10, 10, 10, 10, 5000] {
             m.latency.record(us);
         }
-        let s = m.snapshot();
-        assert_eq!(s.latency_count, 10);
+        let s = m.latency.snapshot();
+        assert_eq!(s.count, 10);
         // p50 is rank 5 of 9 in the [8,16) bucket → 8 + 5/9·8 = 12.
-        assert_eq!(s.latency_quantile_us(0.5), Some(12));
+        assert_eq!(s.quantile(0.5), Some(12));
         // p99 rank is the 5000µs outlier — last rank of the [4096,8192)
         // bucket, so interpolation lands on the upper bound.
-        assert_eq!(s.latency_quantile_us(0.99), Some(8192));
-        assert!(s.latency_mean_us().unwrap() > 10.0);
+        assert_eq!(s.quantile(0.99), Some(8192));
+        assert!(s.mean().unwrap() > 10.0);
     }
 
     #[test]
@@ -932,10 +887,10 @@ mod tests {
         for _ in 0..100 {
             m.latency.record(70_000); // bucket [65536, 131072)
         }
-        let s = m.snapshot();
-        let p50 = s.latency_quantile_us(0.50).unwrap();
-        let p90 = s.latency_quantile_us(0.90).unwrap();
-        let p99 = s.latency_quantile_us(0.99).unwrap();
+        let s = m.latency.snapshot();
+        let p50 = s.quantile(0.50).unwrap();
+        let p90 = s.quantile(0.90).unwrap();
+        let p99 = s.quantile(0.99).unwrap();
         assert!(p50 < p90 && p90 < p99, "{p50} {p90} {p99}");
         assert!((65_536..131_072).contains(&p50));
         assert!((65_536..=131_072).contains(&p99));
@@ -965,25 +920,15 @@ mod tests {
         });
         // Same name returns the same accumulator.
         assert_eq!(m.algo_stages("cascade").evals.load(Ordering::Relaxed), 2);
-        let s = m.snapshot();
-        assert_eq!(s.stages.len(), 1);
-        let cs = &s.stages[0];
-        assert_eq!(cs.algo, "cascade");
-        assert_eq!(cs.leaves, 100);
-        assert_eq!(cs.steps, 14);
-        assert_eq!(cs.pruned, 4);
-        assert_eq!(cs.max_width, 9);
-        assert_eq!(cs.queue_wait.count, 1);
-        assert_eq!(cs.engine.count, 1);
-        assert_eq!(cs.batch_wait.count, 0);
-        let j = s.to_json();
-        let work = j.get("stages").and_then(|s| s.get("cascade")).unwrap();
-        assert_eq!(
-            work.get("work")
-                .and_then(|w| w.get("leaves"))
-                .and_then(Json::as_u64),
-            Some(100)
-        );
+        let s = stats(m);
+        assert!(matches!(s.get("stages"), Some(Json::Object(algos)) if algos.len() == 1));
+        assert_eq!(s.u64("stages.cascade.work.leaves"), 100);
+        assert_eq!(s.u64("stages.cascade.work.steps"), 14);
+        assert_eq!(s.u64("stages.cascade.work.pruned"), 4);
+        assert_eq!(s.u64("stages.cascade.work.max_width"), 9);
+        assert_eq!(s.u64("stages.cascade.queue_wait.count"), 1);
+        assert_eq!(s.u64("stages.cascade.engine.count"), 1);
+        assert_eq!(s.u64("stages.cascade.batch_wait.count"), 0);
     }
 
     #[test]
@@ -996,15 +941,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reports_uptime_and_version() {
+    fn stats_report_uptime_and_version() {
         let m = Metrics::default();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let s = m.snapshot();
-        assert!(s.uptime_us >= 1_000);
-        let j = s.to_json();
-        assert!(j.get("uptime_s").is_some());
+        assert!(m.uptime_us() >= 1_000);
+        let s = stats(m);
+        assert!(s.get("uptime_s").and_then(Json::as_f64).unwrap() >= 0.001);
         assert_eq!(
-            j.get("version").and_then(Json::as_str),
+            s.get("version").and_then(Json::as_str),
             Some(env!("CARGO_PKG_VERSION"))
         );
     }
@@ -1018,28 +962,28 @@ mod tests {
         l1.set_gauges(5, 100);
         m.record_queue_depth(0);
         m.record_queue_depth(7);
-        let s = m.snapshot();
-        assert_eq!(s.io_loops.len(), 2);
-        assert_eq!(s.io_loops[0].iterations, 1);
-        assert_eq!(s.io_loops[1].connections, 5);
-        assert_eq!(s.io_loops[1].outbox_bytes, 100);
-        assert_eq!(s.queue_depth.count, 2);
-        let j = s.to_json();
-        let loops = match j.get("io_loops").unwrap() {
-            Json::Array(items) => items.clone(),
-            other => panic!("io_loops should be an array: {other:?}"),
-        };
-        assert_eq!(loops.len(), 2);
-        assert_eq!(loops[0].get("iterations").and_then(Json::as_u64), Some(1));
-        assert!(j.get("queue_depth").is_some());
+        let s = stats(m);
+        assert_eq!(
+            s.get("io_loops").and_then(Json::as_array).map(<[_]>::len),
+            Some(2)
+        );
+        assert_eq!(s.u64("io_loops.0.iterations"), 1);
+        assert_eq!(s.u64("io_loops.1.connections"), 5);
+        assert_eq!(s.u64("io_loops.1.outbox_bytes"), 100);
+        // Queue depth counts jobs, not microseconds.
+        assert_eq!(s.u64("queue_depth.count"), 2);
+        assert_eq!(s.u64("queue_depth.sum"), 7);
+        assert!(s.get("queue_depth.sum_us").is_none());
     }
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
-        let s = Metrics::default().snapshot();
-        assert_eq!(s.latency_quantile_us(0.5), None);
-        assert_eq!(s.latency_mean_us(), None);
-        assert_eq!(s.to_json().get("latency_p50_us"), Some(&Json::Null));
+        let h = Metrics::default().latency.snapshot();
+        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.mean(), None);
+        let s = stats(Metrics::default());
+        assert_eq!(s.get("latency_p50_us"), Some(&Json::Null));
+        assert_eq!(s.get("latency_mean_us"), Some(&Json::Null));
     }
 
     #[test]
@@ -1049,46 +993,215 @@ mod tests {
         m.batches.record(8);
         m.batches.record(8);
         m.batches.record(64);
-        let s = m.snapshot();
-        assert_eq!(s.batches, 4);
-        assert_eq!(s.batch_jobs, 81);
-        assert_eq!(s.batch_size_buckets[BatchHistogram::bucket_index(1)], 1);
-        assert_eq!(s.batch_size_buckets[BatchHistogram::bucket_index(8)], 2);
-        assert_eq!(s.batch_size_buckets[BatchHistogram::bucket_index(64)], 1);
-        let j = s.to_json();
-        assert_eq!(j.get("batches").and_then(Json::as_u64), Some(4));
-        assert_eq!(j.get("batch_jobs").and_then(Json::as_u64), Some(81));
-        assert!(s.render_ascii().contains("batches     : 4"));
+        let s = stats(m);
+        assert_eq!(s.u64("batches"), 4);
+        assert_eq!(s.u64("batch_jobs"), 81);
+        assert_eq!(
+            s.get("batch_mean_size").and_then(Json::as_f64),
+            Some(81.0 / 4.0)
+        );
+        let buckets = s
+            .get("batch_size_buckets")
+            .and_then(Json::as_array)
+            .unwrap();
+        assert_eq!(buckets.len(), 12);
+        assert_eq!(buckets[BatchHistogram::bucket_index(1)].as_u64(), Some(1));
+        assert_eq!(buckets[BatchHistogram::bucket_index(8)].as_u64(), Some(2));
+        assert_eq!(buckets[BatchHistogram::bucket_index(64)].as_u64(), Some(1));
     }
 
     #[test]
-    fn snapshot_counters_round_trip_through_json() {
+    fn stats_counters_round_trip_through_json() {
         let m = Metrics::default();
         m.received.fetch_add(7, Ordering::Relaxed);
         m.ok.fetch_add(5, Ordering::Relaxed);
         m.shed.fetch_add(2, Ordering::Relaxed);
         m.latency.record(100);
-        let s = m.snapshot();
-        let j = s.to_json();
-        assert_eq!(j.get("received").and_then(Json::as_u64), Some(7));
-        assert_eq!(j.get("ok").and_then(Json::as_u64), Some(5));
-        assert_eq!(j.get("shed").and_then(Json::as_u64), Some(2));
-        assert_eq!(j.get("latency_count").and_then(Json::as_u64), Some(1));
+        let s = stats(m);
+        assert_eq!(s.u64("received"), 7);
+        assert_eq!(s.u64("ok"), 5);
+        assert_eq!(s.u64("shed"), 2);
+        assert_eq!(s.u64("latency_count"), 1);
+        assert_eq!(s.u64("cache.hits"), 1);
+        assert_eq!(s.u64("cache.per_shard_len.1"), 1);
+        assert_eq!(s.get("cache.ttl_ms"), Some(&Json::Null));
         // The rendered JSON reparses (the stats reply embeds it).
-        let text = j.render();
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back.get("received").and_then(Json::as_u64), Some(7));
+        let back = Json::parse(&s.0.render()).unwrap();
+        assert_eq!(Stats(back).u64("received"), 7);
     }
 
     #[test]
-    fn ascii_dump_mentions_counters_and_buckets() {
+    fn prometheus_exposition_is_well_formed() {
         let m = Metrics::default();
-        m.ok.fetch_add(3, Ordering::Relaxed);
-        m.latency.record(12);
-        m.latency.record(900);
-        let text = m.snapshot().render_ascii();
-        assert!(text.contains("ok          : 3"));
-        assert!(text.contains("<16us"));
-        assert!(text.contains('#'));
+        m.received.fetch_add(5, Ordering::Relaxed);
+        m.ok.fetch_add(4, Ordering::Relaxed);
+        m.latency.record(100);
+        m.latency.record(3_000);
+        let st = m.algo_stages("cascade");
+        st.queue_wait.record(10);
+        st.engine.record(1_000);
+        st.record_work(&EvalOutcome {
+            value: 1,
+            work: 64,
+            steps: 9,
+            max_width: 4,
+            pruned: 2,
+            ..Default::default()
+        });
+        m.record_par_work(11, 3, 7);
+        m.record_par_grant(4);
+        let loop0 = m.register_io_loop();
+        loop0.record_iteration(900, 100);
+        loop0.set_gauges(2, 512);
+        m.record_queue_depth(3);
+        m.record_queue_depth(5);
+        let text = prometheus_text(SERVE_FAMILIES, &view_of(m));
+        assert!(text.contains("# TYPE gtserve_requests_total counter"));
+        assert!(text.contains("gtserve_requests_total 5"));
+        assert!(text.contains("# TYPE gtserve_latency_seconds histogram"));
+        assert!(text.contains("gtserve_latency_seconds_count 2"));
+        assert!(text.contains("gtserve_latency_seconds_bucket{le=\"+Inf\"} 2"));
+        assert!(text
+            .contains("gtserve_stage_latency_seconds_count{algo=\"cascade\",stage=\"engine\"} 1"));
+        assert!(text.contains("gtserve_engine_work_total{algo=\"cascade\",counter=\"leaves\"} 64"));
+        assert!(text.contains("gtserve_engine_max_width{algo=\"cascade\"} 4"));
+        assert!(text.contains("gtserve_cache_shard_entries{shard=\"1\"} 1"));
+        assert!(text.contains("gtserve_executor_queued 3"));
+        assert!(text.contains("gtserve_flights_inflight 1"));
+        assert!(text.contains("gtserve_engine_par_steals_total 11"));
+        assert!(text.contains("gtserve_engine_par_retires_total 3"));
+        assert!(text.contains("gtserve_engine_par_window_narrowings_total 7"));
+        assert!(text.contains("gtserve_engine_par_grants_total 1"));
+        assert!(text.contains("gtserve_engine_par_grant_threads_total 4"));
+        assert!(text.contains("gtserve_build_info{version=\""));
+        assert!(text.contains("gtserve_io_loop_iterations_total{loop=\"0\"} 1"));
+        assert!(text.contains("gtserve_io_loop_wait_seconds_total{loop=\"0\"} 0.0009"));
+        assert!(text.contains("gtserve_io_loop_connections{loop=\"0\"} 2"));
+        assert!(text.contains("gtserve_io_loop_outbox_bytes{loop=\"0\"} 512"));
+        assert!(text.contains("gtserve_io_loop_lag_seconds_count{loop=\"0\"} 1"));
+        assert!(text.contains("# TYPE gtserve_executor_queue_depth histogram"));
+        // Depth buckets are unitless: both samples (3 and 5) sit at or
+        // below the le="8" bound, and the sum is raw jobs not seconds.
+        assert!(text.contains("gtserve_executor_queue_depth_bucket{le=\"8\"} 2"));
+        assert!(text.contains("gtserve_executor_queue_depth_sum 8"));
+        // Buckets are cumulative: each bucket line's value never
+        // decreases as le grows.
+        let mut last = 0u64;
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("gtserve_latency_seconds_bucket{le=\"") {
+                let v: u64 = rest.split("} ").nth(1).unwrap().parse().unwrap();
+                assert!(v >= last, "non-cumulative: {line}");
+                last = v;
+            }
+        }
+        assert_eq!(last, 2);
+    }
+
+    /// A sample line: a name, optional `{k="v",…}` labels whose values
+    /// hold no raw quote, backslash or newline, a space, and a number.
+    fn well_formed_sample(line: &str) -> bool {
+        let (series, value) = match line.rsplit_once(' ') {
+            Some(split) => split,
+            None => return false,
+        };
+        if value.parse::<f64>().is_err() && value != "+Inf" {
+            return false;
+        }
+        let (name, labels) = match series.split_once('{') {
+            Some((name, rest)) => match rest.strip_suffix('}') {
+                Some(labels) => (name, labels),
+                None => return false,
+            },
+            None => (series, ""),
+        };
+        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            return false;
+        }
+        let mut rest = labels;
+        while !rest.is_empty() {
+            let Some((label, after)) = rest.split_once("=\"") else {
+                return false;
+            };
+            if !label.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+                return false;
+            }
+            // Walk the quoted value: only \\, \" and \n escapes.
+            let mut chars = after.char_indices();
+            let end = loop {
+                match chars.next() {
+                    Some((_, '\\')) => match chars.next() {
+                        Some((_, '\\' | '"' | 'n')) => {}
+                        _ => return false,
+                    },
+                    Some((i, '"')) => break i,
+                    Some(_) => {}
+                    None => return false,
+                }
+            };
+            rest = &after[end + 1..];
+            rest = match rest.strip_prefix(',') {
+                Some(r) => r,
+                None if rest.is_empty() => rest,
+                None => return false,
+            };
+        }
+        true
+    }
+
+    #[test]
+    fn client_tenant_ids_cannot_forge_samples() {
+        let m = Metrics::default();
+        m.ok.fetch_add(1, Ordering::Relaxed);
+        let evil = "x\"} 1\ngtserve_ok_total 999999\n# evil \\";
+        m.tenant_stats(evil)
+            .requests
+            .fetch_add(1, Ordering::Relaxed);
+        m.tenant_stats(evil).latency.record(10);
+        let text = prometheus_text(SERVE_FAMILIES, &view_of(m));
+        for line in text.lines() {
+            assert!(
+                line.starts_with("# HELP ")
+                    || line.starts_with("# TYPE ")
+                    || well_formed_sample(line),
+                "malformed exposition line: {line:?}"
+            );
+        }
+        let ok_samples = text
+            .lines()
+            .filter(|l| l.starts_with("gtserve_ok_total"))
+            .count();
+        assert_eq!(ok_samples, 1, "{text}");
+        assert!(text.contains("gtserve_tenant_requests_total{tenant=\"x\\\"} 1\\ngtserve_ok_total 999999\\n# evil \\\\\"} 1"));
+    }
+
+    #[test]
+    fn every_family_renders_and_names_are_unique() {
+        let m = Metrics::default();
+        m.algo_stages("a").engine.record(1);
+        m.tenant_stats("t").ok.fetch_add(1, Ordering::Relaxed);
+        m.register_io_loop();
+        let view = view_of(m);
+        let text = prometheus_text(SERVE_FAMILIES, &view);
+        let s = stats_json(SERVE_FAMILIES, &view);
+        let mut names = std::collections::HashSet::new();
+        let mut keys = std::collections::HashSet::new();
+        for f in SERVE_FAMILIES {
+            assert!(
+                f.name.is_empty() || names.insert(f.name),
+                "{} twice",
+                f.name
+            );
+            assert!(f.key.is_empty() || keys.insert(f.key), "{} twice", f.key);
+            if !f.name.is_empty() {
+                assert!(f.name.starts_with("gtserve_"), "{}", f.name);
+                assert!(
+                    text.contains(&format!("# TYPE {} ", f.name)),
+                    "{} not exported",
+                    f.name
+                );
+            }
+        }
+        assert!(s.get("tenants.t.latency.p99_us").is_some());
+        assert!(s.get("io_loops.0.lag.count").is_some());
     }
 }

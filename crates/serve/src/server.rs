@@ -85,16 +85,16 @@ use crate::io::{
     drain_outbox, raise_nofile_limit, BufferPool, IoLoopStats, LineAction, LineReader, LineTooLong,
     Poller, Waker,
 };
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, ServeView, SERVE_FAMILIES};
 use crate::protocol::{
     error_line, error_line_with, ok_line, ErrorCode, Op, Request, Response, TraceContext,
     PROTOCOL_VERSION,
 };
+use crate::registry::{prometheus_text, stats_json, Stats};
 use crate::singleflight::{Flight, FlightResult, FlightTable, Joined};
 use crate::snapshot;
 use crate::trace::{
-    render_prometheus, spawn_metrics_listener, FlightRecorder, MetricsListener, StageStamps,
-    TraceRecord,
+    spawn_metrics_listener, FlightRecorder, MetricsListener, StageStamps, TraceRecord,
 };
 use crate::workload::{
     estimated_cost, estimated_subtree_cost, evaluate_subtree, evaluate_with_grant, validate,
@@ -320,6 +320,23 @@ struct Shared {
     small_cost_max: u64,
     workers: usize,
     io_threads: usize,
+}
+
+impl Shared {
+    /// One read of everything the serve family table reports.
+    fn view(&self) -> ServeView {
+        ServeView {
+            metrics: Arc::clone(&self.metrics),
+            cache: self.cache.stats(),
+            executor_queued: self.executor.queued(),
+            flights_inflight: self.flights.len(),
+            io_threads: self.io_threads,
+        }
+    }
+
+    fn stats(&self) -> Stats {
+        stats_json(SERVE_FAMILIES, &self.view())
+    }
 }
 
 /// Commands injected into an I/O thread from outside its loop.
@@ -606,7 +623,8 @@ fn answer_pending(
         FlightResult::Done(outcome) => {
             // Render with the pre-write latency (a reply cannot embed
             // the cost of its own write); the e2e histogram entry is
-            // recorded after the write below, so the stage ledger
+            // taken just before the reply is queued below, at the same
+            // instant as the write stage, so the stage ledger
             // (… + write) and the histogram bracket the same interval.
             let render_us = p.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
             m.ok.fetch_add(1, Ordering::Relaxed);
@@ -649,7 +667,9 @@ fn answer_pending(
             )
         }
     };
-    let _ = p.conn.enqueue(&reply);
+    // Every counter this request moves is recorded before its reply
+    // is queued, so a `stats` read the client sends after the reply
+    // always sees them.
     let latency_us = p.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
     if matches!(result, FlightResult::Done(_)) {
         m.latency.record(latency_us);
@@ -681,6 +701,7 @@ fn answer_pending(
                 .record(total.saturating_sub(ee));
         }
     }
+    let _ = p.conn.enqueue(&reply);
     recorder.record(trace_from(p, status, stamps, work, latency_us));
     p.conn.release_slot();
 }
@@ -812,16 +833,11 @@ impl Reaper {
 /// A running evaluation server.
 pub struct Server {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    metrics: Arc<Metrics>,
+    shared: Shared,
     io_handles: Vec<Arc<IoHandle>>,
     io_joins: Vec<JoinHandle<()>>,
-    executor: Arc<Executor<Job>>,
-    reaper: Arc<Reaper>,
     reaper_handle: JoinHandle<()>,
-    recorder: Arc<FlightRecorder>,
     metrics_listener: Option<MetricsListener>,
-    cache: ResultCache,
     snapshot_path: Option<String>,
     announce_handle: Option<JoinHandle<()>>,
 }
@@ -898,27 +914,6 @@ impl Server {
             ))
         };
 
-        let metrics_listener = match &config.metrics_addr {
-            Some(addr) => {
-                let render: Arc<dyn Fn() -> String + Send + Sync> = {
-                    let metrics = Arc::clone(&metrics);
-                    let cache = Arc::clone(&cache);
-                    let executor = Arc::clone(&executor);
-                    let flights = Arc::clone(&flights);
-                    Arc::new(move || {
-                        render_prometheus(
-                            &metrics.snapshot(),
-                            &cache.stats(),
-                            executor.queued(),
-                            flights.len(),
-                        )
-                    })
-                };
-                Some(spawn_metrics_listener(addr.as_str(), render)?)
-            }
-            None => None,
-        };
-
         let io_threads = config.io_threads.max(1);
         let shared = Shared {
             metrics: Arc::clone(&metrics),
@@ -934,6 +929,14 @@ impl Server {
             small_cost_max: config.small_cost_max,
             workers: config.workers.max(1),
             io_threads,
+        };
+        let metrics_listener = match &config.metrics_addr {
+            Some(addr) => {
+                let shared = shared.clone();
+                let render = move || prometheus_text(SERVE_FAMILIES, &shared.view());
+                Some(spawn_metrics_listener(addr.as_str(), Arc::new(render))?)
+            }
+            None => None,
         };
         let mut io_handles = Vec::with_capacity(io_threads);
         for _ in 0..io_threads {
@@ -998,16 +1001,11 @@ impl Server {
 
         Ok(Server {
             local_addr,
-            shutdown,
-            metrics,
+            shared,
             io_handles,
             io_joins,
-            executor,
-            reaper,
             reaper_handle,
-            recorder,
             metrics_listener,
-            cache,
             snapshot_path: config.snapshot_path.clone(),
             announce_handle,
         })
@@ -1020,17 +1018,17 @@ impl Server {
 
     /// The shared shutdown flag — hand this to a signal handler.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        Arc::clone(&self.shared.shutdown)
     }
 
     /// The live metrics registry.
     pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.shared.metrics)
     }
 
     /// The flight recorder (shared with every connection thread).
     pub fn recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.recorder)
+        Arc::clone(&self.shared.recorder)
     }
 
     /// Where the `/metrics` endpoint is listening, if enabled (useful
@@ -1041,7 +1039,7 @@ impl Server {
 
     /// Begin a graceful drain (idempotent, returns immediately).
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         // Pull every I/O thread out of its poll sleep so the drain
         // starts now, not at the next 50ms tick.
         for h in &self.io_handles {
@@ -1049,10 +1047,15 @@ impl Server {
         }
     }
 
-    /// Drain and reap every thread; returns the final metrics.  Call
+    /// The live `stats` object, as the `stats` request returns it.
+    pub fn stats(&self) -> Stats {
+        self.shared.stats()
+    }
+
+    /// Drain and reap every thread; returns the final `stats`.  Call
     /// [`Server::request_shutdown`] first (or let a client's `shutdown`
     /// request do it) or this blocks until one arrives.
-    pub fn join(self) -> MetricsSnapshot {
+    pub fn join(self) -> Stats {
         // Each I/O thread drops the listener, flushes every
         // connection's in-flight replies, and exits; the workers and
         // the reaper are still live here, so every outstanding reply
@@ -1063,8 +1066,8 @@ impl Server {
         for h in self.io_joins {
             let _ = h.join();
         }
-        self.executor.shutdown();
-        self.reaper.stop();
+        self.shared.executor.shutdown();
+        self.shared.reaper.stop();
         let _ = self.reaper_handle.join();
         if let Some(h) = self.announce_handle {
             let _ = h.join();
@@ -1075,11 +1078,11 @@ impl Server {
         // Every engine result is published and cached by now: freeze
         // the hit set to disk so the next boot starts warm.
         if let Some(path) = &self.snapshot_path {
-            if let Err(e) = snapshot::save(Path::new(path), &self.cache) {
+            if let Err(e) = snapshot::save(Path::new(path), &self.shared.cache) {
                 eprintln!("gt-serve: snapshot {path} not saved: {e}");
             }
         }
-        self.metrics.snapshot()
+        self.shared.stats()
     }
 }
 
@@ -1242,7 +1245,7 @@ fn run_batch(
     // Mark this worker busy for the whole batch so concurrent grant
     // decisions see it as non-idle.
     let _busy = gauge.enter();
-    metrics.batches.record(batch.len());
+    metrics.batches.record(batch.len() as u64);
     // One dispatch stamp for the whole batch: every job left the queue
     // when the worker popped it; time behind batchmates is batch_wait.
     for job in &batch {
@@ -1878,19 +1881,7 @@ fn process_line(line: &str, shared: &Shared, recv: Instant) -> Handled {
                 ),
             ],
         )),
-        Op::Stats => {
-            let mut stats = m.snapshot().to_json();
-            if let Json::Object(fields) = &mut stats {
-                fields.push(("cache".into(), shared.cache.stats().to_json()));
-                fields.push((
-                    "executor_queued".into(),
-                    Json::from(shared.executor.queued()),
-                ));
-                fields.push(("flights_inflight".into(), Json::from(shared.flights.len())));
-                fields.push(("io_threads".into(), Json::from(shared.io_threads)));
-            }
-            Handled::Inline(ok_line(&id, vec![("stats", stats)]))
-        }
+        Op::Stats => Handled::Inline(ok_line(&id, vec![("stats", shared.stats().0)])),
         Op::Trace => {
             let limit = request.n.unwrap_or(64).min(usize::MAX as u64) as usize;
             Handled::Inline(ok_line(
@@ -2381,9 +2372,9 @@ mod tests {
         let r = send(&stream, &mut reader, r#"{"op":"shutdown"}"#);
         assert!(r.ok);
         let snapshot = server.join();
-        assert_eq!(snapshot.ok, 2);
-        assert_eq!(snapshot.cache_hits, 1);
-        assert_eq!(snapshot.evaluated, 1);
+        assert_eq!(snapshot.u64("ok"), 2);
+        assert_eq!(snapshot.u64("cache_hits"), 1);
+        assert_eq!(snapshot.u64("evaluated"), 1);
     }
 
     #[test]
@@ -2553,7 +2544,7 @@ mod tests {
         assert!(!r.ok);
         assert_eq!(r.status, 503);
         assert_eq!(r.code.as_deref(), Some("draining"));
-        assert_eq!(shared.metrics.snapshot().draining, 1);
+        assert_eq!(shared.stats().u64("draining"), 1);
         // Control ops still answer while draining.
         let reply = match process_line(r#"{"op":"ping"}"#, &shared, Instant::now()) {
             Handled::Inline(reply) => reply,
@@ -2591,8 +2582,8 @@ mod tests {
             }
             Handled::Dispatch { .. } => panic!("hit must answer inline"),
         }
-        assert_eq!(shared.metrics.snapshot().cache_hits, 1);
-        assert_eq!(shared.metrics.snapshot().cache_misses, 1);
+        assert_eq!(shared.stats().u64("cache_hits"), 1);
+        assert_eq!(shared.stats().u64("cache_misses"), 1);
     }
 
     #[test]
@@ -2668,8 +2659,8 @@ mod tests {
 
         server.request_shutdown();
         let snapshot = server.join();
-        assert_eq!(snapshot.subevals, 2);
-        assert_eq!(snapshot.subeval_requests, 4);
+        assert_eq!(snapshot.u64("subevals"), 2);
+        assert_eq!(snapshot.u64("subeval_requests"), 4);
     }
 
     #[test]
@@ -2685,8 +2676,8 @@ mod tests {
         assert!(r.ok);
         server.request_shutdown();
         let snapshot = server.join();
-        assert_eq!(snapshot.ok, 1);
-        assert_eq!(snapshot.connections, 1);
+        assert_eq!(snapshot.u64("ok"), 1);
+        assert_eq!(snapshot.u64("connections"), 1);
     }
 
     #[test]
@@ -2721,8 +2712,11 @@ mod tests {
         assert_eq!(seen.len(), 3);
         server.request_shutdown();
         let snapshot = server.join();
-        assert_eq!(snapshot.evaluated, 3);
-        assert!(snapshot.batches >= 2, "large job gets its own dispatch");
+        assert_eq!(snapshot.u64("evaluated"), 3);
+        assert!(
+            snapshot.u64("batches") >= 2,
+            "large job gets its own dispatch"
+        );
     }
 
     #[test]
@@ -2756,9 +2750,12 @@ mod tests {
 
         server.request_shutdown();
         let snapshot = server.join();
-        assert_eq!(snapshot.tenants.len(), 1, "only named tenants tracked");
-        assert_eq!(snapshot.tenants[0].tenant, "acme");
-        assert_eq!(snapshot.tenants[0].ok, 2);
+        let tenants = snapshot.get("tenants").unwrap();
+        assert!(
+            matches!(tenants, Json::Object(t) if t.len() == 1),
+            "only named tenants tracked"
+        );
+        assert_eq!(snapshot.u64("tenants.acme.ok"), 2);
     }
 
     #[test]
@@ -2803,11 +2800,11 @@ mod tests {
         assert!(r.body.get("retry_after_ms").and_then(Json::as_u64).unwrap() >= 1);
         // The window slot came back and the ledger shows the shed.
         assert_eq!(reply.inflight.load(Ordering::Acquire), 0);
-        let snap = shared.metrics.snapshot();
-        assert_eq!(snap.shed, 1);
-        assert_eq!(snap.tenants.len(), 1);
-        assert_eq!(snap.tenants[0].requests, 1);
-        assert_eq!(snap.tenants[0].shed, 1);
+        let snap = shared.stats();
+        assert_eq!(snap.u64("shed"), 1);
+        assert!(matches!(snap.get("tenants"), Some(Json::Object(t)) if t.len() == 1));
+        assert_eq!(snap.u64("tenants.acme.requests"), 1);
+        assert_eq!(snap.u64("tenants.acme.shed"), 1);
         // Releasing the held slot reopens the tenant — nothing leaked.
         shared.governor.release("acme");
         assert!(shared.governor.try_acquire("acme"));
@@ -2852,9 +2849,9 @@ mod tests {
         assert!(r.cached(), "restored entry must hit");
         server.request_shutdown();
         let snapshot = server.join();
-        assert_eq!(snapshot.snapshot_restored, 1);
-        assert_eq!(snapshot.cache_hits, 1);
-        assert_eq!(snapshot.evaluated, 0);
+        assert_eq!(snapshot.u64("snapshot_restored"), 1);
+        assert_eq!(snapshot.u64("cache_hits"), 1);
+        assert_eq!(snapshot.u64("evaluated"), 0);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2930,9 +2927,8 @@ mod tests {
         .unwrap();
         // The announce thread runs off the serving path; wait for the
         // warm-fill to land.
-        let metrics = replica.metrics();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while metrics.snapshot().warmfill_entries == 0 {
+        while replica.stats().u64("warmfill_entries") == 0 {
             assert!(Instant::now() < deadline, "warm-fill never arrived");
             thread::sleep(Duration::from_millis(10));
         }
@@ -2955,12 +2951,12 @@ mod tests {
 
         replica.request_shutdown();
         let snapshot = replica.join();
-        assert_eq!(snapshot.warmfill_entries, 1);
-        assert_eq!(snapshot.evaluated, 0);
+        assert_eq!(snapshot.u64("warmfill_entries"), 1);
+        assert_eq!(snapshot.u64("evaluated"), 0);
         // The peer served exactly one cachepull.
         peer.request_shutdown();
         let snapshot = peer.join();
-        assert_eq!(snapshot.cachepull_served, 1);
-        assert_eq!(snapshot.cachepull_entries, 1);
+        assert_eq!(snapshot.u64("cachepull_served"), 1);
+        assert_eq!(snapshot.u64("cachepull_entries"), 1);
     }
 }

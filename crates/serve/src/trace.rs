@@ -1,5 +1,5 @@
-//! gt-trace: per-request stage tracing, a flight recorder, and
-//! Prometheus text exposition for gt-serve.
+//! gt-trace: per-request stage tracing, a flight recorder, and the
+//! `/metrics` HTTP listener for gt-serve.
 //!
 //! Three pieces, all std-only:
 //!
@@ -17,15 +17,11 @@
 //!   construction: two `Vec`s of `Option<Arc<TraceRecord>>` slots that
 //!   are overwritten in place, never grown.  The `op:"trace"` protocol
 //!   verb snapshots both rings, newest first.
-//! * [`render_prometheus`] + [`spawn_metrics_listener`] — the metrics
-//!   registry, cache shards, executor queue depth and engine work
-//!   counters rendered in the Prometheus text exposition format
-//!   (version 0.0.4), served by a minimal single-threaded HTTP
-//!   listener on `--metrics-addr`.  Power-of-two microsecond buckets
-//!   become cumulative `le`-labelled buckets in seconds.
+//! * [`spawn_metrics_listener`] — a minimal single-threaded HTTP
+//!   listener on `--metrics-addr` that serves whatever its render
+//!   function returns.  Both tiers hand it
+//!   [`crate::registry::prometheus_text`] over their family table.
 
-use crate::cache::CacheStats;
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::workload::EvalOutcome;
 use gt_analysis::Json;
 use std::io::{Read as _, Write as _};
@@ -379,570 +375,6 @@ impl FlightRecorder {
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus text exposition (format version 0.0.4).
-// ---------------------------------------------------------------------------
-
-/// `le` bound of power-of-two µs bucket `i`, in seconds.
-fn le_seconds(i: usize) -> f64 {
-    (1u64 << (i + 1)) as f64 / 1e6
-}
-
-fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Render one histogram's sample lines (cumulative `le` buckets in
-/// seconds, then `_sum` and `_count`).  `labels` is either empty or
-/// `key="value",…` without braces.
-fn histogram_samples(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    buckets: &[u64],
-    count: u64,
-    sum_us: u64,
-) {
-    use std::fmt::Write as _;
-    let with = |extra: &str| {
-        if labels.is_empty() {
-            format!("{{{extra}}}")
-        } else {
-            format!("{{{labels},{extra}}}")
-        }
-    };
-    let plain = if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
-    };
-    let mut cumulative = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        cumulative += c;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{} {cumulative}",
-            with(&format!("le=\"{}\"", le_seconds(i)))
-        );
-    }
-    let _ = writeln!(out, "{name}_bucket{} {count}", with("le=\"+Inf\""));
-    let _ = writeln!(out, "{name}_sum{plain} {}", sum_us as f64 / 1e6);
-    let _ = writeln!(out, "{name}_count{plain} {count}");
-}
-
-fn histogram_header(out: &mut String, name: &str, help: &str) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-}
-
-/// Render one *unitless* histogram's sample lines — power-of-two
-/// buckets whose `le` bounds are plain counts (queue depths), not
-/// seconds, and whose `_sum` is the raw observation sum.
-fn depth_histogram_samples(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    buckets: &[u64],
-    count: u64,
-    sum: u64,
-) {
-    use std::fmt::Write as _;
-    let with = |extra: &str| {
-        if labels.is_empty() {
-            format!("{{{extra}}}")
-        } else {
-            format!("{{{labels},{extra}}}")
-        }
-    };
-    let plain = if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
-    };
-    let mut cumulative = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        cumulative += c;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{} {cumulative}",
-            with(&format!("le=\"{}\"", 1u64 << (i + 1)))
-        );
-    }
-    let _ = writeln!(out, "{name}_bucket{} {count}", with("le=\"+Inf\""));
-    let _ = writeln!(out, "{name}_sum{plain} {sum}");
-    let _ = writeln!(out, "{name}_count{plain} {count}");
-}
-
-fn stage_histogram(out: &mut String, algo: &str, stage: &str, h: &HistogramSnapshot) {
-    let labels = format!("algo=\"{algo}\",stage=\"{stage}\"");
-    histogram_samples(
-        out,
-        "gtserve_stage_latency_seconds",
-        &labels,
-        &h.buckets,
-        h.count,
-        h.sum_us,
-    );
-}
-
-/// One per-io-thread Prometheus series: name, help text, the value
-/// drawn from an [`crate::io::IoLoopSnapshot`], and whether it is a
-/// cumulative counter (vs a gauge).
-type IoLoopSeries = (
-    &'static str,
-    &'static str,
-    fn(&crate::io::IoLoopSnapshot) -> f64,
-    bool,
-);
-
-/// Render the whole registry — request counters, the end-to-end and
-/// per-stage latency histograms, engine work counters, cache shards
-/// and executor queue depth — as Prometheus text exposition.
-pub fn render_prometheus(
-    m: &MetricsSnapshot,
-    cache: &CacheStats,
-    executor_queued: usize,
-    flights_inflight: usize,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    counter(
-        &mut out,
-        "gtserve_requests_total",
-        "Request lines received.",
-        m.received,
-    );
-    counter(
-        &mut out,
-        "gtserve_ok_total",
-        "Successful eval replies.",
-        m.ok,
-    );
-    counter(
-        &mut out,
-        "gtserve_bad_request_total",
-        "Malformed or invalid requests.",
-        m.bad_request,
-    );
-    counter(
-        &mut out,
-        "gtserve_shed_total",
-        "Requests shed by backpressure.",
-        m.shed,
-    );
-    counter(
-        &mut out,
-        "gtserve_timeout_total",
-        "Requests that missed their deadline.",
-        m.timeout,
-    );
-    counter(
-        &mut out,
-        "gtserve_draining_total",
-        "Requests rejected during drain.",
-        m.draining,
-    );
-    counter(
-        &mut out,
-        "gtserve_internal_total",
-        "Internal failures.",
-        m.internal,
-    );
-    counter(
-        &mut out,
-        "gtserve_cache_hits_total",
-        "Evals answered from the result cache.",
-        m.cache_hits,
-    );
-    counter(
-        &mut out,
-        "gtserve_cache_misses_total",
-        "Evals that had to run an engine.",
-        m.cache_misses,
-    );
-    counter(
-        &mut out,
-        "gtserve_coalesced_total",
-        "Evals that joined an in-flight run.",
-        m.coalesced_hits,
-    );
-    counter(
-        &mut out,
-        "gtserve_evaluated_total",
-        "Engine runs completed.",
-        m.evaluated,
-    );
-    counter(
-        &mut out,
-        "gtserve_subeval_requests_total",
-        "subeval request lines received.",
-        m.subeval_requests,
-    );
-    counter(
-        &mut out,
-        "gtserve_subevals_total",
-        "Subtree evaluations completed.",
-        m.subevals,
-    );
-    counter(
-        &mut out,
-        "gtserve_connections_total",
-        "Connections accepted.",
-        m.connections,
-    );
-    gauge(
-        &mut out,
-        "gtserve_open_connections",
-        "Connections currently registered with an I/O thread.",
-        m.open_conns as f64,
-    );
-    counter(
-        &mut out,
-        "gtserve_conn_idle_closed_total",
-        "Connections closed by the idle timeout.",
-        m.idle_closed,
-    );
-    counter(
-        &mut out,
-        "gtserve_conn_overflow_closed_total",
-        "Connections closed for overflowing their outbound queue.",
-        m.overflow_closed,
-    );
-    counter(
-        &mut out,
-        "gtserve_conn_overlong_closed_total",
-        "Connections closed for an over-long request line.",
-        m.overlong_closed,
-    );
-    counter(
-        &mut out,
-        "gtserve_batches_total",
-        "Executor dispatches performed.",
-        m.batches,
-    );
-    counter(
-        &mut out,
-        "gtserve_batch_jobs_total",
-        "Jobs carried by executor dispatches.",
-        m.batch_jobs,
-    );
-    counter(
-        &mut out,
-        "gtserve_engine_par_steals_total",
-        "Work-stealing engine: tasks stolen across worker deques.",
-        m.par_steals,
-    );
-    counter(
-        &mut out,
-        "gtserve_engine_par_retires_total",
-        "Work-stealing engine: tasks retired unrun by cutoffs (the pre-emption rule).",
-        m.par_retires,
-    );
-    counter(
-        &mut out,
-        "gtserve_engine_par_window_narrowings_total",
-        "Work-stealing engine: shared alpha/beta window bound movements.",
-        m.par_narrowings,
-    );
-    counter(
-        &mut out,
-        "gtserve_engine_par_grants_total",
-        "Multi-thread worker grants issued to par-* evaluations.",
-        m.par_grants,
-    );
-    counter(
-        &mut out,
-        "gtserve_engine_par_grant_threads_total",
-        "Threads covered by those grants (divide by grants for the mean width).",
-        m.par_grant_threads,
-    );
-
-    histogram_header(
-        &mut out,
-        "gtserve_latency_seconds",
-        "End-to-end server-side latency of eval requests.",
-    );
-    histogram_samples(
-        &mut out,
-        "gtserve_latency_seconds",
-        "",
-        &m.latency_buckets,
-        m.latency_count,
-        m.latency_sum_us,
-    );
-
-    if !m.stages.is_empty() {
-        histogram_header(
-            &mut out,
-            "gtserve_stage_latency_seconds",
-            "Per-stage latency by algorithm (queue_wait, batch_wait, engine, write).",
-        );
-        for s in &m.stages {
-            stage_histogram(&mut out, &s.algo, "queue_wait", &s.queue_wait);
-            stage_histogram(&mut out, &s.algo, "batch_wait", &s.batch_wait);
-            stage_histogram(&mut out, &s.algo, "engine", &s.engine);
-            stage_histogram(&mut out, &s.algo, "write", &s.write);
-        }
-        let _ = writeln!(
-            out,
-            "# HELP gtserve_engine_work_total Engine work counters by algorithm (paper: leaves = W(T), steps = rounds)."
-        );
-        let _ = writeln!(out, "# TYPE gtserve_engine_work_total counter");
-        for s in &m.stages {
-            for (kind, v) in [
-                ("evals", s.evals),
-                ("leaves", s.leaves),
-                ("steps", s.steps),
-                ("pruned", s.pruned),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "gtserve_engine_work_total{{algo=\"{}\",counter=\"{kind}\"}} {v}",
-                    s.algo
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "# HELP gtserve_engine_max_width Largest evaluation frontier any run reached (processors used)."
-        );
-        let _ = writeln!(out, "# TYPE gtserve_engine_max_width gauge");
-        for s in &m.stages {
-            let _ = writeln!(
-                out,
-                "gtserve_engine_max_width{{algo=\"{}\"}} {}",
-                s.algo, s.max_width
-            );
-        }
-    }
-
-    if !m.tenants.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP gtserve_tenant_requests_total Requests attributed to each tenant."
-        );
-        let _ = writeln!(out, "# TYPE gtserve_tenant_requests_total counter");
-        for t in &m.tenants {
-            let _ = writeln!(
-                out,
-                "gtserve_tenant_requests_total{{tenant=\"{}\"}} {}",
-                t.tenant, t.requests
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP gtserve_tenant_shed_total Requests shed by a tenant's inflight cap."
-        );
-        let _ = writeln!(out, "# TYPE gtserve_tenant_shed_total counter");
-        for t in &m.tenants {
-            let _ = writeln!(
-                out,
-                "gtserve_tenant_shed_total{{tenant=\"{}\"}} {}",
-                t.tenant, t.shed
-            );
-        }
-        histogram_header(
-            &mut out,
-            "gtserve_tenant_latency_seconds",
-            "End-to-end latency by tenant.",
-        );
-        for t in &m.tenants {
-            histogram_samples(
-                &mut out,
-                "gtserve_tenant_latency_seconds",
-                &format!("tenant=\"{}\"", t.tenant),
-                &t.latency.buckets,
-                t.latency.count,
-                t.latency.sum_us,
-            );
-        }
-    }
-
-    counter(
-        &mut out,
-        "gtserve_warmfill_entries_total",
-        "Cache entries warm-filled from peers at (re)join.",
-        m.warmfill_entries,
-    );
-    counter(
-        &mut out,
-        "gtserve_snapshot_restored_total",
-        "Cache entries restored from the boot snapshot.",
-        m.snapshot_restored,
-    );
-    counter(
-        &mut out,
-        "gtserve_cachepull_served_total",
-        "cachepull requests served to warm-filling peers.",
-        m.cachepull_served,
-    );
-    counter(
-        &mut out,
-        "gtserve_cachepull_entries_total",
-        "Entries shipped across served cachepulls.",
-        m.cachepull_entries,
-    );
-    counter(
-        &mut out,
-        "gtserve_cache_admitted_total",
-        "Cache inserts that created an entry.",
-        cache.admitted,
-    );
-    counter(
-        &mut out,
-        "gtserve_cache_ttl_evictions_total",
-        "Cache entries aged out by TTL.",
-        cache.ttl_evictions,
-    );
-    gauge(
-        &mut out,
-        "gtserve_cache_entries",
-        "Entries currently cached.",
-        cache.len as f64,
-    );
-    gauge(
-        &mut out,
-        "gtserve_cache_capacity",
-        "Configured cache capacity.",
-        cache.capacity as f64,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP gtserve_cache_shard_entries Entries per cache shard."
-    );
-    let _ = writeln!(out, "# TYPE gtserve_cache_shard_entries gauge");
-    for (i, &n) in cache.per_shard_len.iter().enumerate() {
-        let _ = writeln!(out, "gtserve_cache_shard_entries{{shard=\"{i}\"}} {n}");
-    }
-    let _ = writeln!(
-        out,
-        "# HELP gtserve_cache_shard_evictions_total Evictions per cache shard."
-    );
-    let _ = writeln!(out, "# TYPE gtserve_cache_shard_evictions_total counter");
-    for (i, &n) in cache.per_shard_evictions.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "gtserve_cache_shard_evictions_total{{shard=\"{i}\"}} {n}"
-        );
-    }
-
-    if !m.io_loops.is_empty() {
-        let series: [IoLoopSeries; 5] = [
-            (
-                "gtserve_io_loop_iterations_total",
-                "Event-loop iterations completed, per I/O thread.",
-                |l| l.iterations as f64,
-                true,
-            ),
-            (
-                "gtserve_io_loop_wait_seconds_total",
-                "Seconds spent blocked in epoll/poll waits, per I/O thread.",
-                |l| l.wait_us as f64 / 1e6,
-                true,
-            ),
-            (
-                "gtserve_io_loop_work_seconds_total",
-                "Seconds spent doing work between waits, per I/O thread.",
-                |l| l.work_us as f64 / 1e6,
-                true,
-            ),
-            (
-                "gtserve_io_loop_connections",
-                "Connections currently owned by each I/O thread.",
-                |l| l.connections as f64,
-                false,
-            ),
-            (
-                "gtserve_io_loop_outbox_bytes",
-                "Bytes queued in each I/O thread's connection outboxes.",
-                |l| l.outbox_bytes as f64,
-                false,
-            ),
-        ];
-        for (name, help, value, is_counter) in series {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(
-                out,
-                "# TYPE {name} {}",
-                if is_counter { "counter" } else { "gauge" }
-            );
-            for (i, l) in m.io_loops.iter().enumerate() {
-                let _ = writeln!(out, "{name}{{loop=\"{i}\"}} {}", value(l));
-            }
-        }
-        histogram_header(
-            &mut out,
-            "gtserve_io_loop_lag_seconds",
-            "Per-iteration event-loop work time (loop-iteration lag), per I/O thread.",
-        );
-        for (i, l) in m.io_loops.iter().enumerate() {
-            histogram_samples(
-                &mut out,
-                "gtserve_io_loop_lag_seconds",
-                &format!("loop=\"{i}\""),
-                &l.lag.buckets,
-                l.lag.count,
-                l.lag.sum_us,
-            );
-        }
-    }
-    if m.queue_depth.count > 0 {
-        histogram_header(
-            &mut out,
-            "gtserve_executor_queue_depth",
-            "Executor queue depth sampled over time (le = jobs queued).",
-        );
-        depth_histogram_samples(
-            &mut out,
-            "gtserve_executor_queue_depth",
-            "",
-            &m.queue_depth.buckets,
-            m.queue_depth.count,
-            m.queue_depth.sum_us,
-        );
-    }
-
-    gauge(
-        &mut out,
-        "gtserve_executor_queued",
-        "Jobs waiting in the executor's queues.",
-        executor_queued as f64,
-    );
-    gauge(
-        &mut out,
-        "gtserve_flights_inflight",
-        "Engine runs currently in flight (single-flight table size).",
-        flights_inflight as f64,
-    );
-    gauge(
-        &mut out,
-        "gtserve_uptime_seconds",
-        "Seconds since the server started.",
-        m.uptime_us as f64 / 1e6,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP gtserve_build_info Build metadata.\n# TYPE gtserve_build_info gauge"
-    );
-    let _ = writeln!(
-        out,
-        "gtserve_build_info{{version=\"{}\"}} 1",
-        env!("CARGO_PKG_VERSION")
-    );
-    out
-}
-
-// ---------------------------------------------------------------------------
 // The /metrics HTTP listener.
 // ---------------------------------------------------------------------------
 
@@ -1057,7 +489,6 @@ fn serve_one(mut stream: std::net::TcpStream, render: &dyn Fn() -> String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Metrics;
 
     fn record(seq_hint: u64, status: &str, latency_us: u64) -> TraceRecord {
         TraceRecord {
@@ -1192,85 +623,6 @@ mod tests {
         assert_eq!(back.parent_span, Some(12));
         assert_eq!(back.tenant.as_deref(), Some("acme"));
         assert_eq!(back, linked);
-    }
-
-    #[test]
-    fn prometheus_exposition_is_well_formed() {
-        let m = Metrics::default();
-        m.received.fetch_add(5, Ordering::Relaxed);
-        m.ok.fetch_add(4, Ordering::Relaxed);
-        m.latency.record(100);
-        m.latency.record(3_000);
-        let st = m.algo_stages("cascade");
-        st.queue_wait.record(10);
-        st.engine.record(1_000);
-        st.record_work(&EvalOutcome {
-            value: 1,
-            work: 64,
-            steps: 9,
-            max_width: 4,
-            pruned: 2,
-            ..Default::default()
-        });
-        m.record_par_work(11, 3, 7);
-        m.record_par_grant(4);
-        let loop0 = m.register_io_loop();
-        loop0.record_iteration(900, 100);
-        loop0.set_gauges(2, 512);
-        m.record_queue_depth(3);
-        m.record_queue_depth(5);
-        let cache = CacheStats {
-            hits: 1,
-            misses: 2,
-            admitted: 2,
-            evictions: 0,
-            ttl_evictions: 0,
-            len: 2,
-            capacity: 256,
-            ttl_ms: None,
-            per_shard_len: vec![1, 1],
-            per_shard_evictions: vec![0, 0],
-        };
-        let text = render_prometheus(&m.snapshot(), &cache, 3, 1);
-        assert!(text.contains("# TYPE gtserve_requests_total counter"));
-        assert!(text.contains("gtserve_requests_total 5"));
-        assert!(text.contains("# TYPE gtserve_latency_seconds histogram"));
-        assert!(text.contains("gtserve_latency_seconds_count 2"));
-        assert!(text.contains("gtserve_latency_seconds_bucket{le=\"+Inf\"} 2"));
-        assert!(text
-            .contains("gtserve_stage_latency_seconds_count{algo=\"cascade\",stage=\"engine\"} 1"));
-        assert!(text.contains("gtserve_engine_work_total{algo=\"cascade\",counter=\"leaves\"} 64"));
-        assert!(text.contains("gtserve_engine_max_width{algo=\"cascade\"} 4"));
-        assert!(text.contains("gtserve_cache_shard_entries{shard=\"1\"} 1"));
-        assert!(text.contains("gtserve_executor_queued 3"));
-        assert!(text.contains("gtserve_flights_inflight 1"));
-        assert!(text.contains("gtserve_engine_par_steals_total 11"));
-        assert!(text.contains("gtserve_engine_par_retires_total 3"));
-        assert!(text.contains("gtserve_engine_par_window_narrowings_total 7"));
-        assert!(text.contains("gtserve_engine_par_grants_total 1"));
-        assert!(text.contains("gtserve_engine_par_grant_threads_total 4"));
-        assert!(text.contains("gtserve_build_info{version=\""));
-        assert!(text.contains("gtserve_io_loop_iterations_total{loop=\"0\"} 1"));
-        assert!(text.contains("gtserve_io_loop_wait_seconds_total{loop=\"0\"} 0.0009"));
-        assert!(text.contains("gtserve_io_loop_connections{loop=\"0\"} 2"));
-        assert!(text.contains("gtserve_io_loop_outbox_bytes{loop=\"0\"} 512"));
-        assert!(text.contains("gtserve_io_loop_lag_seconds_count{loop=\"0\"} 1"));
-        assert!(text.contains("# TYPE gtserve_executor_queue_depth histogram"));
-        // Depth buckets are unitless: both samples (3 and 5) sit at or
-        // below the le="8" bound, and the sum is raw jobs not seconds.
-        assert!(text.contains("gtserve_executor_queue_depth_bucket{le=\"8\"} 2"));
-        assert!(text.contains("gtserve_executor_queue_depth_sum 8"));
-        // Buckets are cumulative: each bucket line's value never
-        // decreases as le grows.
-        let mut last = 0u64;
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("gtserve_latency_seconds_bucket{le=\"") {
-                let v: u64 = rest.split("} ").nth(1).unwrap().parse().unwrap();
-                assert!(v >= last, "non-cumulative: {line}");
-                last = v;
-            }
-        }
-        assert_eq!(last, 2);
     }
 
     #[test]

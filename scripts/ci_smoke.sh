@@ -29,9 +29,10 @@
 # subevals across >= 2 replicas (split counters + per-replica sent),
 # a kill -9 mid split-heavy load must stay invisible to clients with
 # subevals_retried > 0, values must keep matching the local engine
-# after the kill, and a naive-mode NOR eval must discard in-flight
-# losers after its cutoff (subevals_discarded_on_cutoff > 0) without
-# ever aborting them.
+# after the kill, the router's own /metrics endpoint must show the
+# splits and the route latency, and a naive-mode NOR eval must
+# discard in-flight losers after its cutoff
+# (subevals_discarded_on_cutoff > 0) without ever aborting them.
 #
 # A fleet-membership smoke closes the file: a replica announces
 # itself to a live 1-seed router mid-load (serve --announce) with zero
@@ -103,12 +104,13 @@ fail=""
 # Scrape the Prometheus exposition.  curl when available, raw
 # /dev/tcp otherwise — the endpoint closes the connection after one
 # response, so a plain read-to-EOF works.
-scrape() {
+scrape() { # [port] -> the exposition body (default: the server's endpoint)
+  local port="${1:-$METRICS_PORT}"
   if command -v curl >/dev/null 2>&1; then
-    curl -sf "http://$METRICS_ADDR/metrics"
+    curl -sf "http://127.0.0.1:$port/metrics"
   else
-    exec 9<>"/dev/tcp/127.0.0.1/$METRICS_PORT"
-    printf 'GET /metrics HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n' "$METRICS_ADDR" >&9
+    exec 9<>"/dev/tcp/127.0.0.1/$port"
+    printf 'GET /metrics HTTP/1.1\r\nHost: 127.0.0.1:%s\r\nConnection: close\r\n\r\n' "$port" >&9
     cat <&9
     exec 9<&- 9>&-
   fi
@@ -463,6 +465,8 @@ echo "ci_smoke: router ok ($ok replies through a replica kill, $retries retries)
 
 SPLIT_ROUTE_PORT=$((PORT + 23))
 SPLIT_ROUTE_ADDR="127.0.0.1:$SPLIT_ROUTE_PORT"
+SPLIT_METRICS_PORT=$((PORT + 24))
+SPLIT_METRICS_ADDR="127.0.0.1:$SPLIT_METRICS_PORT"
 SPLIT_PIDS=""
 ROUTER_PID=""
 
@@ -525,7 +529,7 @@ engine_value() { # spec -> the local engine's ground-truth root value
     | sed -n 's/^value[[:space:]]*:[[:space:]]*\(-\{0,1\}[0-9][0-9]*\).*/\1/p'
 }
 
-start_split_fleet --split-cost 64
+start_split_fleet --split-cost 64 --metrics-addr "$SPLIT_METRICS_ADDR"
 
 # One large eval: correct value, and its subevals must have reached
 # more than one replica.
@@ -583,6 +587,22 @@ spec="minmax:d=3,n=8,seed=2"
 want=$(engine_value "$spec")
 got=$(split_eval "$spec")
 [ "$got" = "$want" ] || { echo "ci_smoke: post-kill split value $got != engine $want" >&2; exit 1; }
+
+# One scrape of the router's own /metrics after the split load: every
+# TYPE line well-formed, and the split and route-latency series moved.
+route_scrape=$(scrape "$SPLIT_METRICS_PORT")
+fail=""
+bad_types=$(printf '%s\n' "$route_scrape" | grep '^# TYPE ' \
+  | grep -cvE '^# TYPE [a-z_][a-z0-9_]* (counter|gauge|histogram)$' || true)
+[ "${bad_types:-0}" -eq 0 ] || { echo "ci_smoke: router /metrics has $bad_types malformed TYPE lines" >&2; fail=1; }
+printf '%s\n' "$route_scrape" | grep -q '^# TYPE router_route_latency_seconds histogram$' \
+  || { echo "ci_smoke: router /metrics is missing the route latency histogram" >&2; fail=1; }
+route_splits=$(printf '%s\n' "$route_scrape" | sed -n 's/^router_splits_total \([0-9][0-9]*\)$/\1/p')
+[ "${route_splits:-0}" -gt 0 ] || { echo "ci_smoke: router_splits_total is not > 0 after the split load" >&2; fail=1; }
+route_count=$(printf '%s\n' "$route_scrape" | sed -n 's/^router_route_latency_seconds_count \([0-9][0-9]*\)$/\1/p')
+[ "${route_count:-0}" -gt 0 ] || { echo "ci_smoke: router_route_latency_seconds_count is not > 0" >&2; fail=1; }
+[ -z "$fail" ] || exit 1
+echo "ci_smoke: router /metrics ok (splits $route_splits, routed $route_count)" >&2
 stop_split_fleet
 echo "ci_smoke: split fan-out ok ($used replicas used, $retried subevals re-dispatched)" >&2
 

@@ -120,9 +120,7 @@ fn a_replica_joins_a_live_fleet_under_load_without_client_errors() {
         // Keep the load running against the grown fleet long enough
         // for rebalanced keys to land on the joiner.
         let settle = Instant::now();
-        while joiner.metrics().snapshot().received == 0
-            && settle.elapsed() < Duration::from_secs(10)
-        {
+        while joiner.stats().u64("received") == 0 && settle.elapsed() < Duration::from_secs(10) {
             std::thread::sleep(Duration::from_millis(25));
         }
         stop.store(true, std::sync::atomic::Ordering::Release);
@@ -135,7 +133,7 @@ fn a_replica_joins_a_live_fleet_under_load_without_client_errors() {
         // The joiner took a share of the keyspace: it served traffic
         // it could only have received through the router.
         assert!(
-            joiner.metrics().snapshot().received > 0,
+            joiner.stats().u64("received") > 0,
             "the joined replica never saw a request"
         );
         joiner.request_shutdown();
@@ -224,9 +222,9 @@ fn a_killed_replica_rejoins_warm_from_its_snapshot() {
             Err(e) => panic!("could not rebind {a_addr}: {e}"),
         }
     };
-    let snap = replica_a2.metrics().snapshot();
+    let snap = replica_a2.stats();
     assert!(
-        snap.snapshot_restored > 0,
+        snap.u64("snapshot_restored") > 0,
         "restart must restore the snapshot"
     );
     wait_for_health(&router_addr, 10, "A rejoined at generation 2", |body| {
@@ -246,8 +244,8 @@ fn a_killed_replica_rejoins_warm_from_its_snapshot() {
             let reply = client.send(req).unwrap();
             assert!(reply.ok, "replay failed: {reply:?}");
         }
-        let snap = replica_a2.metrics().snapshot();
-        if snap.cache_hits + snap.cache_misses > 0 {
+        let snap = replica_a2.stats();
+        if snap.u64("cache_hits") + snap.u64("cache_misses") > 0 {
             break snap;
         }
         assert!(
@@ -256,13 +254,17 @@ fn a_killed_replica_rejoins_warm_from_its_snapshot() {
         );
         std::thread::sleep(Duration::from_millis(50));
     };
-    let served = snap.cache_hits + snap.cache_misses;
+    let served = snap.u64("cache_hits") + snap.u64("cache_misses");
     assert!(
-        snap.cache_hits * 2 >= served,
+        snap.u64("cache_hits") * 2 >= served,
         "first-window hit rate below 50%: {} hits of {served}",
-        snap.cache_hits
+        snap.u64("cache_hits")
     );
-    assert_eq!(snap.evaluated, 0, "every replayed key was a restored hit");
+    assert_eq!(
+        snap.u64("evaluated"),
+        0,
+        "every replayed key was a restored hit"
+    );
 
     router.request_shutdown();
     router.join();
@@ -347,11 +349,10 @@ fn a_flooding_tenant_is_capped_while_the_quiet_tenant_runs_clean() {
     assert_eq!(quiet_shed, 0, "a tenant inside its share is never shed");
 
     // The server's own per-tenant cards tell the same story.
-    let snap = server.metrics().snapshot();
-    let card = |name: &str| snap.tenants.iter().find(|t| t.tenant == name).unwrap();
-    assert!(card("noisy").shed >= noisy_shed);
-    assert_eq!(card("quiet").shed, 0);
-    assert!(card("quiet").ok >= quiet_ok);
+    let snap = server.stats();
+    assert!(snap.u64("tenants.noisy.shed") >= noisy_shed);
+    assert_eq!(snap.u64("tenants.quiet.shed"), 0);
+    assert!(snap.u64("tenants.quiet.ok") >= quiet_ok);
     server.request_shutdown();
     server.join();
 }

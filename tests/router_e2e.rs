@@ -183,8 +183,8 @@ fn same_key_sticks_to_one_replica_and_composes_a_fleet_cache() {
     }
 
     let snap = router.join();
-    assert_eq!(snap.forwarded_errors, 0);
-    assert_eq!(snap.ok, 15);
+    assert_eq!(snap.u64("forwarded_errors"), 0);
+    assert_eq!(snap.u64("ok"), 15);
 }
 
 #[test]
@@ -387,9 +387,9 @@ fn killing_one_of_three_replicas_mid_burst_is_invisible_to_clients() {
     );
 
     let snap = router.join();
-    assert_eq!(snap.forwarded_errors, 0);
-    assert_eq!(snap.shed, 0);
-    assert_eq!(snap.expired, 0);
+    assert_eq!(snap.u64("forwarded_errors"), 0);
+    assert_eq!(snap.u64("shed"), 0);
+    assert_eq!(snap.u64("expired"), 0);
     victim.join();
     for server in victims {
         server.request_shutdown();

@@ -45,9 +45,9 @@ fn happy_path_returns_value_and_metrics() {
 
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.ok, 4);
-    assert_eq!(stats.evaluated, 4);
-    assert_eq!(stats.connections, 1);
+    assert_eq!(stats.u64("ok"), 4);
+    assert_eq!(stats.u64("evaluated"), 4);
+    assert_eq!(stats.u64("connections"), 1);
 }
 
 #[test]
@@ -74,8 +74,8 @@ fn malformed_request_gets_error_reply_and_connection_survives() {
 
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.bad_request, 6);
-    assert_eq!(stats.ok, 1);
+    assert_eq!(stats.u64("bad_request"), 6);
+    assert_eq!(stats.u64("ok"), 1);
 }
 
 #[test]
@@ -109,8 +109,8 @@ fn deadline_timeout_replies_promptly_and_cancels_the_engine() {
 
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.timeout, 1);
-    assert_eq!(stats.ok, 1);
+    assert_eq!(stats.u64("timeout"), 1);
+    assert_eq!(stats.u64("ok"), 1);
 }
 
 #[test]
@@ -176,9 +176,13 @@ fn full_queue_sheds_with_busy() {
 
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert!(stats.shed >= 1, "shed={}", stats.shed);
-    assert!(stats.timeout >= 1, "timeout={}", stats.timeout);
-    assert_eq!(stats.ok, 0);
+    assert!(stats.u64("shed") >= 1, "shed={}", stats.u64("shed"));
+    assert!(
+        stats.u64("timeout") >= 1,
+        "timeout={}",
+        stats.u64("timeout")
+    );
+    assert_eq!(stats.u64("ok"), 0);
 }
 
 #[test]
@@ -224,11 +228,15 @@ fn concurrent_identical_cold_requests_coalesce_into_one_run() {
     let mut client = Client::connect(addr).unwrap();
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.evaluated, 1, "exactly one engine run for the burst");
-    assert_eq!(stats.coalesced_hits, (N - 1) as u64);
-    assert_eq!(stats.cache_hits, 0);
-    assert_eq!(stats.cache_misses, N as u64);
-    assert_eq!(stats.ok, N as u64);
+    assert_eq!(
+        stats.u64("evaluated"),
+        1,
+        "exactly one engine run for the burst"
+    );
+    assert_eq!(stats.u64("coalesced_hits"), (N - 1) as u64);
+    assert_eq!(stats.u64("cache_hits"), 0);
+    assert_eq!(stats.u64("cache_misses"), N as u64);
+    assert_eq!(stats.u64("ok"), N as u64);
 }
 
 #[test]
@@ -274,8 +282,8 @@ fn pipelined_connection_replies_out_of_order_with_id_echo() {
 
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.ok, 1);
-    assert_eq!(stats.timeout, 1);
+    assert_eq!(stats.u64("ok"), 1);
+    assert_eq!(stats.u64("timeout"), 1);
 }
 
 #[test]
@@ -306,9 +314,9 @@ fn repeated_requests_hit_the_cache() {
 
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_misses, 2);
-    assert_eq!(stats.evaluated, 2);
+    assert_eq!(stats.u64("cache_hits"), 1);
+    assert_eq!(stats.u64("cache_misses"), 2);
+    assert_eq!(stats.u64("evaluated"), 2);
 }
 
 #[test]
@@ -602,12 +610,12 @@ fn cold_storm_keeps_a_fixed_thread_census() {
     let mut client = Client::connect(addr).unwrap();
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.ok, 0);
+    assert_eq!(stats.u64("ok"), 0);
     assert!(
-        stats.timeout + stats.shed >= (CONNS * PER_CONN) as u64,
+        stats.u64("timeout") + stats.u64("shed") >= (CONNS * PER_CONN) as u64,
         "every in-flight miss must resolve: timeout={} shed={}",
-        stats.timeout,
-        stats.shed
+        stats.u64("timeout"),
+        stats.u64("shed")
     );
 }
 
@@ -641,7 +649,7 @@ fn graceful_shutdown_drains_in_flight_work() {
     assert!(reply.ok, "in-flight eval was dropped: {:?}", reply.error);
 
     let stats = server.join();
-    assert_eq!(stats.ok, 1);
+    assert_eq!(stats.u64("ok"), 1);
 
     // The listener is gone: new connections fail (or die immediately).
     match TcpStream::connect(addr) {
@@ -693,10 +701,10 @@ fn deadline_kills_every_thread_of_a_parallel_grant() {
 
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.timeout, 1);
-    assert_eq!(stats.ok, 2);
+    assert_eq!(stats.u64("timeout"), 1);
+    assert_eq!(stats.u64("ok"), 2);
     assert!(
-        stats.par_grants >= 1,
+        stats.u64("par_grants") >= 1,
         "the big eval must have drawn a multi-thread grant"
     );
 }
@@ -776,11 +784,11 @@ fn dribbling_slowloris_is_closed_at_the_idle_timeout() {
     client.shutdown_server().unwrap();
     let stats = server.join();
     assert!(
-        stats.idle_closed >= 1,
+        stats.u64("idle_closed") >= 1,
         "idle_closed = {}",
-        stats.idle_closed
+        stats.u64("idle_closed")
     );
-    assert_eq!(stats.open_conns, 0);
+    assert_eq!(stats.u64("open_conns"), 0);
 }
 
 /// Slowloris, write side: a client that floods requests but never
@@ -838,12 +846,12 @@ fn never_draining_reader_is_bounded_and_reaped() {
     fresh.shutdown_server().unwrap();
     let stats = server.join();
     assert!(
-        stats.idle_closed + stats.overflow_closed >= 1,
+        stats.u64("idle_closed") + stats.u64("overflow_closed") >= 1,
         "idle_closed={} overflow_closed={}",
-        stats.idle_closed,
-        stats.overflow_closed
+        stats.u64("idle_closed"),
+        stats.u64("overflow_closed")
     );
-    assert_eq!(stats.open_conns, 0);
+    assert_eq!(stats.u64("open_conns"), 0);
 }
 
 /// The connection state machine over real sockets: a request split
@@ -911,8 +919,8 @@ fn split_and_batched_request_framing_parse_identically() {
     let mut client = Client::connect(addr).unwrap();
     client.shutdown_server().unwrap();
     let stats = server.join();
-    assert_eq!(stats.ok, 4);
-    assert!(stats.overlong_closed >= 1);
+    assert_eq!(stats.u64("ok"), 4);
+    assert!(stats.u64("overlong_closed") >= 1);
 }
 
 /// Graceful drain with a request line half-written: the drain must
@@ -952,6 +960,6 @@ fn graceful_drain_abandons_a_partial_request_line() {
         "drain stalled on a partial request line"
     );
     let stats = server.join();
-    assert_eq!(stats.ok, 1);
-    assert_eq!(stats.open_conns, 0);
+    assert_eq!(stats.u64("ok"), 1);
+    assert_eq!(stats.u64("open_conns"), 0);
 }

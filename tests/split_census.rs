@@ -59,7 +59,7 @@ fn split_load_keeps_the_thread_census_flat() {
     }
     let snap = router.join();
     assert!(
-        snap.splits_total >= (CLIENTS * (WARMUP + EVALS)) as u64,
+        snap.u64("splits_total") >= (CLIENTS * (WARMUP + EVALS)) as u64,
         "{snap:?}"
     );
     assert!(
