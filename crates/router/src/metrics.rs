@@ -11,6 +11,7 @@
 
 use crate::membership::MembershipCounters;
 use crate::router::{Inner, Replica};
+use gt_serve::eventloop::ConnCounters;
 use gt_serve::metrics::LatencyHistogram;
 use gt_serve::protocol::PROTOCOL_VERSION;
 use gt_serve::registry::{
@@ -77,8 +78,8 @@ pub struct RouterMetrics {
     pub stale_replies: AtomicU64,
     /// Requests that ran out of routable candidates.
     pub unrouted: AtomicU64,
-    /// Client connections accepted.
-    pub connections: AtomicU64,
+    /// Client accepts and closes, kept by the connection loop.
+    pub conns: ConnCounters,
     /// Evals decomposed into scatter-gather split plans.
     pub splits_total: AtomicU64,
     /// Subevals placed on replicas (initial sends and re-dispatches).
@@ -117,7 +118,7 @@ impl Default for RouterMetrics {
             bad_request: AtomicU64::new(0),
             stale_replies: AtomicU64::new(0),
             unrouted: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
+            conns: ConnCounters::default(),
             splits_total: AtomicU64::new(0),
             subevals_dispatched: AtomicU64::new(0),
             subevals_retried: AtomicU64::new(0),
@@ -276,7 +277,25 @@ pub(crate) const ROUTER_FAMILIES: &[Family<RouterView>] = &[
         "router_connections_total",
         "connections",
         "Client connections accepted.",
-        |v| one(&v.inner.metrics.connections),
+        |v| one(&v.inner.metrics.conns.accepted),
+    ),
+    gauge(
+        "router_open_connections",
+        "open_conns",
+        "Client connections currently registered with an I/O thread.",
+        |v| one(&v.inner.metrics.conns.open),
+    ),
+    counter(
+        "router_conn_overflow_closed_total",
+        "overflow_closed",
+        "Client connections closed for overflowing their outbound queue.",
+        |v| one(&v.inner.metrics.conns.overflow_closed),
+    ),
+    counter(
+        "router_conn_overlong_closed_total",
+        "overlong_closed",
+        "Client connections closed for an over-long request line.",
+        |v| one(&v.inner.metrics.conns.overlong_closed),
     ),
     counter(
         "router_splits_total",

@@ -1,20 +1,26 @@
-//! The routing tier itself: client accept loop, rendezvous routing,
-//! per-replica pipelined connection pools, retry/hedge pacing, and
-//! lifecycle (spawned replicas, probes, graceful drain).
+//! The routing tier itself: the router's handler on gt-serve's
+//! connection loop, rendezvous routing, per-replica pipelined
+//! connection pools, retry/hedge pacing, and lifecycle (spawned
+//! replicas, probes, graceful drain).
 //!
 //! ## Data path
 //!
-//! A client connection speaks the same NDJSON protocol as `gt-serve`.
-//! Each `eval` is validated at the edge (bad requests never cost an
-//! upstream round trip), keyed by its canonical cache key, and routed
-//! along the key's rendezvous order re-sorted by health tier.  The
-//! request is relayed upstream with a globally unique numeric id;
-//! replies are matched back to their [`Relay`], rewritten to carry the
-//! client's original id (plus `replica`, `retries`, `hedged`
-//! annotations), and written to the client.  One request may have
-//! several upstream copies in flight (a hedge, or a retry racing a
-//! slow first attempt); the first reply wins via an atomic claim and
-//! the rest are discarded.
+//! Client connections run on [`gt_serve::eventloop`], the loop
+//! `gtree serve` runs, with the same contract: a connection's reads
+//! stop while its window or outbox is full, replies are enqueued by
+//! whichever thread settles them and written only by the connection's
+//! own I/O thread, and a connection whose queued replies reach the
+//! outbox cap is closed.  A client speaks the same NDJSON protocol as
+//! `gt-serve`.  Each `eval` is validated at the edge (bad requests
+//! never cost an upstream round trip), keyed by its canonical cache
+//! key, and routed along the key's rendezvous order re-sorted by
+//! health tier.  The request is relayed upstream with a globally
+//! unique numeric id; replies are matched back to their [`Relay`],
+//! rewritten to carry the client's original id (plus `replica`,
+//! `retries`, `hedged` annotations), and queued for the client.  One
+//! request may have several upstream copies in flight (a hedge, or a
+//! retry racing a slow first attempt); the first reply wins via an
+//! atomic claim and the rest are discarded.
 //!
 //! ## Control path
 //!
@@ -33,9 +39,10 @@ use crate::split::{plan_levels, Dispatch, Effects, FailKind, Outcome, SplitConfi
 use crate::trace::{SpanRecorder, TraceHandle, ROOT_SPAN};
 use gt_analysis::Json;
 use gt_serve::deadline::{Answerable, DeadlineHeap};
-use gt_serve::io::{BufferPool, LineAction, LineReader, Poller, Waker};
+use gt_serve::eventloop::{ConnCounters, ConnReply, IoLoop, LineHandler, LoopConfig};
 use gt_serve::protocol::{
-    error_line_with, ok_line, ErrorCode, Op, Request, Response, TraceContext, PROTOCOL_VERSION,
+    error_line, error_line_with, ok_line, ErrorCode, Op, Request, Response, TraceContext,
+    PROTOCOL_VERSION,
 };
 use gt_serve::registry::{prometheus_text, stats_json, Stats};
 use gt_serve::trace::{spawn_metrics_listener, MetricsListener};
@@ -43,7 +50,7 @@ use gt_serve::workload;
 use gt_tree::split::{path_text, SubtreeSpec};
 use gt_tree::Value;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
@@ -60,9 +67,6 @@ const RECONNECT_DELAY: Duration = Duration::from_millis(50);
 /// locally.  Within the slack the upstream — which was handed the same
 /// deadline — gets to deliver its own, more informative, timeout.
 const EXPIRE_GRACE: Duration = Duration::from_millis(100);
-
-/// Largest accepted client request line.
-const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Algorithm used when an eval names none (mirrors gt-serve).
 const DEFAULT_ALGO: &str = "cascade:w=1";
@@ -144,48 +148,6 @@ impl Default for RouterConfig {
             trace_sample: 0.05,
             trace_ring: 256,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Client-side pipelining window (same discipline as gt-serve's).
-// ---------------------------------------------------------------------------
-
-struct ClientWindow {
-    slots: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl ClientWindow {
-    fn new() -> ClientWindow {
-        ClientWindow {
-            slots: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Claim a slot.  The client-io loop checks [`in_flight`] against
-    /// the limit *before* consuming a request line (deferring the line
-    /// otherwise), and only this connection's io thread ever acquires,
-    /// so in practice the wait never blocks — it is kept as a guard
-    /// against future callers with weaker discipline.
-    fn acquire(&self, limit: usize) {
-        let mut n = self.slots.lock().unwrap();
-        while *n >= limit.max(1) {
-            n = self.cv.wait(n).unwrap();
-        }
-        *n += 1;
-    }
-
-    fn release(&self) {
-        *self.slots.lock().unwrap() -= 1;
-        self.cv.notify_all();
-    }
-
-    /// Requests currently holding a slot — the io loop's non-blocking
-    /// probe for flow control and drain completion.
-    fn in_flight(&self) -> usize {
-        *self.slots.lock().unwrap()
     }
 }
 
@@ -295,21 +257,12 @@ struct OutstandingEntry {
 /// guarantees exactly one reply line reaches the client.
 struct Relay {
     client_id: Option<String>,
-    /// What to send upstream: `Op::Eval` or `Op::Subeval`.
-    op: Op,
-    /// Canonical spec/algo strings sent upstream — the same strings
-    /// that formed the routing key, so every replica computes the
-    /// identical cache key.
-    spec: String,
-    algo: String,
-    /// Subeval-only: canonical dot-joined path and the window bounds
-    /// (absent bounds mean the full window).
-    path: Option<String>,
-    alpha: Option<i64>,
-    beta: Option<i64>,
-    /// Tenant id forwarded upstream so replica-side fair scheduling
-    /// sees the same tenant the client declared.
-    tenant: Option<String>,
+    /// What every attempt sends upstream, less its `id`, `deadline_ms`
+    /// and `trace`: an `eval` or `subeval` carrying the canonical
+    /// strings that formed the routing key, so every replica computes
+    /// the identical cache key, and the client's tenant, so replica-
+    /// side fair scheduling sees the tenant the client declared.
+    upstream: Request,
     start: Instant,
     deadline: Instant,
     /// Replica indices in routing preference order.
@@ -320,8 +273,8 @@ struct Relay {
     hedged: AtomicBool,
     answered: AtomicBool,
     outstanding: Mutex<Vec<OutstandingEntry>>,
-    writer: Arc<Mutex<TcpStream>>,
-    window: Arc<ClientWindow>,
+    /// The client connection's reply queue and window slot.
+    conn: Arc<ConnReply>,
     /// The request's span tree, when it is being traced.
     trace: Option<Arc<TraceHandle>>,
 }
@@ -478,17 +431,6 @@ fn record_route_span(h: &TraceHandle, route: &[usize], table: &[(String, u64)], 
     h.event(ROOT_SPAN, "route", label, "ok");
 }
 
-/// Write one reply line to a client in a single `write` call: on a
-/// NODELAY socket a separate newline would cost a second syscall and
-/// usually a second segment.
-fn write_line(writer: &Mutex<TcpStream>, line: &str) {
-    let framed = format!("{line}\n");
-    let _ = writer
-        .lock()
-        .expect("client writer lock poisoned")
-        .write_all(framed.as_bytes());
-}
-
 /// Rebuild an upstream reply line for the client: drop the upstream
 /// sequence id, restore the client's id (right after `ok`, where
 /// gt-serve puts it), and annotate with the answering replica plus
@@ -602,7 +544,7 @@ fn settle_forward(
         relay.hedged.load(Ordering::SeqCst),
         relay.trace.as_ref().map(|h| h.trace_id.as_str()),
     );
-    write_line(&relay.writer, &line);
+    relay.conn.enqueue(&line);
     if resp.ok {
         RouterMetrics::bump(&inner.metrics.ok);
         inner
@@ -612,7 +554,7 @@ fn settle_forward(
     } else {
         RouterMetrics::bump(&inner.metrics.forwarded_errors);
     }
-    relay.window.release();
+    relay.conn.release_slot();
 }
 
 /// Answer the client from the router itself (shed/timeout/draining).
@@ -642,17 +584,16 @@ fn settle_local(
         inner.recorder.finish(h);
         extra.push(("trace_id", Json::from(h.trace_id.clone())));
     }
-    write_line(
-        &relay.writer,
-        &error_line_with(&relay.client_id, code, message, extra),
-    );
+    relay
+        .conn
+        .enqueue(&error_line_with(&relay.client_id, code, message, extra));
     match code {
         ErrorCode::Busy => RouterMetrics::bump(&inner.metrics.shed),
         ErrorCode::Timeout => RouterMetrics::bump(&inner.metrics.expired),
         ErrorCode::Draining => RouterMetrics::bump(&inner.metrics.draining),
         _ => {}
     }
-    relay.window.release();
+    relay.conn.release_slot();
 }
 
 /// Out of candidates: shed, unless another copy is still racing.
@@ -788,22 +729,12 @@ fn conn_try_send(
         .as_millis() as u64;
     let line = Request {
         id: Some(seq.to_string()),
-        op: relay.op,
-        spec: Some(relay.spec.clone()),
-        algo: match relay.op {
-            Op::Eval => Some(relay.algo.clone()),
-            _ => None,
-        },
         deadline_ms: Some(remaining.max(1)),
-        path: relay.path.clone(),
-        alpha: relay.alpha,
-        beta: relay.beta,
         trace: relay.trace.as_ref().map(|h| TraceContext {
             trace_id: h.trace_id.clone(),
             parent_span: Some(span),
         }),
-        tenant: relay.tenant.clone(),
-        ..Default::default()
+        ..relay.upstream.clone()
     }
     .render();
     if conn.write_line(&line) {
@@ -895,8 +826,8 @@ struct ActivePlan {
     deadline: Instant,
     depth: usize,
     naive: bool,
-    writer: Arc<Mutex<TcpStream>>,
-    window: Arc<ClientWindow>,
+    /// The client connection's reply queue and window slot.
+    conn: Arc<ConnReply>,
     /// The request's span tree, when it is being traced.
     trace: Option<Arc<TraceHandle>>,
     /// The `split` span every subeval span parents to; `0` untraced.
@@ -970,8 +901,7 @@ fn answer_plan(inner: &Inner, plan: &ActivePlan, outcome: &Outcome) {
             if let Some(h) = &plan.trace {
                 fields.push(("trace_id", Json::from(h.trace_id.clone())));
             }
-            let line = ok_line(&plan.client_id, fields);
-            write_line(&plan.writer, &line);
+            plan.conn.enqueue(&ok_line(&plan.client_id, fields));
             RouterMetrics::bump(&inner.metrics.ok);
             inner
                 .metrics
@@ -999,10 +929,8 @@ fn answer_plan(inner: &Inner, plan: &ActivePlan, outcome: &Outcome) {
                 inner.recorder.finish(h);
                 extra.push(("trace_id", Json::from(h.trace_id.clone())));
             }
-            write_line(
-                &plan.writer,
-                &error_line_with(&plan.client_id, code, message, extra),
-            );
+            plan.conn
+                .enqueue(&error_line_with(&plan.client_id, code, message, extra));
             match code {
                 ErrorCode::Busy => RouterMetrics::bump(&inner.metrics.shed),
                 ErrorCode::Timeout => RouterMetrics::bump(&inner.metrics.expired),
@@ -1010,7 +938,7 @@ fn answer_plan(inner: &Inner, plan: &ActivePlan, outcome: &Outcome) {
             }
         }
     }
-    plan.window.release();
+    plan.conn.release_slot();
 }
 
 /// Fail the plan: feed the machine (so late arrivals count as
@@ -1295,13 +1223,7 @@ fn handle_sub_reply(inner: &Inner, replica: &Replica, sf: &Arc<SubFlight>, resp:
 /// Decide whether this eval splits across the fleet.  Returns `true`
 /// if the request was consumed (plan launched, or rejected with an
 /// error); `false` to fall through to whole-eval relaying.
-fn start_split_plan(
-    inner: &Arc<Inner>,
-    writer: &Arc<Mutex<TcpStream>>,
-    window: &Arc<ClientWindow>,
-    req: &Request,
-    spec_c: &str,
-) -> bool {
+fn start_split_plan(inner: &Inner, conn: &Arc<ConnReply>, req: &Request, spec_c: &str) -> bool {
     let Some(threshold) = inner.config.split.cost_threshold else {
         return false;
     };
@@ -1312,10 +1234,7 @@ fn start_split_plan(
         Err(e) => {
             if req.alpha.is_some() || req.beta.is_some() {
                 RouterMetrics::bump(&inner.metrics.bad_request);
-                write_line(
-                    writer,
-                    &error_line_with(&req.id, ErrorCode::BadRequest, &e, Vec::new()),
-                );
+                conn.enqueue(&error_line(&req.id, ErrorCode::BadRequest, &e));
                 return true;
             }
             // Games and other non-decomposable workloads relay whole.
@@ -1328,7 +1247,7 @@ fn start_split_plan(
         // build error: relay whole.
         _ => return false,
     };
-    window.acquire(inner.config.client_window);
+    conn.claim_slot();
     let deadline_ms = req
         .deadline_ms
         .unwrap_or(inner.config.default_deadline_ms)
@@ -1357,8 +1276,7 @@ fn start_split_plan(
         deadline: now + Duration::from_millis(deadline_ms),
         depth,
         naive: inner.config.split.naive,
-        writer: Arc::clone(writer),
-        window: Arc::clone(window),
+        conn: Arc::clone(conn),
         trace,
         split_span,
     });
@@ -1689,134 +1607,78 @@ fn pacer_loop(inner: Arc<Inner>) {
 // Client connections.
 // ---------------------------------------------------------------------------
 
-fn route_eval(
-    inner: &Arc<Inner>,
-    writer: &Arc<Mutex<TcpStream>>,
-    window: &Arc<ClientWindow>,
-    req: Request,
-) {
-    RouterMetrics::bump(&inner.metrics.requests);
-    if inner.draining.load(Ordering::SeqCst) {
-        RouterMetrics::bump(&inner.metrics.draining);
-        write_line(
-            writer,
-            &error_line_with(
-                &req.id,
-                ErrorCode::Draining,
-                "router is draining",
-                Vec::new(),
-            ),
-        );
-        return;
-    }
+/// The routing key of a relayed `eval` or `subeval`, and the canonical
+/// request every upstream attempt sends.  A subeval's key omits its
+/// window, so a client probing a subtree lands on the replica the split
+/// planner would use.
+fn relay_target(req: &Request) -> Result<(String, Request), String> {
     let spec_text = req.spec.as_deref().unwrap_or("");
-    let algo_text = req.algo.as_deref().unwrap_or(DEFAULT_ALGO);
-    let validated = match workload::validate(spec_text, algo_text) {
-        Ok(v) => v,
-        Err(e) => {
-            RouterMetrics::bump(&inner.metrics.bad_request);
-            write_line(
-                writer,
-                &error_line_with(&req.id, ErrorCode::BadRequest, &e, Vec::new()),
-            );
-            return;
-        }
-    };
-    let key = validated.cache_key;
-    // The canonical key is "spec|algo"; send those exact strings
-    // upstream so the replica's cache key matches the routing key.
-    let (spec_c, algo_c) = key.split_once('|').unwrap_or((spec_text, algo_text));
-    // Above the configured cost threshold the eval is not relayed at
-    // all: the split planner scatters subevals across the fleet and
-    // the router itself aggregates the answer.
-    if start_split_plan(inner, writer, window, &req, spec_c) {
-        return;
-    }
-    let (table, tiers) = routing_view(inner);
-    let route = route_for(&key, &table, &tiers);
-    let trace = inner.recorder.begin(req.trace.as_ref(), &key);
-    if let Some(h) = &trace {
-        record_route_span(h, &route, &table, &tiers);
-    }
-    window.acquire(inner.config.client_window);
-    let deadline_ms = req
-        .deadline_ms
-        .unwrap_or(inner.config.default_deadline_ms)
-        .max(1);
-    let now = Instant::now();
-    let relay = Arc::new(Relay {
-        client_id: req.id,
-        op: Op::Eval,
-        spec: spec_c.to_string(),
-        algo: algo_c.to_string(),
-        path: None,
-        alpha: None,
-        beta: None,
+    let mut upstream = Request {
+        op: req.op,
         tenant: req.tenant.clone(),
-        start: now,
-        deadline: now + Duration::from_millis(deadline_ms),
-        route,
-        cursor: AtomicUsize::new(0),
-        retries: AtomicU32::new(0),
-        hedged: AtomicBool::new(false),
-        answered: AtomicBool::new(false),
-        outstanding: Mutex::new(Vec::new()),
-        writer: Arc::clone(writer),
-        window: Arc::clone(window),
-        trace,
-    });
-    launch_relay(inner, &relay);
+        ..Default::default()
+    };
+    let key = if req.op == Op::Eval {
+        let algo_text = req.algo.as_deref().unwrap_or(DEFAULT_ALGO);
+        let key = workload::validate(spec_text, algo_text)?.cache_key;
+        // The canonical key is "spec|algo"; send those exact strings
+        // upstream so the replica's cache key matches the routing key.
+        let (spec, algo) = key.split_once('|').unwrap_or((spec_text, algo_text));
+        upstream.spec = Some(spec.to_string());
+        upstream.algo = Some(algo.to_string());
+        key
+    } else {
+        let path_str = req.path.as_deref().unwrap_or("");
+        let sub = workload::validate_subeval(spec_text, path_str, req.alpha, req.beta)?.sub;
+        // `render()` is "spec#path#window"; the leading segment is the
+        // canonical spec text.
+        let rendered = sub.render();
+        let spec = rendered.split('#').next().unwrap_or(spec_text);
+        let path = path_text(&sub.path);
+        let key = format!("sub:{spec}#{path}");
+        upstream.spec = Some(spec.to_string());
+        upstream.path = Some(path).filter(|p| !p.is_empty());
+        upstream.alpha = (sub.alpha != Value::MIN).then_some(sub.alpha);
+        upstream.beta = (sub.beta != Value::MAX).then_some(sub.beta);
+        key
+    };
+    Ok((key, upstream))
 }
 
-/// Relay a client-issued `subeval` to the fleet, with the same
-/// failover/hedge/expiry machinery as a whole eval.  Routed by the
-/// window-free subtree key so a client probing a subtree lands on the
-/// same replica the split planner would use.
-fn route_subeval(
-    inner: &Arc<Inner>,
-    writer: &Arc<Mutex<TcpStream>>,
-    window: &Arc<ClientWindow>,
-    req: Request,
-) {
+/// Relay a client `eval` or `subeval` to the fleet, with failover,
+/// hedging and expiry.  An eval above the split threshold is not
+/// relayed at all: the split planner scatters subevals across the
+/// fleet and the router itself aggregates the answer.
+fn route_request(inner: &Inner, conn: &Arc<ConnReply>, req: Request) {
     RouterMetrics::bump(&inner.metrics.requests);
     if inner.draining.load(Ordering::SeqCst) {
         RouterMetrics::bump(&inner.metrics.draining);
-        write_line(
-            writer,
-            &error_line_with(
-                &req.id,
-                ErrorCode::Draining,
-                "router is draining",
-                Vec::new(),
-            ),
-        );
+        conn.enqueue(&error_line(
+            &req.id,
+            ErrorCode::Draining,
+            "router is draining",
+        ));
         return;
     }
-    let spec_text = req.spec.as_deref().unwrap_or("");
-    let path_str = req.path.as_deref().unwrap_or("");
-    let sub = match workload::validate_subeval(spec_text, path_str, req.alpha, req.beta) {
-        Ok(v) => v.sub,
+    let (key, upstream) = match relay_target(&req) {
+        Ok(target) => target,
         Err(e) => {
             RouterMetrics::bump(&inner.metrics.bad_request);
-            write_line(
-                writer,
-                &error_line_with(&req.id, ErrorCode::BadRequest, &e, Vec::new()),
-            );
+            conn.enqueue(&error_line(&req.id, ErrorCode::BadRequest, &e));
             return;
         }
     };
-    // `render()` is "spec#path#window"; the leading segment is the
-    // canonical spec text.
-    let rendered = sub.render();
-    let spec_c = rendered.split('#').next().unwrap_or(spec_text).to_string();
-    let key = format!("sub:{}#{}", spec_c, path_text(&sub.path));
+    let spec_c = upstream.spec.as_deref().unwrap_or_default();
+    if req.op == Op::Eval && start_split_plan(inner, conn, &req, spec_c) {
+        return;
+    }
     let (table, tiers) = routing_view(inner);
     let route = route_for(&key, &table, &tiers);
     let trace = inner.recorder.begin(req.trace.as_ref(), &key);
     if let Some(h) = &trace {
         record_route_span(h, &route, &table, &tiers);
     }
-    window.acquire(inner.config.client_window);
+    conn.claim_slot();
     let deadline_ms = req
         .deadline_ms
         .unwrap_or(inner.config.default_deadline_ms)
@@ -1824,13 +1686,7 @@ fn route_subeval(
     let now = Instant::now();
     let relay = Arc::new(Relay {
         client_id: req.id,
-        op: Op::Subeval,
-        spec: spec_c,
-        algo: String::new(),
-        path: Some(path_text(&sub.path)).filter(|p| !p.is_empty()),
-        alpha: (sub.alpha != Value::MIN).then_some(sub.alpha),
-        beta: (sub.beta != Value::MAX).then_some(sub.beta),
-        tenant: req.tenant.clone(),
+        upstream,
         start: now,
         deadline: now + Duration::from_millis(deadline_ms),
         route,
@@ -1839,8 +1695,7 @@ fn route_subeval(
         hedged: AtomicBool::new(false),
         answered: AtomicBool::new(false),
         outstanding: Mutex::new(Vec::new()),
-        writer: Arc::clone(writer),
-        window: Arc::clone(window),
+        conn: Arc::clone(conn),
         trace,
     });
     launch_relay(inner, &relay);
@@ -1893,9 +1748,9 @@ fn record_membership_trace(inner: &Inner, action: JoinAction, addr: &str, weight
     }
 }
 
-/// Apply one `join` announcement under the membership lock and answer
-/// the announcer.  See [`crate::membership`] for the protocol.
-fn handle_join(inner: &Arc<Inner>, writer: &Arc<Mutex<TcpStream>>, req: &Request) {
+/// Apply one `join` announcement under the membership lock; returns
+/// the announcer's reply.  See [`crate::membership`] for the protocol.
+fn handle_join(inner: &Arc<Inner>, req: &Request) -> String {
     let addr = req.addr.clone().unwrap_or_default();
     let weight = req.weight.unwrap_or(membership::DEFAULT_WEIGHT);
     let generation = req.generation.unwrap_or(0);
@@ -1954,59 +1809,37 @@ fn handle_join(inner: &Arc<Inner>, writer: &Arc<Mutex<TcpStream>>, req: &Request
         JoinAction::Duplicate => "duplicate",
         JoinAction::Stale => "stale",
     };
-    write_line(
-        writer,
-        &ok_line(
-            &req.id,
-            vec![
-                ("member", Json::from(addr)),
-                ("action", Json::from(action_name)),
-                ("members", Json::from(inner.table.len())),
-                ("membership_version", Json::from(inner.table.version())),
-            ],
-        ),
-    );
+    ok_line(
+        &req.id,
+        vec![
+            ("member", Json::from(addr)),
+            ("action", Json::from(action_name)),
+            ("members", Json::from(inner.table.len())),
+            ("membership_version", Json::from(inner.table.version())),
+        ],
+    )
 }
 
-fn handle_client_line(
-    inner: &Arc<Inner>,
-    writer: &Arc<Mutex<TcpStream>>,
-    window: &Arc<ClientWindow>,
-    line: &str,
-) {
-    if line.is_empty() {
-        return;
-    }
-    if line.len() > MAX_LINE_BYTES {
-        RouterMetrics::bump(&inner.metrics.bad_request);
-        write_line(
-            writer,
-            &error_line_with(
-                &None,
-                ErrorCode::BadRequest,
-                "request line too long",
-                Vec::new(),
-            ),
-        );
-        return;
-    }
-    let req = match Request::parse(line) {
-        Ok(r) => r,
-        Err(e) => {
-            RouterMetrics::bump(&inner.metrics.bad_request);
-            write_line(
-                writer,
-                &error_line_with(&None, ErrorCode::BadRequest, &e, Vec::new()),
-            );
-            return;
-        }
-    };
-    match req.op {
-        Op::Eval => route_eval(inner, writer, window, req),
-        Op::Subeval => route_subeval(inner, writer, window, req),
-        Op::Ping => write_line(
-            writer,
-            &ok_line(
+/// Client-io threads.  Two soak thousands of mostly-idle connections;
+/// the heavy lifting stays in the upstream pools.
+const CLIENT_IO_THREADS: usize = 2;
+
+/// The router's client side on the connection loop: control verbs
+/// answer inline, `eval`/`subeval` are relayed or split.
+impl LineHandler for Inner {
+    fn line(inner: &Arc<Inner>, line: &str, _recv: Instant, conn: &Arc<ConnReply>) {
+        let req = match Request::parse(line) {
+            Ok(r) => r,
+            Err(e) => {
+                RouterMetrics::bump(&inner.metrics.bad_request);
+                conn.enqueue(&error_line(&None, ErrorCode::BadRequest, &e));
+                return;
+            }
+        };
+        let reply = match req.op {
+            Op::Eval | Op::Subeval => return route_request(inner, conn, req),
+            Op::Join => handle_join(inner, &req),
+            Op::Ping => ok_line(
                 &req.id,
                 vec![
                     ("version", Json::from(PROTOCOL_VERSION)),
@@ -2014,27 +1847,24 @@ fn handle_client_line(
                     ("replicas", Json::from(inner.members().len())),
                 ],
             ),
-        ),
-        Op::Health => {
-            let reps = inner.members();
-            let routable = reps.iter().filter(|r| r.tier() < 3).count();
-            let members: Vec<Json> = reps
-                .iter()
-                .map(|r| {
-                    Json::obj([
-                        ("addr", Json::from(r.addr.as_str())),
-                        ("weight", Json::from(r.weight.load(Ordering::Relaxed))),
-                        (
-                            "generation",
-                            Json::from(r.generation.load(Ordering::Relaxed)),
-                        ),
-                        ("tier", Json::from(u64::from(r.tier()))),
-                    ])
-                })
-                .collect();
-            write_line(
-                writer,
-                &ok_line(
+            Op::Health => {
+                let reps = inner.members();
+                let routable = reps.iter().filter(|r| r.tier() < 3).count();
+                let members: Vec<Json> = reps
+                    .iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("addr", Json::from(r.addr.as_str())),
+                            ("weight", Json::from(r.weight.load(Ordering::Relaxed))),
+                            (
+                                "generation",
+                                Json::from(r.generation.load(Ordering::Relaxed)),
+                            ),
+                            ("tier", Json::from(u64::from(r.tier()))),
+                        ])
+                    })
+                    .collect();
+                ok_line(
                     &req.id,
                     vec![
                         (
@@ -2050,308 +1880,76 @@ fn handle_client_line(
                             Json::Bool(inner.draining.load(Ordering::SeqCst)),
                         ),
                     ],
-                ),
-            );
-        }
-        Op::Join => handle_join(inner, writer, &req),
-        Op::Cachepull => {
-            RouterMetrics::bump(&inner.metrics.bad_request);
-            write_line(
-                writer,
-                &error_line_with(
+                )
+            }
+            Op::Cachepull => {
+                RouterMetrics::bump(&inner.metrics.bad_request);
+                error_line(
                     &req.id,
                     ErrorCode::BadRequest,
                     "cachepull is a replica verb; ask a gt-serve member directly",
-                    Vec::new(),
-                ),
-            );
-        }
-        Op::Stats => write_line(
-            writer,
-            &ok_line(&req.id, vec![("stats", stats_of(inner).0)]),
-        ),
-        Op::Trace => {
-            if !inner.recorder.enabled() {
-                RouterMetrics::bump(&inner.metrics.bad_request);
-                write_line(
-                    writer,
-                    &error_line_with(
-                        &req.id,
-                        ErrorCode::BadRequest,
-                        "tracing is disabled (--trace-sample 0)",
-                        Vec::new(),
-                    ),
-                );
-            } else if let Some(ctx) = &req.trace {
-                // Query one assembled tree by id (active or finished).
-                match inner.recorder.lookup(&ctx.trace_id) {
-                    Some(h) => write_line(writer, &ok_line(&req.id, vec![("trace", h.to_json())])),
-                    None => {
-                        RouterMetrics::bump(&inner.metrics.bad_request);
-                        write_line(
-                            writer,
-                            &error_line_with(
-                                &req.id,
-                                ErrorCode::BadRequest,
-                                "unknown trace_id (expired from the ring?)",
-                                Vec::new(),
-                            ),
-                        );
-                    }
-                }
-            } else {
-                let n = req.n.unwrap_or(16).min(1024) as usize;
-                let traces: Vec<Json> = inner
-                    .recorder
-                    .latest(n)
-                    .iter()
-                    .map(|h| h.to_json())
-                    .collect();
-                write_line(
-                    writer,
-                    &ok_line(&req.id, vec![("traces", Json::Array(traces))]),
-                );
-            }
-        }
-        Op::Shutdown => {
-            inner.draining.store(true, Ordering::SeqCst);
-            write_line(
-                writer,
-                &ok_line(&req.id, vec![("draining", Json::Bool(true))]),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Client-side I/O: a fixed pool of readiness-driven threads.
-//
-// The router used to spawn one `gt-router-conn` thread per client; a
-// fleet of mostly-idle connections (the c10k shape gt-serve now
-// handles with its own event loop) would have meant a thread census
-// proportional to the connection count.  Instead the accept thread
-// hands each accepted socket to one of CLIENT_IO_THREADS event-loop
-// threads round-robin; each thread multiplexes its connections with
-// the same `gt_serve::io` poller/line-reader machinery the replicas
-// use.  Client sockets stay *blocking*: a read is only issued after
-// the poller reports readiness (a ready TCP socket returns what it
-// has without blocking, and a short read timeout backstops spurious
-// wakeups), so `write_line` — called from upstream reader threads as
-// replies land — keeps its simple blocking discipline.
-//
-// Flow control is the same window as before, made non-blocking: the
-// feed closure defers a request line (leaves it buffered, unconsumed)
-// while the connection's window is full, and retries on the next poll
-// tick.  Only the connection's own io thread acquires slots, so the
-// pre-check guarantees `ClientWindow::acquire` never waits.
-// ---------------------------------------------------------------------------
-
-/// Client-io pool size.  Two threads soak thousands of mostly-idle
-/// connections; the heavy lifting stays in the upstream pools.
-const CLIENT_IO_THREADS: usize = 2;
-
-/// Token for a client-io thread's waker; connections start above it.
-const CLIENT_TOKEN_BASE: u64 = 1;
-
-/// Accepted sockets in flight from the accept thread to an io thread.
-struct ClientIoHandle {
-    injector: Mutex<Vec<TcpStream>>,
-    waker: Waker,
-}
-
-/// One multiplexed client connection.
-struct ClientConn {
-    stream: TcpStream,
-    writer: Arc<Mutex<TcpStream>>,
-    window: Arc<ClientWindow>,
-    reader: LineReader,
-    peer_closed: bool,
-}
-
-fn client_io_loop(inner: Arc<Inner>, handle: Arc<ClientIoHandle>) {
-    let Ok(poller) = Poller::new() else { return };
-    if poller.add(handle.waker.read_fd(), 0, true, false).is_err() {
-        return;
-    }
-    let mut conns: Vec<Option<ClientConn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut pool = BufferPool::new(64, MAX_LINE_BYTES);
-    let mut scratch = vec![0u8; 16 * 1024];
-    let mut events = Vec::new();
-    loop {
-        let _ = poller.wait(&mut events, POLL_INTERVAL.as_millis() as i32);
-        let draining = inner.draining.load(Ordering::SeqCst);
-        handle.waker.drain();
-        let fresh = std::mem::take(&mut *handle.injector.lock().unwrap());
-        for stream in fresh {
-            if draining {
-                continue; // raced the drain; never registered
-            }
-            let _ = stream.set_nodelay(true);
-            // Reads are readiness-gated; the timeout only bounds the
-            // rare spurious wakeup so one socket cannot park the loop.
-            let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-            let Ok(write_half) = stream.try_clone() else {
-                continue;
-            };
-            let conn = ClientConn {
-                stream,
-                writer: Arc::new(Mutex::new(write_half)),
-                window: Arc::new(ClientWindow::new()),
-                reader: LineReader::new(MAX_LINE_BYTES),
-                peer_closed: false,
-            };
-            let idx = free.pop().unwrap_or_else(|| {
-                conns.push(None);
-                conns.len() - 1
-            });
-            use std::os::unix::io::AsRawFd;
-            if poller
-                .add(
-                    conn.stream.as_raw_fd(),
-                    CLIENT_TOKEN_BASE + idx as u64,
-                    true,
-                    false,
                 )
-                .is_err()
-            {
-                free.push(idx);
-                continue;
             }
-            conns[idx] = Some(conn);
-        }
-        for ev in events.drain(..) {
-            if ev.token < CLIENT_TOKEN_BASE {
-                continue; // waker, already drained
+            Op::Stats => ok_line(&req.id, vec![("stats", stats_of(inner).0)]),
+            Op::Trace => trace_reply(inner, &req),
+            Op::Shutdown => {
+                inner.draining.store(true, Ordering::SeqCst);
+                ok_line(&req.id, vec![("draining", Json::Bool(true))])
             }
-            let idx = (ev.token - CLIENT_TOKEN_BASE) as usize;
-            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                continue; // stale event for a retired slot
-            };
-            if ev.readable && !draining {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => conn.peer_closed = true,
-                    Ok(n) => {
-                        if !feed_client(&inner, conn, &scratch[..n], &mut pool) {
-                            conn.peer_closed = true;
-                        }
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) => {}
-                    Err(_) => conn.peer_closed = true,
-                }
-            } else if ev.hangup {
-                conn.peer_closed = true;
-            }
-        }
-        // Tick: resume lines deferred on a full window, then retire
-        // connections that are finished.  A closed or draining
-        // connection lingers until its window drains so every
-        // accepted eval is answered before the socket goes away.
-        for idx in 0..conns.len() {
-            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                continue;
-            };
-            if !conn.peer_closed
-                && !draining
-                && conn.reader.has_carry()
-                && !feed_client(&inner, conn, &[], &mut pool)
-            {
-                conn.peer_closed = true;
-            }
-            if (conn.peer_closed || draining) && conn.window.in_flight() == 0 {
-                let conn = conns[idx].take().unwrap();
-                use std::os::unix::io::AsRawFd;
-                let _ = poller.delete(conn.stream.as_raw_fd());
-                free.push(idx);
-            }
-        }
-        if draining && conns.iter().all(Option::is_none) {
-            return;
-        }
-    }
-}
-
-/// Feed bytes from (or buffered for) a client connection through its
-/// line reader.  Returns `false` when the connection should close
-/// (over-long or undecodable request line).
-fn feed_client(
-    inner: &Arc<Inner>,
-    conn: &mut ClientConn,
-    data: &[u8],
-    pool: &mut BufferPool,
-) -> bool {
-    let ClientConn {
-        writer,
-        window,
-        reader,
-        ..
-    } = conn;
-    let limit = inner.config.client_window;
-    let mut bad = false;
-    let fed = reader.feed(data, pool, |line| {
-        if window.in_flight() >= limit.max(1) {
-            return LineAction::Defer;
-        }
-        let Ok(text) = std::str::from_utf8(line) else {
-            RouterMetrics::bump(&inner.metrics.bad_request);
-            write_line(
-                writer,
-                &error_line_with(
-                    &None,
-                    ErrorCode::BadRequest,
-                    "request line is not UTF-8",
-                    Vec::new(),
-                ),
-            );
-            bad = true;
-            return LineAction::Stop;
         };
-        handle_client_line(inner, writer, window, text.trim());
-        LineAction::Continue
-    });
-    reader.release(pool);
-    match fed {
-        Ok(_) => !bad,
-        Err(_) => {
-            RouterMetrics::bump(&inner.metrics.bad_request);
-            write_line(
-                writer,
-                &error_line_with(
-                    &None,
-                    ErrorCode::BadRequest,
-                    "request line too long",
-                    Vec::new(),
-                ),
-            );
-            false
-        }
+        conn.enqueue(&reply);
+    }
+
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    fn counters(&self) -> &ConnCounters {
+        &self.metrics.conns
+    }
+
+    fn not_utf8(&self) -> Option<String> {
+        RouterMetrics::bump(&self.metrics.bad_request);
+        Some(error_line(
+            &None,
+            ErrorCode::BadRequest,
+            "request line is not UTF-8",
+        ))
     }
 }
 
-fn accept_loop(inner: Arc<Inner>, listener: TcpListener, io: Vec<Arc<ClientIoHandle>>) {
-    let mut next = 0usize;
-    loop {
-        if inner.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                RouterMetrics::bump(&inner.metrics.connections);
-                let target = &io[next % io.len()];
-                next = next.wrapping_add(1);
-                target.injector.lock().unwrap().push(stream);
-                target.waker.wake();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
+/// Answer `op:"trace"`: one assembled tree by id (active or finished),
+/// or the latest `n`.
+fn trace_reply(inner: &Inner, req: &Request) -> String {
+    if !inner.recorder.enabled() {
+        RouterMetrics::bump(&inner.metrics.bad_request);
+        return error_line(
+            &req.id,
+            ErrorCode::BadRequest,
+            "tracing is disabled (--trace-sample 0)",
+        );
     }
+    if let Some(ctx) = &req.trace {
+        return match inner.recorder.lookup(&ctx.trace_id) {
+            Some(h) => ok_line(&req.id, vec![("trace", h.to_json())]),
+            None => {
+                RouterMetrics::bump(&inner.metrics.bad_request);
+                error_line(
+                    &req.id,
+                    ErrorCode::BadRequest,
+                    "unknown trace_id (expired from the ring?)",
+                )
+            }
+        };
+    }
+    let n = req.n.unwrap_or(16).min(1024) as usize;
+    let traces: Vec<Json> = inner
+        .recorder
+        .latest(n)
+        .iter()
+        .map(|h| h.to_json())
+        .collect();
+    ok_line(&req.id, vec![("traces", Json::Array(traces))])
 }
 
 fn stats_of(inner: &Arc<Inner>) -> Stats {
@@ -2367,9 +1965,7 @@ fn stats_of(inner: &Arc<Inner>) -> Stats {
 pub struct Router {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    client_io: Vec<Arc<ClientIoHandle>>,
-    client_io_threads: Vec<JoinHandle<()>>,
+    client_io: IoLoop,
     pacer_thread: Option<JoinHandle<()>>,
     upstream_threads: Vec<JoinHandle<()>>,
     probe_thread: Option<JoinHandle<()>>,
@@ -2416,7 +2012,6 @@ impl Router {
             .collect();
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let recorder = SpanRecorder::new(config.trace_sample, config.trace_ring);
         let inner = Arc::new(Inner {
             config,
@@ -2457,28 +2052,16 @@ impl Router {
                 .name("gt-router-probe".into())
                 .spawn(move || probe_loop(inner2))?
         };
-        let mut client_io = Vec::new();
-        let mut client_io_threads = Vec::new();
-        for i in 0..CLIENT_IO_THREADS {
-            let handle = Arc::new(ClientIoHandle {
-                injector: Mutex::new(Vec::new()),
-                waker: Waker::new()?,
-            });
-            client_io.push(Arc::clone(&handle));
-            let inner2 = Arc::clone(&inner);
-            client_io_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("gt-router-io-{i}"))
-                    .spawn(move || client_io_loop(inner2, handle))?,
-            );
-        }
-        let accept = {
-            let inner2 = Arc::clone(&inner);
-            let io = client_io.clone();
-            std::thread::Builder::new()
-                .name("gt-router-accept".into())
-                .spawn(move || accept_loop(inner2, listener, io))?
-        };
+        let client_io = IoLoop::spawn(
+            listener,
+            LoopConfig {
+                name: "gt-router-io",
+                threads: CLIENT_IO_THREADS,
+                window: inner.config.client_window,
+                idle_timeout: None,
+            },
+            Arc::clone(&inner),
+        )?;
         let metrics_listener = match inner.config.metrics_addr.clone() {
             Some(addr) => {
                 let inner2 = Arc::clone(&inner);
@@ -2492,9 +2075,7 @@ impl Router {
         Ok(Router {
             inner,
             local_addr,
-            accept: Some(accept),
             client_io,
-            client_io_threads,
             pacer_thread: Some(pacer_thread),
             upstream_threads,
             probe_thread: Some(probe_thread),
@@ -2532,6 +2113,7 @@ impl Router {
     /// finish in-flight ones.  `join` completes the shutdown.
     pub fn request_shutdown(&self) {
         self.inner.draining.store(true, Ordering::SeqCst);
+        self.client_io.wake();
     }
 
     /// Whether a drain has been requested (by signal or by a client's
@@ -2553,18 +2135,9 @@ impl Router {
     /// `stats`.
     pub fn join(mut self) -> Stats {
         self.inner.draining.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // The io threads notice the drain flag, hold each connection
-        // until its window empties (every accepted eval answered),
-        // then exit once their slabs are empty.
-        for handle in &self.client_io {
-            handle.waker.wake();
-        }
-        for h in self.client_io_threads.drain(..) {
-            let _ = h.join();
-        }
+        // The io threads drop the listener, hold each connection until
+        // its window empties and its replies are out, then exit.
+        self.client_io.join();
         self.inner.pacer.halt();
         if let Some(h) = self.pacer_thread.take() {
             let _ = h.join();
@@ -2661,17 +2234,11 @@ mod tests {
         assert!(order.windows(2).all(|w| w[0] < w[1]));
     }
 
-    fn test_relay(writer: &Arc<Mutex<TcpStream>>) -> Arc<Relay> {
+    fn test_relay(conn: &Arc<ConnReply>) -> Arc<Relay> {
         let now = Instant::now();
         Arc::new(Relay {
             client_id: None,
-            op: Op::Eval,
-            spec: String::new(),
-            algo: String::new(),
-            path: None,
-            alpha: None,
-            beta: None,
-            tenant: None,
+            upstream: Request::default(),
             start: now,
             deadline: now + Duration::from_secs(10),
             route: Vec::new(),
@@ -2680,16 +2247,12 @@ mod tests {
             hedged: AtomicBool::new(false),
             answered: AtomicBool::new(false),
             outstanding: Mutex::new(Vec::new()),
-            writer: Arc::clone(writer),
-            window: Arc::new(ClientWindow::new()),
+            conn: Arc::clone(conn),
             trace: None,
         })
     }
 
-    fn test_plan(
-        writer: &Arc<Mutex<TcpStream>>,
-        shape: &[crate::split::PlanLevel],
-    ) -> Arc<ActivePlan> {
+    fn test_plan(conn: &Arc<ConnReply>, shape: &[crate::split::PlanLevel]) -> Arc<ActivePlan> {
         let (machine, _) = SplitMachine::new(shape.to_vec(), &SplitConfig::default());
         let now = Instant::now();
         Arc::new(ActivePlan {
@@ -2701,8 +2264,7 @@ mod tests {
             deadline: now + Duration::from_secs(10),
             depth: shape.len(),
             naive: false,
-            writer: Arc::clone(writer),
-            window: Arc::new(ClientWindow::new()),
+            conn: Arc::clone(conn),
             trace: None,
             split_span: 0,
         })
@@ -2710,16 +2272,14 @@ mod tests {
 
     #[test]
     fn answered_schedules_leave_the_pacer_heap_bounded() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let writer = Arc::new(Mutex::new(stream));
+        let conn = ConnReply::detached().unwrap();
         let root = SubtreeSpec::whole(gt_tree::GenSpec::parse("worst:d=2,n=4").unwrap());
         let shape = plan_levels(&root, 1, 1).unwrap().unwrap();
         let pacer = Pacer::new();
         let due = Instant::now() + Duration::from_secs(10);
         // One relay and one plan stay unanswered: every sweep keeps them.
-        let open_relay = test_relay(&writer);
-        let open_plan = test_plan(&writer, &shape);
+        let open_relay = test_relay(&conn);
+        let open_plan = test_plan(&conn, &shape);
         pacer.schedule(
             due,
             Target::Relay(Arc::downgrade(&open_relay), Action::Expire),
@@ -2729,10 +2289,10 @@ mod tests {
         // still referenced elsewhere and half already dropped.
         let mut alive = Vec::new();
         for i in 0..4_000 {
-            let relay = test_relay(&writer);
+            let relay = test_relay(&conn);
             pacer.schedule(due, Target::Relay(Arc::downgrade(&relay), Action::Expire));
             relay.answered.store(true, Ordering::SeqCst);
-            let plan = test_plan(&writer, &shape);
+            let plan = test_plan(&conn, &shape);
             pacer.schedule(due, Target::Plan(Arc::downgrade(&plan)));
             plan.answered.store(true, Ordering::SeqCst);
             if i % 2 == 0 {

@@ -1,0 +1,948 @@
+//! The connection loop both tiers run: `gtree serve` for its clients
+//! and `gtree route` for its own.
+//!
+//! ```text
+//! I/O threads (fixed pool, epoll loops; thread 0 owns the listener)
+//!   ├─ accept──▶ conns distributed round-robin across the pool
+//!   ├─ readable──▶ per-conn line state machine ──▶ LineHandler::line
+//!   └─ wakeups──▶ flush outbound queues, resume parsing
+//! any thread ──ConnReply::enqueue / release_slot──▶ owner woken
+//! ```
+//!
+//! A connection never owns a thread.  Each one is a small state
+//! machine pinned to one I/O thread: nonblocking socket, an
+//! incremental [`LineReader`] with a pooled carry buffer for partial
+//! lines, a bounded outbound reply queue flushed with vectored writes,
+//! and a pipelining window.  Thousands of idle connections cost their
+//! sockets and a few hundred bytes of state each.
+//!
+//! A tier plugs in a [`LineHandler`].  For each request line it either
+//! answers inline, or claims the connection's window slot and settles
+//! later, from whichever thread finishes the work, with
+//! [`ConnReply::enqueue`] then [`ConnReply::release_slot`].  Only the
+//! owning I/O thread ever touches the socket, so no thread waits on a
+//! client it does not serve.
+//!
+//! ## Backpressure and slow readers
+//!
+//! Reads stop while a connection's window is full or its outbox is
+//! above the high-water mark: the bytes stay in the kernel, which is
+//! TCP backpressure.  A client that keeps pipelining while never
+//! draining replies reaches the outbox's hard cap and is closed
+//! (`overflow_closed`); an over-long request line gets a 400 and a
+//! close (`overlong_closed`); with an idle timeout set, a connection
+//! with nothing in flight and no complete line for that long is closed
+//! too (`idle_closed`).  No thread is ever pinned by either shape of
+//! slowloris.
+//!
+//! ## Drain
+//!
+//! Once [`LineHandler::draining`] reports true, every thread drops the
+//! listener, stops parsing input, and holds each connection open just
+//! long enough to flush its in-flight replies; [`IoLoop::join`]
+//! returns when every thread's slab is empty.
+
+use crate::io::{
+    drain_outbox, raise_nofile_limit, BufferPool, LineAction, LineReader, LineTooLong, Poller,
+    Waker,
+};
+use crate::metrics::LatencyHistogram;
+use crate::protocol::{error_line, ErrorCode};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
+
+/// Longest accepted request line; longer input closes the connection.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The I/O threads' poll-wait timeout, so drains and idle sweeps tick
+/// at least this often.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Outbound-queue level above which a connection's requests stop
+/// being parsed: a slow reader backpressures itself instead of
+/// growing an unbounded reply buffer.
+const OUTBOX_HIGH_WATER: usize = 128 * 1024;
+
+/// Hard cap on one connection's queued reply bytes; past it the
+/// connection is closed (`overflow_closed`).  Only reachable by a
+/// client that keeps pipelining while never draining replies.
+const OUTBOX_MAX_BYTES: usize = 1024 * 1024;
+
+/// Per-I/O-thread read scratch size (shared by all its connections).
+const READ_CHUNK: usize = 16 * 1024;
+
+/// How many open fds the process asks the kernel for when a loop
+/// starts.
+const NOFILE_TARGET: u64 = 1 << 16;
+
+/// Health counters for one I/O event loop, updated lock-free by the
+/// owning thread each iteration and read by the serve family table.
+/// `wait_us` is time spent asleep in `epoll_wait`/`poll` (idle);
+/// `work_us` is everything else in the iteration — socket reads,
+/// request parsing, outbox drains — i.e. how long freshly-ready
+/// connections wait for the loop to come around, so its distribution
+/// (the `lag` histogram) is the loop's responsiveness.
+#[derive(Default)]
+pub struct IoLoopStats {
+    /// Loop iterations completed (one `wait` + work cycle each).
+    pub iterations: AtomicU64,
+    /// Cumulative µs blocked waiting for readiness events.
+    pub wait_us: AtomicU64,
+    /// Cumulative µs doing work between waits.
+    pub work_us: AtomicU64,
+    /// Connections currently owned by this loop (gauge).
+    pub connections: AtomicU64,
+    /// Bytes queued in this loop's connection outboxes (gauge,
+    /// refreshed on the owner's gauge cadence, not per write).
+    pub outbox_bytes: AtomicU64,
+    /// Distribution of per-iteration work time — loop-iteration lag.
+    pub lag: LatencyHistogram,
+}
+
+impl IoLoopStats {
+    /// Fold one completed loop iteration in.
+    pub fn record_iteration(&self, wait_us: u64, work_us: u64) {
+        self.iterations.fetch_add(1, Ordering::Relaxed);
+        self.wait_us.fetch_add(wait_us, Ordering::Relaxed);
+        self.work_us.fetch_add(work_us, Ordering::Relaxed);
+        self.lag.record(work_us);
+    }
+
+    /// Refresh the point-in-time gauges.
+    pub fn set_gauges(&self, connections: u64, outbox_bytes: u64) {
+        self.connections.store(connections, Ordering::Relaxed);
+        self.outbox_bytes.store(outbox_bytes, Ordering::Relaxed);
+    }
+}
+
+/// The connection counters a loop keeps for its tier.
+#[derive(Default)]
+pub struct ConnCounters {
+    /// Connections accepted.
+    pub accepted: AtomicU64,
+    /// Connections currently registered with an I/O thread (gauge:
+    /// incremented on registration, decremented on close).
+    pub open: AtomicU64,
+    /// Connections closed by the idle timeout.
+    pub idle_closed: AtomicU64,
+    /// Connections closed because their bounded outbound queue
+    /// overflowed (a never-draining slow reader).
+    pub overflow_closed: AtomicU64,
+    /// Connections closed for sending an over-long request line.
+    pub overlong_closed: AtomicU64,
+}
+
+/// What a tier plugs into the loop.  Dispatch is static: the loop is
+/// generic over its handler, so a line costs no dynamic call.
+pub trait LineHandler: Send + Sync + 'static {
+    /// Answer or dispatch one request line (trimmed, non-empty), on the
+    /// connection's I/O thread, with a window slot free.  `recv` is
+    /// when the line came off the socket.  Answer inline with
+    /// [`ConnReply::enqueue`], or take the slot with
+    /// [`ConnReply::claim_slot`] and settle later with `enqueue` then
+    /// [`ConnReply::release_slot`].
+    fn line(this: &Arc<Self>, line: &str, recv: Instant, conn: &Arc<ConnReply>);
+
+    /// The tier's drain flag: once true the loop stops accepting and
+    /// parsing, and closes each connection when its replies are out.
+    fn draining(&self) -> bool;
+
+    /// Where the loop counts accepts and closes.
+    fn counters(&self) -> &ConnCounters;
+
+    /// The health card of one I/O thread; called once per thread, in
+    /// thread order, when the loop starts.
+    fn loop_stats(&self) -> Arc<IoLoopStats> {
+        Arc::default()
+    }
+
+    /// The reply sent before closing a connection whose request line
+    /// is not UTF-8; `None` closes without one.
+    fn not_utf8(&self) -> Option<String> {
+        None
+    }
+
+    /// Called on thread 0 at each gauge refresh, at most once per
+    /// poll interval.
+    fn sample(&self) {}
+}
+
+/// How a tier sizes its loop.
+pub struct LoopConfig {
+    /// Thread name prefix; thread `i` is named `{name}-{i}`.
+    pub name: &'static str,
+    /// I/O threads; thread 0 owns the listener.
+    pub threads: usize,
+    /// Requests in flight per connection before its reads stop.
+    pub window: usize,
+    /// Close a connection after this long without a completed request
+    /// line, once nothing is in flight on it; `None` keeps idle
+    /// connections forever.
+    pub idle_timeout: Option<Duration>,
+}
+
+/// Commands injected into an I/O thread from outside its loop.
+enum IoCmd {
+    /// A freshly accepted connection to adopt.
+    Conn(TcpStream),
+    /// Service the connection registered under this token: flush its
+    /// outbox, resume parsing if its window freed, retire it if done.
+    Wake(u64),
+}
+
+/// The cross-thread face of one I/O thread: an injector the accept
+/// path and reply completions push commands onto, plus the waker that
+/// pulls the thread out of its poll sleep.
+struct IoHandle {
+    injector: Mutex<Vec<IoCmd>>,
+    waker: Waker,
+}
+
+impl IoHandle {
+    fn new() -> std::io::Result<IoHandle> {
+        Ok(IoHandle {
+            injector: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
+        })
+    }
+
+    fn push(&self, cmd: IoCmd) {
+        self.commands().push(cmd);
+        self.waker.wake();
+    }
+
+    fn commands(&self) -> MutexGuard<'_, Vec<IoCmd>> {
+        self.injector.lock().expect("injector holders never panic")
+    }
+}
+
+/// One connection's bounded reply queue.
+struct Outbox {
+    queue: VecDeque<Vec<u8>>,
+    /// Queued-but-unwritten bytes (kept in sync with `queue`).
+    bytes: usize,
+    /// The I/O thread retired the connection; late replies are
+    /// dropped.
+    closed: bool,
+    /// The bounded queue overflowed; the I/O thread must close.
+    overflowed: bool,
+}
+
+/// The write half of a connection as seen from any thread.  Replies
+/// are never written directly: they are enqueued here and the owning
+/// I/O thread is woken to flush them.  Also carries the pipelining
+/// window as a plain atomic — nothing ever blocks on a slot.
+pub struct ConnReply {
+    outbox: Mutex<Outbox>,
+    /// Dispatched-and-unanswered requests on this connection.
+    inflight: AtomicUsize,
+    /// Collapses redundant `Wake` commands between services.
+    wake_queued: AtomicBool,
+    token: u64,
+    io: Arc<IoHandle>,
+}
+
+impl ConnReply {
+    fn new(token: u64, io: Arc<IoHandle>) -> ConnReply {
+        ConnReply {
+            outbox: Mutex::new(Outbox {
+                queue: VecDeque::new(),
+                bytes: 0,
+                closed: false,
+                overflowed: false,
+            }),
+            inflight: AtomicUsize::new(0),
+            wake_queued: AtomicBool::new(false),
+            token,
+            io,
+        }
+    }
+
+    fn outbox(&self) -> MutexGuard<'_, Outbox> {
+        self.outbox.lock().expect("outbox holders never panic")
+    }
+
+    /// A handle bound to no loop: replies queue up and are never
+    /// written.  For tests that build settling records by hand.
+    pub fn detached() -> std::io::Result<Arc<ConnReply>> {
+        Ok(Arc::new(ConnReply::new(
+            TOKEN_BASE,
+            Arc::new(IoHandle::new()?),
+        )))
+    }
+
+    /// Queue one reply line (newline appended) and wake the I/O
+    /// thread.  Returns false when the connection is gone or its
+    /// queue overflowed — the reply is dropped either way.
+    pub fn enqueue(&self, line: &str) -> bool {
+        {
+            let mut ob = self.outbox();
+            if ob.closed || ob.overflowed {
+                return false;
+            }
+            if ob.bytes + line.len() + 1 > OUTBOX_MAX_BYTES {
+                ob.overflowed = true;
+                drop(ob);
+                self.notify();
+                return false;
+            }
+            let mut buf = Vec::with_capacity(line.len() + 1);
+            buf.extend_from_slice(line.as_bytes());
+            buf.push(b'\n');
+            ob.bytes += buf.len();
+            ob.queue.push_back(buf);
+        }
+        self.notify();
+        true
+    }
+
+    /// Take the window slot for a request settled later.  Only the
+    /// loop's handler calls this, and the loop calls it with a slot
+    /// free.
+    pub fn claim_slot(&self) {
+        self.inflight.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Release one pipelining-window slot (the request is settled —
+    /// always called *after* its reply was enqueued, so the I/O
+    /// thread never sees an idle connection with a reply still owed).
+    pub fn release_slot(&self) {
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.notify();
+    }
+
+    fn notify(&self) {
+        if self.wake_queued.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        self.io.push(IoCmd::Wake(self.token));
+    }
+}
+
+/// A running connection loop.
+pub struct IoLoop {
+    handles: Vec<Arc<IoHandle>>,
+    joins: Vec<JoinHandle<()>>,
+}
+
+impl IoLoop {
+    /// Start `config.threads` I/O threads serving `listener` with
+    /// `handler`.
+    pub fn spawn<H: LineHandler>(
+        listener: TcpListener,
+        config: LoopConfig,
+        handler: Arc<H>,
+    ) -> std::io::Result<IoLoop> {
+        // C10K needs the fds to hold the Ks of connections.
+        let _ = raise_nofile_limit(NOFILE_TARGET);
+        listener.set_nonblocking(true)?;
+        let threads = config.threads.max(1);
+        let mut handles = Vec::with_capacity(threads);
+        for _ in 0..threads {
+            handles.push(Arc::new(IoHandle::new()?));
+        }
+        let mut listener = Some(listener);
+        let mut joins = Vec::with_capacity(threads);
+        for (me, handle) in handles.iter().enumerate() {
+            let io = IoThread {
+                stats: handler.loop_stats(),
+                handler: Arc::clone(&handler),
+                poller: Poller::new()?,
+                handle: Arc::clone(handle),
+                peers: handles.clone(),
+                me,
+                next_peer: 0,
+                listener: if me == 0 { listener.take() } else { None },
+                conns: Vec::new(),
+                free: Vec::new(),
+                pool: BufferPool::new(64, MAX_LINE_BYTES),
+                scratch: vec![0u8; READ_CHUNK],
+                window: config.window.max(1),
+                idle_timeout: config.idle_timeout,
+                draining: false,
+            };
+            joins.push(
+                thread::Builder::new()
+                    .name(format!("{}-{me}", config.name))
+                    .spawn(move || io.run())?,
+            );
+        }
+        Ok(IoLoop { handles, joins })
+    }
+
+    /// Pull every I/O thread out of its poll sleep, so a drain starts
+    /// now, not at the next tick.
+    pub fn wake(&self) {
+        for h in &self.handles {
+            h.waker.wake();
+        }
+    }
+
+    /// Wait for every I/O thread to finish its drain and exit.  Set
+    /// the handler's drain flag first, or this blocks until it is set.
+    pub fn join(self) {
+        self.wake();
+        for h in self.joins {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Poller token of the thread's waker pipe.
+const TOKEN_WAKER: u64 = 0;
+/// Poller token of the listener (thread 0 only).
+const TOKEN_LISTENER: u64 = 1;
+/// Connection slab index `i` registers under token `i + TOKEN_BASE`.
+const TOKEN_BASE: u64 = 2;
+
+/// Why a connection is being retired (feeds the close counters).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CloseReason {
+    /// EOF/drain completed, write error, or malformed input.
+    Done,
+    /// No completed request line for the idle timeout.
+    Idle,
+    /// The bounded outbound queue overflowed.
+    Overflow,
+    /// A request line exceeded `MAX_LINE_BYTES`.
+    Overlong,
+}
+
+/// Per-connection state owned by exactly one I/O thread.
+struct ConnState {
+    stream: TcpStream,
+    reply: Arc<ConnReply>,
+    reader: LineReader,
+    /// Partial-write offset into the outbox's front buffer.
+    write_offset: usize,
+    /// Currently registered (read, write) interest.
+    interest: (bool, bool),
+    peer_closed: bool,
+    /// When the last complete request line arrived (idle clock).
+    last_line: Instant,
+}
+
+/// One readiness-driven I/O thread: a poller, a slab of connection
+/// state machines, and (on thread 0) the listener.  Fresh connections
+/// arrive via accept or the injector; replies arrive as `Wake`
+/// commands from whichever thread settled them.
+struct IoThread<H> {
+    handler: Arc<H>,
+    poller: Poller,
+    handle: Arc<IoHandle>,
+    /// Every I/O thread's handle, for round-robin conn distribution.
+    peers: Vec<Arc<IoHandle>>,
+    me: usize,
+    next_peer: usize,
+    listener: Option<TcpListener>,
+    conns: Vec<Option<ConnState>>,
+    free: Vec<usize>,
+    pool: BufferPool,
+    scratch: Vec<u8>,
+    window: usize,
+    idle_timeout: Option<Duration>,
+    draining: bool,
+    /// Event-loop health counters for this thread.
+    stats: Arc<IoLoopStats>,
+}
+
+impl<H: LineHandler> IoThread<H> {
+    fn run(mut self) {
+        if self
+            .poller
+            .add(self.handle.waker.read_fd(), TOKEN_WAKER, true, false)
+            .is_err()
+        {
+            return;
+        }
+        if let Some(l) = &self.listener {
+            if self
+                .poller
+                .add(l.as_raw_fd(), TOKEN_LISTENER, true, false)
+                .is_err()
+            {
+                return;
+            }
+        }
+        let mut events = Vec::with_capacity(256);
+        let mut last_gauge = Instant::now();
+        loop {
+            events.clear();
+            let wait_start = Instant::now();
+            let _ = self
+                .poller
+                .wait(&mut events, POLL_INTERVAL.as_millis() as i32);
+            let work_start = Instant::now();
+            if !self.draining && self.handler.draining() {
+                self.begin_drain();
+            }
+            for ev in &events {
+                match ev.token {
+                    TOKEN_WAKER => self.drain_injector(),
+                    TOKEN_LISTENER => self.accept_ready(),
+                    token => {
+                        let idx = (token - TOKEN_BASE) as usize;
+                        if ev.readable {
+                            self.handle_readable(idx);
+                        } else if ev.hangup {
+                            if let Some(c) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+                                c.peer_closed = true;
+                            }
+                        }
+                        self.service(idx);
+                    }
+                }
+            }
+            self.sweep_idle();
+            // Gauges are a sweep over the slab (outbox locks), so
+            // refresh at most once per poll interval, not per wake.
+            if work_start.duration_since(last_gauge) >= POLL_INTERVAL {
+                last_gauge = work_start;
+                self.refresh_gauges();
+            }
+            self.stats.record_iteration(
+                work_start.duration_since(wait_start).as_micros() as u64,
+                work_start.elapsed().as_micros() as u64,
+            );
+            if self.draining && self.conns.iter().all(Option::is_none) {
+                break;
+            }
+        }
+    }
+
+    /// Publish per-loop gauges: live connections and total queued
+    /// outbound bytes.  Thread 0 also lets the tier sample its own.
+    fn refresh_gauges(&self) {
+        let mut connections = 0u64;
+        let mut outbox_bytes = 0u64;
+        for conn in self.conns.iter().flatten() {
+            connections += 1;
+            outbox_bytes += conn.reply.outbox().bytes as u64;
+        }
+        self.stats.set_gauges(connections, outbox_bytes);
+        if self.me == 0 {
+            self.handler.sample();
+        }
+    }
+
+    /// Shutdown observed: drop the listener, stop parsing input, and
+    /// keep each connection only until its in-flight replies flush.
+    fn begin_drain(&mut self) {
+        self.draining = true;
+        if let Some(l) = self.listener.take() {
+            let _ = self.poller.delete(l.as_raw_fd());
+        }
+        for idx in 0..self.conns.len() {
+            if let Some(conn) = self.conns[idx].as_mut() {
+                // Unparsed carried bytes are requests we will never
+                // run — drop them.
+                conn.reader = LineReader::new(MAX_LINE_BYTES);
+            }
+            self.service(idx);
+        }
+    }
+
+    fn drain_injector(&mut self) {
+        self.handle.waker.drain();
+        let cmds: Vec<IoCmd> = std::mem::take(&mut *self.handle.commands());
+        for cmd in cmds {
+            match cmd {
+                // A conn raced in after the drain began: drop it.
+                IoCmd::Conn(_) if self.draining => {}
+                IoCmd::Conn(stream) => self.register(stream),
+                IoCmd::Wake(token) => {
+                    if token >= TOKEN_BASE {
+                        self.service((token - TOKEN_BASE) as usize);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Accept until the listener would block, distributing conns
+    /// round-robin across the pool (thread 0 adopts its own share).
+    fn accept_ready(&mut self) {
+        let mut accepted = Vec::new();
+        if let Some(listener) = &self.listener {
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => accepted.push(stream),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => break,
+                }
+            }
+        }
+        for stream in accepted {
+            self.handler
+                .counters()
+                .accepted
+                .fetch_add(1, Ordering::Relaxed);
+            let target = self.next_peer % self.peers.len().max(1);
+            self.next_peer = self.next_peer.wrapping_add(1);
+            if target == self.me {
+                self.register(stream);
+            } else {
+                self.peers[target].push(IoCmd::Conn(stream));
+            }
+        }
+    }
+
+    /// Adopt one connection into the slab and the poller.
+    fn register(&mut self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        // Replies are small writes the client may block on; Nagle
+        // would hold them for the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        let token = idx as u64 + TOKEN_BASE;
+        if self
+            .poller
+            .add(stream.as_raw_fd(), token, true, false)
+            .is_err()
+        {
+            self.free.push(idx);
+            return;
+        }
+        let reply = Arc::new(ConnReply::new(token, Arc::clone(&self.handle)));
+        self.handler.counters().open.fetch_add(1, Ordering::Relaxed);
+        self.conns[idx] = Some(ConnState {
+            stream,
+            reply,
+            reader: LineReader::new(MAX_LINE_BYTES),
+            write_offset: 0,
+            interest: (true, false),
+            peer_closed: false,
+            last_line: Instant::now(),
+        });
+    }
+
+    /// Pull bytes off a readable connection and run them through its
+    /// line state machine, respecting the window and outbox levels.
+    fn handle_readable(&mut self, idx: usize) {
+        let mut close = None;
+        {
+            let Self {
+                conns,
+                scratch,
+                pool,
+                handler,
+                window,
+                draining,
+                ..
+            } = self;
+            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
+                return;
+            };
+            if *draining {
+                return;
+            }
+            loop {
+                // Flow control *before* pulling more bytes: a full
+                // window or a backed-up outbox leaves them in the
+                // kernel buffer, which is TCP backpressure.
+                if conn.reply.inflight.load(Ordering::Acquire) >= *window {
+                    break;
+                }
+                if conn.reply.outbox().bytes >= OUTBOX_HIGH_WATER {
+                    break;
+                }
+                let n = match conn.stream.read(scratch) {
+                    Ok(0) => {
+                        conn.peer_closed = true;
+                        break;
+                    }
+                    Ok(n) => n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        conn.peer_closed = true;
+                        break;
+                    }
+                };
+                if let Some(reason) = feed_conn(handler, conn, &scratch[..n], pool, *window) {
+                    close = Some(reason);
+                    break;
+                }
+            }
+        }
+        if let Some(reason) = close {
+            self.close(idx, reason);
+        }
+    }
+
+    /// Flush the connection's outbox, resume deferred parsing when its
+    /// window or outbox freed up, recompute poller interest, and
+    /// retire the connection once it is settled.
+    fn service(&mut self, idx: usize) {
+        let mut close = None;
+        let mut settled = (false, false); // (outbox empty, interest write)
+        {
+            let Self {
+                conns,
+                pool,
+                handler,
+                window,
+                draining,
+                ..
+            } = self;
+            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
+                return;
+            };
+            // Reset the wake collapse *before* looking at state, so a
+            // completion landing mid-service queues a fresh wake.
+            conn.reply.wake_queued.store(false, Ordering::Release);
+            if flush_outbox(conn).is_err() {
+                close = Some(CloseReason::Done);
+            }
+            // Parsing may have been deferred on a full window or a
+            // high outbox; both may have cleared now.
+            if close.is_none() && !*draining && conn.reader.has_carry() {
+                if let Some(reason) = feed_conn(handler, conn, &[], pool, *window) {
+                    close = Some(reason);
+                }
+            }
+            if close.is_none() && flush_outbox(conn).is_err() {
+                close = Some(CloseReason::Done);
+            }
+            if close.is_none() {
+                let ob = conn.reply.outbox();
+                if ob.overflowed {
+                    close = Some(CloseReason::Overflow);
+                } else {
+                    let inflight = conn.reply.inflight.load(Ordering::Acquire);
+                    let outbox_empty = ob.queue.is_empty();
+                    if (conn.peer_closed || *draining) && inflight == 0 && outbox_empty {
+                        close = Some(CloseReason::Done);
+                    } else {
+                        let read_i = !*draining
+                            && !conn.peer_closed
+                            && inflight < *window
+                            && ob.bytes < OUTBOX_HIGH_WATER;
+                        settled = (read_i, !outbox_empty);
+                    }
+                }
+            }
+            if close.is_none() && conn.interest != settled {
+                let token = conn.reply.token;
+                // A modify failure strands the conn silently; close it.
+                match self
+                    .poller
+                    .modify(conn.stream.as_raw_fd(), token, settled.0, settled.1)
+                {
+                    Ok(()) => conn.interest = settled,
+                    Err(_) => close = Some(CloseReason::Done),
+                }
+            }
+        }
+        if let Some(reason) = close {
+            self.close(idx, reason);
+        }
+    }
+
+    /// Close connections that idled past the idle timeout with
+    /// nothing in flight (both slowloris shapes land here or in the
+    /// outbox cap).
+    fn sweep_idle(&mut self) {
+        let Some(timeout) = self.idle_timeout else {
+            return;
+        };
+        let now = Instant::now();
+        for idx in 0..self.conns.len() {
+            let expired = match &self.conns[idx] {
+                Some(c) => {
+                    c.reply.inflight.load(Ordering::Acquire) == 0
+                        && now.duration_since(c.last_line) >= timeout
+                }
+                None => false,
+            };
+            if expired {
+                self.close(idx, CloseReason::Idle);
+            }
+        }
+    }
+
+    /// Retire one connection: deregister, drop, recycle the slot.
+    fn close(&mut self, idx: usize, reason: CloseReason) {
+        let Some(mut conn) = self.conns.get_mut(idx).and_then(Option::take) else {
+            return;
+        };
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        // One best-effort flush so a final error reply (over-long
+        // line, ...) reaches a live peer; whatever the socket refuses
+        // is dropped with the connection.
+        let _ = flush_outbox(&mut conn);
+        {
+            // Late replies from still-running work become no-ops.
+            let mut ob = conn.reply.outbox();
+            ob.closed = true;
+            ob.queue.clear();
+            ob.bytes = 0;
+        }
+        let c = self.handler.counters();
+        c.open.fetch_sub(1, Ordering::Relaxed);
+        match reason {
+            CloseReason::Idle => c.idle_closed.fetch_add(1, Ordering::Relaxed),
+            CloseReason::Overflow => c.overflow_closed.fetch_add(1, Ordering::Relaxed),
+            CloseReason::Overlong => c.overlong_closed.fetch_add(1, Ordering::Relaxed),
+            CloseReason::Done => 0,
+        };
+        self.free.push(idx);
+    }
+}
+
+/// Write as much of the outbox as the socket accepts (vectored); an
+/// `Err` means the peer is unreachable and the connection must close.
+fn flush_outbox(conn: &mut ConnState) -> std::io::Result<()> {
+    let mut ob = conn.reply.outbox();
+    if ob.queue.is_empty() {
+        return Ok(());
+    }
+    match drain_outbox(&conn.stream, &mut ob.queue, &mut conn.write_offset) {
+        Ok(true) => {
+            ob.bytes = 0;
+            Ok(())
+        }
+        Ok(false) => {
+            // Partial: recompute the level from what survived.
+            ob.bytes = ob.queue.iter().map(Vec::len).sum::<usize>() - conn.write_offset;
+            Ok(())
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// Feed bytes (or `&[]` to resume the carry) through the connection's
+/// line state machine, handing each line to the tier's handler.
+/// Returns a close reason when the connection must die.
+fn feed_conn<H: LineHandler>(
+    handler: &Arc<H>,
+    conn: &mut ConnState,
+    data: &[u8],
+    pool: &mut BufferPool,
+    window: usize,
+) -> Option<CloseReason> {
+    let ConnState {
+        reader,
+        reply,
+        last_line,
+        ..
+    } = conn;
+    let mut bad = false;
+    let fed = reader.feed(data, pool, |raw| {
+        // Flow control: a line past the pipelining window or over a
+        // backed-up outbox is deferred verbatim, not consumed.
+        if reply.inflight.load(Ordering::Acquire) >= window {
+            return LineAction::Defer;
+        }
+        {
+            let ob = reply.outbox();
+            if ob.overflowed || ob.closed {
+                return LineAction::Stop;
+            }
+            if ob.bytes >= OUTBOX_HIGH_WATER {
+                return LineAction::Defer;
+            }
+        }
+        let Ok(text) = std::str::from_utf8(raw) else {
+            bad = true;
+            return LineAction::Stop;
+        };
+        let recv = Instant::now();
+        let trimmed = text.trim();
+        if trimmed.is_empty() {
+            return LineAction::Continue;
+        }
+        *last_line = recv;
+        H::line(handler, trimmed, recv, reply);
+        LineAction::Continue
+    });
+    reader.release(pool);
+    match fed {
+        Ok(_) if bad => {
+            if let Some(line) = handler.not_utf8() {
+                reply.enqueue(&line);
+            }
+            Some(CloseReason::Done)
+        }
+        Ok(_) => None,
+        Err(LineTooLong) => {
+            // Best effort: tell the client why before the close
+            // flushes and drops the connection.
+            reply.enqueue(&error_line(
+                &None,
+                ErrorCode::BadRequest,
+                "request line too long",
+            ));
+            Some(CloseReason::Overlong)
+        }
+    }
+}
+
+#[cfg(test)]
+impl ConnReply {
+    /// The reply lines still queued.
+    pub(crate) fn queued(&self) -> Vec<String> {
+        let ob = self.outbox();
+        let lines = ob.queue.iter();
+        lines
+            .map(|b| String::from_utf8_lossy(b).into_owned())
+            .collect()
+    }
+
+    /// Window slots currently claimed.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.inflight.load(Ordering::Acquire)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn outbox_enqueue_caps_total_bytes_and_latches_overflow() {
+        let reply = ConnReply::detached().unwrap();
+        let line = "x".repeat(64 * 1024 - 1);
+        let mut accepted = 0usize;
+        while reply.enqueue(&line) {
+            accepted += 1;
+            assert!(accepted <= 16, "outbox grew past its byte cap");
+        }
+        assert_eq!(accepted, 16, "1MiB cap / 64KiB lines");
+        assert!(reply.outbox().overflowed);
+        // Latched: nothing else is accepted, even a tiny line.
+        assert!(!reply.enqueue("y"));
+        let ob = reply.outbox();
+        assert!(ob.bytes <= OUTBOX_MAX_BYTES);
+        assert_eq!(ob.queue.len(), 16);
+    }
+
+    #[test]
+    fn io_loop_stats_accumulate() {
+        let s = IoLoopStats::default();
+        s.record_iteration(100, 20);
+        s.record_iteration(50, 5);
+        s.set_gauges(3, 4096);
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(load(&s.iterations), 2);
+        assert_eq!(load(&s.wait_us), 150);
+        assert_eq!(load(&s.work_us), 25);
+        assert_eq!(load(&s.connections), 3);
+        assert_eq!(load(&s.outbox_bytes), 4096);
+        let lag = s.lag.snapshot();
+        assert_eq!(lag.count, 2);
+        assert_eq!(lag.sum, 25);
+    }
+}

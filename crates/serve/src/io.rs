@@ -29,12 +29,14 @@
 //!   syscall, partial writes resume at an offset.
 //! * [`raise_nofile_limit`] — best-effort `RLIMIT_NOFILE` soft→hard
 //!   bump so one process can actually hold 10k+ sockets.
+//!
+//! [`crate::eventloop`] is the connection loop both tiers build from
+//! these.
 
-use crate::metrics::LatencyHistogram;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, IoSlice, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Raw file descriptor (we avoid `std::os::fd` traits on the FFI
 /// boundary to keep the cfg surface small).
@@ -100,50 +102,6 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
         return Err(io::Error::last_os_error());
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Per-io-thread event-loop health.
-// ---------------------------------------------------------------------------
-
-/// Health counters for one I/O event loop, updated lock-free by the
-/// owning thread each iteration and read by the serve family table.
-/// `wait_us` is time spent asleep in `epoll_wait`/`poll` (idle);
-/// `work_us` is everything else in the iteration — socket reads,
-/// request parsing, outbox drains — i.e. how long freshly-ready
-/// connections wait for the loop to come around, so its distribution
-/// (the `lag` histogram) is the loop's responsiveness.
-#[derive(Default)]
-pub struct IoLoopStats {
-    /// Loop iterations completed (one `wait` + work cycle each).
-    pub iterations: AtomicU64,
-    /// Cumulative µs blocked waiting for readiness events.
-    pub wait_us: AtomicU64,
-    /// Cumulative µs doing work between waits.
-    pub work_us: AtomicU64,
-    /// Connections currently owned by this loop (gauge).
-    pub connections: AtomicU64,
-    /// Bytes queued in this loop's connection outboxes (gauge,
-    /// refreshed on the owner's gauge cadence, not per write).
-    pub outbox_bytes: AtomicU64,
-    /// Distribution of per-iteration work time — loop-iteration lag.
-    pub lag: LatencyHistogram,
-}
-
-impl IoLoopStats {
-    /// Fold one completed loop iteration in.
-    pub fn record_iteration(&self, wait_us: u64, work_us: u64) {
-        self.iterations.fetch_add(1, Ordering::Relaxed);
-        self.wait_us.fetch_add(wait_us, Ordering::Relaxed);
-        self.work_us.fetch_add(work_us, Ordering::Relaxed);
-        self.lag.record(work_us);
-    }
-
-    /// Refresh the point-in-time gauges.
-    pub fn set_gauges(&self, connections: u64, outbox_bytes: u64) {
-        self.connections.store(connections, Ordering::Relaxed);
-        self.outbox_bytes.store(outbox_bytes, Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -987,23 +945,6 @@ mod tests {
         }
         assert_eq!(received, queued_total);
         assert_eq!(offset, 0);
-    }
-
-    #[test]
-    fn io_loop_stats_accumulate() {
-        let s = IoLoopStats::default();
-        s.record_iteration(100, 20);
-        s.record_iteration(50, 5);
-        s.set_gauges(3, 4096);
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        assert_eq!(load(&s.iterations), 2);
-        assert_eq!(load(&s.wait_us), 150);
-        assert_eq!(load(&s.work_us), 25);
-        assert_eq!(load(&s.connections), 3);
-        assert_eq!(load(&s.outbox_bytes), 4096);
-        let lag = s.lag.snapshot();
-        assert_eq!(lag.count, 2);
-        assert_eq!(lag.sum, 25);
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //!   Requests on one connection may be **pipelined**: the server reads
 //!   continuously, evaluates concurrently (bounded per connection),
 //!   and replies out of order, correlated by the echoed `id`.
-//! * **Readiness-driven connection handling** ([`io`], [`server`]) —
-//!   a fixed pool of `--io-threads` event-loop threads (epoll on
-//!   Linux, poll elsewhere) multiplexes every connection: incremental
-//!   line parsing with pooled carry buffers, bounded per-connection
-//!   outbound queues drained by vectored writes, an idle sweep that
-//!   closes dribbling connections, and a self-pipe waker for replies
-//!   settled on other threads.  No thread per connection: the thread
-//!   census at 10 000 open connections equals the census at ten.
+//! * **Readiness-driven connection handling** ([`eventloop`], [`io`])
+//!   — a fixed pool of event-loop threads (epoll on Linux, poll
+//!   elsewhere) multiplexes every connection: incremental line parsing
+//!   with pooled carry buffers, per-connection pipelining windows,
+//!   bounded outbound queues drained by vectored writes, an idle sweep
+//!   that closes dribbling connections, and a self-pipe waker for
+//!   replies settled on other threads.  No thread per connection: the
+//!   thread census at 10 000 open connections equals the census at
+//!   ten.  The loop takes a per-tier line handler, and both tiers run
+//!   on it: [`server`] for `gtree serve` and `gt-router` for its
+//!   clients.
 //! * **Shared evaluation executor** ([`executor`]) — a fixed pool of
 //!   evaluation workers fed by per-algorithm queues, so total engine
 //!   concurrency is `--eval-workers` no matter how many connections
@@ -84,12 +87,12 @@
 pub mod cache;
 pub mod client;
 pub mod deadline;
+pub mod eventloop;
 pub mod executor;
 pub mod io;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
-pub mod queue;
 pub mod registry;
 pub mod server;
 pub mod singleflight;

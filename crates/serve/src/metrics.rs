@@ -20,7 +20,7 @@
 //! are all rendered from it by [`crate::registry`].
 
 use crate::cache::CacheStats;
-use crate::io::IoLoopStats;
+use crate::eventloop::{ConnCounters, IoLoopStats};
 use crate::registry::{
     build_info, counter, gauge, histogram, info, one, uptime, Family, Sample, Unit, Value,
 };
@@ -212,10 +212,6 @@ pub struct Metrics {
     pub draining: AtomicU64,
     /// Internal failures.
     pub internal: AtomicU64,
-    /// Evals answered from the result cache.
-    pub cache_hits: AtomicU64,
-    /// Evals that had to run an engine.
-    pub cache_misses: AtomicU64,
     /// Evals that joined another request's in-flight engine run
     /// instead of starting their own (single-flight coalescing).
     pub coalesced_hits: AtomicU64,
@@ -226,19 +222,8 @@ pub struct Metrics {
     /// Subtree evaluations a worker ran to completion (the scatter
     /// half of split plans landing on this replica).
     pub subevals: AtomicU64,
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Connections currently registered with an I/O thread (gauge:
-    /// incremented on registration, decremented on close).
-    pub open_conns: AtomicU64,
-    /// Connections closed by the idle timeout (no completed request
-    /// line for `--conn-idle-timeout`).
-    pub idle_closed: AtomicU64,
-    /// Connections closed because their bounded outbound queue
-    /// overflowed (a never-draining slow reader).
-    pub overflow_closed: AtomicU64,
-    /// Connections closed for sending an over-long request line.
-    pub overlong_closed: AtomicU64,
+    /// Accepts and closes, kept by the connection loop.
+    pub conns: ConnCounters,
     /// Work-stealing engine: tasks taken from another worker's deque,
     /// summed over all parallel evaluations.
     pub par_steals: AtomicU64,
@@ -454,14 +439,14 @@ pub(crate) const SERVE_FAMILIES: &[Family<ServeView>] = &[
     counter(
         "gtserve_cache_hits_total",
         "cache_hits",
-        "Evals answered from the result cache.",
-        |v| one(&v.metrics.cache_hits),
+        "Eval and subeval cache probes that found a live entry.",
+        |v| one(v.cache.hits),
     ),
     counter(
         "gtserve_cache_misses_total",
         "cache_misses",
-        "Evals that had to run an engine.",
-        |v| one(&v.metrics.cache_misses),
+        "Eval and subeval cache probes that found none.",
+        |v| one(v.cache.misses),
     ),
     counter(
         "gtserve_coalesced_total",
@@ -491,31 +476,31 @@ pub(crate) const SERVE_FAMILIES: &[Family<ServeView>] = &[
         "gtserve_connections_total",
         "connections",
         "Connections accepted.",
-        |v| one(&v.metrics.connections),
+        |v| one(&v.metrics.conns.accepted),
     ),
     gauge(
         "gtserve_open_connections",
         "open_conns",
         "Connections currently registered with an I/O thread.",
-        |v| one(&v.metrics.open_conns),
+        |v| one(&v.metrics.conns.open),
     ),
     counter(
         "gtserve_conn_idle_closed_total",
         "idle_closed",
         "Connections closed by the idle timeout.",
-        |v| one(&v.metrics.idle_closed),
+        |v| one(&v.metrics.conns.idle_closed),
     ),
     counter(
         "gtserve_conn_overflow_closed_total",
         "overflow_closed",
         "Connections closed for overflowing their outbound queue.",
-        |v| one(&v.metrics.overflow_closed),
+        |v| one(&v.metrics.conns.overflow_closed),
     ),
     counter(
         "gtserve_conn_overlong_closed_total",
         "overlong_closed",
         "Connections closed for an over-long request line.",
-        |v| one(&v.metrics.overlong_closed),
+        |v| one(&v.metrics.conns.overlong_closed),
     ),
     counter(
         "gtserve_engine_par_steals_total",
@@ -752,18 +737,6 @@ pub(crate) const SERVE_FAMILIES: &[Family<ServeView>] = &[
         "cache.capacity",
         "Configured cache capacity.",
         |v| one(v.cache.capacity),
-    ),
-    counter(
-        "gtserve_cache_lookup_hits_total",
-        "cache.hits",
-        "Result-cache lookups that found a live entry, as the cache counts them.",
-        |v| one(v.cache.hits),
-    ),
-    counter(
-        "gtserve_cache_lookup_misses_total",
-        "cache.misses",
-        "Result-cache lookups that found none, as the cache counts them.",
-        |v| one(v.cache.misses),
     ),
     counter(
         "gtserve_cache_admitted_total",
@@ -1022,7 +995,7 @@ mod tests {
         assert_eq!(s.u64("ok"), 5);
         assert_eq!(s.u64("shed"), 2);
         assert_eq!(s.u64("latency_count"), 1);
-        assert_eq!(s.u64("cache.hits"), 1);
+        assert_eq!(s.u64("cache_hits"), 1);
         assert_eq!(s.u64("cache.per_shard_len.1"), 1);
         assert_eq!(s.get("cache.ttl_ms"), Some(&Json::Null));
         // The rendered JSON reparses (the stats reply embeds it).

@@ -333,7 +333,7 @@ pub struct Stats(pub Json);
 
 impl Stats {
     /// The value at a dotted path; on an array a segment is an index
-    /// (`"cache.hits"`, `"replicas.0.sent"`).
+    /// (`"cache.len"`, `"replicas.0.sent"`).
     pub fn get(&self, path: &str) -> Option<&Json> {
         path.split('.').try_fold(&self.0, |node, seg| match node {
             Json::Array(items) => seg.parse::<usize>().ok().and_then(|i| items.get(i)),

@@ -1,47 +1,30 @@
-//! The evaluation server: a fixed pool of readiness-driven I/O
-//! threads, the shared evaluation executor, sharded result cache,
-//! single-flight coalescing, and graceful shutdown.
+//! The evaluation server: the serve tier's handler on the shared
+//! connection loop ([`crate::eventloop`]), the shared evaluation
+//! executor, sharded result cache, single-flight coalescing, and
+//! graceful shutdown.
 //!
 //! ## Thread structure
 //!
 //! ```text
-//! I/O threads (fixed pool, epoll loops; thread 0 owns the listener)
-//!   ├─ accept──▶ conns distributed round-robin across the pool
-//!   ├─ readable──▶ per-conn line state machine ──▶ inline replies,
-//!   │                                             misses submitted
-//!   └─ wakeups──▶ flush outbound queues, resume parsing
+//! I/O threads (the connection loop; thread 0 owns the listener)
+//!   └─ request line──▶ inline replies (control ops, cache hits),
+//!                      misses submitted
 //! eval workers (fixed pool) ──pop batches, evaluate, publish──▶ Flight
 //! publish ──drained waiters──▶ replies enqueued, I/O thread woken
 //! deadline reaper ──expired waiters──▶ 408 replies, flight detach
 //! ```
 //!
-//! A connection never owns a thread.  Each one is a small state
-//! machine pinned to one I/O thread: nonblocking socket, an
-//! incremental [`LineReader`] with a pooled carry buffer for partial
-//! lines, and a bounded outbound reply queue flushed with vectored
-//! writes.  Thousands of idle connections cost their sockets and a
-//! few hundred bytes of state each — no stacks, no parked readers.
-//!
 //! Each connection is **pipelined**: its I/O thread parses NDJSON
 //! lines as they arrive, answers control ops and cache hits inline,
 //! and *submits* every miss to the shared executor, at most
 //! `conn_window` of them outstanding per connection — past the window
-//! the state machine defers parsing (bytes queue in the carry buffer
-//! and the kernel) until a slot frees.  Total engine concurrency is
-//! the executor's fixed worker count, no matter how many connections
-//! are open.  Replies complete by enqueueing onto the connection's
+//! the loop defers parsing (bytes queue in the carry buffer and the
+//! kernel) until a slot frees.  Total engine concurrency is the
+//! executor's fixed worker count, no matter how many connections are
+//! open.  Replies complete by enqueueing onto the connection's
 //! outbound queue and waking its I/O thread; they go out in
-//! completion order, correlated by the echoed `id`.
-//!
-//! ## Backpressure and slow readers
-//!
-//! A client that stops draining replies fills its bounded outbound
-//! queue: past the high-water mark its requests stop being parsed,
-//! and past the hard cap the connection is closed
-//! (`overflow_closed`).  A client that dribbles bytes without ever
-//! completing a request line holds only its pooled carry buffer and
-//! falls to `--conn-idle-timeout` (`idle_closed`) — no thread is ever
-//! pinned by either shape of slowloris.
+//! completion order, correlated by the echoed `id`.  Slow readers and
+//! both shapes of slowloris are the loop's to contain.
 //!
 //! ## Single flight, asynchronously
 //!
@@ -78,12 +61,9 @@
 
 use crate::cache::ShardedCache;
 use crate::deadline::{Answerable, DeadlineHeap};
+use crate::eventloop::{ConnCounters, ConnReply, IoLoop, IoLoopStats, LineHandler, LoopConfig};
 use crate::executor::{
     ActiveGauge, CostClass, Executor, ExecutorConfig, SubmitError, TenantGovernor,
-};
-use crate::io::{
-    drain_outbox, raise_nofile_limit, BufferPool, IoLoopStats, LineAction, LineReader, LineTooLong,
-    Poller, Waker,
 };
 use crate::metrics::{Metrics, ServeView, SERVE_FAMILIES};
 use crate::protocol::{
@@ -102,39 +82,13 @@ use crate::workload::{
 };
 use gt_analysis::Json;
 use gt_tree::{GenSpec, SubtreeSpec};
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write as IoWrite};
+use std::io::{BufRead, BufReader, ErrorKind, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Longest accepted request line; longer input closes the connection.
-const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// How often blocked loops poll the shutdown flag (also the I/O
-/// threads' poll-wait timeout, so drains and idle sweeps tick at
-/// least this often).
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Outbound-queue level above which a connection's requests stop
-/// being parsed: a slow reader backpressures itself instead of
-/// growing an unbounded reply buffer.
-const OUTBOX_HIGH_WATER: usize = 128 * 1024;
-
-/// Hard cap on one connection's queued reply bytes; past it the
-/// connection is closed (`overflow_closed`).  Only reachable by a
-/// client that keeps pipelining while never draining replies.
-const OUTBOX_MAX_BYTES: usize = 1024 * 1024;
-
-/// Per-I/O-thread read scratch size (shared by all its connections).
-const READ_CHUNK: usize = 16 * 1024;
-
-/// How many open fds the server asks the kernel for at startup.
-const NOFILE_TARGET: u64 = 1 << 16;
 
 /// Algorithm used when an eval names none: cancellable and valid for
 /// both NOR and minmax workloads.
@@ -316,7 +270,6 @@ struct Shared {
     governor: Arc<TenantGovernor>,
     shutdown: Arc<AtomicBool>,
     default_deadline_ms: u64,
-    conn_window: usize,
     small_cost_max: u64,
     workers: usize,
     io_threads: usize,
@@ -339,117 +292,54 @@ impl Shared {
     }
 }
 
-/// Commands injected into an I/O thread from outside its loop.
-enum IoCmd {
-    /// A freshly accepted connection to adopt.
-    Conn(TcpStream),
-    /// Service the connection registered under this token: flush its
-    /// outbox, resume parsing if its window freed, retire it if done.
-    Wake(u64),
-}
-
-/// The cross-thread face of one I/O thread: an injector the accept
-/// path and reply completions push commands onto, plus the waker that
-/// pulls the thread out of its poll sleep.
-struct IoHandle {
-    injector: Mutex<Vec<IoCmd>>,
-    waker: Waker,
-}
-
-impl IoHandle {
-    fn new() -> std::io::Result<IoHandle> {
-        Ok(IoHandle {
-            injector: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-        })
-    }
-
-    fn push(&self, cmd: IoCmd) {
-        self.injector.lock().unwrap().push(cmd);
-        self.waker.wake();
-    }
-}
-
-/// One connection's bounded reply queue.
-struct Outbox {
-    queue: VecDeque<Vec<u8>>,
-    /// Queued-but-unwritten bytes (kept in sync with `queue`).
-    bytes: usize,
-    /// The I/O thread retired the connection; late replies are
-    /// dropped, exactly like the old path's ignored write errors.
-    closed: bool,
-    /// The bounded queue overflowed; the I/O thread must close.
-    overflowed: bool,
-}
-
-/// The write half of a connection as seen from any thread.  Replies
-/// are never written directly: they are enqueued here and the owning
-/// I/O thread is woken to flush them.  Also carries the pipelining
-/// window as a plain atomic — nothing ever blocks on a slot.
-struct ConnReply {
-    outbox: Mutex<Outbox>,
-    /// Dispatched-and-unanswered evals on this connection.
-    inflight: AtomicUsize,
-    /// Collapses redundant `Wake` commands between services.
-    wake_queued: AtomicBool,
-    token: u64,
-    io: Arc<IoHandle>,
-}
-
-impl ConnReply {
-    fn new(token: u64, io: Arc<IoHandle>) -> ConnReply {
-        ConnReply {
-            outbox: Mutex::new(Outbox {
-                queue: VecDeque::new(),
-                bytes: 0,
-                closed: false,
-                overflowed: false,
-            }),
-            inflight: AtomicUsize::new(0),
-            wake_queued: AtomicBool::new(false),
-            token,
-            io,
-        }
-    }
-
-    /// Queue one reply line (newline appended) and wake the I/O
-    /// thread.  Returns false when the connection is gone or its
-    /// queue overflowed — the reply is dropped either way.
-    fn enqueue(&self, line: &str) -> bool {
-        {
-            let mut ob = self.outbox.lock().unwrap();
-            if ob.closed || ob.overflowed {
-                return false;
+/// The serve tier on the connection loop: control ops and cache hits
+/// answer inline, misses dispatch to the executor.
+impl LineHandler for Shared {
+    fn line(shared: &Arc<Shared>, line: &str, recv: Instant, conn: &Arc<ConnReply>) {
+        shared.metrics.received.fetch_add(1, Ordering::Relaxed);
+        match process_line(line, shared, recv) {
+            Handled::Inline(out) => {
+                conn.enqueue(&out);
             }
-            if ob.bytes + line.len() + 1 > OUTBOX_MAX_BYTES {
-                ob.overflowed = true;
-                drop(ob);
-                self.notify();
-                return false;
+            Handled::Dispatch {
+                id,
+                work,
+                cache_key,
+                cost,
+                deadline,
+                start,
+                parse_us,
+                probe_us,
+                trace,
+                tenant,
+            } => {
+                // The loop hands a line over only with a window slot
+                // free; settling the request releases it.
+                conn.claim_slot();
+                dispatch_eval(
+                    shared, conn, id, work, cache_key, cost, deadline, start, parse_us, probe_us,
+                    trace, tenant,
+                );
             }
-            let mut buf = Vec::with_capacity(line.len() + 1);
-            buf.extend_from_slice(line.as_bytes());
-            buf.push(b'\n');
-            ob.bytes += buf.len();
-            ob.queue.push_back(buf);
         }
-        self.notify();
-        true
     }
 
-    /// Release one pipelining-window slot (the request is settled —
-    /// always called *after* its reply was enqueued, so the I/O
-    /// thread never sees an idle connection with a reply still owed).
-    fn release_slot(&self) {
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
-        self.notify();
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
 
-    fn notify(&self) {
-        if self.wake_queued.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.io.push(IoCmd::Wake(self.token));
+    fn counters(&self) -> &ConnCounters {
+        &self.metrics.conns
+    }
+
+    fn loop_stats(&self) -> Arc<IoLoopStats> {
+        self.metrics.register_io_loop()
+    }
+
+    /// Thread 0 samples the executor's queue depth into its
+    /// distribution-over-time histogram.
+    fn sample(&self) {
+        self.metrics.record_queue_depth(self.executor.queued());
     }
 }
 
@@ -834,8 +724,7 @@ impl Reaper {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Shared,
-    io_handles: Vec<Arc<IoHandle>>,
-    io_joins: Vec<JoinHandle<()>>,
+    io: IoLoop,
     reaper_handle: JoinHandle<()>,
     metrics_listener: Option<MetricsListener>,
     snapshot_path: Option<String>,
@@ -845,10 +734,7 @@ pub struct Server {
 impl Server {
     /// Bind and start accepting; returns once the listener is live.
     pub fn start(config: Config) -> std::io::Result<Server> {
-        // C10K needs the fds to hold the Ks of connections.
-        let _ = raise_nofile_limit(NOFILE_TARGET);
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         // The fork-join engines' pool starts now, so its threads belong
         // to the fixed census rather than appearing under load.
@@ -925,7 +811,6 @@ impl Server {
             governor,
             shutdown: Arc::clone(&shutdown),
             default_deadline_ms: config.default_deadline_ms,
-            conn_window: config.conn_window,
             small_cost_max: config.small_cost_max,
             workers: config.workers.max(1),
             io_threads,
@@ -938,36 +823,16 @@ impl Server {
             }
             None => None,
         };
-        let mut io_handles = Vec::with_capacity(io_threads);
-        for _ in 0..io_threads {
-            io_handles.push(Arc::new(IoHandle::new()?));
-        }
-        let idle_timeout = config.conn_idle_timeout_ms.map(Duration::from_millis);
-        let mut listener = Some(listener);
-        let mut io_joins = Vec::with_capacity(io_threads);
-        for (me, handle) in io_handles.iter().enumerate() {
-            let io = IoThread {
-                shared: shared.clone(),
-                poller: Poller::new()?,
-                handle: Arc::clone(handle),
-                peers: io_handles.clone(),
-                me,
-                next_peer: 0,
-                listener: if me == 0 { listener.take() } else { None },
-                conns: Vec::new(),
-                free: Vec::new(),
-                pool: BufferPool::new(64, MAX_LINE_BYTES),
-                scratch: vec![0u8; READ_CHUNK],
-                idle_timeout,
-                draining: false,
-                stats: metrics.register_io_loop(),
-            };
-            io_joins.push(
-                thread::Builder::new()
-                    .name(format!("gt-serve-io-{me}"))
-                    .spawn(move || io.run())?,
-            );
-        }
+        let io = IoLoop::spawn(
+            listener,
+            LoopConfig {
+                name: "gt-serve-io",
+                threads: io_threads,
+                window: config.conn_window,
+                idle_timeout: config.conn_idle_timeout_ms.map(Duration::from_millis),
+            },
+            Arc::new(shared.clone()),
+        )?;
 
         // Dynamic membership: announce this replica to the router and
         // warm-fill from already-joined peers, off the serving path —
@@ -1002,8 +867,7 @@ impl Server {
         Ok(Server {
             local_addr,
             shared,
-            io_handles,
-            io_joins,
+            io,
             reaper_handle,
             metrics_listener,
             snapshot_path: config.snapshot_path.clone(),
@@ -1040,11 +904,7 @@ impl Server {
     /// Begin a graceful drain (idempotent, returns immediately).
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Pull every I/O thread out of its poll sleep so the drain
-        // starts now, not at the next 50ms tick.
-        for h in &self.io_handles {
-            h.waker.wake();
-        }
+        self.io.wake();
     }
 
     /// The live `stats` object, as the `stats` request returns it.
@@ -1060,12 +920,7 @@ impl Server {
         // connection's in-flight replies, and exits; the workers and
         // the reaper are still live here, so every outstanding reply
         // is settled by result or by deadline.
-        for h in &self.io_handles {
-            h.waker.wake();
-        }
-        for h in self.io_joins {
-            let _ = h.join();
-        }
+        self.io.join();
         self.shared.executor.shutdown();
         self.shared.reaper.stop();
         let _ = self.reaper_handle.join();
@@ -1310,527 +1165,6 @@ fn run_batch(
     }
 }
 
-/// Poller token of the thread's waker pipe.
-const TOKEN_WAKER: u64 = 0;
-/// Poller token of the listener (thread 0 only).
-const TOKEN_LISTENER: u64 = 1;
-/// Connection slab index `i` registers under token `i + TOKEN_BASE`.
-const TOKEN_BASE: u64 = 2;
-
-/// Why a connection is being retired (feeds the close counters).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CloseReason {
-    /// EOF/drain completed, write error, or malformed input.
-    Done,
-    /// No completed request line for `--conn-idle-timeout`.
-    Idle,
-    /// The bounded outbound queue overflowed.
-    Overflow,
-    /// A request line exceeded `MAX_LINE_BYTES`.
-    Overlong,
-}
-
-/// Per-connection state owned by exactly one I/O thread.
-struct ConnState {
-    stream: TcpStream,
-    reply: Arc<ConnReply>,
-    reader: LineReader,
-    /// Partial-write offset into the outbox's front buffer.
-    write_offset: usize,
-    /// Currently registered (read, write) interest.
-    interest: (bool, bool),
-    peer_closed: bool,
-    /// When the last complete request line arrived (idle clock).
-    last_line: Instant,
-}
-
-/// One readiness-driven I/O thread: a poller, a slab of connection
-/// state machines, and (on thread 0) the listener.  Fresh connections
-/// arrive via accept or the injector; replies arrive as `Wake`
-/// commands from whichever thread settled them.
-struct IoThread {
-    shared: Shared,
-    poller: Poller,
-    handle: Arc<IoHandle>,
-    /// Every I/O thread's handle, for round-robin conn distribution.
-    peers: Vec<Arc<IoHandle>>,
-    me: usize,
-    next_peer: usize,
-    listener: Option<TcpListener>,
-    conns: Vec<Option<ConnState>>,
-    free: Vec<usize>,
-    pool: BufferPool,
-    scratch: Vec<u8>,
-    idle_timeout: Option<Duration>,
-    draining: bool,
-    /// Event-loop health counters for this thread's `/metrics` series.
-    stats: Arc<IoLoopStats>,
-}
-
-impl IoThread {
-    fn run(mut self) {
-        if self
-            .poller
-            .add(self.handle.waker.read_fd(), TOKEN_WAKER, true, false)
-            .is_err()
-        {
-            return;
-        }
-        if let Some(l) = &self.listener {
-            if self
-                .poller
-                .add(l.as_raw_fd(), TOKEN_LISTENER, true, false)
-                .is_err()
-            {
-                return;
-            }
-        }
-        let mut events = Vec::with_capacity(256);
-        let mut last_gauge = Instant::now();
-        loop {
-            events.clear();
-            let wait_start = Instant::now();
-            let _ = self
-                .poller
-                .wait(&mut events, POLL_INTERVAL.as_millis() as i32);
-            let work_start = Instant::now();
-            if !self.draining && self.shared.shutdown.load(Ordering::SeqCst) {
-                self.begin_drain();
-            }
-            for ev in &events {
-                match ev.token {
-                    TOKEN_WAKER => self.drain_injector(),
-                    TOKEN_LISTENER => self.accept_ready(),
-                    token => {
-                        let idx = (token - TOKEN_BASE) as usize;
-                        if ev.readable {
-                            self.handle_readable(idx);
-                        } else if ev.hangup {
-                            if let Some(c) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-                                c.peer_closed = true;
-                            }
-                        }
-                        self.service(idx);
-                    }
-                }
-            }
-            self.sweep_idle();
-            // Gauges are a sweep over the slab (outbox locks), so
-            // refresh at most once per poll interval, not per wake.
-            if work_start.duration_since(last_gauge) >= POLL_INTERVAL {
-                last_gauge = work_start;
-                self.refresh_gauges();
-            }
-            self.stats.record_iteration(
-                work_start.duration_since(wait_start).as_micros() as u64,
-                work_start.elapsed().as_micros() as u64,
-            );
-            if self.draining && self.conns.iter().all(Option::is_none) {
-                break;
-            }
-        }
-    }
-
-    /// Publish per-loop gauges: live connections and total queued
-    /// outbound bytes.  Thread 0 also samples the shared executor's
-    /// queue depth into its distribution-over-time histogram.
-    fn refresh_gauges(&self) {
-        let mut connections = 0u64;
-        let mut outbox_bytes = 0u64;
-        for conn in self.conns.iter().flatten() {
-            connections += 1;
-            outbox_bytes += conn.reply.outbox.lock().unwrap().bytes as u64;
-        }
-        self.stats.set_gauges(connections, outbox_bytes);
-        if self.me == 0 {
-            self.shared
-                .metrics
-                .record_queue_depth(self.shared.executor.queued());
-        }
-    }
-
-    /// Shutdown observed: drop the listener, stop parsing input, and
-    /// keep each connection only until its in-flight replies flush.
-    fn begin_drain(&mut self) {
-        self.draining = true;
-        if let Some(l) = self.listener.take() {
-            let _ = self.poller.delete(l.as_raw_fd());
-        }
-        for idx in 0..self.conns.len() {
-            if let Some(conn) = self.conns[idx].as_mut() {
-                // Unparsed carried bytes are requests we will never
-                // run — drop them, like the old readers' buffers.
-                conn.reader = LineReader::new(MAX_LINE_BYTES);
-            }
-            self.service(idx);
-        }
-    }
-
-    fn drain_injector(&mut self) {
-        self.handle.waker.drain();
-        let cmds: Vec<IoCmd> = std::mem::take(&mut *self.handle.injector.lock().unwrap());
-        for cmd in cmds {
-            match cmd {
-                // A conn raced in after the drain began: drop it, the
-                // old accept loop would never have adopted it either.
-                IoCmd::Conn(_) if self.draining => {}
-                IoCmd::Conn(stream) => self.register(stream),
-                IoCmd::Wake(token) => {
-                    if token >= TOKEN_BASE {
-                        self.service((token - TOKEN_BASE) as usize);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Accept until the listener would block, distributing conns
-    /// round-robin across the pool (thread 0 adopts its own share).
-    fn accept_ready(&mut self) {
-        let mut accepted = Vec::new();
-        if let Some(listener) = &self.listener {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => accepted.push(stream),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
-        }
-        for stream in accepted {
-            self.shared
-                .metrics
-                .connections
-                .fetch_add(1, Ordering::Relaxed);
-            let target = self.next_peer % self.peers.len().max(1);
-            self.next_peer = self.next_peer.wrapping_add(1);
-            if target == self.me {
-                self.register(stream);
-            } else {
-                self.peers[target].push(IoCmd::Conn(stream));
-            }
-        }
-    }
-
-    /// Adopt one connection into the slab and the poller.
-    fn register(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        // Replies are small writes the client may block on; Nagle
-        // would hold them for the peer's delayed ACK.
-        let _ = stream.set_nodelay(true);
-        let idx = self.free.pop().unwrap_or_else(|| {
-            self.conns.push(None);
-            self.conns.len() - 1
-        });
-        let token = idx as u64 + TOKEN_BASE;
-        if self
-            .poller
-            .add(stream.as_raw_fd(), token, true, false)
-            .is_err()
-        {
-            self.free.push(idx);
-            return;
-        }
-        let reply = Arc::new(ConnReply::new(token, Arc::clone(&self.handle)));
-        self.shared
-            .metrics
-            .open_conns
-            .fetch_add(1, Ordering::Relaxed);
-        self.conns[idx] = Some(ConnState {
-            stream,
-            reply,
-            reader: LineReader::new(MAX_LINE_BYTES),
-            write_offset: 0,
-            interest: (true, false),
-            peer_closed: false,
-            last_line: Instant::now(),
-        });
-    }
-
-    /// Pull bytes off a readable connection and run them through its
-    /// line state machine, respecting the window and outbox levels.
-    fn handle_readable(&mut self, idx: usize) {
-        let mut close = None;
-        {
-            let Self {
-                conns,
-                scratch,
-                pool,
-                shared,
-                draining,
-                ..
-            } = self;
-            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            if *draining {
-                return;
-            }
-            loop {
-                // Flow control *before* pulling more bytes: a full
-                // window or a backed-up outbox leaves them in the
-                // kernel buffer, which is TCP backpressure.
-                if conn.reply.inflight.load(Ordering::Acquire) >= shared.conn_window.max(1) {
-                    break;
-                }
-                if conn.reply.outbox.lock().unwrap().bytes >= OUTBOX_HIGH_WATER {
-                    break;
-                }
-                let n = match conn.stream.read(scratch) {
-                    Ok(0) => {
-                        conn.peer_closed = true;
-                        break;
-                    }
-                    Ok(n) => n,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.peer_closed = true;
-                        break;
-                    }
-                };
-                if let Some(reason) = feed_conn(shared, conn, &scratch[..n], pool) {
-                    close = Some(reason);
-                    break;
-                }
-            }
-        }
-        if let Some(reason) = close {
-            self.close(idx, reason);
-        }
-    }
-
-    /// Flush the connection's outbox, resume deferred parsing when its
-    /// window or outbox freed up, recompute poller interest, and
-    /// retire the connection once it is settled.
-    fn service(&mut self, idx: usize) {
-        let mut close = None;
-        let mut settled = (false, false); // (outbox empty, interest write)
-        {
-            let Self {
-                conns,
-                pool,
-                shared,
-                draining,
-                ..
-            } = self;
-            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            // Reset the wake collapse *before* looking at state, so a
-            // completion landing mid-service queues a fresh wake.
-            conn.reply.wake_queued.store(false, Ordering::Release);
-            if flush_outbox(conn).is_err() {
-                close = Some(CloseReason::Done);
-            }
-            // Parsing may have been deferred on a full window or a
-            // high outbox; both may have cleared now.
-            if close.is_none() && !*draining && conn.reader.has_carry() {
-                if let Some(reason) = feed_conn(shared, conn, &[], pool) {
-                    close = Some(reason);
-                }
-            }
-            if close.is_none() && flush_outbox(conn).is_err() {
-                close = Some(CloseReason::Done);
-            }
-            if close.is_none() {
-                let ob = conn.reply.outbox.lock().unwrap();
-                if ob.overflowed {
-                    close = Some(CloseReason::Overflow);
-                } else {
-                    let inflight = conn.reply.inflight.load(Ordering::Acquire);
-                    let outbox_empty = ob.queue.is_empty();
-                    if (conn.peer_closed || *draining) && inflight == 0 && outbox_empty {
-                        close = Some(CloseReason::Done);
-                    } else {
-                        let read_i = !*draining
-                            && !conn.peer_closed
-                            && inflight < shared.conn_window.max(1)
-                            && ob.bytes < OUTBOX_HIGH_WATER;
-                        settled = (read_i, !outbox_empty);
-                    }
-                }
-            }
-            if close.is_none() && conn.interest != settled {
-                let token = conn.reply.token;
-                // A modify failure strands the conn silently; close it.
-                match self
-                    .poller
-                    .modify(conn.stream.as_raw_fd(), token, settled.0, settled.1)
-                {
-                    Ok(()) => conn.interest = settled,
-                    Err(_) => close = Some(CloseReason::Done),
-                }
-            }
-        }
-        if let Some(reason) = close {
-            self.close(idx, reason);
-        }
-    }
-
-    /// Close connections that idled past `--conn-idle-timeout` with
-    /// nothing in flight (both slowloris shapes land here or in the
-    /// outbox cap).
-    fn sweep_idle(&mut self) {
-        let Some(timeout) = self.idle_timeout else {
-            return;
-        };
-        let now = Instant::now();
-        for idx in 0..self.conns.len() {
-            let expired = match &self.conns[idx] {
-                Some(c) => {
-                    c.reply.inflight.load(Ordering::Acquire) == 0
-                        && now.duration_since(c.last_line) >= timeout
-                }
-                None => false,
-            };
-            if expired {
-                self.close(idx, CloseReason::Idle);
-            }
-        }
-    }
-
-    /// Retire one connection: deregister, drop, recycle the slot.
-    fn close(&mut self, idx: usize, reason: CloseReason) {
-        let Some(mut conn) = self.conns.get_mut(idx).and_then(Option::take) else {
-            return;
-        };
-        let _ = self.poller.delete(conn.stream.as_raw_fd());
-        // One best-effort flush so a final error reply (over-long
-        // line, ...) reaches a live peer; whatever the socket refuses
-        // is dropped with the connection.
-        let _ = flush_outbox(&mut conn);
-        {
-            // Late replies from still-running evals become no-ops.
-            let mut ob = conn.reply.outbox.lock().unwrap();
-            ob.closed = true;
-            ob.queue.clear();
-            ob.bytes = 0;
-        }
-        let m = &self.shared.metrics;
-        m.open_conns.fetch_sub(1, Ordering::Relaxed);
-        match reason {
-            CloseReason::Idle => m.idle_closed.fetch_add(1, Ordering::Relaxed),
-            CloseReason::Overflow => m.overflow_closed.fetch_add(1, Ordering::Relaxed),
-            CloseReason::Overlong => m.overlong_closed.fetch_add(1, Ordering::Relaxed),
-            CloseReason::Done => 0,
-        };
-        self.free.push(idx);
-    }
-}
-
-/// Write as much of the outbox as the socket accepts (vectored); an
-/// `Err` means the peer is unreachable and the connection must close.
-fn flush_outbox(conn: &mut ConnState) -> std::io::Result<()> {
-    let mut ob = conn.reply.outbox.lock().unwrap();
-    if ob.queue.is_empty() {
-        return Ok(());
-    }
-    match drain_outbox(&conn.stream, &mut ob.queue, &mut conn.write_offset) {
-        Ok(true) => {
-            ob.bytes = 0;
-            Ok(())
-        }
-        Ok(false) => {
-            // Partial: recompute the level from what survived.
-            ob.bytes = ob.queue.iter().map(Vec::len).sum::<usize>() - conn.write_offset;
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Feed bytes (or `&[]` to resume the carry) through the connection's
-/// line state machine: control ops and cache hits answer straight
-/// into the outbox, misses dispatch to the executor.  Returns a close
-/// reason when the connection must die.
-fn feed_conn(
-    shared: &Shared,
-    conn: &mut ConnState,
-    data: &[u8],
-    pool: &mut BufferPool,
-) -> Option<CloseReason> {
-    let window = shared.conn_window.max(1);
-    let ConnState {
-        reader,
-        reply,
-        last_line,
-        ..
-    } = conn;
-    let mut bad = false;
-    let fed = reader.feed(data, pool, |raw| {
-        // Flow control: a line past the pipelining window or over a
-        // backed-up outbox is deferred verbatim, not consumed.
-        if reply.inflight.load(Ordering::Acquire) >= window {
-            return LineAction::Defer;
-        }
-        {
-            let ob = reply.outbox.lock().unwrap();
-            if ob.overflowed || ob.closed {
-                return LineAction::Stop;
-            }
-            if ob.bytes >= OUTBOX_HIGH_WATER {
-                return LineAction::Defer;
-            }
-        }
-        let Ok(text) = std::str::from_utf8(raw) else {
-            bad = true;
-            return LineAction::Stop;
-        };
-        let recv = Instant::now();
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            return LineAction::Continue;
-        }
-        *last_line = recv;
-        shared.metrics.received.fetch_add(1, Ordering::Relaxed);
-        match process_line(trimmed, shared, recv) {
-            Handled::Inline(out) => {
-                reply.enqueue(&out);
-            }
-            Handled::Dispatch {
-                id,
-                work,
-                cache_key,
-                cost,
-                deadline,
-                start,
-                parse_us,
-                probe_us,
-                trace,
-                tenant,
-            } => {
-                // Claim the window slot here (the callback above
-                // guarantees one is free); settling releases it.
-                reply.inflight.fetch_add(1, Ordering::AcqRel);
-                dispatch_eval(
-                    shared, reply, id, work, cache_key, cost, deadline, start, parse_us, probe_us,
-                    trace, tenant,
-                );
-            }
-        }
-        LineAction::Continue
-    });
-    reader.release(pool);
-    match fed {
-        Ok(_) if bad => Some(CloseReason::Done),
-        Ok(_) => None,
-        Err(LineTooLong) => {
-            // Best effort, as before the event loop: tell the client
-            // why before the close flushes and drops the connection.
-            reply.enqueue(&error_line(
-                &None,
-                ErrorCode::BadRequest,
-                "request line too long",
-            ));
-            Some(CloseReason::Overlong)
-        }
-    }
-}
-
 /// How one request line is to be answered.
 // Transient: built and destructured within one reader turn, never
 // stored, so the Inline/Dispatch size gap costs nothing.
@@ -1966,7 +1300,6 @@ fn process_eval(request: &Request, shared: &Shared, recv: Instant, parse_us: u64
     let start = recv;
 
     if let Some(hit) = shared.cache.get(&validated.cache_key) {
-        m.cache_hits.fetch_add(1, Ordering::Relaxed);
         let probe_us = recv.elapsed().as_micros() as u64;
         record_tenant_hit(m, request.tenant.as_deref(), recv);
         let echo = request
@@ -1996,7 +1329,6 @@ fn process_eval(request: &Request, shared: &Shared, recv: Instant, parse_us: u64
         });
         return Handled::Inline(reply);
     }
-    m.cache_misses.fetch_add(1, Ordering::Relaxed);
     let probe_us = recv.elapsed().as_micros() as u64;
 
     let deadline_ms = request.deadline_ms.unwrap_or(shared.default_deadline_ms);
@@ -2055,7 +1387,6 @@ fn process_subeval(request: &Request, shared: &Shared, recv: Instant, parse_us: 
     let start = recv;
 
     if let Some(hit) = shared.cache.get(&validated.cache_key) {
-        m.cache_hits.fetch_add(1, Ordering::Relaxed);
         let probe_us = recv.elapsed().as_micros() as u64;
         record_tenant_hit(m, request.tenant.as_deref(), recv);
         let echo = request
@@ -2085,7 +1416,6 @@ fn process_subeval(request: &Request, shared: &Shared, recv: Instant, parse_us: 
         });
         return Handled::Inline(reply);
     }
-    m.cache_misses.fetch_add(1, Ordering::Relaxed);
     let probe_us = recv.elapsed().as_micros() as u64;
 
     let deadline_ms = request.deadline_ms.unwrap_or(shared.default_deadline_ms);
@@ -2299,25 +1629,6 @@ mod tests {
     }
 
     #[test]
-    fn outbox_enqueue_caps_total_bytes_and_latches_overflow() {
-        let io = Arc::new(IoHandle::new().unwrap());
-        let reply = Arc::new(ConnReply::new(TOKEN_BASE, io));
-        let line = "x".repeat(64 * 1024 - 1);
-        let mut accepted = 0usize;
-        while reply.enqueue(&line) {
-            accepted += 1;
-            assert!(accepted <= 16, "outbox grew past its byte cap");
-        }
-        assert_eq!(accepted, 16, "1MiB cap / 64KiB lines");
-        assert!(reply.outbox.lock().unwrap().overflowed);
-        // Latched: nothing else is accepted, even a tiny line.
-        assert!(!reply.enqueue("y"));
-        let ob = reply.outbox.lock().unwrap();
-        assert!(ob.bytes <= OUTBOX_MAX_BYTES);
-        assert_eq!(ob.queue.len(), 16);
-    }
-
-    #[test]
     fn serves_eval_ping_stats_and_drains() {
         let server = Server::start(Config {
             workers: 2,
@@ -2444,7 +1755,6 @@ mod tests {
             governor: Arc::new(TenantGovernor::new(0)),
             shutdown: Arc::new(AtomicBool::new(draining)),
             default_deadline_ms: 1000,
-            conn_window: 4,
             small_cost_max: 4096,
             workers: 1,
             io_threads: 1,
@@ -2457,10 +1767,7 @@ mod tests {
         let Joined::Leader(flight) = FlightTable::new().join("k") else {
             panic!("a fresh table has no flights");
         };
-        let conn = Arc::new(ConnReply::new(
-            TOKEN_BASE,
-            Arc::new(IoHandle::new().unwrap()),
-        ));
+        let conn = ConnReply::detached().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut outstanding = Vec::new();
         for i in 0..10_000 {
@@ -2765,9 +2072,8 @@ mod tests {
         // Occupy the tenant's only slot, as a dispatched-and-pending
         // request would.
         assert!(shared.governor.try_acquire("acme"));
-        let io = Arc::new(IoHandle::new().unwrap());
-        let reply = Arc::new(ConnReply::new(TOKEN_BASE, io));
-        reply.inflight.fetch_add(1, Ordering::AcqRel);
+        let reply = ConnReply::detached().unwrap();
+        reply.claim_slot();
         let line = r#"{"id":"x","spec":"worst:d=2,n=4","algo":"seq-solve","tenant":"acme"}"#;
         let Handled::Dispatch {
             id,
@@ -2789,17 +2095,14 @@ mod tests {
             tenant,
         );
         // The shed reply is already in the outbox: 429, with a hint.
-        let front = {
-            let ob = reply.outbox.lock().unwrap();
-            String::from_utf8(ob.queue.front().expect("shed reply").clone()).unwrap()
-        };
+        let front = reply.queued().into_iter().next().expect("shed reply");
         let r = Response::parse(front.trim()).unwrap();
         assert!(!r.ok);
         assert_eq!(r.status, 429);
         assert_eq!(r.code.as_deref(), Some("busy"));
         assert!(r.body.get("retry_after_ms").and_then(Json::as_u64).unwrap() >= 1);
         // The window slot came back and the ledger shows the shed.
-        assert_eq!(reply.inflight.load(Ordering::Acquire), 0);
+        assert_eq!(reply.in_flight(), 0);
         let snap = shared.stats();
         assert_eq!(snap.u64("shed"), 1);
         assert!(matches!(snap.get("tenants"), Some(Json::Object(t)) if t.len() == 1));

@@ -46,7 +46,8 @@
 # mostly-idle connections (loadgen --connections) alongside an active
 # pipelined load, and the run asserts zero failed fan-in opens, zero
 # sheds, a thread census that does not grow with connection count,
-# and RSS under 128MB.
+# and RSS under 128MB.  The router section repeats the same fan-in
+# against the router, before its replica kill.
 #
 # Environment overrides: GTREE_BIN, SMOKE_PORT, SMOKE_METRICS_PORT,
 # SMOKE_DURATION (s), SMOKE_FAN_CONNS.
@@ -232,13 +233,64 @@ echo "ci_smoke: ok ($ok successful replies, clean SIGINT drain)" >&2
 # Fan-in smoke: a fixed pool of I/O threads must hold >= 1k concurrent
 # connections without growing the thread census or shedding work.  The
 # loadgen opens FAN_CONNS mostly-idle connections alongside a small
-# active pipelined load; the server's /proc thread count is sampled
+# active pipelined load; the process's /proc thread count is sampled
 # before and during the run (it may only grow by a rounding margin),
 # fan_in_failed must be zero, no request may shed, and RSS stays under
 # a generous ceiling — with per-connection reader threads this check
-# is unpassable, which is the point.
+# is unpassable, which is the point.  Run against the server here and
+# against the router (the same connection loop) in the router section.
 FAN_CONNS="${SMOKE_FAN_CONNS:-1000}"
 ulimit -n 16384 2>/dev/null || echo "ci_smoke: warn: could not raise fd limit" >&2
+
+# fan_in PORT PID WHAT: the fan-in load at 127.0.0.1:PORT, checked on
+# process PID; WHAT names it in messages.
+fan_in() {
+  local port=$1 pid=$2 what=$3
+  # One round-trip before the idle census: the listener binds before
+  # the thread set finishes spawning, and sampling too early would
+  # make normal startup look like census growth.
+  exec 8<>"/dev/tcp/127.0.0.1/$port"
+  printf '{"op":"stats"}\n' >&8
+  IFS= read -r _ <&8
+  exec 8<&- 8>&-
+  local threads_idle threads_loaded rss_kb
+  threads_idle=$(sed -n 's/^Threads:[[:space:]]*//p' "/proc/$pid/status" 2>/dev/null || echo 0)
+
+  json=$("$BIN" loadgen --addr "127.0.0.1:$port" --rps 0 --duration "$DUR" --conns 2 \
+    --pipeline 4 --connections "$FAN_CONNS" --spec worst:d=2,n=8 \
+    --algo cascade:w=1 --json &
+    LG=$!
+    sleep 1
+    sed -n 's/^Threads:[[:space:]]*//p' "/proc/$pid/status" > /tmp/ci_smoke_threads.$$ 2>/dev/null || true
+    awk '/^VmRSS:/ {print $2}' "/proc/$pid/status" > /tmp/ci_smoke_rss.$$ 2>/dev/null || true
+    wait "$LG")
+  echo "ci_smoke: $what fan-in $json"
+  threads_loaded=$(cat /tmp/ci_smoke_threads.$$ 2>/dev/null || echo 0)
+  rss_kb=$(cat /tmp/ci_smoke_rss.$$ 2>/dev/null || echo 0)
+  rm -f /tmp/ci_smoke_threads.$$ /tmp/ci_smoke_rss.$$
+
+  local ok shed transport fan_open fan_failed fail=""
+  ok=$(field ok)
+  shed=$(field shed)
+  transport=$(field transport_errors)
+  fan_open=$(field fan_in_open)
+  fan_failed=$(field fan_in_failed)
+  [ "${ok:-0}" -gt 0 ] || { echo "ci_smoke: $what fan-in run got no successful replies" >&2; fail=1; }
+  [ "${shed:-0}" -eq 0 ] || { echo "ci_smoke: $what fan-in run shed $shed requests" >&2; fail=1; }
+  [ "${transport:-0}" -eq 0 ] || { echo "ci_smoke: $what fan-in run hit $transport transport errors" >&2; fail=1; }
+  [ "${fan_failed:-1}" -eq 0 ] || { echo "ci_smoke: $fan_failed $what fan-in connections failed to open" >&2; fail=1; }
+  [ "${fan_open:-0}" -eq "$FAN_CONNS" ] || { echo "ci_smoke: $what fan-in held ${fan_open:-0}/$FAN_CONNS connections" >&2; fail=1; }
+  if [ "${threads_loaded:-0}" -gt $((threads_idle + 2)) ]; then
+    echo "ci_smoke: $what thread census grew under fan-in load ($threads_idle idle -> $threads_loaded loaded)" >&2
+    fail=1
+  fi
+  if [ "${rss_kb:-0}" -gt 131072 ]; then
+    echo "ci_smoke: $what RSS ${rss_kb}kB exceeded 128MB under $FAN_CONNS connections" >&2
+    fail=1
+  fi
+  [ -z "$fail" ] || exit 1
+  echo "ci_smoke: $what fan-in ok ($fan_open idle conns held, threads $threads_idle -> $threads_loaded, rss ${rss_kb}kB)" >&2
+}
 
 "$BIN" serve --addr "$ADDR" --eval-workers 2 --queue-depth 512 \
   --io-threads 2 >/dev/null 2>&1 &
@@ -255,49 +307,7 @@ for _ in $(seq 1 100); do
 done
 [ -n "$up" ] || { echo "ci_smoke: fan-in server did not come up on $ADDR" >&2; exit 1; }
 
-# One round-trip before the idle census: the listener binds before the
-# eval/io thread set finishes spawning, and sampling too early would
-# make normal startup look like census growth.
-exec 8<>"/dev/tcp/127.0.0.1/$PORT"
-printf '{"op":"stats"}\n' >&8
-IFS= read -r _ <&8
-exec 8<&- 8>&-
-threads_idle=$(sed -n 's/^Threads:[[:space:]]*//p' "/proc/$SERVER_PID/status" 2>/dev/null || echo 0)
-
-json=$("$BIN" loadgen --addr "$ADDR" --rps 0 --duration "$DUR" --conns 2 \
-  --pipeline 4 --connections "$FAN_CONNS" --spec worst:d=2,n=8 \
-  --algo cascade:w=1 --json &
-  LG=$!
-  sleep 1
-  sed -n 's/^Threads:[[:space:]]*//p' "/proc/$SERVER_PID/status" > /tmp/ci_smoke_threads.$$ 2>/dev/null || true
-  awk '/^VmRSS:/ {print $2}' "/proc/$SERVER_PID/status" > /tmp/ci_smoke_rss.$$ 2>/dev/null || true
-  wait "$LG")
-echo "ci_smoke: fan-in $json"
-threads_loaded=$(cat /tmp/ci_smoke_threads.$$ 2>/dev/null || echo 0)
-rss_kb=$(cat /tmp/ci_smoke_rss.$$ 2>/dev/null || echo 0)
-rm -f /tmp/ci_smoke_threads.$$ /tmp/ci_smoke_rss.$$
-
-ok=$(field ok)
-shed=$(field shed)
-transport=$(field transport_errors)
-fan_open=$(field fan_in_open)
-fan_failed=$(field fan_in_failed)
-
-fail=""
-[ "${ok:-0}" -gt 0 ] || { echo "ci_smoke: fan-in run got no successful replies" >&2; fail=1; }
-[ "${shed:-0}" -eq 0 ] || { echo "ci_smoke: fan-in run shed $shed requests" >&2; fail=1; }
-[ "${transport:-0}" -eq 0 ] || { echo "ci_smoke: fan-in run hit $transport transport errors" >&2; fail=1; }
-[ "${fan_failed:-1}" -eq 0 ] || { echo "ci_smoke: $fan_failed fan-in connections failed to open" >&2; fail=1; }
-[ "${fan_open:-0}" -eq "$FAN_CONNS" ] || { echo "ci_smoke: fan-in held ${fan_open:-0}/$FAN_CONNS connections" >&2; fail=1; }
-if [ "${threads_loaded:-0}" -gt $((threads_idle + 2)) ]; then
-  echo "ci_smoke: thread census grew under fan-in load ($threads_idle idle -> $threads_loaded loaded)" >&2
-  fail=1
-fi
-if [ "${rss_kb:-0}" -gt 131072 ]; then
-  echo "ci_smoke: server RSS ${rss_kb}kB exceeded 128MB under $FAN_CONNS connections" >&2
-  fail=1
-fi
-[ -z "$fail" ] || exit 1
+fan_in "$PORT" "$SERVER_PID" server
 
 kill -INT "$SERVER_PID"
 if ! wait "$SERVER_PID"; then
@@ -306,7 +316,6 @@ if ! wait "$SERVER_PID"; then
 fi
 SERVER_PID=""
 trap - EXIT
-echo "ci_smoke: fan-in ok ($fan_open idle conns held, threads $threads_idle -> $threads_loaded, rss ${rss_kb}kB)" >&2
 
 # ---------------------------------------------------------------------
 # Router smoke: 1 router fronting 2 replicas.  Burst through the
@@ -399,6 +408,9 @@ bad_offsets=$(printf '%s' "$trace_reply" \
   exit 1
 }
 echo "ci_smoke: trace round-trip ok ($replica_spans replica span(s), $finished_spans finished spans)" >&2
+
+# Fan-in through the router: its client side must hold the same load.
+fan_in "$ROUTE_PORT" "$ROUTER_PID" router
 
 # Yank a replica the hard way — mid-burst, so requests are in flight
 # toward it and others are still being routed at it.  Distinct keys

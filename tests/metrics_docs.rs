@@ -193,7 +193,7 @@ fn assert_shape(tier: &str, stats: &Stats, pinned: &str) {
 const SERVE_KEYS: &str = "
     bad_request batch_jobs batch_mean_size batch_size_buckets[] batch_size_count
     batch_size_mean batch_size_p50 batch_size_p90 batch_size_p99 batch_size_sum batches
-    cache.admitted cache.capacity cache.evictions cache.hits cache.len cache.misses
+    cache.admitted cache.capacity cache.evictions cache.len
     cache.per_shard_evictions[] cache.per_shard_len[] cache.shards cache.ttl_evictions
     cache.ttl_ms cache_hits cache_misses cachepull_entries cachepull_served coalesced_hits
     connections draining evaluated executor_queued flights_inflight idle_closed internal
@@ -225,7 +225,7 @@ const ROUTER_KEYS: &str = "
     bad_request connections draining ejects expired forwarded_errors hedge_losers hedge_wins
     hedges membership.duplicate_joins membership.joined membership.members
     membership.refreshed membership.reweighted membership.stale_joins membership.version ok
-    replicas[].addr replicas[].busy replicas[].ejects replicas[].errors
+    open_conns overflow_closed overlong_closed replicas[].addr replicas[].busy replicas[].ejects replicas[].errors
     replicas[].generation replicas[].inflight replicas[].last_probe_age_s replicas[].ok
     replicas[].probe_failures replicas[].sent replicas[].state replicas[].tier
     replicas[].transport replicas[].weight requests retries route_latency.buckets[]

@@ -4,7 +4,7 @@
 use gt_analysis::Json;
 use gt_router::{Router, RouterConfig};
 use gt_serve::{Client, Config, Server};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -93,6 +93,53 @@ fn spec_owned_by(addrs: &[String], owner: usize) -> String {
     panic!("no cheap spec hashes to replica {owner}");
 }
 
+/// Send one request line and wait at most `limit` for its reply.
+fn ask_within(stream: &TcpStream, line: &str, limit: Duration) -> Option<Json> {
+    stream.set_read_timeout(Some(limit)).unwrap();
+    let mut writer = stream;
+    writeln!(writer, "{line}").unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).ok()?;
+    Json::parse(reply.trim()).ok()
+}
+
+fn is_ok(reply: &Option<Json>) -> bool {
+    reply
+        .as_ref()
+        .and_then(|r| r.get("ok"))
+        .and_then(Json::as_bool)
+        == Some(true)
+}
+
+/// Most bytes a flooding client sends: far more than a router that
+/// pushes back lets through, and little enough that one which never
+/// stops reading buffers all of it.
+const FLOOD_CAP: usize = 64 << 20;
+
+/// Pipeline `line` on `stream` and never read a reply, until one write
+/// stalls for 200 ms or `FLOOD_CAP` bytes are out.  Returns the bytes
+/// sent and whether a write stalled.
+fn flood(stream: &mut TcpStream, line: &str) -> (usize, bool) {
+    stream
+        .set_write_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let chunk = format!("{line}\n").repeat(1024).into_bytes();
+    let (mut sent, mut at) = (0, 0);
+    while sent < FLOOD_CAP {
+        match stream.write(&chunk[at..]) {
+            Ok(n) => {
+                sent += n;
+                at = (at + n) % chunk.len();
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return (sent, true);
+            }
+            Err(e) => panic!("flood write failed after {sent} bytes: {e}"),
+        }
+    }
+    (sent, false)
+}
+
 fn stats_of(addr: SocketAddr) -> Json {
     let mut client = Client::connect(addr).unwrap();
     let reply = client.stats().unwrap();
@@ -146,6 +193,102 @@ fn control_verbs_answer_inline() {
     assert!(body.get("uptime_s").and_then(Json::as_f64).is_some());
     assert!(body.get("traces").is_some());
 
+    // A request line over 64 KiB gets a 400, then the connection
+    // closes.  The line is rejected at its 65 537th byte, and nothing
+    // follows it, so the close leaves no input unread.
+    let mut raw = TcpStream::connect(router.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&vec![b'x'; 64 * 1024 + 1]).unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let reply = Json::parse(line.trim()).unwrap();
+    assert_eq!(
+        reply.get("status").and_then(Json::as_u64),
+        Some(400),
+        "{line}"
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "still open: {line}"
+    );
+
+    let snap = router.join();
+    assert_eq!(snap.u64("overlong_closed"), 1);
+}
+
+#[test]
+fn a_ping_flooder_that_never_reads_stalls_only_itself() {
+    let router = Router::start(RouterConfig {
+        spawn: 1,
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    // Connections are dealt round-robin over the router's two io
+    // threads: one probe lands on each, the flooder beside the first.
+    let probes: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(router.local_addr()).unwrap())
+        .collect();
+    let mut flooder = TcpStream::connect(router.local_addr()).unwrap();
+    let (sent, stalled) = flood(&mut flooder, r#"{"op":"ping"}"#);
+    assert!(
+        stalled,
+        "the router read all {sent} bytes of an undrained flood"
+    );
+    for (i, probe) in probes.iter().enumerate() {
+        let reply = ask_within(probe, r#"{"op":"ping"}"#, Duration::from_secs(1));
+        assert!(is_ok(&reply), "probe {i}: no ping reply within 1 s");
+    }
+    drop(flooder);
+    router.join();
+}
+
+#[test]
+fn an_eval_flooder_that_never_reads_is_pushed_back_and_stalls_no_one_else() {
+    let router = Router::start(RouterConfig {
+        spawn: 1,
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let eval = r#"{"spec":"worst:d=2,n=6","algo":"seq-solve"}"#;
+    // The probe is dealt to one io thread and the flooder to the other.
+    // Its first eval warms the replica's cache, so every flooded eval
+    // is a cached round trip.
+    let probe = TcpStream::connect(router.local_addr()).unwrap();
+    assert!(is_ok(&ask_within(&probe, eval, Duration::from_secs(10))));
+    let mut flooder = TcpStream::connect(router.local_addr()).unwrap();
+    let (sent, stalled) = flood(&mut flooder, eval);
+    assert!(
+        stalled && sent < FLOOD_CAP,
+        "the router read all {sent} bytes of an undrained flood"
+    );
+    // A stalled write only says the router reads slower than the
+    // flood arrives.  Pushed back means it stops reading: its request
+    // count holds still, and the flood's last evals have settled, so
+    // the replica pool has room for the probe's.
+    let mut requests = router.stats().u64("requests");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let stats = router.stats();
+        let now = stats.u64("requests");
+        if now == requests && stats.u64("replicas.0.inflight") == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the router kept reading the flood"
+        );
+        requests = now;
+    }
+    let reply = ask_within(&probe, eval, Duration::from_secs(1));
+    assert!(
+        is_ok(&reply),
+        "an eval beside the flood got no reply within 1 s: {reply:?}"
+    );
+    drop(flooder);
     router.join();
 }
 
