@@ -37,7 +37,7 @@ impl Json {
 
     /// Serialize to a compact JSON string.
     pub fn render(&self) -> String {
-        let mut s = String::new();
+        let mut s = String::with_capacity(RENDER_CAPACITY);
         self.write(&mut s);
         s
     }
@@ -46,8 +46,13 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // i64 formats without i128's wide divisions; wider values
+            // keep the i128 path.
             Json::Int(i) => {
-                let _ = write!(out, "{i}");
+                let _ = match i64::try_from(*i) {
+                    Ok(i) => write!(out, "{i}"),
+                    Err(_) => write!(out, "{i}"),
+                };
             }
             Json::Float(f) => {
                 if f.is_finite() {
@@ -56,23 +61,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -83,20 +72,62 @@ impl Json {
                 }
                 out.push(']');
             }
-            Json::Object(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Json::Object(pairs) => write_object(out, pairs.iter().map(|(k, v)| (k.as_str(), v))),
         }
     }
+}
+
+/// The buffer [`Json::render`] starts with: a served reply line (an
+/// eval's value, work counters and flags) fits without regrowing.
+const RENDER_CAPACITY: usize = 256;
+
+/// Render an object from borrowed keys: the bytes of the
+/// [`Json::Object`] holding the same pairs, with no key copied.
+pub fn render_object<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a Json)>) -> String {
+    let mut out = String::with_capacity(RENDER_CAPACITY);
+    write_object(&mut out, pairs);
+    out
+}
+
+fn write_object<'a>(out: &mut String, pairs: impl IntoIterator<Item = (&'a str, &'a Json)>) {
+    out.push('{');
+    for (i, (k, v)) in pairs.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(out, k);
+        out.push(':');
+        v.write(out);
+    }
+    out.push('}');
+}
+
+/// Write `s` as a JSON string.  Bytes that need no escape are copied in
+/// runs, so a string with nothing to escape is one copy.  Every escaped
+/// byte is ASCII, so run boundaries fall on character boundaries.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Maximum container nesting the parser accepts.  Untrusted input
@@ -484,6 +515,46 @@ mod tests {
     fn strings_are_escaped() {
         assert_eq!(Json::Str("a\"b\\c\nd".into()).render(), r#""a\"b\\c\nd""#);
         assert_eq!(Json::Str("\u{1}".into()).render(), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn rendering_keeps_the_bytes_of_the_per_character_writer() {
+        // Pinned bytes: every escape class in keys and strings, and
+        // integers at and beyond the i64 range.
+        let j = Json::Object(vec![
+            (
+                "q\"b\\c\u{1}é".into(),
+                Json::Str("v\"\\\n\r\t\u{0}\u{1f}\u{7f}é😀".into()),
+            ),
+            ("min".into(), Json::Int(i128::from(i64::MIN))),
+            ("max".into(), Json::Int(i128::from(i64::MAX))),
+            ("wide".into(), Json::Int(i128::from(u64::MAX) + 1)),
+            ("neg_wide".into(), Json::Int(i128::MIN)),
+            (
+                "list".into(),
+                Json::Array(vec![
+                    Json::Str("\u{8}\u{c}".into()),
+                    Json::Float(-1.5),
+                    Json::Null,
+                    Json::Bool(false),
+                ]),
+            ),
+            (
+                "é\t".into(),
+                Json::Object(vec![("".into(), Json::Str(String::new()))]),
+            ),
+        ]);
+        let expected = "{\"q\\\"b\\\\c\\u0001é\":\"v\\\"\\\\\\n\\r\\t\\u0000\\u001f\u{7f}é😀\",\
+            \"min\":-9223372036854775808,\"max\":9223372036854775807,\
+            \"wide\":18446744073709551616,\
+            \"neg_wide\":-170141183460469231731687303715884105728,\
+            \"list\":[\"\\u0008\\u000c\",-1.5,null,false],\"é\\t\":{\"\":\"\"}}";
+        assert_eq!(j.render(), expected);
+        let Json::Object(pairs) = &j else {
+            unreachable!()
+        };
+        let borrowed = render_object(pairs.iter().map(|(k, v)| (k.as_str(), v)));
+        assert_eq!(borrowed, expected);
     }
 
     #[test]

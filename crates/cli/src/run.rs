@@ -484,6 +484,9 @@ mod sigint {
         let fd = WRITE_FD.load(Ordering::SeqCst);
         if fd >= 0 {
             let byte = [1u8];
+            // SAFETY: write(2) is async-signal-safe; `byte` is one
+            // readable byte and `fd` the self-pipe's write end, which
+            // is never closed once stored.
             unsafe {
                 write(fd, byte.as_ptr(), 1);
             }
@@ -495,6 +498,7 @@ mod sigint {
     /// back to sleeping).
     pub fn install() -> Option<i32> {
         let mut fds = [-1i32; 2];
+        // SAFETY: `fds` is a writable array of the two ints pipe(2) fills.
         let read_fd = if unsafe { pipe(fds.as_mut_ptr()) } == 0 {
             WRITE_FD.store(fds[1], Ordering::SeqCst);
             Some(fds[0])
@@ -502,6 +506,8 @@ mod sigint {
             None
         };
         const SIGINT: i32 = 2;
+        // SAFETY: `handle` is an `extern "C" fn(i32)` that touches only
+        // atomics and write(2), all async-signal-safe.
         unsafe {
             signal(SIGINT, handle);
         }
@@ -518,10 +524,13 @@ mod sigint {
                     events: POLLIN,
                     revents: 0,
                 };
+                // SAFETY: `p` is one live, writable `#[repr(C)]` pollfd.
                 let n = unsafe { poll(&mut p, 1, timeout_ms) };
                 if n > 0 && p.revents & POLLIN != 0 {
                     // Drain the pipe so repeated signals don't spin.
                     let mut buf = [0u8; 16];
+                    // SAFETY: `buf` is `buf.len()` writable bytes; `fd` is
+                    // the self-pipe's read end, which is never closed.
                     unsafe {
                         read(fd, buf.as_mut_ptr(), buf.len());
                     }

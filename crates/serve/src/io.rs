@@ -77,6 +77,8 @@ const RLIMIT_NOFILE: i32 = 7;
 /// process exactly as it was.
 pub fn raise_nofile_limit(want: u64) -> Option<u64> {
     let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a live, writable `#[repr(C)]` rlimit (two u64s,
+    // the kernel's `struct rlimit` layout on 64-bit targets).
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return None;
     }
@@ -86,6 +88,7 @@ pub fn raise_nofile_limit(want: u64) -> Option<u64> {
             cur: target,
             max: lim.max,
         };
+        // SAFETY: `new` is a live `#[repr(C)]` rlimit the call only reads.
         if unsafe { setrlimit(RLIMIT_NOFILE, &new) } == 0 {
             return Some(target);
         }
@@ -94,10 +97,12 @@ pub fn raise_nofile_limit(want: u64) -> Option<u64> {
 }
 
 fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
+    // SAFETY: F_GETFL takes no pointer; a bad fd only fails with EBADF.
     let flags = unsafe { fcntl(fd, F_GETFL, 0) };
     if flags < 0 {
         return Err(io::Error::last_os_error());
     }
+    // SAFETY: F_SETFL takes an integer flag set and no pointer.
     if unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
         return Err(io::Error::last_os_error());
     }
@@ -155,7 +160,8 @@ mod sys {
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
-            // EPOLL_CLOEXEC
+            // SAFETY: takes only a flag (EPOLL_CLOEXEC); the returned fd
+            // is owned by this `Poller` and closed once, in `Drop`.
             let epfd = unsafe { epoll_create1(0x80000) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -182,6 +188,9 @@ mod sys {
                 events,
                 data: token,
             };
+            // SAFETY: `self.epfd` is this poller's live epoll fd, and `ev`
+            // is a live `EpollEvent`, the kernel's `epoll_event` layout
+            // on x86_64 (see the struct).
             if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -204,6 +213,8 @@ mod sys {
 
         pub fn delete(&self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `ctl`; DEL ignores the event, but kernels
+            // before 2.6.9 required a non-null pointer.
             if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -214,7 +225,11 @@ mod sys {
         /// events to `out`.  Returns how many arrived.
         pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
             const MAX: usize = 256;
+            // SAFETY: `EpollEvent` is two integers, for which all-zero
+            // bytes are a valid value.
             let mut buf: [EpollEvent; MAX] = unsafe { std::mem::zeroed() };
+            // SAFETY: `buf` holds `MAX` writable `EpollEvent`s (layout as
+            // in `ctl`), and the kernel writes at most `MAX`.
             let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), MAX as i32, timeout_ms) };
             if n < 0 {
                 let e = io::Error::last_os_error();
@@ -238,6 +253,7 @@ mod sys {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: the poller owns `epfd` and closes it exactly once.
             unsafe {
                 close(self.epfd);
             }
@@ -321,6 +337,8 @@ mod sys {
                     revents: 0,
                 })
                 .collect();
+            // SAFETY: `fds` holds `fds.len()` writable `#[repr(C)]`
+            // `pollfd`s (int fd, short events, short revents).
             let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
             if n < 0 {
                 let e = io::Error::last_os_error();
@@ -366,11 +384,14 @@ pub struct Waker {
 impl Waker {
     pub fn new() -> io::Result<Waker> {
         let mut fds = [-1i32; 2];
+        // SAFETY: `fds` is a writable array of the two ints pipe(2) fills.
         if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
             return Err(io::Error::last_os_error());
         }
         for fd in fds {
             if let Err(e) = set_nonblocking_fd(fd) {
+                // SAFETY: both fds were just created here and are owned by
+                // nothing else; this error path closes them once.
                 unsafe {
                     close(fds[0]);
                     close(fds[1]);
@@ -396,6 +417,8 @@ impl Waker {
             return; // a byte is already in flight
         }
         let byte = [1u8];
+        // SAFETY: `byte` is one readable byte; `write_fd` is the waker's
+        // own pipe end, open until `Drop`.
         unsafe {
             write(self.write_fd, byte.as_ptr(), 1);
         }
@@ -405,6 +428,8 @@ impl Waker {
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
+            // SAFETY: `buf` is `buf.len()` writable bytes; `read_fd` is
+            // the waker's own pipe end, open until `Drop`.
             let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
             if n < buf.len() as isize {
                 break;
@@ -416,6 +441,7 @@ impl Waker {
 
 impl Drop for Waker {
     fn drop(&mut self) {
+        // SAFETY: the waker owns both pipe ends and closes each once.
         unsafe {
             close(self.read_fd);
             close(self.write_fd);
@@ -423,8 +449,12 @@ impl Drop for Waker {
     }
 }
 
-// Safety: the fds are plain integers; read/write/pipe are thread-safe.
+// SAFETY: every field may move to another thread: `read_fd` and
+// `write_fd` are plain integers naming pipe ends the waker owns until
+// `Drop`, and `pending` is an `AtomicBool`.
 unsafe impl Send for Waker {}
+// SAFETY: `&Waker` only calls read(2)/write(2) on its own fds, which
+// any thread may do concurrently, and touches `pending` atomically.
 unsafe impl Sync for Waker {}
 
 // ---------------------------------------------------------------------------

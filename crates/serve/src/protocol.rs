@@ -13,6 +13,7 @@
 //! the connection stays open — clients never have to reconnect to
 //! recover from their own bad input.
 
+use gt_analysis::json::render_object;
 use gt_analysis::Json;
 
 /// Protocol revision, reported by `ping`.
@@ -426,14 +427,22 @@ impl ErrorCode {
 
 /// Render a success reply line from `fields` (no trailing newline).
 pub fn ok_line(id: &Option<String>, fields: Vec<(&'static str, Json)>) -> String {
-    let mut pairs: Vec<(String, Json)> = vec![("ok".into(), Json::Bool(true))];
-    if let Some(id) = id {
-        pairs.push(("id".into(), Json::from(id.clone())));
-    }
-    for (k, v) in fields {
-        pairs.push((k.to_string(), v));
-    }
-    Json::Object(pairs).render()
+    reply_line(true, id, &fields, &[])
+}
+
+/// Render a reply object, `ok`, the echoed `id`, then `fields` and
+/// `more`, with no key copied.
+fn reply_line(
+    ok: bool,
+    id: &Option<String>,
+    fields: &[(&str, Json)],
+    more: &[(&str, Json)],
+) -> String {
+    let ok = Json::Bool(ok);
+    let id = id.as_deref().map(Json::from);
+    let head = std::iter::once(("ok", &ok)).chain(id.as_ref().map(|id| ("id", id)));
+    let rest = fields.iter().chain(more).map(|(k, v)| (*k, v));
+    render_object(head.chain(rest))
 }
 
 /// Render an error reply line (no trailing newline).
@@ -450,17 +459,12 @@ pub fn error_line_with(
     message: &str,
     extra: Vec<(&'static str, Json)>,
 ) -> String {
-    let mut pairs: Vec<(String, Json)> = vec![("ok".into(), Json::Bool(false))];
-    if let Some(id) = id {
-        pairs.push(("id".into(), Json::from(id.clone())));
-    }
-    pairs.push(("status".into(), Json::from(code.status())));
-    pairs.push(("code".into(), Json::from(code.name())));
-    pairs.push(("error".into(), Json::from(message)));
-    for (k, v) in extra {
-        pairs.push((k.to_string(), v));
-    }
-    Json::Object(pairs).render()
+    let fields = [
+        ("status", Json::from(code.status())),
+        ("code", Json::from(code.name())),
+        ("error", Json::from(message)),
+    ];
+    reply_line(false, id, &fields, &extra)
 }
 
 /// A parsed response line (client side).
@@ -715,6 +719,31 @@ mod tests {
         assert_eq!(back.spec, r.spec);
         assert_eq!(back.algo, r.algo);
         assert_eq!(back.deadline_ms, Some(100));
+    }
+
+    #[test]
+    fn reply_lines_keep_their_bytes_with_escapes_in_ids_keys_and_values() {
+        // Pinned bytes: escapes in the id, in keys and in values.
+        let id = Some("id \"7\"\\\u{2}ü".to_string());
+        let work = Json::obj([("leaves", Json::from(9u64)), ("w\"k", Json::from("ä\n"))]);
+        let line = ok_line(&id, vec![("value", Json::from(-3i64)), ("work", work)]);
+        assert_eq!(
+            line,
+            "{\"ok\":true,\"id\":\"id \\\"7\\\"\\\\\\u0002ü\",\"value\":-3,\
+             \"work\":{\"leaves\":9,\"w\\\"k\":\"ä\\n\"}}"
+        );
+        assert_eq!(ok_line(&None, vec![]), "{\"ok\":true}");
+        let line = error_line_with(
+            &id,
+            ErrorCode::Busy,
+            "full \"queue\"\u{3}ß",
+            vec![("retry_after_ms", Json::from(25u64))],
+        );
+        assert_eq!(
+            line,
+            "{\"ok\":false,\"id\":\"id \\\"7\\\"\\\\\\u0002ü\",\"status\":429,\
+             \"code\":\"busy\",\"error\":\"full \\\"queue\\\"\\u0003ß\",\"retry_after_ms\":25}"
+        );
     }
 
     #[test]

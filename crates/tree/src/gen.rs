@@ -18,7 +18,7 @@
 //! * [`NearUniformSource`] — the "close to uniform" trees of Corollary 2
 //!   (arity in `[⌈αd⌉, d]`, leaf depth in `[⌈βn⌉, n]`).
 
-use crate::source::{path_hash, TreeSource, Value};
+use crate::source::{path_hash, path_hash_step, TreeSource, Value};
 
 /// The golden-ratio leaf bias `p = (√5 − 1)/2 ≈ 0.618` from Althöfer's
 /// i.i.d. analysis cited in Section 6.  At this bias a uniform binary
@@ -50,9 +50,29 @@ pub fn critical_bias(d: u32) -> f64 {
 }
 
 /// Pluggable leaf-value assignment for [`UniformSource`].
+///
+/// The key methods are those of [`TreeSource`] (see
+/// [`TreeSource::walk_key`]), which [`UniformSource`] forwards here: an
+/// assignment implements all three or none, and the defaults read
+/// [`value`](LeafValues::value).
 pub trait LeafValues: Sync {
     /// The value of the leaf at `path` (the full root-to-leaf path).
     fn value(&self, path: &[u32]) -> Value;
+
+    /// The walk key of the node at `path`.
+    fn walk_key(&self, _path: &[u32]) -> u64 {
+        0
+    }
+
+    /// The walk key of child `child` of the node whose key is `key`.
+    fn child_key(&self, _key: u64, _child: u32) -> u64 {
+        0
+    }
+
+    /// The value of the leaf at `path`, whose walk key is `key`.
+    fn value_keyed(&self, path: &[u32], _key: u64) -> Value {
+        self.value(path)
+    }
 }
 
 impl<F: Fn(&[u32]) -> Value + Sync> LeafValues for F {
@@ -150,6 +170,19 @@ impl<L: LeafValues> TreeSource for UniformSource<L> {
     fn height_hint(&self) -> Option<u32> {
         Some(self.height)
     }
+
+    fn walk_key(&self, path: &[u32]) -> u64 {
+        self.leaves.walk_key(path)
+    }
+
+    fn child_key(&self, key: u64, child: u32) -> u64 {
+        self.leaves.child_key(key, child)
+    }
+
+    fn leaf_value_keyed(&self, path: &[u32], key: u64) -> Value {
+        debug_assert_eq!(path.len() as u32, self.height);
+        self.leaves.value_keyed(path, key)
+    }
 }
 
 /// I.i.d. Bernoulli leaf values: leaf is `1` with probability `p`,
@@ -174,9 +207,23 @@ impl IidBernoulli {
     }
 }
 
+/// The walk key is the running [`path_hash`], so a search pays one hash
+/// step per node instead of one per level at every leaf.
 impl LeafValues for IidBernoulli {
     fn value(&self, path: &[u32]) -> Value {
-        Value::from(path_hash(self.seed, path) <= self.threshold)
+        self.value_keyed(path, self.walk_key(path))
+    }
+
+    fn walk_key(&self, path: &[u32]) -> u64 {
+        path_hash(self.seed, path)
+    }
+
+    fn child_key(&self, key: u64, child: u32) -> u64 {
+        path_hash_step(key, child)
+    }
+
+    fn value_keyed(&self, _path: &[u32], key: u64) -> Value {
+        Value::from(key <= self.threshold)
     }
 }
 
@@ -263,9 +310,22 @@ impl IidMinMax {
     }
 }
 
+/// Keyed like [`IidBernoulli`]: the walk key is the running [`path_hash`].
 impl LeafValues for IidMinMax {
     fn value(&self, path: &[u32]) -> Value {
-        self.lo + (path_hash(self.seed, path) % self.span) as Value
+        self.value_keyed(path, self.walk_key(path))
+    }
+
+    fn walk_key(&self, path: &[u32]) -> u64 {
+        path_hash(self.seed, path)
+    }
+
+    fn child_key(&self, key: u64, child: u32) -> u64 {
+        path_hash_step(key, child)
+    }
+
+    fn value_keyed(&self, _path: &[u32], key: u64) -> Value {
+        self.lo + (key % self.span) as Value
     }
 }
 

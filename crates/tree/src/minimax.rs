@@ -19,7 +19,13 @@
 //! as `root` and children are pushed and popped on it, so the source
 //! sees whole-tree paths and the subtree needs no adapter.  Counters
 //! are those of the subtree alone, and recorded `leaf_paths` are
-//! absolute (each begins with `root`).
+//! absolute (each begins with `root`).  Those kernels also carry the
+//! source's walk key down the recursion ([`TreeSource::walk_key`]): the
+//! root's key is derived once, each child's from its parent's, and
+//! leaves are read with [`TreeSource::leaf_value_keyed`], so a keyed
+//! source answers a leaf in constant time instead of re-walking its
+//! path.  The exhaustive evaluators stay path-based, an independent
+//! oracle for the keyed kernels.
 //!
 //! These recursive versions exist alongside the step-driven simulators in
 //! `gt-sim` for two reasons: they are *fast* (no per-step frontier scan),
@@ -27,7 +33,7 @@
 //! simulators against (width 0 of the parallel algorithms must reproduce
 //! them step for step).
 
-use crate::source::{Cancelled, TreeSource, Value};
+use crate::source::{Cancelled, NodeKind, TreeSource, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How many leaf evaluations pass between cancellation-flag checks in
@@ -137,56 +143,39 @@ pub fn seq_solve_cancellable<S: TreeSource>(
     record_leaves: bool,
     cancel: &AtomicBool,
 ) -> Result<SeqStats, Cancelled> {
-    struct Ctx<'a, S> {
-        s: &'a S,
-        cancel: &'a AtomicBool,
-        leaves: u64,
-        expanded: u64,
-        cutoffs: u64,
-        record: Option<Vec<Vec<u32>>>,
-    }
-    fn go<S: TreeSource>(c: &mut Ctx<'_, S>, path: &mut Vec<u32>) -> Result<Value, Cancelled> {
-        c.expanded += 1;
-        let d = c.s.arity(path);
-        if d == 0 {
-            if c.leaves & CANCEL_CHECK_MASK == 0 && c.cancel.load(Ordering::Relaxed) {
-                return Err(Cancelled);
-            }
-            c.leaves += 1;
-            if let Some(r) = &mut c.record {
-                r.push(path.clone());
-            }
-            return Ok(c.s.leaf_value(path));
+    #[inline(always)]
+    fn node<S: TreeSource>(
+        w: &mut Walk<'_, S>,
+        path: &mut Vec<u32>,
+        key: u64,
+    ) -> Result<Value, Cancelled> {
+        match w.expand(path, key)? {
+            NodeKind::Leaf(v) => Ok(v),
+            NodeKind::Internal(d) => children(w, path, key, d),
         }
+    }
+    fn children<S: TreeSource>(
+        w: &mut Walk<'_, S>,
+        path: &mut Vec<u32>,
+        key: u64,
+        d: u32,
+    ) -> Result<Value, Cancelled> {
         for i in 0..d {
             path.push(i);
-            let b = go(c, path);
+            let b = node(w, path, w.s.child_key(key, i));
             path.pop();
             if b? != 0 {
                 if i + 1 < d {
-                    c.cutoffs += 1;
+                    w.cutoffs += 1;
                 }
                 return Ok(0);
             }
         }
         Ok(1)
     }
-    let mut c = Ctx {
-        s: source,
-        cancel,
-        leaves: 0,
-        expanded: 0,
-        cutoffs: 0,
-        record: record_leaves.then(Vec::new),
-    };
-    let value = go(&mut c, &mut root.to_vec())?;
-    Ok(SeqStats {
-        value,
-        leaves_evaluated: c.leaves,
-        nodes_expanded: c.expanded,
-        cutoffs: c.cutoffs,
-        leaf_paths: c.record,
-    })
+    let mut w = Walk::new(source, cancel, record_leaves);
+    let value = node(&mut w, &mut root.to_vec(), source.walk_key(root))?;
+    Ok(w.stats(value))
 }
 
 /// Sequential α-β: fail-hard depth-first search with the paper's `α ≥ β`
@@ -248,37 +237,33 @@ pub fn seq_alphabeta_windowed_cancellable<S: TreeSource>(
     maximizing: bool,
     cancel: &AtomicBool,
 ) -> Result<SeqStats, Cancelled> {
-    struct Ctx<'a, S> {
-        s: &'a S,
-        cancel: &'a AtomicBool,
-        leaves: u64,
-        expanded: u64,
-        cutoffs: u64,
-        record: Option<Vec<Vec<u32>>>,
-    }
-    fn go<S: TreeSource>(
-        c: &mut Ctx<'_, S>,
+    #[inline(always)]
+    fn node<S: TreeSource>(
+        w: &mut Walk<'_, S>,
         path: &mut Vec<u32>,
+        key: u64,
+        alpha: Value,
+        beta: Value,
+        maximizing: bool,
+    ) -> Result<Value, Cancelled> {
+        match w.expand(path, key)? {
+            NodeKind::Leaf(v) => Ok(v),
+            NodeKind::Internal(d) => children(w, path, key, d, alpha, beta, maximizing),
+        }
+    }
+    fn children<S: TreeSource>(
+        w: &mut Walk<'_, S>,
+        path: &mut Vec<u32>,
+        key: u64,
+        d: u32,
         mut alpha: Value,
         mut beta: Value,
         maximizing: bool,
     ) -> Result<Value, Cancelled> {
-        c.expanded += 1;
-        let d = c.s.arity(path);
-        if d == 0 {
-            if c.leaves & CANCEL_CHECK_MASK == 0 && c.cancel.load(Ordering::Relaxed) {
-                return Err(Cancelled);
-            }
-            c.leaves += 1;
-            if let Some(r) = &mut c.record {
-                r.push(path.clone());
-            }
-            return Ok(c.s.leaf_value(path));
-        }
         let mut best = if maximizing { Value::MIN } else { Value::MAX };
         for i in 0..d {
             path.push(i);
-            let v = go(c, path, alpha, beta, !maximizing);
+            let v = node(w, path, w.s.child_key(key, i), alpha, beta, !maximizing);
             path.pop();
             let v = v?;
             if maximizing {
@@ -290,29 +275,72 @@ pub fn seq_alphabeta_windowed_cancellable<S: TreeSource>(
             }
             if alpha >= beta {
                 if i + 1 < d {
-                    c.cutoffs += 1;
+                    w.cutoffs += 1;
                 }
                 break;
             }
         }
         Ok(best)
     }
-    let mut c = Ctx {
-        s: source,
-        cancel,
-        leaves: 0,
-        expanded: 0,
-        cutoffs: 0,
-        record: record_leaves.then(Vec::new),
-    };
-    let value = go(&mut c, &mut root.to_vec(), alpha, beta, maximizing)?;
-    Ok(SeqStats {
-        value,
-        leaves_evaluated: c.leaves,
-        nodes_expanded: c.expanded,
-        cutoffs: c.cutoffs,
-        leaf_paths: c.record,
-    })
+    let mut w = Walk::new(source, cancel, record_leaves);
+    let key = source.walk_key(root);
+    let value = node(&mut w, &mut root.to_vec(), key, alpha, beta, maximizing)?;
+    Ok(w.stats(value))
+}
+
+/// The state both sequential kernels carry down their recursion.  Each
+/// kernel splits a node's visit into [`Walk::expand`] and a recursive
+/// search of its children, and inlines the first into the second's
+/// loop, so reading a leaf costs no call.
+struct Walk<'a, S> {
+    s: &'a S,
+    cancel: &'a AtomicBool,
+    leaves: u64,
+    expanded: u64,
+    cutoffs: u64,
+    record: Option<Vec<Vec<u32>>>,
+}
+
+impl<'a, S: TreeSource> Walk<'a, S> {
+    fn new(s: &'a S, cancel: &'a AtomicBool, record_leaves: bool) -> Self {
+        Walk {
+            s,
+            cancel,
+            leaves: 0,
+            expanded: 0,
+            cutoffs: 0,
+            record: record_leaves.then(Vec::new),
+        }
+    }
+
+    /// Expand the node at `path`, whose walk key is `key`: its arity,
+    /// or its value if it is a leaf.  Leaves sample the cancel flag.
+    #[inline(always)]
+    fn expand(&mut self, path: &[u32], key: u64) -> Result<NodeKind, Cancelled> {
+        self.expanded += 1;
+        let d = self.s.arity(path);
+        if d > 0 {
+            return Ok(NodeKind::Internal(d));
+        }
+        if self.leaves & CANCEL_CHECK_MASK == 0 && self.cancel.load(Ordering::Relaxed) {
+            return Err(Cancelled);
+        }
+        self.leaves += 1;
+        if let Some(r) = &mut self.record {
+            r.push(path.to_vec());
+        }
+        Ok(NodeKind::Leaf(self.s.leaf_value_keyed(path, key)))
+    }
+
+    fn stats(self, value: Value) -> SeqStats {
+        SeqStats {
+            value,
+            leaves_evaluated: self.leaves,
+            nodes_expanded: self.expanded,
+            cutoffs: self.cutoffs,
+            leaf_paths: self.record,
+        }
+    }
 }
 
 #[cfg(test)]

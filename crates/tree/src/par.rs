@@ -80,9 +80,21 @@ pub const FORK_WAKE_NS: u64 = 30_000;
 
 /// What one leaf of a full uniform subtree costs a rooted sequential
 /// α-β search, pruned leaves included: the per-leaf time for estimates
-/// made from a tree's shape alone.  Same VM: `seq_alphabeta` over 200
-/// random M(4,6) trees took a median 8.3 ns per leaf of the full tree
-/// (6.5 ns at M(4,7)).
+/// made from a tree's shape alone.  `cargo run --release --example
+/// leaf_cost` prints it: the median over 200 random M(4,6) trees of
+/// `seq_alphabeta`'s time per leaf of the full tree.  The constant was
+/// set when every leaf re-hashed its path from the root, at 8.3 ns
+/// (6.5 ns at M(4,7)) on a 2-vCPU VM.  Since the sequential kernels
+/// carry walk keys ([`TreeSource::walk_key`]), the command reads 5.1 ns
+/// where the path-hashing kernels read 10.8 ns (3.6 and 8.5 ns at
+/// M(4,7)): medians of 15 alternating runs on a 2-vCPU VM.
+///
+/// It stays 8 so that no fork decision and no leaf count moves with
+/// the cheaper leaves.  At 4, `cold`'s M(4,7) roots stop forking, and
+/// so does E12's (4,7) game at every leaf work, which takes cascade's
+/// and YBW's wins there (1.2–1.4× at leaf work 256–1024) to about 1.0.
+/// Lowering it belongs with a fork rule that knows each source's leaf
+/// cost.
 pub const SHAPE_LEAF_NS: u64 = 8;
 
 /// Is an arm of `leaves` leaves, each costing `leaf_ns`, worth a fork?

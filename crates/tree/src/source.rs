@@ -61,6 +61,34 @@ pub trait TreeSource: Sync {
     fn height_hint(&self) -> Option<u32> {
         None
     }
+
+    /// The *walk key* of the node at `path`, derived from the root.
+    ///
+    /// Walk keys let a depth-first search read a leaf in constant time
+    /// when the source would otherwise recompute something along the
+    /// whole root-to-leaf path (as [`path_hash`] does).  A search derives
+    /// its root's key once with this method, each child's key from its
+    /// parent's with [`child_key`](TreeSource::child_key), and reads a
+    /// leaf with [`leaf_value_keyed`](TreeSource::leaf_value_keyed).
+    ///
+    /// A source implements all three key methods or none of them: a keyed
+    /// leaf read paired with default child keys would read the wrong
+    /// value.  The defaults ignore the key, so a source or wrapper that
+    /// does not opt in is read through [`leaf_value`](TreeSource::leaf_value).
+    fn walk_key(&self, _path: &[u32]) -> u64 {
+        0
+    }
+
+    /// The walk key of child `child` of the node whose key is `key`.
+    fn child_key(&self, _key: u64, _child: u32) -> u64 {
+        0
+    }
+
+    /// Value of the leaf at `path`, whose walk key is `key`.  Equals
+    /// `leaf_value(path)`.
+    fn leaf_value_keyed(&self, path: &[u32], _key: u64) -> Value {
+        self.leaf_value(path)
+    }
 }
 
 impl<S: TreeSource + ?Sized> TreeSource for &S {
@@ -73,6 +101,15 @@ impl<S: TreeSource + ?Sized> TreeSource for &S {
     fn height_hint(&self) -> Option<u32> {
         (**self).height_hint()
     }
+    fn walk_key(&self, path: &[u32]) -> u64 {
+        (**self).walk_key(path)
+    }
+    fn child_key(&self, key: u64, child: u32) -> u64 {
+        (**self).child_key(key, child)
+    }
+    fn leaf_value_keyed(&self, path: &[u32], key: u64) -> Value {
+        (**self).leaf_value_keyed(path, key)
+    }
 }
 
 impl<S: TreeSource + ?Sized> TreeSource for Box<S> {
@@ -84,6 +121,15 @@ impl<S: TreeSource + ?Sized> TreeSource for Box<S> {
     }
     fn height_hint(&self) -> Option<u32> {
         (**self).height_hint()
+    }
+    fn walk_key(&self, path: &[u32]) -> u64 {
+        (**self).walk_key(path)
+    }
+    fn child_key(&self, key: u64, child: u32) -> u64 {
+        (**self).child_key(key, child)
+    }
+    fn leaf_value_keyed(&self, path: &[u32], key: u64) -> Value {
+        (**self).leaf_value_keyed(path, key)
     }
 }
 
@@ -154,14 +200,21 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic hash of `(seed, path)`.
+/// Deterministic hash of `(seed, path)`: one [`path_hash_step`] per
+/// level from a seeded root state.
 #[inline]
 pub fn path_hash(seed: u64, path: &[u32]) -> u64 {
-    let mut h = mix64(seed ^ 0xa076_1d64_78bd_642f);
-    for &c in path {
-        h = mix64(h ^ u64::from(c).wrapping_mul(0xe703_7ed1_a0b4_28db));
-    }
-    h
+    let root = mix64(seed ^ 0xa076_1d64_78bd_642f);
+    path.iter().fold(root, |h, &c| path_hash_step(h, c))
+}
+
+/// One level of [`path_hash`]: the hash of `path ++ [c]` from the hash
+/// `h` of `path`.  Sources that hash paths use it as their
+/// [`TreeSource::child_key`], so the walk and the path hash cannot
+/// drift apart.
+#[inline]
+pub fn path_hash_step(h: u64, c: u32) -> u64 {
+    mix64(h ^ u64::from(c).wrapping_mul(0xe703_7ed1_a0b4_28db))
 }
 
 /// The image of child index `c` (out of `d`) under the pseudo-random
