@@ -120,13 +120,15 @@ against a second replica.  --replica is repeatable (or
 comma-separated); --spawn N starts N in-process replicas with
 --spawn-workers engine workers each.  --split-cost C turns on
 scatter-gather splitting: evals whose estimated leaf count clears C
-are decomposed along the eldest chain (at most --split-depth levels)
-and their subtrees fanned out across the fleet as subevals under
-narrowing alpha/beta windows; --split-naive dispatches everything at
-once under the root window (benchmark baseline) and
---split-speculative races each level's second child alongside the
-eldest.  `loadgen --split-heavy` replaces --spec with a rotating pool
-of large trees sized to exercise a router's split planner.
+are decomposed along the eldest chain (at most --split-depth levels,
+default 1: the root's children) and their subtrees fanned out across
+the fleet as subevals under narrowing alpha/beta windows; a deeper
+plan adds a serial wave of subevals per level.  --split-naive
+dispatches everything at once under the root window (benchmark
+baseline) and --split-speculative races each level's second child
+alongside the eldest.  `loadgen --split-heavy` replaces --spec with a
+rotating pool of large trees sized to exercise a router's split
+planner.
 
 The router assembles one distributed span tree per request
 (--trace-sample F traces one in 1/F requests, default 0.05; a

@@ -84,8 +84,8 @@ pub struct RouterMetrics {
     pub splits_total: AtomicU64,
     /// Subevals placed on replicas (initial sends and re-dispatches).
     pub subevals_dispatched: AtomicU64,
-    /// Subevals re-dispatched down the hash order (busy reply or
-    /// transport loss).
+    /// Subevals sent again: down the hash order after a busy reply or
+    /// a transport loss, or after waiting for a connected upstream.
     pub subevals_retried: AtomicU64,
     /// In-flight subeval results discarded on arrival because a
     /// cutoff had already settled their level (the no-abort rule).
@@ -312,7 +312,7 @@ pub(crate) const ROUTER_FAMILIES: &[Family<RouterView>] = &[
     counter(
         "router_subevals_retried_total",
         "subevals_retried",
-        "Subevals re-dispatched down the hash order.",
+        "Subevals sent again (busy reply, transport loss, or a wait for a connection).",
         |v| one(&v.inner.metrics.subevals_retried),
     ),
     counter(

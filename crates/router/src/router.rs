@@ -26,10 +26,10 @@
 //!
 //! A background prober drives each replica's health machine (see
 //! [`crate::health`] — data-path errors never touch health), a pacer
-//! thread fires deferred retries, hedges, and a last-resort expiry for
-//! every relay and every split plan, and upstream reader threads
-//! reconnect with backoff when replicas die, re-dispatching any
-//! requests orphaned in flight.
+//! thread fires deferred retries, hedges, subeval re-sends, and a
+//! last-resort expiry for every relay and every split plan, and
+//! upstream reader threads reconnect with backoff when replicas die,
+//! re-dispatching any requests orphaned in flight.
 
 use crate::hash;
 use crate::health::{tier_route, HealthMachine, HealthPolicy};
@@ -62,6 +62,11 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Delay before reconnecting a dead upstream connection.
 const RECONNECT_DELAY: Duration = Duration::from_millis(50);
+
+/// How long a subeval that found no connected upstream with room waits
+/// before it walks its route again: a fifth of a reconnect, so a
+/// replica that comes back is found within a few tries.
+const SUB_WAIT: Duration = Duration::from_millis(10);
 
 /// Slack past a relay's deadline before the router answers `timeout`
 /// locally.  Within the slack the upstream — which was handed the same
@@ -233,6 +238,11 @@ impl Replica {
         self.health.lock().unwrap().state().tier()
     }
 
+    /// Not ejected: routing still prefers it over an ejected member.
+    fn routable(&self) -> bool {
+        self.tier() < 3
+    }
+
     pub(crate) fn inflight(&self) -> u64 {
         self.conns
             .iter()
@@ -313,6 +323,9 @@ enum Target {
     Relay(Weak<Relay>, Action),
     /// A split plan's deadline: fail it with `timeout` if unanswered.
     Plan(Weak<ActivePlan>),
+    /// A subeval waiting for a connected upstream with room: send it
+    /// again.  The entry owns the subeval until then.
+    Sub(Arc<SubFlight>),
 }
 
 impl Answerable for Target {
@@ -324,6 +337,7 @@ impl Answerable for Target {
             Target::Plan(plan) => plan
                 .upgrade()
                 .is_none_or(|p| p.answered.load(Ordering::SeqCst)),
+            Target::Sub(sf) => sf.plan.answered.load(Ordering::SeqCst),
         }
     }
 }
@@ -1014,8 +1028,10 @@ fn dispatch_new_sub(inner: &Inner, plan: &Arc<ActivePlan>, d: Dispatch) {
 
 /// Walk the subflight's route from its cursor until a replica takes
 /// the subeval; once the plan is answered, nothing more goes out.
-/// Exhausting the route fails the whole plan — a missing child value
-/// cannot be folded around.
+/// When no member has a connected upstream with window room, the
+/// subeval waits on the pacer and tries again (see [`resend_sub`]) as
+/// long as some member of its route is routable.  Once none is, the
+/// whole plan fails — a missing child value cannot be folded around.
 fn send_sub(inner: &Inner, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'static str) {
     if sf.plan.answered.load(Ordering::SeqCst) {
         if kind == "subeval" {
@@ -1035,6 +1051,16 @@ fn send_sub(inner: &Inner, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'stati
             RouterMetrics::bump(&inner.metrics.subevals_dispatched);
             return;
         }
+    }
+    if sf.route.iter().any(|&i| reps[i].routable()) {
+        // A member that is not ejected is reconnecting or has a full
+        // window.  Waiting for it spends no retry budget, as a dead
+        // connection's orphans spend none; the plan's deadline entry
+        // still answers 408 if nothing comes back in time.
+        inner
+            .pacer
+            .schedule(Instant::now() + SUB_WAIT, Target::Sub(Arc::clone(sf)));
+        return;
     }
     fail_plan(
         inner,
@@ -1149,9 +1175,10 @@ fn retry_sub(inner: &Inner, sf: &Arc<SubFlight>) {
     send_sub(inner, sf, &sub, "redispatch");
 }
 
-/// A subeval's connection died with it in flight: re-dispatch,
-/// unbudgeted — the route walk is how a live replica is found.
-fn redispatch_sub(inner: &Inner, sf: &Arc<SubFlight>) {
+/// A subeval's connection died with it in flight, or it waited out
+/// [`SUB_WAIT`] for one: send it again under the level's current
+/// window, unbudgeted — the route walk is how a live replica is found.
+fn resend_sub(inner: &Inner, sf: &Arc<SubFlight>) {
     if sf.plan.answered.load(Ordering::SeqCst) {
         return;
     }
@@ -1342,7 +1369,7 @@ fn conn_died(inner: &Inner, replica: &Replica, ci: usize) {
                         h.end(span, "lost");
                     }
                 }
-                redispatch_sub(inner, &sf);
+                resend_sub(inner, &sf);
             }
         }
     }
@@ -1575,6 +1602,10 @@ fn pacer_loop(inner: Arc<Inner>) {
                         );
                     }
                 }
+                continue;
+            }
+            Target::Sub(sf) => {
+                resend_sub(&inner, &sf);
                 continue;
             }
         };
@@ -1849,7 +1880,7 @@ impl LineHandler for Inner {
             ),
             Op::Health => {
                 let reps = inner.members();
-                let routable = reps.iter().filter(|r| r.tier() < 3).count();
+                let routable = reps.iter().filter(|r| r.routable()).count();
                 let members: Vec<Json> = reps
                     .iter()
                     .map(|r| {

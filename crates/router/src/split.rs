@@ -45,7 +45,11 @@ pub struct SplitConfig {
     /// trees where the eldest rarely cuts, at the price of some wasted
     /// (discarded) work when it does.
     pub speculative: bool,
-    /// Maximum levels in the eldest chain (plan recursion depth).
+    /// Maximum levels in the eldest chain (plan recursion depth).  The
+    /// default is 1: a plan dispatches one level's siblings at a time,
+    /// so each level deeper adds a serial wave and `d - 1` subevals,
+    /// each paying a router round trip, without running more of them
+    /// at once.
     pub max_depth: usize,
 }
 
@@ -55,7 +59,7 @@ impl Default for SplitConfig {
             cost_threshold: None,
             naive: false,
             speculative: false,
-            max_depth: 3,
+            max_depth: 1,
         }
     }
 }

@@ -131,12 +131,18 @@ mod sys {
     use super::{close, Event, RawFd};
     use std::io;
 
-    // x86_64 packs epoll_event; the layout is part of the kernel ABI.
-    #[repr(C, packed)]
+    // The kernel's `struct epoll_event`, part of its ABI: packed on
+    // x86_64 only (12 bytes); elsewhere `data` is 8-aligned (16 bytes).
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     struct EpollEvent {
         events: u32,
         data: u64,
     }
+
+    const _: () = assert!(
+        std::mem::size_of::<EpollEvent>() == if cfg!(target_arch = "x86_64") { 12 } else { 16 }
+    );
 
     extern "C" {
         fn epoll_create1(flags: i32) -> i32;
@@ -189,8 +195,8 @@ mod sys {
                 data: token,
             };
             // SAFETY: `self.epfd` is this poller's live epoll fd, and `ev`
-            // is a live `EpollEvent`, the kernel's `epoll_event` layout
-            // on x86_64 (see the struct).
+            // is a live `EpollEvent`, laid out as the kernel's
+            // `epoll_event` on this architecture (see the struct).
             if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }

@@ -61,9 +61,11 @@ DUR="${SMOKE_DURATION:-2}"
 ADDR="127.0.0.1:$PORT"
 METRICS_ADDR="127.0.0.1:$METRICS_PORT"
 
-if [ ! -x "$BIN" ]; then
-  echo "ci_smoke: building release binary" >&2
-  (cd "$ROOT" && cargo build --release -q)
+# Drive the binary of this checkout: build it unless GTREE_BIN names
+# one (a no-op when it is fresh).  The workspace root's own build does
+# not include gt-cli, so build that package.
+if [ -z "${GTREE_BIN:-}" ]; then
+  (cd "$ROOT" && cargo build --release -q -p gt-cli)
 fi
 
 "$BIN" serve --addr "$ADDR" --eval-workers 2 --queue-depth 512 \

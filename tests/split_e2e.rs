@@ -504,6 +504,130 @@ fn split_trace_shows_parallel_replica_work_that_sums_to_the_reply() {
 }
 
 #[test]
+fn the_default_plan_splits_the_roots_children_only() {
+    // Two replicas behind a split cost of 4096, as in the `split`
+    // benchmark: the cost alone would let an M(4,8) chain go three
+    // levels deep (10 subevals), and the default plans one level, the
+    // root's 4 children.
+    let replicas: Vec<Server> = (0..2).map(|_| start_replica()).collect();
+    let router = Router::start(RouterConfig {
+        replicas: replicas
+            .iter()
+            .map(|r| r.local_addr().to_string())
+            .collect(),
+        split: SplitConfig {
+            cost_threshold: Some(4096),
+            ..SplitConfig::default()
+        },
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    for seed in 0..6 {
+        let spec = format!("minmax:d=4,n=8,seed={seed}");
+        let reply = client.eval(&spec, "alphabeta", None).unwrap();
+        assert!(reply.ok, "{spec}: {reply:?}");
+        assert_eq!(reply.value(), Some(sequential_value(&spec)), "{spec}");
+        let depth = reply
+            .body
+            .get("split")
+            .and_then(|s| s.get("depth"))
+            .and_then(Json::as_u64);
+        assert_eq!(depth, Some(1), "{spec}: {reply:?}");
+    }
+    let snap = router.join();
+    assert_eq!(snap.u64("splits_total"), 6, "{snap:?}");
+    assert_eq!(snap.u64("subevals_dispatched"), 6 * 4, "{snap:?}");
+    assert_eq!(snap.u64("split_depth"), 1, "{snap:?}");
+    for server in replicas {
+        server.request_shutdown();
+        server.join();
+    }
+}
+
+#[test]
+fn a_split_eval_waits_for_a_replica_that_starts_late() {
+    // Reserve a port with nothing listening on it, so the router's
+    // first connect is refused and its reader waits out a reconnect.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let router = Router::start(RouterConfig {
+        replicas: vec![addr.to_string()],
+        split: SplitConfig {
+            cost_threshold: Some(16),
+            ..SplitConfig::default()
+        },
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let replica = Server::start(Config {
+        addr: addr.to_string(),
+        workers: 2,
+        ..Config::default()
+    })
+    .expect("replica start on the reserved port");
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    let spec = "minmax:d=3,n=6,seed=1";
+    let reply = client.eval(spec, "cascade:w=1", None).unwrap();
+    assert!(reply.ok, "{reply:?}");
+    assert_eq!(reply.value(), Some(sequential_value(spec)));
+    assert!(reply.body.get("split").is_some(), "{reply:?}");
+    router.join();
+    replica.request_shutdown();
+    replica.join();
+}
+
+#[test]
+fn a_split_eval_against_an_ejected_fleet_is_refused_at_once() {
+    // A member nothing listens on fails every probe until it is
+    // ejected; a subeval then has no member worth waiting for.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let router = Router::start(RouterConfig {
+        replicas: vec![addr.to_string()],
+        probe_interval_ms: 10,
+        split: SplitConfig {
+            cost_threshold: Some(16),
+            ..SplitConfig::default()
+        },
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    let ejected_by = Instant::now() + Duration::from_secs(10);
+    loop {
+        let health = client.health().unwrap();
+        if health.body.get("routable").and_then(Json::as_u64) == Some(0) {
+            break;
+        }
+        assert!(Instant::now() < ejected_by, "never ejected: {health:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let start = Instant::now();
+    let reply = client
+        .eval("minmax:d=3,n=6,seed=1", "cascade:w=1", Some(5_000))
+        .unwrap();
+    let waited = start.elapsed();
+    assert_eq!(reply.status, 429, "{reply:?}");
+    assert_eq!(
+        reply.error.as_deref(),
+        Some("no routable replica for subeval"),
+        "{reply:?}"
+    );
+    assert!(
+        waited < Duration::from_secs(1),
+        "refused after {waited:?}, not at once"
+    );
+    let snap = router.join();
+    assert_eq!(snap.u64("splits_total"), 1, "{snap:?}");
+    assert_eq!(snap.u64("subevals_dispatched"), 0, "{snap:?}");
+}
+
+#[test]
 fn subeval_replies_annotate_the_owning_replica() {
     let router = Router::start(RouterConfig {
         spawn: 3,
