@@ -39,15 +39,12 @@ gtree — game-tree toolkit (Karp & Zhang, SPAA 1989)
 USAGE:
   gtree gen    <SPEC> [--max-nodes N]          emit a generated tree (text format)
   gtree eval   (--gen <SPEC> | --tree <FILE>) [--algo A] [--width W] [--processors P]
-  gtree run    (--gen <SPEC> | --tree <FILE>) [--algo par-solve|par-alphabeta]
-               [--par-workers K]
   gtree render (--gen <SPEC> | --tree <FILE>) [--dot]
   gtree msgsim --gen <SPEC> [--processors P]
   gtree serve  [--addr A] [--eval-workers N] [--queue-depth N] [--batch-max N]
                [--small-cost C] [--cache N] [--shards N] [--cache-ttl MS]
                [--conn-window N] [--deadline-ms MS] [--trace-ring N]
-               [--slow-us US] [--metrics-addr A] [--par-threshold C]
-               [--par-max-workers K] [--io-threads N]
+               [--slow-us US] [--metrics-addr A] [--io-threads N]
                [--conn-idle-timeout MS] [--snapshot PATH]
                [--tenant-max-inflight N] [--announce ROUTER]
                [--advertise ADDR] [--weight W] [--generation G]
@@ -70,20 +67,17 @@ SPEC:     kind:key=val,...   kinds: nor crit worst allones minmax
 ALGO:     solve | team | par-solve | ab | par-ab | scout | sss   (default: picked by family)
 
 `eval` models parallelism (round-synchronous width-w frontiers, the
-paper's P(T) accounting); `run` executes it: a work-stealing pool of
---par-workers real threads splits one evaluation PV-split/YBW style
-and reports steal/retire/window-narrowing counters next to the
-sequential baseline.
+paper's P(T) accounting); `serve`'s cascade, ybw and round algorithms
+execute it on real threads.
 
 `serve` speaks newline-delimited JSON (see docs/SERVING.md); `loadgen`
 drives it: open loop at --rps, closed loop when --rps 0, pipelined
 closed loop with --pipeline > 1, distinct-key cold storm with
 --distinct.  Serve-side algorithms: seq-solve alphabeta parallel-solve
-round cascade ybw tt par-alphabeta par-solve.  --eval-workers bounds total engine concurrency
-(--workers is a deprecated alias); jobs cheaper than --small-cost
-leaves are micro-batched up to --batch-max per dispatch; --cache-ttl
-expires cached results; par-* evals costlier than --par-threshold
-leaves fan out across up to --par-max-workers idle engine threads.
+round cascade ybw tt.  --eval-workers (default 4) bounds how many
+evals run at once; jobs cheaper than --small-cost leaves are
+micro-batched up to --batch-max per dispatch; --cache-ttl expires
+cached results.
 --io-threads sizes the fixed readiness-driven I/O pool that
 multiplexes all connections (no thread per connection);
 --conn-idle-timeout closes connections with no complete request for
@@ -118,7 +112,7 @@ after --readmit-ms); busy/unreachable replicas fail over to the next
 in hash order up to --retries times; --hedge-ms races slow requests
 against a second replica.  --replica is repeatable (or
 comma-separated); --spawn N starts N in-process replicas with
---spawn-workers engine workers each.  --split-cost C turns on
+--spawn-workers eval workers each (default 4).  --split-cost C turns on
 scatter-gather splitting: evals whose estimated leaf count clears C
 are decomposed along the eldest chain (at most --split-depth levels,
 default 1: the root's children) and their subtrees fanned out across
@@ -147,7 +141,6 @@ struct Opts {
     processors: Option<u32>,
     dot: bool,
     max_nodes: u64,
-    par_workers: u32,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
@@ -159,7 +152,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         processors: None,
         dot: false,
         max_nodes: 1 << 20,
-        par_workers: 4,
     };
     let mut i = 0;
     while i < args.len() {
@@ -194,12 +186,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
                 o.max_nodes = v
                     .parse()
                     .map_err(|e| CliError::usage(format!("bad --max-nodes {v}: {e}")))?;
-            }
-            "--par-workers" => {
-                let v = next(&mut i)?;
-                o.par_workers = v
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("bad --par-workers {v}: {e}")))?;
             }
             "--dot" => o.dot = true,
             other if !other.starts_with("--") && o.gen.is_none() && o.tree_file.is_none() => {
@@ -346,65 +332,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     let _ = writeln!(out, "peak OPEN: {}", st.peak_open);
                 }
                 other => return Err(CliError::usage(format!("unknown --algo {other:?}"))),
-            }
-            Ok(out)
-        }
-        "run" => {
-            let o = parse_opts(rest)?;
-            let input = load_input(&o)?;
-            let src = input.source()?;
-            let algo = o.algo.clone().unwrap_or_else(|| {
-                if input.is_minmax() {
-                    "par-alphabeta".to_string()
-                } else {
-                    "par-solve".to_string()
-                }
-            });
-            let workers = o.par_workers.max(1);
-            let cancel = std::sync::atomic::AtomicBool::new(false);
-            let mut out = String::new();
-            match algo.as_str() {
-                "par-solve" => {
-                    if input.is_minmax() {
-                        return Err(CliError::usage("par-solve needs a NOR (AND/OR) tree"));
-                    }
-                    let st = gt_tree::par_solve(&src, workers, &cancel)
-                        .map_err(|_| CliError::runtime("cancelled"))?;
-                    let seq = seq_solve(&src, false);
-                    assert_eq!(st.value, seq.value, "parallel/sequential value mismatch");
-                    let _ = writeln!(out, "value    : {}", st.value);
-                    let _ = writeln!(
-                        out,
-                        "leaves   : {} (seq {})",
-                        st.leaves_evaluated, seq.leaves_evaluated
-                    );
-                    let _ = writeln!(out, "workers  : {}", st.workers);
-                    let _ = writeln!(out, "steals   : {}", st.steals);
-                    let _ = writeln!(out, "retired  : {}", st.retired);
-                    let _ = writeln!(out, "narrowed : {}", st.window_narrowings);
-                }
-                "par-alphabeta" | "par-ab" => {
-                    let st = gt_tree::par_alphabeta(&src, workers, &cancel)
-                        .map_err(|_| CliError::runtime("cancelled"))?;
-                    let seq = seq_alphabeta(&src, false);
-                    assert_eq!(st.value, seq.value, "parallel/sequential value mismatch");
-                    let _ = writeln!(out, "value    : {}", st.value);
-                    let _ = writeln!(
-                        out,
-                        "leaves   : {} (seq {})",
-                        st.leaves_evaluated, seq.leaves_evaluated
-                    );
-                    let _ = writeln!(out, "workers  : {}", st.workers);
-                    let _ = writeln!(out, "steals   : {}", st.steals);
-                    let _ = writeln!(out, "retired  : {}", st.retired);
-                    let _ = writeln!(out, "narrowed : {}", st.window_narrowings);
-                    let _ = writeln!(out, "cutoffs  : {}", st.cutoffs);
-                }
-                other => {
-                    return Err(CliError::usage(format!(
-                        "run supports par-solve | par-alphabeta, not {other:?}"
-                    )))
-                }
             }
             Ok(out)
         }
@@ -579,7 +506,6 @@ where
 fn run_serve(args: &[String]) -> Result<String, CliError> {
     let mut config = gt_serve::Config {
         addr: "127.0.0.1:7171".into(),
-        workers: 4,
         ..gt_serve::Config::default()
     };
     let mut i = 0;
@@ -595,8 +521,6 @@ fn run_serve(args: &[String]) -> Result<String, CliError> {
             "--eval-workers" => {
                 config.workers = parse_flag("--eval-workers", &next(&mut i)?)?;
             }
-            // Deprecated alias from before the shared executor.
-            "--workers" => config.workers = parse_flag("--workers", &next(&mut i)?)?,
             "--queue-depth" => config.queue_depth = parse_flag("--queue-depth", &next(&mut i)?)?,
             "--batch-max" => config.batch_max = parse_flag("--batch-max", &next(&mut i)?)?,
             "--small-cost" => {
@@ -614,12 +538,6 @@ fn run_serve(args: &[String]) -> Result<String, CliError> {
             "--trace-ring" => config.trace_ring = parse_flag("--trace-ring", &next(&mut i)?)?,
             "--slow-us" => config.slow_us = parse_flag("--slow-us", &next(&mut i)?)?,
             "--metrics-addr" => config.metrics_addr = Some(next(&mut i)?),
-            "--par-threshold" => {
-                config.par_threshold = parse_flag("--par-threshold", &next(&mut i)?)?;
-            }
-            "--par-max-workers" => {
-                config.par_max_workers = parse_flag("--par-max-workers", &next(&mut i)?)?;
-            }
             "--io-threads" => config.io_threads = parse_flag("--io-threads", &next(&mut i)?)?,
             "--conn-idle-timeout" => {
                 config.conn_idle_timeout_ms =
@@ -874,49 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn run_command_executes_the_work_stealing_pool() {
-        let out = run_str(&[
-            "run",
-            "--gen",
-            "minmax:d=4,n=3,lo=-9,hi=9,seed=5",
-            "--par-workers",
-            "4",
-        ])
-        .unwrap();
-        assert!(out.contains("value"), "{out}");
-        // Loops beyond the pool threads free at the time never start.
-        let workers: u32 = out
-            .lines()
-            .find_map(|l| l.strip_prefix("workers  : "))
-            .and_then(|n| n.parse().ok())
-            .unwrap_or_else(|| panic!("no workers line: {out}"));
-        assert!((1..=4).contains(&workers), "{out}");
-        assert!(out.contains("steals"), "{out}");
-        // NOR family defaults to par-solve.
-        let nor = run_str(&["run", "--gen", "crit:n=6"]).unwrap();
-        assert!(nor.contains("value"), "{nor}");
-        // par-solve refuses MIN/MAX trees; flags must parse.
-        assert_eq!(
-            run_str(&[
-                "run",
-                "--gen",
-                "minmax:d=2,n=2,seed=1",
-                "--algo",
-                "par-solve"
-            ])
-            .unwrap_err()
-            .exit_code,
-            2
-        );
-        assert_eq!(
-            run_str(&["run", "--gen", "crit:n=4", "--par-workers", "zap"])
-                .unwrap_err()
-                .exit_code,
-            2
-        );
-    }
-
-    #[test]
     fn render_ascii_and_dot() {
         let out = run_str(&["render", "--gen", "minmax:d=2,n=2,seed=1"]).unwrap();
         assert!(out.contains("MAX"));
@@ -994,7 +869,7 @@ mod tests {
     fn serve_and_loadgen_flags_are_validated() {
         assert_eq!(run_str(&["serve", "--bogus"]).unwrap_err().exit_code, 2);
         assert_eq!(
-            run_str(&["serve", "--workers"]).unwrap_err().exit_code,
+            run_str(&["serve", "--eval-workers"]).unwrap_err().exit_code,
             2,
             "missing value"
         );
@@ -1046,8 +921,6 @@ mod tests {
             "--cache-ttl",
             "--trace-ring",
             "--slow-us",
-            "--par-threshold",
-            "--par-max-workers",
         ] {
             assert_eq!(
                 run_str(&["serve", flag, "many"]).unwrap_err().exit_code,

@@ -486,7 +486,7 @@ fn rewrite_reply(
 
 /// Detail copied from an upstream reply onto its dispatch span: the
 /// answering replica, the replica's stage-offset echo, and its work
-/// counters (leaves, par grants/steals) when present.
+/// counters (leaves, steps, width, pruned) when present.
 fn span_detail_from(resp: &Response, replica_addr: &str) -> Vec<(String, Json)> {
     let mut extra = vec![("replica".into(), Json::from(replica_addr))];
     if let Some(stages) = resp.body.get("trace").and_then(|t| t.get("stages")) {

@@ -39,7 +39,6 @@
 //! building an invisible backlog.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 
@@ -402,68 +401,6 @@ pub fn adaptive_batch_cap(queued: usize, workers: usize, batch_max: usize) -> us
     per_worker.clamp(1, batch_max.max(1))
 }
 
-/// Occupancy gauge for the worker pool: how many workers are inside a
-/// dispatch right now.  The dispatch closure enters on arrival and
-/// leaves on return (RAII), so a worker deciding how many threads to
-/// grant a large parallel job can ask for the pool's current idleness
-/// without any reference back into the executor.
-///
-/// The grant is *advisory* sizing, not a thread reservation: the
-/// work-stealing engine runs its extra workers as jobs on the
-/// fork-join pool and waits for them before the dispatch returns, so
-/// the executor never loses a worker.  Sizing by idleness keeps a saturated pool at
-/// one thread per evaluation (exactly the pre-grant behaviour) while
-/// an idle pool lends its spare parallelism to the one big job.
-pub struct ActiveGauge {
-    workers: usize,
-    active: AtomicUsize,
-}
-
-impl ActiveGauge {
-    /// A gauge over a pool of `workers` threads (clamped to ≥ 1).
-    pub fn new(workers: usize) -> ActiveGauge {
-        ActiveGauge {
-            workers: workers.max(1),
-            active: AtomicUsize::new(0),
-        }
-    }
-
-    /// Mark one worker busy until the guard drops.
-    pub fn enter(&self) -> ActiveGuard<'_> {
-        self.active.fetch_add(1, Ordering::Relaxed);
-        ActiveGuard { gauge: self }
-    }
-
-    /// Workers currently inside a dispatch.
-    pub fn active(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
-    }
-
-    /// Workers not inside a dispatch.
-    pub fn idle(&self) -> usize {
-        self.workers.saturating_sub(self.active())
-    }
-
-    /// Thread grant for a large job running on a worker that has
-    /// already [`enter`](Self::enter)ed: itself plus every currently
-    /// idle worker, capped at `par_max_workers` and never below 1.
-    pub fn par_grant(&self, par_max_workers: u32) -> u32 {
-        let available = (self.idle() + 1).min(u32::MAX as usize) as u32;
-        available.min(par_max_workers.max(1))
-    }
-}
-
-/// RAII handle from [`ActiveGauge::enter`].
-pub struct ActiveGuard<'a> {
-    gauge: &'a ActiveGauge,
-}
-
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.gauge.active.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Why a submit was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
@@ -715,31 +652,6 @@ mod tests {
         // Monotone in queue depth.
         let caps: Vec<usize> = (0..200).map(|q| adaptive_batch_cap(q, 3, 8)).collect();
         assert!(caps.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn active_gauge_counts_and_grants() {
-        let g = ActiveGauge::new(4);
-        assert_eq!(g.idle(), 4);
-        // An idle pool grants the caller plus every idle worker,
-        // capped by par_max_workers.
-        let a = g.enter();
-        assert_eq!(g.active(), 1);
-        assert_eq!(g.par_grant(8), 4); // self + 3 idle
-        assert_eq!(g.par_grant(2), 2); // cap wins
-        let b = g.enter();
-        let c = g.enter();
-        assert_eq!(g.par_grant(8), 2); // self + 1 idle
-        drop(b);
-        assert_eq!(g.par_grant(8), 3);
-        drop(a);
-        drop(c);
-        assert_eq!(g.active(), 0);
-        // A saturated (or over-subscribed) pool degrades to 1.
-        let g = ActiveGauge::new(1);
-        let _a = g.enter();
-        assert_eq!(g.par_grant(8), 1);
-        assert_eq!(g.par_grant(0), 1); // degenerate cap clamps up
     }
 
     #[test]

@@ -224,20 +224,6 @@ pub struct Metrics {
     pub subevals: AtomicU64,
     /// Accepts and closes, kept by the connection loop.
     pub conns: ConnCounters,
-    /// Work-stealing engine: tasks taken from another worker's deque,
-    /// summed over all parallel evaluations.
-    pub par_steals: AtomicU64,
-    /// Work-stealing engine: tasks retired unrun (or discarded late)
-    /// by a cutoff — the pre-emption rule firing.
-    pub par_retires: AtomicU64,
-    /// Work-stealing engine: shared α/β window bound movements.
-    pub par_narrowings: AtomicU64,
-    /// Multi-thread worker grants issued to parallel (`par-*`)
-    /// evaluations (a grant of one thread is not counted).
-    pub par_grants: AtomicU64,
-    /// Threads covered by those grants (`par_grant_threads /
-    /// par_grants` is the mean grant size).
-    pub par_grant_threads: AtomicU64,
     /// End-to-end server-side latency of eval requests.
     pub latency: LatencyHistogram,
     /// Executor dispatch sizes (micro-batching telemetry).
@@ -265,22 +251,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fold one engine outcome's work-stealing counters into the
-    /// global `par_*` aggregates (no-ops for sequential algorithms,
-    /// whose counters are all zero).
-    pub fn record_par_work(&self, steals: u64, retired: u64, narrowings: u64) {
-        self.par_steals.fetch_add(steals, Ordering::Relaxed);
-        self.par_retires.fetch_add(retired, Ordering::Relaxed);
-        self.par_narrowings.fetch_add(narrowings, Ordering::Relaxed);
-    }
-
-    /// Record one worker grant handed to a parallel evaluation.
-    pub fn record_par_grant(&self, threads: u32) {
-        self.par_grants.fetch_add(1, Ordering::Relaxed);
-        self.par_grant_threads
-            .fetch_add(u64::from(threads), Ordering::Relaxed);
-    }
-
     /// Register one I/O event loop's health card; call once per loop
     /// at spawn, in loop order.
     pub fn register_io_loop(&self) -> Arc<IoLoopStats> {
@@ -501,36 +471,6 @@ pub(crate) const SERVE_FAMILIES: &[Family<ServeView>] = &[
         "overlong_closed",
         "Connections closed for an over-long request line.",
         |v| one(&v.metrics.conns.overlong_closed),
-    ),
-    counter(
-        "gtserve_engine_par_steals_total",
-        "par_steals",
-        "Work-stealing engine: tasks stolen across worker deques.",
-        |v| one(&v.metrics.par_steals),
-    ),
-    counter(
-        "gtserve_engine_par_retires_total",
-        "par_retires",
-        "Work-stealing engine: tasks retired unrun by cutoffs (the pre-emption rule).",
-        |v| one(&v.metrics.par_retires),
-    ),
-    counter(
-        "gtserve_engine_par_window_narrowings_total",
-        "par_narrowings",
-        "Work-stealing engine: shared alpha/beta window bound movements.",
-        |v| one(&v.metrics.par_narrowings),
-    ),
-    counter(
-        "gtserve_engine_par_grants_total",
-        "par_grants",
-        "Multi-thread worker grants issued to par-* evaluations.",
-        |v| one(&v.metrics.par_grants),
-    ),
-    counter(
-        "gtserve_engine_par_grant_threads_total",
-        "par_grant_threads",
-        "Threads covered by those grants (divide by grants for the mean width).",
-        |v| one(&v.metrics.par_grant_threads),
     ),
     histogram(
         "gtserve_latency_seconds",
@@ -881,7 +821,6 @@ mod tests {
             steps: 8,
             max_width: 4,
             pruned: 3,
-            ..Default::default()
         });
         st.record_work(&EvalOutcome {
             value: 0,
@@ -889,7 +828,6 @@ mod tests {
             steps: 6,
             max_width: 9,
             pruned: 1,
-            ..Default::default()
         });
         // Same name returns the same accumulator.
         assert_eq!(m.algo_stages("cascade").evals.load(Ordering::Relaxed), 2);
@@ -1019,10 +957,7 @@ mod tests {
             steps: 9,
             max_width: 4,
             pruned: 2,
-            ..Default::default()
         });
-        m.record_par_work(11, 3, 7);
-        m.record_par_grant(4);
         let loop0 = m.register_io_loop();
         loop0.record_iteration(900, 100);
         loop0.set_gauges(2, 512);
@@ -1041,11 +976,6 @@ mod tests {
         assert!(text.contains("gtserve_cache_shard_entries{shard=\"1\"} 1"));
         assert!(text.contains("gtserve_executor_queued 3"));
         assert!(text.contains("gtserve_flights_inflight 1"));
-        assert!(text.contains("gtserve_engine_par_steals_total 11"));
-        assert!(text.contains("gtserve_engine_par_retires_total 3"));
-        assert!(text.contains("gtserve_engine_par_window_narrowings_total 7"));
-        assert!(text.contains("gtserve_engine_par_grants_total 1"));
-        assert!(text.contains("gtserve_engine_par_grant_threads_total 4"));
         assert!(text.contains("gtserve_build_info{version=\""));
         assert!(text.contains("gtserve_io_loop_iterations_total{loop=\"0\"} 1"));
         assert!(text.contains("gtserve_io_loop_wait_seconds_total{loop=\"0\"} 0.0009"));

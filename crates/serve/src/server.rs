@@ -62,9 +62,7 @@
 use crate::cache::ShardedCache;
 use crate::deadline::{Answerable, DeadlineHeap};
 use crate::eventloop::{ConnCounters, ConnReply, IoLoop, IoLoopStats, LineHandler, LoopConfig};
-use crate::executor::{
-    ActiveGauge, CostClass, Executor, ExecutorConfig, SubmitError, TenantGovernor,
-};
+use crate::executor::{CostClass, Executor, ExecutorConfig, SubmitError, TenantGovernor};
 use crate::metrics::{Metrics, ServeView, SERVE_FAMILIES};
 use crate::protocol::{
     error_line, error_line_with, ok_line, ErrorCode, Op, Request, Response, TraceContext,
@@ -77,8 +75,8 @@ use crate::trace::{
     spawn_metrics_listener, FlightRecorder, MetricsListener, StageStamps, TraceRecord,
 };
 use crate::workload::{
-    estimated_cost, estimated_subtree_cost, evaluate_subtree, evaluate_with_grant, validate,
-    validate_subeval, AlgoSpec, EvalError, EvalOutcome,
+    estimated_cost, estimated_subtree_cost, evaluate, evaluate_subtree, validate, validate_subeval,
+    AlgoSpec, EvalError, EvalOutcome,
 };
 use gt_analysis::Json;
 use gt_tree::{GenSpec, SubtreeSpec};
@@ -117,8 +115,8 @@ const WARMFILL_PEERS: usize = 3;
 pub struct Config {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Evaluation worker threads — the *total* engine concurrency,
-    /// independent of connection count (`--eval-workers`).
+    /// Evaluation worker threads: how many evals run at once,
+    /// independent of connection count (`--eval-workers`, default 4).
     pub workers: usize,
     /// Bounded queue depth across all algorithm queues; submits
     /// beyond it are shed with `busy`.
@@ -150,13 +148,6 @@ pub struct Config {
     /// Bind address for the Prometheus `/metrics` HTTP listener
     /// (`--metrics-addr`); `None` disables it.
     pub metrics_addr: Option<String>,
-    /// Estimated-cost threshold (leaves) above which a `par-*` eval is
-    /// granted more than one engine thread (`--par-threshold`).
-    pub par_threshold: u64,
-    /// Most threads a single parallel evaluation may be granted
-    /// (`--par-max-workers`); the actual grant is capped by how many
-    /// executor workers are idle right now.
-    pub par_max_workers: u32,
     /// Readiness-driven I/O threads (`--io-threads`).  Thread 0 owns
     /// the listener; connections are distributed round-robin.  This is
     /// the whole front-door thread budget no matter how many
@@ -199,7 +190,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             addr: "127.0.0.1:0".into(),
-            workers: 2,
+            workers: 4,
             queue_depth: 64,
             batch_max: 16,
             small_cost_max: 4096,
@@ -211,8 +202,6 @@ impl Default for Config {
             trace_ring: 256,
             slow_us: 100_000,
             metrics_addr: None,
-            par_threshold: 1 << 16,
-            par_max_workers: 4,
             io_threads: 2,
             conn_idle_timeout_ms: None,
             snapshot_path: None,
@@ -774,29 +763,18 @@ impl Server {
             thread::spawn(move || reaper.run(&metrics, &recorder))
         };
 
-        // The gauge sees the whole pool; each worker marks itself busy
-        // around a batch so `par_grant` can size grants to idle
-        // capacity.
-        let gauge = Arc::new(ActiveGauge::new(config.workers.max(1)));
         let executor = {
             let cache = Arc::clone(&cache);
             let flights = Arc::clone(&flights);
             let metrics = Arc::clone(&metrics);
             let recorder = Arc::clone(&recorder);
-            let gauge = Arc::clone(&gauge);
-            let par = ParPolicy {
-                threshold: config.par_threshold,
-                max_workers: config.par_max_workers,
-            };
             Arc::new(Executor::start(
                 ExecutorConfig {
                     workers: config.workers,
                     queue_depth: config.queue_depth,
                     batch_max: config.batch_max,
                 },
-                move |batch: Vec<Job>| {
-                    run_batch(batch, &cache, &flights, &metrics, &recorder, &gauge, par)
-                },
+                move |batch: Vec<Job>| run_batch(batch, &cache, &flights, &metrics, &recorder),
             ))
         };
 
@@ -1062,28 +1040,6 @@ fn announce_and_warmfill(
         .fetch_add(filled, Ordering::Relaxed);
 }
 
-/// When and how widely a worker may fan a single `par-*` evaluation
-/// across extra threads (from `--par-threshold`/`--par-max-workers`).
-#[derive(Debug, Clone, Copy)]
-struct ParPolicy {
-    threshold: u64,
-    max_workers: u32,
-}
-
-impl ParPolicy {
-    /// The worker grant for one eval job: `par-*` algorithms whose
-    /// estimated cost crosses the threshold get up to `max_workers`
-    /// threads, capped by idle pool capacity; everything else runs on
-    /// the dispatching worker alone.
-    fn grant(self, gauge: &ActiveGauge, spec: &GenSpec, algo: &AlgoSpec) -> u32 {
-        if algo.name.starts_with("par-") && estimated_cost(spec, algo) > self.threshold {
-            gauge.par_grant(self.max_workers)
-        } else {
-            1
-        }
-    }
-}
-
 /// Evaluate one executor batch: per-job cancellation check, engine
 /// run, cache insert, publish, and every drained waiter answered.
 /// Cancelling one job's flight never touches its batchmates — each
@@ -1094,12 +1050,7 @@ fn run_batch(
     flights: &FlightTable<Pending>,
     metrics: &Metrics,
     recorder: &FlightRecorder,
-    gauge: &ActiveGauge,
-    par: ParPolicy,
 ) {
-    // Mark this worker busy for the whole batch so concurrent grant
-    // decisions see it as non-idle.
-    let _busy = gauge.enter();
     metrics.batches.record(batch.len() as u64);
     // One dispatch stamp for the whole batch: every job left the queue
     // when the worker popped it; time behind batchmates is batch_wait.
@@ -1118,13 +1069,7 @@ fn run_batch(
         let stamps = &job.flight.stamps;
         stamps.stamp_engine_start();
         let evaluated = match &job.work {
-            JobWork::Eval { spec, algo } => {
-                let grant = par.grant(gauge, spec, algo);
-                if grant > 1 {
-                    metrics.record_par_grant(grant);
-                }
-                evaluate_with_grant(spec, algo, &job.flight.cancel, grant)
-            }
+            JobWork::Eval { spec, algo } => evaluate(spec, algo, &job.flight.cancel),
             JobWork::Subeval { sub } => evaluate_subtree(sub, &job.flight.cancel),
         };
         stamps.stamp_engine_end();
@@ -1149,7 +1094,6 @@ fn run_batch(
                 if matches!(job.work, JobWork::Subeval { .. }) {
                     metrics.subevals.fetch_add(1, Ordering::Relaxed);
                 }
-                metrics.record_par_work(outcome.steals, outcome.retired, outcome.narrowings);
                 stages.record_work(&outcome);
                 // Insert before publishing: once any waiter observes
                 // the result, the cache must already have it.
@@ -1688,55 +1632,6 @@ mod tests {
         assert_eq!(snapshot.u64("evaluated"), 1);
     }
 
-    #[test]
-    fn par_evals_fan_out_and_surface_their_counters() {
-        let server = Server::start(Config {
-            workers: 4,
-            // Every par-* eval crosses the threshold.
-            par_threshold: 1,
-            par_max_workers: 4,
-            ..Config::default()
-        })
-        .unwrap();
-        let (stream, mut reader) = connect(server.local_addr());
-
-        let spec = "minmax:d=6,n=2,lo=-16,hi=16,seed=7";
-        let r = send(
-            &stream,
-            &mut reader,
-            &format!(r#"{{"id":"p","spec":"{spec}","algo":"par-alphabeta"}}"#),
-        );
-        assert!(r.ok, "par eval failed: {:?}", r.error);
-        let work = r.body.get("work").unwrap();
-        assert!(work.get("steals").and_then(Json::as_u64).is_some());
-        assert!(work.get("retired").and_then(Json::as_u64).is_some());
-        assert!(work.get("narrowed").and_then(Json::as_u64).is_some());
-
-        // The parallel run is value-exact against the sequential
-        // engine on the same tree.
-        let baseline = send(
-            &stream,
-            &mut reader,
-            &format!(r#"{{"spec":"{spec}","algo":"alphabeta"}}"#),
-        );
-        assert!(baseline.ok);
-        assert_eq!(r.value(), baseline.value());
-
-        // The grant and the run's stealing counters land in stats.
-        let s = send(&stream, &mut reader, r#"{"op":"stats"}"#);
-        let stats = s.body.get("stats").unwrap();
-        assert_eq!(stats.get("par_grants").and_then(Json::as_u64), Some(1));
-        let threads = stats
-            .get("par_grant_threads")
-            .and_then(Json::as_u64)
-            .unwrap();
-        assert!((2..=4).contains(&threads), "grant size: {threads}");
-        assert!(stats.get("par_steals").and_then(Json::as_u64).is_some());
-
-        server.request_shutdown();
-        server.join();
-    }
-
     fn test_shared(draining: bool) -> Shared {
         Shared {
             metrics: Arc::new(Metrics::default()),
@@ -1878,7 +1773,6 @@ mod tests {
             steps: 0,
             max_width: 1,
             pruned: 0,
-            ..Default::default()
         };
         shared.cache.insert("worst:d=2,n=4|seq-solve".into(), hit);
         match process_line(line, &shared, Instant::now()) {

@@ -70,14 +70,13 @@ pub fn entry_json(key: &str, outcome: &EvalOutcome, age: Duration) -> Json {
         ("steps", Json::from(outcome.steps)),
         ("max_width", Json::from(outcome.max_width)),
         ("pruned", Json::from(outcome.pruned)),
-        ("steals", Json::from(outcome.steals)),
-        ("retired", Json::from(outcome.retired)),
-        ("narrowed", Json::from(outcome.narrowings)),
     ])
 }
 
 /// Decode one [`entry_json`] object back to `(key, outcome, age_ms)`.
 /// Returns `None` on a malformed entry — callers skip, never fail.
+/// Missing counters default to 0 and unknown keys are ignored, so
+/// entries from older or newer replicas still load.
 pub fn entry_from(j: &Json) -> Option<(String, EvalOutcome, u64)> {
     let key = j.get("key")?.as_str()?.to_string();
     let age_ms = j.get("age_ms").and_then(Json::as_u64).unwrap_or(0);
@@ -94,9 +93,6 @@ pub fn entry_from(j: &Json) -> Option<(String, EvalOutcome, u64)> {
             steps: u("steps"),
             max_width: u("max_width").min(u32::MAX as u64) as u32,
             pruned: u("pruned"),
-            steals: u("steals"),
-            retired: u("retired"),
-            narrowings: u("narrowed"),
         },
         age_ms,
     ))
@@ -184,9 +180,6 @@ mod tests {
             steps: 3,
             max_width: 2,
             pruned: 1,
-            steals: 0,
-            retired: 0,
-            narrowings: 0,
         }
     }
 
@@ -205,17 +198,34 @@ mod tests {
         }
         let written = save(&path, &a).unwrap();
         assert_eq!(written, 12);
+        // An entry as older replicas wrote it, with the work-stealing
+        // counters they carried: it still loads, and those keys drop.
+        let old = r#"{"key":"minmax:d=2,n=6|alphabeta","age_ms":0,"value":7,"leaves":40,"steps":5,"max_width":2,"pruned":6,"steals":3,"retired":2,"narrowed":1}"#;
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(old);
+        text.push('\n');
+        std::fs::write(&path, text).unwrap();
 
         let b: SnapshotCache = ShardedCache::with_ttl(64, 4, None);
         let report = load(&path, &b).unwrap();
-        assert_eq!(report.restored, 12);
+        assert_eq!(report.restored, 13);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.skipped, 0);
         for i in 0..12i64 {
             let got = b.get(&format!("worst:d=2,n={i}|seq-solve"));
             assert_eq!(got, Some(outcome(i, 1 << i)), "key {i}");
         }
-        assert_eq!(b.len(), a.len(), "identical hit set");
+        assert_eq!(
+            b.get(&"minmax:d=2,n=6|alphabeta".to_string()),
+            Some(EvalOutcome {
+                value: 7,
+                work: 40,
+                steps: 5,
+                max_width: 2,
+                pruned: 6,
+            })
+        );
+        assert_eq!(b.len(), a.len() + 1, "identical hit set");
         let _ = std::fs::remove_file(&path);
     }
 

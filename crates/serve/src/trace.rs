@@ -254,11 +254,6 @@ impl TraceRecord {
                     .get("pruned")
                     .and_then(Json::as_u64)
                     .ok_or("work missing pruned")?,
-                // Work-stealing counters: absent in records written
-                // before the par engines existed, so default to 0.
-                steals: w.get("steals").and_then(Json::as_u64).unwrap_or(0),
-                retired: w.get("retired").and_then(Json::as_u64).unwrap_or(0),
-                narrowings: w.get("narrowed").and_then(Json::as_u64).unwrap_or(0),
             }),
         };
         Ok(TraceRecord {
@@ -512,9 +507,6 @@ mod tests {
                 steps: 9,
                 max_width: 4,
                 pruned: 2,
-                steals: 5,
-                retired: 3,
-                narrowings: 7,
             }),
             trace_id: None,
             parent_span: None,
@@ -595,6 +587,16 @@ mod tests {
         let text = rec.to_json().render();
         let back = TraceRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, rec);
+
+        // The same record as older servers wrote it, with work-stealing
+        // counters in `work`: it parses to the same record.
+        let old = r#"{"seq":42,"id":"r7","key":"worst:d=2,n=8|cascade:w=1","algo":"cascade","status":"ok","cached":false,"coalesced":true,"latency_us":1234,"parse_us":3,"probe_us":7,"enqueue_us":11,"dispatch_us":40,"engine_start_us":45,"engine_end_us":1229,"work":{"value":1,"leaves":64,"steps":9,"max_width":4,"pruned":2,"steals":3,"retired":2,"narrowed":1},"trace_id":null,"parent_span":null,"tenant":null}"#;
+        let back = TraceRecord::from_json(&Json::parse(old).unwrap()).unwrap();
+        assert_eq!(back, rec);
+        assert_eq!(
+            text,
+            old.replace(r#","steals":3,"retired":2,"narrowed":1"#, "")
+        );
 
         // Optional fields may be null (a cache hit never dispatched).
         let hit = TraceRecord {

@@ -13,7 +13,6 @@ use gt_core::engine::{Cancelled, CascadeEngine, EngineResult, RoundEngine, TtSea
 use gt_games::{Connect4, Game, Nim, TicTacToe};
 use gt_sim::{parallel_alphabeta_cancellable, parallel_solve_cancellable, RunStats};
 use gt_tree::minimax::{seq_alphabeta_cancellable, seq_solve_cancellable, SeqStats};
-use gt_tree::par::{par_alphabeta, par_solve, ParStats};
 use gt_tree::split::{parse_path, sub_evaluate_cancellable};
 use gt_tree::{GenSpec, SourceVisitor, SubtreeSpec, TreeSource, Value};
 use std::collections::BTreeMap;
@@ -23,7 +22,7 @@ use std::sync::atomic::AtomicBool;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlgoSpec {
     /// Algorithm name (`seq-solve`, `alphabeta`, `parallel-solve`,
-    /// `round`, `cascade`, `ybw`, `tt`, `par-alphabeta`, `par-solve`).
+    /// `round`, `cascade`, `ybw`, `tt`).
     pub name: String,
     /// Key/value parameters (`w`, ...); ones an algorithm does not use
     /// are ignored.
@@ -97,26 +96,17 @@ pub struct EvalOutcome {
     pub steps: u64,
     /// Largest parallel degree of any step — the paper's "processors
     /// used" (1 for sequential algorithms; for the fork-join engines,
-    /// the configured concurrency bound; for `par-*`, the worker
-    /// threads granted).
+    /// the configured concurrency bound).
     pub max_width: u32,
     /// Pruning events: α≥β cutoffs, NOR short-circuits, or (for `tt`)
     /// transposition-table hits — searches avoided rather than done.
     pub pruned: u64,
-    /// Work-stealing engines only: tasks taken from another worker's
-    /// deque.  0 for every other algorithm.
-    pub steals: u64,
-    /// Work-stealing engines only: tasks retired unrun (or discarded
-    /// on late arrival) by a cutoff — the pre-emption rule firing.
-    pub retired: u64,
-    /// Work-stealing engines only: shared-window bound movements.
-    pub narrowings: u64,
 }
 
 impl EvalOutcome {
     /// The reply's `work` object: the root value plus the paper's work
     /// counters (leaves ≈ W(T), steps ≈ rounds, max_width ≈ processors
-    /// used, and the work-stealing pre-emption counters).
+    /// used, and the pruning events).
     pub fn work_json(&self) -> gt_analysis::Json {
         use gt_analysis::Json;
         Json::obj([
@@ -125,9 +115,6 @@ impl EvalOutcome {
             ("steps", Json::from(self.steps)),
             ("max_width", Json::from(self.max_width)),
             ("pruned", Json::from(self.pruned)),
-            ("steals", Json::from(self.steals)),
-            ("retired", Json::from(self.retired)),
-            ("narrowed", Json::from(self.narrowings)),
         ])
     }
 }
@@ -152,7 +139,6 @@ impl From<RunStats> for EvalOutcome {
             steps: st.steps,
             max_width: st.processors_used,
             pruned: st.cutoffs,
-            ..Default::default()
         }
     }
 }
@@ -165,21 +151,6 @@ impl From<EngineResult> for EvalOutcome {
             steps: r.rounds,
             // YBW does not track its own frontier width and reports 0.
             max_width: r.max_round_size.max(1),
-            ..Default::default()
-        }
-    }
-}
-
-impl From<ParStats> for EvalOutcome {
-    fn from(st: ParStats) -> Self {
-        EvalOutcome {
-            value: st.value,
-            work: st.leaves_evaluated,
-            max_width: st.workers,
-            pruned: st.cutoffs,
-            steals: st.steals,
-            retired: st.retired,
-            narrowings: st.window_narrowings,
             ..Default::default()
         }
     }
@@ -230,8 +201,6 @@ const ALGOS: &[(&str, Family)] = &[
     ("cascade", Family::Tree),
     ("ybw", Family::Minmax),
     ("tt", Family::Game),
-    ("par-alphabeta", Family::Minmax),
-    ("par-solve", Family::Nor),
 ];
 
 /// Names of games the `tt` algorithm accepts as `spec` kinds.
@@ -441,27 +410,14 @@ where
 }
 
 /// Run one validated request to completion (or cancellation) on the
-/// calling thread, with one worker.
+/// calling thread.  The fork-join engines (`round`, `cascade`, `ybw`)
+/// also fork onto the pool of [`gt_tree::par`]; every arm polls the
+/// one cancellation flag, so a deadline reaper flipping it stops the
+/// whole evaluation.
 pub fn evaluate(
     spec: &GenSpec,
     algo: &AlgoSpec,
     cancel: &AtomicBool,
-) -> Result<EvalOutcome, EvalError> {
-    evaluate_with_grant(spec, algo, cancel, 1)
-}
-
-/// Run one validated request with a worker grant: the `par-*`
-/// work-stealing algorithms spread the single evaluation across up to
-/// `grant` threads (the calling thread plus `grant - 1` worker jobs on
-/// the fork-join pool, all finished before returning); every other
-/// algorithm ignores the grant and runs exactly as [`evaluate`].  The
-/// one cancellation flag is polled by every thread of the grant, so a
-/// deadline reaper flipping it stops the whole evaluation.
-pub fn evaluate_with_grant(
-    spec: &GenSpec,
-    algo: &AlgoSpec,
-    cancel: &AtomicBool,
-    grant: u32,
 ) -> Result<EvalOutcome, EvalError> {
     if algo.name == "tt" {
         let depth = tt_depth(spec).map_err(EvalError::Bad)?;
@@ -482,7 +438,6 @@ pub fn evaluate_with_grant(
         minmax: bool,
         width: u32,
         cancel: &'a AtomicBool,
-        grant: u32,
     }
     impl SourceVisitor for EngineRun<'_> {
         type Out = Result<EvalOutcome, EvalError>;
@@ -492,7 +447,6 @@ pub fn evaluate_with_grant(
                 minmax,
                 width,
                 cancel,
-                grant,
             } = self;
             let round = RoundEngine::with_width(width);
             let cascade = CascadeEngine::with_width(width);
@@ -510,8 +464,6 @@ pub fn evaluate_with_grant(
                 ("cascade", true) => cascade.solve_minmax_cancellable(&src, cancel)?.into(),
                 ("cascade", false) => cascade.solve_nor_cancellable(&src, cancel)?.into(),
                 ("ybw", _) => YbwEngine.solve_minmax_cancellable(&src, cancel)?.into(),
-                ("par-alphabeta", _) => par_alphabeta(&src, grant.max(1), cancel)?.into(),
-                ("par-solve", _) => par_solve(&src, grant.max(1), cancel)?.into(),
                 (other, _) => return Err(EvalError::Bad(format!("unknown algorithm {other:?}"))),
             })
         }
@@ -521,7 +473,6 @@ pub fn evaluate_with_grant(
         minmax: spec.is_minmax(),
         width,
         cancel,
-        grant,
     })
     .map_err(EvalError::Bad)?
 }
@@ -554,6 +505,18 @@ mod tests {
         assert!(validate("nope:n=4", "cascade").is_err());
         assert!(validate("worst:n=4", "tt").is_err(), "tt needs a game");
         assert!(validate("ttt:d=5", "tt").is_ok());
+        // The retired work-stealing algorithms are unknown, and the
+        // message lists the ones that remain.
+        for algo in ["par-alphabeta", "par-solve"] {
+            let err = validate("minmax:n=4,seed=1", algo).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "unknown algorithm {algo:?} (expected one of seq-solve, \
+                     alphabeta, parallel-solve, round, cascade, ybw, tt)"
+                )
+            );
+        }
     }
 
     #[test]
@@ -593,70 +556,18 @@ mod tests {
     }
 
     #[test]
-    fn par_algos_validate_family_rules() {
-        assert!(validate("minmax:n=4,seed=1", "par-solve").is_err());
-        assert!(validate("worst:n=4", "par-alphabeta").is_err());
-        assert!(validate("worst:n=4", "par-solve").is_ok());
-        assert!(validate("minmax:n=4,seed=1", "par-alphabeta").is_ok());
-    }
-
-    #[test]
-    fn par_engines_agree_with_sequential_baselines_at_any_grant() {
-        let flag = never();
-        let nor = GenSpec::parse("crit:d=2,n=8,seed=11").unwrap();
-        let want = evaluate(&nor, &AlgoSpec::parse("seq-solve").unwrap(), &flag)
-            .unwrap()
-            .value;
-        for grant in [1u32, 2, 4] {
-            let got =
-                evaluate_with_grant(&nor, &AlgoSpec::parse("par-solve").unwrap(), &flag, grant)
-                    .unwrap();
-            assert_eq!(got.value, want, "par-solve grant={grant}");
-            assert!(got.max_width >= 1 && got.max_width <= grant.max(1));
-        }
-        let mm = GenSpec::parse("minmax:d=3,n=4,lo=-9,hi=9,seed=3").unwrap();
-        let want = evaluate(&mm, &AlgoSpec::parse("alphabeta").unwrap(), &flag)
-            .unwrap()
-            .value;
-        for grant in [1u32, 2, 4] {
-            let got = evaluate_with_grant(
-                &mm,
-                &AlgoSpec::parse("par-alphabeta").unwrap(),
-                &flag,
-                grant,
-            )
-            .unwrap();
-            assert_eq!(got.value, want, "par-alphabeta grant={grant}");
-        }
-    }
-
-    #[test]
-    fn par_cancellation_stops_every_thread_of_the_grant() {
-        let flag = AtomicBool::new(true);
-        for (spec, algo) in [
-            ("worst:d=2,n=14", "par-solve"),
-            ("minmax-worst:d=2,n=14", "par-alphabeta"),
-        ] {
-            let spec = GenSpec::parse(spec).unwrap();
-            let got = evaluate_with_grant(&spec, &AlgoSpec::parse(algo).unwrap(), &flag, 4);
-            assert_eq!(got, Err(EvalError::Cancelled), "{algo}");
-        }
-    }
-
-    #[test]
-    fn work_json_carries_the_par_counters() {
+    fn work_json_renders_exactly_the_paper_counters() {
         let o = EvalOutcome {
             value: 3,
             work: 10,
-            steals: 2,
-            retired: 1,
-            narrowings: 4,
-            ..Default::default()
+            steps: 4,
+            max_width: 2,
+            pruned: 5,
         };
-        let text = o.work_json().render();
-        assert!(text.contains("\"steals\":2"), "{text}");
-        assert!(text.contains("\"retired\":1"), "{text}");
-        assert!(text.contains("\"narrowed\":4"), "{text}");
+        assert_eq!(
+            o.work_json().render(),
+            r#"{"value":3,"leaves":10,"steps":4,"max_width":2,"pruned":5}"#
+        );
     }
 
     #[test]
@@ -765,6 +676,8 @@ mod tests {
             ("worst:d=2,n=12", "seq-solve"),
             ("worst:d=2,n=12", "parallel-solve:w=2"),
             ("minmax:d=2,n=12,seed=1", "alphabeta"),
+            ("minmax-worst:d=2,n=14", "ybw"),
+            ("minmax-worst:d=2,n=14", "round:w=2"),
         ] {
             let spec = GenSpec::parse(spec).unwrap();
             let got = evaluate(&spec, &AlgoSpec::parse(algo).unwrap(), &flag);

@@ -47,7 +47,6 @@ pub mod text;
 
 pub use arena::{LazyTree, NodeId, NONE};
 pub use explicit::ExplicitTree;
-pub use par::{par_alphabeta, par_alphabeta_windowed, par_solve, AtomicWindow, ParStats};
 pub use source::{Cancelled, NodeKind, TreeSource, Value};
 pub use spec::{GenSpec, SourceVisitor};
 pub use split::{Aggregator, NodeMode, SubtreeSpec};

@@ -15,11 +15,6 @@
 //! from any number of threads cannot deadlock.  Because an unstarted
 //! `b` always comes back to its caller, the forks complete even if
 //! every pool thread is busy.
-//!
-//! A job may be long: the work-stealing workers of `par_evaluate` run
-//! as jobs and hold their pool thread until the evaluation ends.  That
-//! keeps the argument above, because the worker on the caller can
-//! finish an evaluation alone.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;

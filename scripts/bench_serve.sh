@@ -41,16 +41,6 @@
 #                     count stays fixed (no thread per connection),
 #                     and RSS stays under a quarter-GB ceiling.
 #
-#   par_scaling       one evaluation, many cores: the same large
-#                     worst-ordered tree (no pruning, so the work is
-#                     width-independent) evaluated with par-alphabeta
-#                     while --par-max-workers sweeps 1/2/4.  p50@w1 /
-#                     p50@wW is the intra-eval speedup, recorded next
-#                     to the paper's Theorem 3 prediction
-#                     (S(T)/P(T) >= c(n+1)).  Asserted: >= 1.5x at 4
-#                     workers on a multi-core host, parity within 10%
-#                     on a single core, and steals > 0 either way.
-#
 # Every scenario passes --server-stats, so each report embeds the
 # server's own snapshot (stage histograms, engine work counters,
 # batching) alongside the client-side latency figures.
@@ -288,52 +278,6 @@ echo "bench_serve: c10k held ${fan_open:-?} idle conns (${fan_failed:-?} failed)
 c10k_extra=$(printf '{"connections":%s,"fan_in_failed":%s,"server_threads_idle":%s,"server_threads_loaded":%s,"server_rss_kb":%s,"open_conns_mid_run":%s}' \
   "${fan_open:-0}" "${fan_failed:-0}" "${threads_idle:-0}" "${threads_loaded:-0}" \
   "${rss_kb:-0}" "${open_mid:-0}")
-
-# --- Par-scaling scenario --------------------------------------------
-# Branching 8, height 6: worst ordering defeats pruning, so every
-# width evaluates the same 8^6 leaves and latency differences are pure
-# thread-level parallelism.  One connection, one request in flight:
-# each p50 is the latency of a single evaluation at that grant width.
-PAR_SPEC="minmax-worst:d=8,n=6,seed=1"
-PAR_HEIGHT=6
-par_steals=""
-for W in 1 2 4; do
-  start_server --cache 0 --par-threshold 1 --par-max-workers "$W"
-  run=$(loadgen --conns 1 --pipeline 1 --spec "$PAR_SPEC" --algo par-alphabeta)
-  summary "par_scaling_w$W" "$run"
-  eval "par_run_$W=\$run"
-  eval "par_p50_$W=\$(p50_of \"\$run\")"
-  if [ "$W" -eq 4 ]; then
-    par_steals=$(printf '%s' "$run" | sed -n 's/.*"par_steals":\([0-9][0-9]*\).*/\1/p')
-  fi
-  stop_server
-done
-
-cores=$(nproc 2>/dev/null || echo 1)
-sp2=$(awk -v a="${par_p50_1:-0}" -v b="${par_p50_2:-0}" \
-  'BEGIN { if (a > 0 && b > 0) printf "%.3f", a / b; else printf "null" }')
-sp4=$(awk -v a="${par_p50_1:-0}" -v b="${par_p50_4:-0}" \
-  'BEGIN { if (a > 0 && b > 0) printf "%.3f", a / b; else printf "null" }')
-echo "bench_serve: par scaling on $cores core(s): speedup w2=$sp2 w4=$sp4, steals=$par_steals" >&2
-[ "${par_steals:-0}" -gt 0 ] || {
-  echo "bench_serve: parallel eval recorded no steals" >&2
-  exit 1
-}
-if [ "$cores" -ge 2 ]; then
-  awk -v s="${sp4:-0}" 'BEGIN { exit !(s >= 1.5) }' || {
-    echo "bench_serve: multi-core speedup at 4 workers is $sp4 (< 1.5x)" >&2
-    exit 1
-  }
-else
-  awk -v s="${sp4:-0}" 'BEGIN { exit !(s >= 0.9) }' || {
-    echo "bench_serve: single-core parity at 4 workers is $sp4 (> 10% overhead)" >&2
-    exit 1
-  }
-fi
-par_scaling=$(printf '{"spec":"%s","cores":%s,"paper":{"bound":"S(T)/P(T) >= c(n+1)","n_plus_1":%s},"p50_us":{"w1":%s,"w2":%s,"w4":%s},"speedup":{"w2":%s,"w4":%s},"par_steals_w4":%s}' \
-  "$PAR_SPEC" "$cores" "$((PAR_HEIGHT + 1))" \
-  "${par_p50_1:-null}" "${par_p50_2:-null}" "${par_p50_4:-null}" \
-  "${sp2:-null}" "${sp4:-null}" "${par_steals:-0}")
 
 # --- Fleet scenarios -------------------------------------------------
 # Engine-bound distinct keys (no caching, no coalescing) so the
@@ -579,9 +523,9 @@ trace_overhead=$(printf '{"spec":"%s","traced_requests":%s,"p50_us":{"traced":%s
   "$TRACE_SPEC" "${traced_n:-0}" "${p50_traced:-null}" "${p50_all:-null}" \
   "${p50_off:-null}" "${trace_overhead_pct:-null}")
 
-printf '{"duration_s":%s,"cached_pipeline1":%s,"cached_pipeline8":%s,"coalesced":%s,"cold":%s,"cold_storm":%s,"tenant_fairness":%s,"tenant_fairness_summary":%s,"c10k":%s,"c10k_server":%s,"par_scaling":%s,"fleet_direct":%s,"fleet_router":%s,"router_overhead_p50_pct":%s,"router_overhead_methodology":"both paths warmed 0.5s before the measured window","fleet_failover":%s,"fleet_failover_router_stats":%s,"fleet_split":%s,"fleet_split_router_stats":%s,"split_window_gain":%s,"trace_overhead":%s}\n' \
+printf '{"duration_s":%s,"cached_pipeline1":%s,"cached_pipeline8":%s,"coalesced":%s,"cold":%s,"cold_storm":%s,"tenant_fairness":%s,"tenant_fairness_summary":%s,"c10k":%s,"c10k_server":%s,"fleet_direct":%s,"fleet_router":%s,"router_overhead_p50_pct":%s,"router_overhead_methodology":"both paths warmed 0.5s before the measured window","fleet_failover":%s,"fleet_failover_router_stats":%s,"fleet_split":%s,"fleet_split_router_stats":%s,"split_window_gain":%s,"trace_overhead":%s}\n' \
   "$DUR" "$cached_p1" "$cached_p8" "$coalesced" "$cold" "$cold_storm" \
   "$tenant_fairness" "$tenant_fairness_summary" "$c10k" "$c10k_extra" \
-  "$par_scaling" "$fleet_direct" "$fleet_router" "${overhead:-null}" "$fleet_failover" \
+  "$fleet_direct" "$fleet_router" "${overhead:-null}" "$fleet_failover" \
   "$failover_stats" "$fleet_split" "$split_stats" "$split_window_gain" "$trace_overhead" > "$OUT"
 echo "bench_serve: wrote $OUT" >&2

@@ -4,12 +4,11 @@
 # transport failure.  Then a distinct-key cold-storm burst: every
 # request is a cold miss crossing the shared executor, and any shed
 # (429) or timeout (408) fails the run — a regression guard for the
-# executor's queue sizing and dispatch throughput.  A par cold storm
-# follows: the server boots with a low --par-threshold so par-* evals
-# draw multi-thread grants from the work-stealing pool, and the run
-# asserts value parity with the sequential engine plus par_steals > 0
-# and par_grants > 0 in stats.  Also checks that SIGINT drains the
-# server.
+# executor's queue sizing and dispatch throughput.  A forking cold
+# storm follows: cascade:w=1 on M(4,7) trees, whose root forks onto the
+# fork-join pool, with no bad, shed, timed-out or failed request, and
+# one such eval's value must match the sequential engine's.  Also
+# checks that SIGINT drains the server.
 #
 # Observability checks ride along: the server boots with
 # --metrics-addr, /metrics is scraped twice (well-formed # TYPE lines,
@@ -69,8 +68,7 @@ if [ -z "${GTREE_BIN:-}" ]; then
 fi
 
 "$BIN" serve --addr "$ADDR" --eval-workers 2 --queue-depth 512 \
-  --metrics-addr "$METRICS_ADDR" --trace-ring 64 \
-  --par-threshold 64 --par-max-workers 4 >/dev/null 2>&1 &
+  --metrics-addr "$METRICS_ADDR" --trace-ring 64 >/dev/null 2>&1 &
 SERVER_PID=$!
 trap 'kill -INT "$SERVER_PID" 2>/dev/null || true; wait "$SERVER_PID" 2>/dev/null || true' EXIT
 
@@ -165,13 +163,13 @@ fail=""
 [ "${transport:-0}" -eq 0 ] || { echo "ci_smoke: cold storm hit $transport transport errors" >&2; fail=1; }
 [ -z "$fail" ] || exit 1
 
-# Par cold storm: distinct minmax keys whose estimated cost clears
-# the low --par-threshold, so every miss draws a multi-thread grant
-# from the work-stealing engine pool (gt_tree::par).
+# Forking cold storm: distinct M(4,7) keys, whose root children (4^6
+# leaves) clear the fork grain, so every miss forks cascade's root
+# onto the fork-join pool (gt_tree::par).
 json=$("$BIN" loadgen --addr "$ADDR" --rps 0 --duration "$DUR" --conns 8 \
-  --pipeline 2 --spec minmax-worst:d=4,n=4,seed=3 --algo par-alphabeta \
+  --pipeline 2 --spec minmax:d=4,n=7,seed=3 --algo cascade:w=1 \
   --distinct --json)
-echo "ci_smoke: par storm $json"
+echo "ci_smoke: fork storm $json"
 
 ok=$(field ok)
 bad=$(field bad)
@@ -180,35 +178,28 @@ timeout=$(field timeout)
 transport=$(field transport_errors)
 
 fail=""
-[ "${ok:-0}" -gt 0 ] || { echo "ci_smoke: par storm got no successful replies" >&2; fail=1; }
-[ "${bad:-0}" -eq 0 ] || { echo "ci_smoke: par storm got $bad bad-request replies" >&2; fail=1; }
-[ "${shed:-0}" -eq 0 ] || { echo "ci_smoke: par storm shed $shed requests" >&2; fail=1; }
-[ "${timeout:-0}" -eq 0 ] || { echo "ci_smoke: par storm timed out $timeout requests" >&2; fail=1; }
-[ "${transport:-0}" -eq 0 ] || { echo "ci_smoke: par storm hit $transport transport errors" >&2; fail=1; }
+[ "${ok:-0}" -gt 0 ] || { echo "ci_smoke: fork storm got no successful replies" >&2; fail=1; }
+[ "${bad:-0}" -eq 0 ] || { echo "ci_smoke: fork storm got $bad bad-request replies" >&2; fail=1; }
+[ "${shed:-0}" -eq 0 ] || { echo "ci_smoke: fork storm shed $shed requests" >&2; fail=1; }
+[ "${timeout:-0}" -eq 0 ] || { echo "ci_smoke: fork storm timed out $timeout requests" >&2; fail=1; }
+[ "${transport:-0}" -eq 0 ] || { echo "ci_smoke: fork storm hit $transport transport errors" >&2; fail=1; }
 [ -z "$fail" ] || exit 1
 
-# Value parity: the threaded engine must agree with the sequential
-# alpha-beta baseline on the same tree, and the pool must actually
-# have stolen work somewhere along the way.
-spec="minmax:d=4,n=4,lo=-9,hi=9,seed=11"
+# Value parity on the wire: the forking engine must agree with the
+# sequential alpha-beta baseline on the same tree.
+spec="minmax:d=4,n=7,lo=-9,hi=9,seed=11"
 want=$("$BIN" eval --gen "$spec" --algo ab \
   | sed -n 's/^value[[:space:]]*:[[:space:]]*\(-\{0,1\}[0-9][0-9]*\).*/\1/p')
 exec 8<>"/dev/tcp/127.0.0.1/$PORT"
-printf '{"op":"eval","spec":"%s","algo":"par-alphabeta","deadline_ms":10000}\n' "$spec" >&8
-IFS= read -r par_reply <&8
-printf '{"op":"stats"}\n' >&8
-IFS= read -r par_stats <&8
+printf '{"op":"eval","spec":"%s","algo":"cascade:w=1","deadline_ms":10000}\n' "$spec" >&8
+IFS= read -r fork_reply <&8
 exec 8<&- 8>&-
-got=$(printf '%s' "$par_reply" | sed -n 's/.*"value":\(-\{0,1\}[0-9][0-9]*\).*/\1/p')
+got=$(printf '%s' "$fork_reply" | sed -n 's/.*"value":\(-\{0,1\}[0-9][0-9]*\).*/\1/p')
 if [ -z "${want:-}" ] || [ "$got" != "$want" ]; then
-  echo "ci_smoke: par-alphabeta value ${got:-none} != sequential ${want:-none}: $par_reply" >&2
+  echo "ci_smoke: cascade:w=1 value ${got:-none} != sequential ${want:-none}: $fork_reply" >&2
   exit 1
 fi
-steals=$(printf '%s' "$par_stats" | sed -n 's/.*"par_steals":\([0-9][0-9]*\).*/\1/p')
-grants=$(printf '%s' "$par_stats" | sed -n 's/.*"par_grants":\([0-9][0-9]*\).*/\1/p')
-[ "${grants:-0}" -gt 0 ] || { echo "ci_smoke: no parallel grants were issued: $par_stats" >&2; exit 1; }
-[ "${steals:-0}" -gt 0 ] || { echo "ci_smoke: steals_total is zero after the par storm: $par_stats" >&2; exit 1; }
-echo "ci_smoke: par ok ($grants grants, $steals steals, value $got = $want)" >&2
+echo "ci_smoke: fork ok (value $got = $want)" >&2
 
 # Second scrape: counters must be monotone, and the storm guarantees
 # strictly more requests than the first scrape saw.

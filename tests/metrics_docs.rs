@@ -202,8 +202,8 @@ const SERVE_KEYS: &str = "
     io_loops[].lag.p99_us io_loops[].lag.sum_us io_loops[].outbox_bytes io_loops[].wait_us
     io_loops[].work_us io_threads latency_buckets[] latency_count latency_mean_us
     latency_p50_us latency_p90_us latency_p99_us latency_sum_us ok open_conns
-    overflow_closed overlong_closed par_grant_threads par_grants par_narrowings par_retires
-    par_steals queue_depth.buckets[] queue_depth.count queue_depth.mean queue_depth.p50
+    overflow_closed overlong_closed queue_depth.buckets[] queue_depth.count queue_depth.mean
+    queue_depth.p50
     queue_depth.p90 queue_depth.p99 queue_depth.sum received shed snapshot_restored
     stages.*.batch_wait.buckets[] stages.*.batch_wait.count stages.*.batch_wait.mean_us
     stages.*.batch_wait.p50_us stages.*.batch_wait.p90_us stages.*.batch_wait.p99_us
