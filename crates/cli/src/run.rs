@@ -49,7 +49,7 @@ USAGE:
                [--tenant-max-inflight N] [--announce ROUTER]
                [--advertise ADDR] [--weight W] [--generation G]
   gtree route  [--addr A] [--replica ADDR]... [--spawn N] [--spawn-workers N]
-               [--pool N] [--conn-window N] [--client-window N] [--retries N]
+               [--conn-window N] [--client-window N] [--retries N]
                [--hedge-ms MS] [--backoff-ms MS] [--probe-interval MS]
                [--probe-timeout MS] [--eject-after N] [--readmit-ms MS]
                [--deadline-ms MS] [--metrics-addr A] [--split-cost C]
@@ -110,7 +110,11 @@ replica's cache owns a shard of the keyspace; a health prober ejects
 dead replicas (--eject-after probe failures, half-open readmission
 after --readmit-ms); busy/unreachable replicas fail over to the next
 in hash order up to --retries times; --hedge-ms races slow requests
-against a second replica.  --replica is repeatable (or
+against a second replica.  Each replica gets one pipelined connection
+carrying up to --conn-window requests (default 32); a request that
+finds no connected replica with room waits while some member of its
+route is routable, and gets a 429 only when none is.  --replica is
+repeatable (or
 comma-separated); --spawn N starts N in-process replicas with
 --spawn-workers eval workers each (default 4).  --split-cost C turns on
 scatter-gather splitting: evals whose estimated leaf count clears C
@@ -606,7 +610,6 @@ fn run_route(args: &[String]) -> Result<String, CliError> {
             "--spawn-workers" => {
                 config.spawn_config.workers = parse_flag("--spawn-workers", &next(&mut i)?)?;
             }
-            "--pool" => config.pool = parse_flag("--pool", &next(&mut i)?)?,
             "--conn-window" => config.conn_window = parse_flag("--conn-window", &next(&mut i)?)?,
             "--client-window" => {
                 config.client_window = parse_flag("--client-window", &next(&mut i)?)?;
@@ -827,7 +830,7 @@ mod tests {
         assert!(err.message.contains("--replica"));
         for flag in [
             "--spawn",
-            "--pool",
+            "--conn-window",
             "--retries",
             "--hedge-ms",
             "--backoff-ms",

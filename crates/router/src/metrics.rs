@@ -33,8 +33,8 @@ pub struct ReplicaCounters {
     pub busy: AtomicU64,
     /// Other error replies (forwarded to the client as-is).
     pub errors: AtomicU64,
-    /// Transport failures: write errors, resets, orphaned in-flight
-    /// requests on connection death.
+    /// Transport failures: sends that found the connection down, and
+    /// in-flight requests orphaned when it closed.
     pub transport: AtomicU64,
     /// Failed health probes.
     pub probe_failures: AtomicU64,
@@ -476,7 +476,7 @@ pub(crate) const ROUTER_FAMILIES: &[Family<RouterView>] = &[
     counter(
         "router_replica_transport_errors_total",
         "replicas[].transport",
-        "Transport failures per replica (write errors, resets, orphaned requests).",
+        "Transport failures per replica (sends that found the connection down, orphaned requests).",
         |v| per_replica(v, |r| Value::from(&r.counters.transport)),
     ),
     counter(

@@ -1,7 +1,7 @@
 //! The routing tier itself: the router's handler on gt-serve's
-//! connection loop, rendezvous routing, per-replica pipelined
-//! connection pools, retry/hedge pacing, and lifecycle (spawned
-//! replicas, probes, graceful drain).
+//! connection loop, rendezvous routing, one pipelined connection per
+//! replica, retry/hedge pacing, and lifecycle (spawned replicas,
+//! probes, graceful drain).
 //!
 //! ## Data path
 //!
@@ -14,22 +14,29 @@
 //! `gt-serve`.  Each `eval` is validated at the edge (bad requests
 //! never cost an upstream round trip), keyed by its canonical cache
 //! key, and routed along the key's rendezvous order re-sorted by
-//! health tier.  The request is relayed upstream with a globally
-//! unique numeric id; replies are matched back to their [`Relay`],
-//! rewritten to carry the client's original id (plus `replica`,
-//! `retries`, `hedged` annotations), and queued for the client.  One
-//! request may have several upstream copies in flight (a hedge, or a
-//! retry racing a slow first attempt); the first reply wins via an
-//! atomic claim and the rest are discarded.
+//! health tier.  The request is relayed on the replica's one
+//! connection with a globally unique numeric id; replies are matched
+//! back to their [`Relay`], rewritten to carry the client's original
+//! id (plus `replica`, `retries`, `hedged` annotations), and queued
+//! for the client.  One request may have several upstream copies in
+//! flight (a hedge, or a retry racing a slow first attempt); the first
+//! reply wins via an atomic claim and the rest are discarded.
+//!
+//! Replica connections run on the same loop and the same two I/O
+//! threads, adopted as outbound connections: a send only enqueues, so
+//! no thread ever waits on a replica.  A request that finds no
+//! connected replica with window room waits on the pacer while some
+//! member of its route is routable, and is shed only when none is.
 //!
 //! ## Control path
 //!
 //! A background prober drives each replica's health machine (see
-//! [`crate::health`] — data-path errors never touch health), a pacer
-//! thread fires deferred retries, hedges, subeval re-sends, and a
-//! last-resort expiry for every relay and every split plan, and
-//! upstream reader threads reconnect with backoff when replicas die,
-//! re-dispatching any requests orphaned in flight.
+//! [`crate::health`] — data-path errors never touch health) and, after
+//! a probe that succeeds, reconnects a member whose connection is
+//! down.  A pacer thread fires deferred retries, hedges, re-sends of
+//! waiting requests, and a last-resort expiry for every relay and
+//! every split plan.  When a replica's connection closes, its close
+//! notice re-dispatches every request orphaned on it.
 
 use crate::hash;
 use crate::health::{tier_route, HealthMachine, HealthPolicy};
@@ -53,20 +60,18 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocking reads wake to poll stop flags.
+/// The pacer's longest sleep, so it sees its stop flag at least this
+/// often.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Delay before reconnecting a dead upstream connection.
-const RECONNECT_DELAY: Duration = Duration::from_millis(50);
-
-/// How long a subeval that found no connected upstream with room waits
-/// before it walks its route again: a fifth of a reconnect, so a
-/// replica that comes back is found within a few tries.
-const SUB_WAIT: Duration = Duration::from_millis(10);
+/// How long a request that found no connected upstream with room
+/// waits before it walks its route again: a tenth of the default probe
+/// interval, within which a replica that comes back is reconnected.
+const ROOM_WAIT: Duration = Duration::from_millis(10);
 
 /// Slack past a relay's deadline before the router answers `timeout`
 /// locally.  Within the slack the upstream — which was handed the same
@@ -89,9 +94,7 @@ pub struct RouterConfig {
     /// Configuration template for spawned replicas (its `addr` is
     /// ignored; each replica binds `127.0.0.1:0`).
     pub spawn_config: gt_serve::Config,
-    /// Pipelined connections per replica.
-    pub pool: usize,
-    /// Requests in flight per upstream connection; the router's side
+    /// Requests in flight on a replica's connection; the router's side
     /// of gt-serve's `--conn-window` contract.
     pub conn_window: usize,
     /// Requests in flight per client connection.
@@ -138,7 +141,6 @@ impl Default for RouterConfig {
             replicas: Vec::new(),
             spawn: 0,
             spawn_config: gt_serve::Config::default(),
-            pool: 1,
             conn_window: 32,
             client_window: 32,
             retries: 3,
@@ -160,29 +162,14 @@ impl Default for RouterConfig {
 // Upstream state.
 // ---------------------------------------------------------------------------
 
-/// One pipelined connection to a replica.  `writer` is `None` while
-/// disconnected; `pending` maps upstream sequence ids to whatever
-/// awaits the reply.
-struct UpstreamConn {
-    writer: Mutex<Option<TcpStream>>,
-    pending: Mutex<HashMap<u64, PendingReply>>,
-}
-
-impl UpstreamConn {
-    /// Send one request line with a single `write` call.  A failed
-    /// write drops the writer, so later sends fail fast until the
-    /// reader thread reconnects.
-    fn write_line(&self, line: &str) -> bool {
-        let framed = format!("{line}\n");
-        let mut w = self.writer.lock().expect("upstream writer lock poisoned");
-        let ok = w
-            .as_mut()
-            .is_some_and(|stream| stream.write_all(framed.as_bytes()).is_ok());
-        if !ok {
-            *w = None;
-        }
-        ok
-    }
+/// A replica's one pipelined connection as senders see it.
+#[derive(Default)]
+struct Upstream {
+    /// The write half on the loop; `None` while disconnected, until
+    /// the prober reconnects.
+    conn: Option<Arc<ConnReply>>,
+    /// Upstream sequence ids awaiting a reply, and what awaits each.
+    pending: HashMap<u64, PendingReply>,
 }
 
 /// What an upstream sequence id resolves to: a whole client request
@@ -192,13 +179,12 @@ enum PendingReply {
     Sub(Arc<SubFlight>),
 }
 
-/// One replica: its address, connection pool, health trajectory, and
+/// One replica: its address, connection, health trajectory, and
 /// data-path counters.
 pub(crate) struct Replica {
     idx: usize,
     pub(crate) addr: String,
-    conns: Vec<Arc<UpstreamConn>>,
-    rr: AtomicUsize,
+    upstream: Mutex<Upstream>,
     pub(crate) health: Mutex<HealthMachine>,
     pub(crate) counters: ReplicaCounters,
     /// Routing weight under weighted rendezvous hashing; updated in
@@ -213,19 +199,11 @@ pub(crate) struct Replica {
 }
 
 impl Replica {
-    fn new(idx: usize, addr: String, pool: usize, health: HealthPolicy, weight: u64) -> Replica {
+    fn new(idx: usize, addr: String, health: HealthPolicy, weight: u64) -> Replica {
         Replica {
             idx,
             addr,
-            conns: (0..pool.max(1))
-                .map(|_| {
-                    Arc::new(UpstreamConn {
-                        writer: Mutex::new(None),
-                        pending: Mutex::new(HashMap::new()),
-                    })
-                })
-                .collect(),
-            rr: AtomicUsize::new(0),
+            upstream: Mutex::default(),
             health: Mutex::new(HealthMachine::new(health)),
             counters: ReplicaCounters::default(),
             weight: AtomicU64::new(weight),
@@ -244,17 +222,17 @@ impl Replica {
     }
 
     pub(crate) fn inflight(&self) -> u64 {
-        self.conns
-            .iter()
-            .map(|c| c.pending.lock().unwrap().len() as u64)
-            .sum()
+        self.upstream().pending.len() as u64
+    }
+
+    fn upstream(&self) -> MutexGuard<'_, Upstream> {
+        self.upstream.lock().expect("upstream holders never panic")
     }
 }
 
 /// Where an upstream copy of a relay currently lives.
 struct OutstandingEntry {
     replica: usize,
-    conn: usize,
     seq: u64,
     is_hedge: bool,
     /// The dispatch span covering this copy; `0` when untraced.
@@ -262,9 +240,10 @@ struct OutstandingEntry {
 }
 
 /// One client request in flight through the router.  Shared by the
-/// client reader (creation), upstream readers (replies), and the
-/// pacer (retries/hedges/expiry); `answered` is the single claim that
-/// guarantees exactly one reply line reaches the client.
+/// client's I/O thread (creation), the replica connections' I/O
+/// threads (replies), and the pacer (retries/hedges/expiry);
+/// `answered` is the single claim that guarantees exactly one reply
+/// line reaches the client.
 struct Relay {
     client_id: Option<String>,
     /// What every attempt sends upstream, less its `id`, `deadline_ms`
@@ -308,8 +287,6 @@ impl Relay {
 // ---------------------------------------------------------------------------
 
 enum Action {
-    /// Re-dispatch after a busy backoff.
-    Retry,
     /// Launch the hedge copy if still unanswered.
     Hedge,
     /// Last resort: answer `timeout` locally so the client window is
@@ -321,6 +298,10 @@ enum Action {
 enum Target {
     /// A relayed request, and what to do to it.
     Relay(Weak<Relay>, Action),
+    /// A relay to dispatch again: after a busy backoff, or once it has
+    /// waited for a connected upstream with room.  The entry owns the
+    /// relay until then.
+    Resend(Arc<Relay>, AttemptKind),
     /// A split plan's deadline: fail it with `timeout` if unanswered.
     Plan(Weak<ActivePlan>),
     /// A subeval waiting for a connected upstream with room: send it
@@ -334,6 +315,7 @@ impl Answerable for Target {
             Target::Relay(relay, _) => relay
                 .upgrade()
                 .is_none_or(|r| r.answered.load(Ordering::SeqCst)),
+            Target::Resend(relay, _) => relay.answered.load(Ordering::SeqCst),
             Target::Plan(plan) => plan
                 .upgrade()
                 .is_none_or(|p| p.answered.load(Ordering::SeqCst)),
@@ -394,17 +376,19 @@ pub(crate) struct Inner {
     pub(crate) table: RoutingTable,
     /// Serializes membership changes; the data path never takes it.
     member_lock: Mutex<()>,
-    /// Upstream reader threads spawned for members that joined at
-    /// runtime, joined at shutdown after the static pool's threads.
-    joined_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// `join` announcements from new addresses, each with the window
+    /// slot of the connection it came on, for the prober to admit.
+    joins: Mutex<Vec<(Request, Arc<ConnReply>)>>,
     pub(crate) metrics: RouterMetrics,
     pub(crate) recorder: SpanRecorder,
     pacer: Pacer,
     seq: AtomicU64,
     /// Client-facing drain flag: stop accepting, reject new evals.
     draining: AtomicBool,
-    /// Second shutdown phase: stop upstream/probe threads.
-    stop_upstream: AtomicBool,
+    /// Second shutdown phase: stop the prober.
+    stop_probe: AtomicBool,
+    /// The prober's thread, unparked to start a round at once.
+    prober: OnceLock<std::thread::Thread>,
 }
 
 impl Inner {
@@ -508,11 +492,7 @@ fn cleanup_outstanding(inner: &Inner, relay: &Relay) {
     let entries: Vec<OutstandingEntry> = std::mem::take(&mut *relay.outstanding.lock().unwrap());
     let reps = inner.members();
     for e in entries {
-        reps[e.replica].conns[e.conn]
-            .pending
-            .lock()
-            .unwrap()
-            .remove(&e.seq);
+        reps[e.replica].upstream().pending.remove(&e.seq);
     }
 }
 
@@ -652,10 +632,16 @@ impl AttemptKind {
 
 /// Try to place one upstream copy of `relay`, walking its route from
 /// the cursor.  The first candidate of an Initial or Hedge attempt is
-/// free; every further candidate — tried because the previous one was
-/// unreachable — counts as a retry, as does the whole of a scheduled
-/// Retry attempt.  So `retries` reflects every time the request moved
-/// because the fleet made it move.
+/// free; every further candidate — reached because the previous one
+/// was disconnected or full — counts as a retry, as does the whole of
+/// a scheduled Retry attempt.  So `retries` reflects every time the
+/// request moved because the fleet made it move; it is counted when
+/// the copy is placed, so a walk that places nothing counts nothing.
+///
+/// A walk that places nothing leaves the request to a copy still
+/// racing, if there is one (a hedge is then simply not sent).
+/// Otherwise the request waits on the pacer while some member of its
+/// route is routable, as a subeval does, and is shed once none is.
 fn dispatch_attempt(inner: &Inner, relay: &Arc<Relay>, kind: AttemptKind) {
     if relay.answered.load(Ordering::SeqCst) {
         return;
@@ -675,103 +661,94 @@ fn dispatch_attempt(inner: &Inner, relay: &Arc<Relay>, kind: AttemptKind) {
     for iter in 0..len {
         let pos = relay.cursor.fetch_add(1, Ordering::SeqCst) % len;
         let replica = &reps[relay.route[pos]];
-        let free = iter == 0 && matches!(kind, AttemptKind::Initial | AttemptKind::Hedge);
-        if !free {
-            relay.retries.fetch_add(1, Ordering::SeqCst);
-            RouterMetrics::bump(&inner.metrics.retries);
-        }
-        if try_send(inner, relay, replica, kind).is_ok() {
+        let moves = iter as u32 + u32::from(matches!(kind, AttemptKind::Retry));
+        let placed = send_upstream(
+            inner,
+            replica,
+            PendingReply::Whole(Arc::clone(relay)),
+            |seq| {
+                if moves > 0 {
+                    relay.retries.fetch_add(moves, Ordering::SeqCst);
+                    inner
+                        .metrics
+                        .retries
+                        .fetch_add(u64::from(moves), Ordering::Relaxed);
+                }
+                // One span per wire attempt.
+                let span = match &relay.trace {
+                    Some(h) => h.span(ROOT_SPAN, kind.span_kind(), replica.addr.clone()),
+                    None => 0,
+                };
+                relay.outstanding.lock().unwrap().push(OutstandingEntry {
+                    replica: replica.idx,
+                    seq,
+                    is_hedge: kind.is_hedge(),
+                    span,
+                });
+                let remaining = relay
+                    .deadline
+                    .saturating_duration_since(Instant::now())
+                    .as_millis() as u64;
+                Request {
+                    id: Some(seq.to_string()),
+                    deadline_ms: Some(remaining.max(1)),
+                    trace: relay.trace.as_ref().map(|h| TraceContext {
+                        trace_id: h.trace_id.clone(),
+                        parent_span: Some(span),
+                    }),
+                    ..relay.upstream.clone()
+                }
+                .render()
+            },
+        );
+        if placed {
             return;
         }
+    }
+    if kind.is_hedge() || !relay.outstanding.lock().unwrap().is_empty() {
+        return;
+    }
+    if relay.route.iter().any(|&i| reps[i].routable()) {
+        inner.pacer.schedule(
+            Instant::now() + ROOM_WAIT,
+            Target::Resend(Arc::clone(relay), kind),
+        );
+        return;
     }
     fail_unrouted(inner, relay);
 }
 
-/// Place the copy on one of `replica`'s connections (round-robin,
-/// first with window room and a live writer).
-fn try_send(
+/// Put one request on `replica`'s connection, if it is connected and
+/// has window room; a send that finds it down counts as a transport
+/// failure.  Under the connection's lock, `stage` gets the
+/// request's fresh upstream id: it records the copy where its owner
+/// looks for it and renders the line.  The pending entry goes in under
+/// the same lock, so from then on the connection's close notice owns
+/// the request (see [`conn_died`]), and the send itself only enqueues.
+fn send_upstream(
     inner: &Inner,
-    relay: &Arc<Relay>,
     replica: &Replica,
-    kind: AttemptKind,
-) -> Result<(), ()> {
-    let start = replica.rr.fetch_add(1, Ordering::Relaxed);
-    for k in 0..replica.conns.len() {
-        let ci = (start + k) % replica.conns.len();
-        if conn_try_send(inner, relay, replica, ci, kind).is_ok() {
-            return Ok(());
+    entry: PendingReply,
+    stage: impl FnOnce(u64) -> String,
+) -> bool {
+    let (conn, line) = {
+        let mut up = replica.upstream();
+        let Some(conn) = up.conn.clone() else {
+            ReplicaCounters::bump(&replica.counters.transport);
+            return false;
+        };
+        if up.pending.len() >= inner.config.conn_window.max(1) {
+            return false;
         }
-    }
-    Err(())
-}
-
-fn conn_try_send(
-    inner: &Inner,
-    relay: &Arc<Relay>,
-    replica: &Replica,
-    ci: usize,
-    kind: AttemptKind,
-) -> Result<(), ()> {
-    let conn = &replica.conns[ci];
-    let seq = inner.seq.fetch_add(1, Ordering::SeqCst) + 1;
-    {
-        let mut pending = conn.pending.lock().unwrap();
-        if pending.len() >= inner.config.conn_window.max(1) {
-            return Err(());
-        }
-        // Registered before the write: if the write half dies mid-way,
-        // ownership of the failure is decided by who removes this
-        // entry first (see below).
-        pending.insert(seq, PendingReply::Whole(Arc::clone(relay)));
-    }
-    // One span per wire attempt, opened before the write so a failed
-    // write still leaves its mark on the tree.
-    let span = match &relay.trace {
-        Some(h) => h.span(ROOT_SPAN, kind.span_kind(), replica.addr.clone()),
-        None => 0,
+        let seq = inner.seq.fetch_add(1, Ordering::SeqCst) + 1;
+        let line = stage(seq);
+        up.pending.insert(seq, entry);
+        (conn, line)
     };
-    relay.outstanding.lock().unwrap().push(OutstandingEntry {
-        replica: replica.idx,
-        conn: ci,
-        seq,
-        is_hedge: kind.is_hedge(),
-        span,
-    });
-    let remaining = relay
-        .deadline
-        .saturating_duration_since(Instant::now())
-        .as_millis() as u64;
-    let line = Request {
-        id: Some(seq.to_string()),
-        deadline_ms: Some(remaining.max(1)),
-        trace: relay.trace.as_ref().map(|h| TraceContext {
-            trace_id: h.trace_id.clone(),
-            parent_span: Some(span),
-        }),
-        ..relay.upstream.clone()
-    }
-    .render();
-    if conn.write_line(&line) {
+    if conn.enqueue(&line) {
         ReplicaCounters::bump(&replica.counters.sent);
-        return Ok(());
     }
-    // The write failed.  If our pending entry is still there, we own
-    // the failure: undo and let the caller try the next candidate.  If
-    // it is gone, the reader noticed the dead connection first, drained
-    // pending, and owns the re-dispatch — report success so the copy
-    // is not dispatched twice.
-    if conn.pending.lock().unwrap().remove(&seq).is_some() {
-        relay.remove_outstanding(seq);
-        if let Some(h) = &relay.trace {
-            if span != 0 {
-                h.end(span, "transport");
-            }
-        }
-        ReplicaCounters::bump(&replica.counters.transport);
-        Err(())
-    } else {
-        Ok(())
-    }
+    true
 }
 
 /// Schedule a deferred re-dispatch after a busy reply, biased by the
@@ -801,7 +778,7 @@ fn schedule_retry(inner: &Inner, relay: &Arc<Relay>, hint_ms: Option<u64>) {
     }
     inner
         .pacer
-        .schedule(due, Target::Relay(Arc::downgrade(relay), Action::Retry));
+        .schedule(due, Target::Resend(Arc::clone(relay), AttemptKind::Retry));
 }
 
 /// Put a freshly built relay in flight: queue its expiry (and hedge)
@@ -1047,7 +1024,44 @@ fn send_sub(inner: &Inner, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'stati
     for _ in 0..len {
         let pos = sf.cursor.fetch_add(1, Ordering::SeqCst) % len;
         let replica = &reps[sf.route[pos]];
-        if sub_try_send(inner, sf, replica, sub, kind).is_ok() {
+        let placed = send_upstream(inner, replica, PendingReply::Sub(Arc::clone(sf)), |seq| {
+            // The subeval's span: labelled with path, replica, and the
+            // (possibly narrowed) alpha/beta window of this copy.
+            let span = match &sf.plan.trace {
+                Some(h) => {
+                    let label = format!(
+                        "{}@{} window=[{},{}]",
+                        path_text(&sub.path),
+                        replica.addr,
+                        sub.alpha,
+                        sub.beta
+                    );
+                    let s = h.span(sf.plan.split_span, kind, label);
+                    sf.span.store(s, Ordering::SeqCst);
+                    s
+                }
+                None => 0,
+            };
+            let remaining = sf
+                .plan
+                .deadline
+                .saturating_duration_since(Instant::now())
+                .as_millis() as u64;
+            let mut req = Request::subeval(
+                &sf.plan.spec_text,
+                &path_text(&sub.path),
+                sub.alpha,
+                sub.beta,
+                Some(remaining.max(1)),
+            );
+            req.id = Some(seq.to_string());
+            req.trace = sf.plan.trace.as_ref().map(|h| TraceContext {
+                trace_id: h.trace_id.clone(),
+                parent_span: Some(span),
+            });
+            req.render()
+        });
+        if placed {
             RouterMetrics::bump(&inner.metrics.subevals_dispatched);
             return;
         }
@@ -1059,7 +1073,7 @@ fn send_sub(inner: &Inner, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'stati
         // still answers 408 if nothing comes back in time.
         inner
             .pacer
-            .schedule(Instant::now() + SUB_WAIT, Target::Sub(Arc::clone(sf)));
+            .schedule(Instant::now() + ROOM_WAIT, Target::Sub(Arc::clone(sf)));
         return;
     }
     fail_plan(
@@ -1068,86 +1082,6 @@ fn send_sub(inner: &Inner, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'stati
         FailKind::Busy,
         "no routable replica for subeval",
     );
-}
-
-/// Place the subeval on one of `replica`'s connections (round-robin,
-/// first with window room and a live writer).  Same pending-before-
-/// write ownership rule as [`conn_try_send`].
-fn sub_try_send(
-    inner: &Inner,
-    sf: &Arc<SubFlight>,
-    replica: &Replica,
-    sub: &SubtreeSpec,
-    kind: &'static str,
-) -> Result<(), ()> {
-    let start = replica.rr.fetch_add(1, Ordering::Relaxed);
-    for k in 0..replica.conns.len() {
-        let ci = (start + k) % replica.conns.len();
-        let conn = &replica.conns[ci];
-        let seq = inner.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        {
-            let mut pending = conn.pending.lock().unwrap();
-            if pending.len() >= inner.config.conn_window.max(1) {
-                continue;
-            }
-            pending.insert(seq, PendingReply::Sub(Arc::clone(sf)));
-        }
-        // The subeval's span: labelled with path, replica, and the
-        // (possibly narrowed) alpha/beta window of this copy.
-        let span = match &sf.plan.trace {
-            Some(h) => {
-                let s = h.span(
-                    sf.plan.split_span,
-                    kind,
-                    format!(
-                        "{}@{} window=[{},{}]",
-                        path_text(&sub.path),
-                        replica.addr,
-                        sub.alpha,
-                        sub.beta
-                    ),
-                );
-                sf.span.store(s, Ordering::SeqCst);
-                s
-            }
-            None => 0,
-        };
-        let remaining = sf
-            .plan
-            .deadline
-            .saturating_duration_since(Instant::now())
-            .as_millis() as u64;
-        let mut req = Request::subeval(
-            &sf.plan.spec_text,
-            &path_text(&sub.path),
-            sub.alpha,
-            sub.beta,
-            Some(remaining.max(1)),
-        );
-        req.id = Some(seq.to_string());
-        req.trace = sf.plan.trace.as_ref().map(|h| TraceContext {
-            trace_id: h.trace_id.clone(),
-            parent_span: Some(span),
-        });
-        if conn.write_line(&req.render()) {
-            ReplicaCounters::bump(&replica.counters.sent);
-            return Ok(());
-        }
-        // If our pending entry is gone, the reader noticed the dead
-        // connection first and owns the re-dispatch: report success so
-        // the subeval is not placed twice.
-        if conn.pending.lock().unwrap().remove(&seq).is_some() {
-            if let Some(h) = &sf.plan.trace {
-                if span != 0 {
-                    h.end(span, "transport");
-                }
-            }
-            ReplicaCounters::bump(&replica.counters.transport);
-            continue;
-        }
-        return Ok(());
-    }
-    Err(())
 }
 
 /// A subeval bounced off a busy replica: re-stamp the window from the
@@ -1176,7 +1110,7 @@ fn retry_sub(inner: &Inner, sf: &Arc<SubFlight>) {
 }
 
 /// A subeval's connection died with it in flight, or it waited out
-/// [`SUB_WAIT`] for one: send it again under the level's current
+/// [`ROOM_WAIT`] for one: send it again under the level's current
 /// window, unbudgeted — the route walk is how a live replica is found.
 fn resend_sub(inner: &Inner, sf: &Arc<SubFlight>) {
     if sf.plan.answered.load(Ordering::SeqCst) {
@@ -1338,12 +1272,16 @@ fn connect_to(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     }))
 }
 
-/// A connection died: orphan every pending request and re-dispatch the
-/// ones with no other copy still racing.
-fn conn_died(inner: &Inner, replica: &Replica, ci: usize) {
-    let conn = &replica.conns[ci];
-    *conn.writer.lock().unwrap() = None;
-    let orphans: Vec<(u64, PendingReply)> = conn.pending.lock().unwrap().drain().collect();
+/// A replica's connection closed: orphan every pending request and
+/// re-dispatch the ones with no other copy still racing.  This is the
+/// connection's close notice from the loop, so it runs once per
+/// connection, after its last reply.
+fn conn_died(inner: &Inner, replica: &Replica) {
+    let orphans: Vec<(u64, PendingReply)> = {
+        let mut up = replica.upstream();
+        up.conn = None;
+        up.pending.drain().collect()
+    };
     for (seq, entry) in orphans {
         ReplicaCounters::bump(&replica.counters.transport);
         match entry {
@@ -1375,10 +1313,7 @@ fn conn_died(inner: &Inner, replica: &Replica, ci: usize) {
     }
 }
 
-fn handle_reply(inner: &Inner, replica: &Replica, ci: usize, line: &str) {
-    if line.is_empty() {
-        return;
-    }
+fn handle_reply(inner: &Inner, replica: &Replica, line: &str) {
     let Ok(resp) = Response::parse(line) else {
         RouterMetrics::bump(&inner.metrics.stale_replies);
         return;
@@ -1387,7 +1322,7 @@ fn handle_reply(inner: &Inner, replica: &Replica, ci: usize, line: &str) {
         RouterMetrics::bump(&inner.metrics.stale_replies);
         return;
     };
-    let Some(entry) = replica.conns[ci].pending.lock().unwrap().remove(&seq) else {
+    let Some(entry) = replica.upstream().pending.remove(&seq) else {
         RouterMetrics::bump(&inner.metrics.stale_replies);
         return;
     };
@@ -1422,80 +1357,17 @@ fn handle_reply(inner: &Inner, replica: &Replica, ci: usize, line: &str) {
     }
 }
 
-/// Open pooled connection `ci` to `replica`, bounded by the probe
-/// timeout: install the write half for senders and return the read
-/// half for the connection's reader thread.
-fn connect_upstream(inner: &Inner, replica: &Replica, ci: usize) -> Option<TcpStream> {
+/// Open `replica`'s connection, bounded by the probe timeout, and
+/// hand it to the loop.  It is installed under the connection's lock,
+/// which its close notice takes too, so the notice can only follow.
+fn connect_member(inner: &Inner, io: &IoLoop, replica: &Replica) {
     let timeout = Duration::from_millis(inner.config.probe_timeout_ms.max(10));
-    let stream = connect_to(&replica.addr, timeout).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let read_half = stream.try_clone().ok()?;
-    *replica.conns[ci]
-        .writer
-        .lock()
-        .expect("upstream writer lock poisoned") = Some(stream);
-    Some(read_half)
-}
-
-/// Reader thread of pooled connection `ci`: starts on `connected` when
-/// [`Router::start`] already opened it, and reconnects with backoff
-/// whenever the connection is down.
-fn upstream_loop(
-    inner: Arc<Inner>,
-    replica: Arc<Replica>,
-    ci: usize,
-    mut connected: Option<TcpStream>,
-) {
-    while !inner.stop_upstream.load(Ordering::SeqCst) {
-        let Some(read_half) = connected
-            .take()
-            .or_else(|| connect_upstream(&inner, &replica, ci))
-        else {
-            sleep_checking(RECONNECT_DELAY, &inner.stop_upstream);
-            continue;
-        };
-        let mut reader = BufReader::new(read_half);
-        let mut line = String::new();
-        loop {
-            if inner.stop_upstream.load(Ordering::SeqCst) {
-                break;
-            }
-            match reader.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) => {
-                    handle_reply(&inner, &replica, ci, line.trim());
-                    line.clear();
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // Poll tick; a partial line stays buffered in
-                    // `line` and completes on the next read.
-                    continue;
-                }
-                Err(_) => break,
-            }
-        }
-        conn_died(&inner, &replica, ci);
-        if !inner.stop_upstream.load(Ordering::SeqCst) {
-            sleep_checking(RECONNECT_DELAY, &inner.stop_upstream);
-        }
-    }
-    // Final sweep: by the time stop_upstream is set every relay has
-    // settled, so this only clears the writer.
-    conn_died(&inner, &replica, ci);
-}
-
-fn sleep_checking(total: Duration, stop: &AtomicBool) {
-    let mut slept = Duration::ZERO;
-    while slept < total && !stop.load(Ordering::SeqCst) {
-        let step = POLL_INTERVAL.min(total - slept);
-        std::thread::sleep(step);
-        slept += step;
+    let Ok(stream) = connect_to(&replica.addr, timeout) else {
+        return;
+    };
+    let mut up = replica.upstream();
+    if up.conn.is_none() {
+        up.conn = Some(io.adopt(stream, replica.idx));
     }
 }
 
@@ -1534,15 +1406,27 @@ fn probe_once(addr: &str, timeout: Duration) -> bool {
     }
 }
 
-fn probe_loop(inner: Arc<Inner>) {
+/// The prober: each round it admits the new members announced since
+/// the last, connecting to each first; then it makes one health round
+/// trip per member, and after one that succeeds, opens the member's
+/// connection if it is down.  So a replica that comes back is routed
+/// to again within one round.
+fn probe_loop(inner: Arc<Inner>, io: Arc<IoLoop>) {
     let interval = Duration::from_millis(inner.config.probe_interval_ms.max(10));
     let timeout = Duration::from_millis(inner.config.probe_timeout_ms.max(10));
-    while !inner.stop_upstream.load(Ordering::SeqCst) {
+    while !inner.stop_probe.load(Ordering::SeqCst) {
+        let joins =
+            std::mem::take(&mut *inner.joins.lock().expect("join queue holders never panic"));
+        for (req, conn) in joins {
+            let stream = connect_to(req.addr.as_deref().unwrap_or_default(), timeout).ok();
+            conn.enqueue(&handle_join(&inner, &req, stream.map(|s| (&*io, s))));
+            conn.release_slot();
+        }
         // Re-snapshot each round so members that joined since the
         // last round are probed too.
         let reps = inner.members();
         for replica in reps.iter() {
-            if inner.stop_upstream.load(Ordering::SeqCst) {
+            if inner.stop_probe.load(Ordering::SeqCst) {
                 break;
             }
             let up = probe_once(&replica.addr, timeout);
@@ -1550,16 +1434,22 @@ fn probe_loop(inner: Arc<Inner>) {
                 .last_probe_us
                 .store(inner.metrics.uptime_us(), Ordering::Relaxed);
             let now = Instant::now();
-            let mut h = replica.health.lock().unwrap();
-            h.tick(now);
-            if up {
-                h.on_success();
-            } else {
-                h.on_failure(now);
-                ReplicaCounters::bump(&replica.counters.probe_failures);
+            {
+                let mut h = replica.health.lock().unwrap();
+                h.tick(now);
+                if up {
+                    h.on_success();
+                } else {
+                    h.on_failure(now);
+                    ReplicaCounters::bump(&replica.counters.probe_failures);
+                }
+            }
+            if up && replica.upstream().conn.is_none() {
+                connect_member(&inner, &io, replica);
             }
         }
-        sleep_checking(interval, &inner.stop_upstream);
+        // A join or a shutdown unparks it early.
+        std::thread::park_timeout(interval);
     }
 }
 
@@ -1591,6 +1481,10 @@ fn pacer_loop(inner: Arc<Inner>) {
         };
         let (relay, action) = match target {
             Target::Relay(relay, action) => (relay, action),
+            Target::Resend(relay, kind) => {
+                dispatch_attempt(&inner, &relay, kind);
+                continue;
+            }
             Target::Plan(plan) => {
                 if let Some(plan) = plan.upgrade() {
                     if !plan.answered.load(Ordering::SeqCst) {
@@ -1616,7 +1510,6 @@ fn pacer_loop(inner: Arc<Inner>) {
             continue;
         }
         match action {
-            Action::Retry => dispatch_attempt(&inner, &relay, AttemptKind::Retry),
             Action::Hedge => {
                 if !relay.hedged.swap(true, Ordering::SeqCst) {
                     RouterMetrics::bump(&inner.metrics.hedges);
@@ -1747,22 +1640,6 @@ fn rebuild_table(inner: &Inner) {
     );
 }
 
-/// Start the upstream reader threads for a member admitted at runtime
-/// (the static pool's threads are spawned in [`Router::start`]).
-fn spawn_member_threads(inner: &Arc<Inner>, replica: &Arc<Replica>) {
-    let mut handles = inner.joined_threads.lock().unwrap();
-    for ci in 0..replica.conns.len() {
-        let inner2 = Arc::clone(inner);
-        let replica2 = Arc::clone(replica);
-        if let Ok(h) = std::thread::Builder::new()
-            .name(format!("gt-router-up-{}-{}", replica.idx, ci))
-            .spawn(move || upstream_loop(inner2, replica2, ci, None))
-        {
-            handles.push(h);
-        }
-    }
-}
-
 /// Record a membership change as its own queryable trace.  The
 /// synthetic context pins the trace past sampling, so every admit /
 /// refresh / reweight leaves a span tree (when tracing is on at all).
@@ -1781,7 +1658,12 @@ fn record_membership_trace(inner: &Inner, action: JoinAction, addr: &str, weight
 
 /// Apply one `join` announcement under the membership lock; returns
 /// the announcer's reply.  See [`crate::membership`] for the protocol.
-fn handle_join(inner: &Arc<Inner>, req: &Request) -> String {
+///
+/// A new member is admitted by the prober, with `link` the connection
+/// it has just opened to it (`None` when that failed; a later probe
+/// round reconnects).  The connection is installed before the member
+/// enters the routing table, so it is never routed to unconnected.
+fn handle_join(inner: &Arc<Inner>, req: &Request, link: Option<(&IoLoop, TcpStream)>) -> String {
     let addr = req.addr.clone().unwrap_or_default();
     let weight = req.weight.unwrap_or(membership::DEFAULT_WEIGHT);
     let generation = req.generation.unwrap_or(0);
@@ -1804,18 +1686,20 @@ fn handle_join(inner: &Arc<Inner>, req: &Request) -> String {
             let replica = Arc::new(Replica::new(
                 reps.len(),
                 addr.clone(),
-                inner.config.pool,
                 inner.config.health.clone(),
                 weight,
             ));
             replica.generation.store(generation, Ordering::Relaxed);
             let mut grown: Vec<Arc<Replica>> = reps.as_ref().clone();
             grown.push(Arc::clone(&replica));
-            // List first, then table: `routing_view` relies on the
-            // member list never being the shorter of the two.
+            // List, then connection, then table: `routing_view` relies
+            // on the member list never being the shorter of the two,
+            // and a close notice finds its member by index.
             *inner.replicas.write().unwrap() = Arc::new(grown);
+            if let Some((io, stream)) = link {
+                replica.upstream().conn = Some(io.adopt(stream, replica.idx));
+            }
             rebuild_table(inner);
-            spawn_member_threads(inner, &replica);
         }
         JoinAction::Refresh => {
             let r = existing.expect("refresh implies a known member");
@@ -1851,12 +1735,13 @@ fn handle_join(inner: &Arc<Inner>, req: &Request) -> String {
     )
 }
 
-/// Client-io threads.  Two soak thousands of mostly-idle connections;
-/// the heavy lifting stays in the upstream pools.
-const CLIENT_IO_THREADS: usize = 2;
+/// I/O threads.  Two carry every client connection, thousands of them
+/// mostly idle, and every replica connection.
+const IO_THREADS: usize = 2;
 
-/// The router's client side on the connection loop: control verbs
-/// answer inline, `eval`/`subeval` are relayed or split.
+/// The router on the connection loop: a client's control verbs answer
+/// inline and its `eval`/`subeval` are relayed or split; a replica's
+/// lines are replies.
 impl LineHandler for Inner {
     fn line(inner: &Arc<Inner>, line: &str, _recv: Instant, conn: &Arc<ConnReply>) {
         let req = match Request::parse(line) {
@@ -1869,7 +1754,27 @@ impl LineHandler for Inner {
         };
         let reply = match req.op {
             Op::Eval | Op::Subeval => return route_request(inner, conn, req),
-            Op::Join => handle_join(inner, &req),
+            Op::Join => {
+                if !inner
+                    .members()
+                    .iter()
+                    .any(|r| req.addr.as_ref() == Some(&r.addr))
+                {
+                    // A new address: the prober connects to it, admits
+                    // it, and answers (see `probe_loop`).
+                    conn.claim_slot();
+                    inner
+                        .joins
+                        .lock()
+                        .expect("join queue holders never panic")
+                        .push((req, Arc::clone(conn)));
+                    if let Some(prober) = inner.prober.get() {
+                        prober.unpark();
+                    }
+                    return;
+                }
+                handle_join(inner, &req, None)
+            }
             Op::Ping => ok_line(
                 &req.id,
                 vec![
@@ -1947,6 +1852,14 @@ impl LineHandler for Inner {
             "request line is not UTF-8",
         ))
     }
+
+    fn outbound_line(inner: &Arc<Inner>, peer: usize, line: &str) {
+        handle_reply(inner, &inner.members()[peer], line);
+    }
+
+    fn outbound_closed(inner: &Arc<Inner>, peer: usize) {
+        conn_died(inner, &inner.members()[peer]);
+    }
 }
 
 /// Answer `op:"trace"`: one assembled tree by id (active or finished),
@@ -1991,25 +1904,24 @@ fn stats_of(inner: &Arc<Inner>) -> Stats {
 // The Router handle.
 // ---------------------------------------------------------------------------
 
-/// A running router: client listener, upstream pools, prober, pacer,
-/// and any replicas it spawned itself.
+/// A running router: the connection loop for its clients and
+/// replicas, prober, pacer, and any replicas it spawned itself.
 pub struct Router {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
-    client_io: IoLoop,
+    io: Arc<IoLoop>,
     pacer_thread: Option<JoinHandle<()>>,
-    upstream_threads: Vec<JoinHandle<()>>,
     probe_thread: Option<JoinHandle<()>>,
     metrics_listener: Option<MetricsListener>,
     spawned: Vec<gt_serve::Server>,
 }
 
 impl Router {
-    /// Spawn any owned replicas, connect the pools, and start
-    /// accepting clients.  Each pooled connection is opened here, each
-    /// bounded by `probe_timeout_ms`, so the first request finds every
+    /// Spawn any owned replicas, start accepting clients, and connect
+    /// to each replica.  Each connection is opened here, each bounded
+    /// by `probe_timeout_ms`, so the first request finds every
     /// reachable replica connected; a replica that refuses is left to
-    /// its reader thread's reconnect loop.
+    /// the prober, which reconnects it once it answers.
     pub fn start(config: RouterConfig) -> std::io::Result<Router> {
         let mut spawned = Vec::new();
         let mut addrs = config.replicas.clone();
@@ -2027,7 +1939,6 @@ impl Router {
                 "router needs at least one replica (--replica or --spawn)",
             ));
         }
-        let pool = config.pool.max(1);
         let replicas: Vec<Arc<Replica>> = addrs
             .iter()
             .enumerate()
@@ -2035,7 +1946,6 @@ impl Router {
                 Arc::new(Replica::new(
                     idx,
                     addr.clone(),
-                    pool,
                     config.health.clone(),
                     membership::DEFAULT_WEIGHT,
                 ))
@@ -2049,12 +1959,13 @@ impl Router {
             table: RoutingTable::seeded(&addrs),
             replicas: RwLock::new(Arc::new(replicas)),
             member_lock: Mutex::new(()),
-            joined_threads: Mutex::new(Vec::new()),
+            joins: Mutex::new(Vec::new()),
             metrics: RouterMetrics::default(),
             pacer: Pacer::new(),
             seq: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            stop_upstream: AtomicBool::new(false),
+            stop_probe: AtomicBool::new(false),
+            prober: OnceLock::new(),
             recorder,
         });
 
@@ -2064,35 +1975,27 @@ impl Router {
                 .name("gt-router-pacer".into())
                 .spawn(move || pacer_loop(inner2))?
         };
-        let mut upstream_threads = Vec::new();
-        for replica in inner.members().iter() {
-            for ci in 0..replica.conns.len() {
-                let connected = connect_upstream(&inner, replica, ci);
-                let inner2 = Arc::clone(&inner);
-                let replica2 = Arc::clone(replica);
-                upstream_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("gt-router-up-{}-{}", replica.idx, ci))
-                        .spawn(move || upstream_loop(inner2, replica2, ci, connected))?,
-                );
-            }
-        }
-        let probe_thread = {
-            let inner2 = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("gt-router-probe".into())
-                .spawn(move || probe_loop(inner2))?
-        };
-        let client_io = IoLoop::spawn(
+        let io = Arc::new(IoLoop::spawn(
             listener,
             LoopConfig {
                 name: "gt-router-io",
-                threads: CLIENT_IO_THREADS,
+                threads: IO_THREADS,
                 window: inner.config.client_window,
                 idle_timeout: None,
             },
             Arc::clone(&inner),
-        )?;
+        )?);
+        for replica in inner.members().iter() {
+            connect_member(&inner, &io, replica);
+        }
+        let probe_thread = {
+            let inner2 = Arc::clone(&inner);
+            let io2 = Arc::clone(&io);
+            std::thread::Builder::new()
+                .name("gt-router-probe".into())
+                .spawn(move || probe_loop(inner2, io2))?
+        };
+        let _ = inner.prober.set(probe_thread.thread().clone());
         let metrics_listener = match inner.config.metrics_addr.clone() {
             Some(addr) => {
                 let inner2 = Arc::clone(&inner);
@@ -2106,9 +2009,8 @@ impl Router {
         Ok(Router {
             inner,
             local_addr,
-            client_io,
+            io,
             pacer_thread: Some(pacer_thread),
-            upstream_threads,
             probe_thread: Some(probe_thread),
             metrics_listener,
             spawned,
@@ -2144,7 +2046,7 @@ impl Router {
     /// finish in-flight ones.  `join` completes the shutdown.
     pub fn request_shutdown(&self) {
         self.inner.draining.store(true, Ordering::SeqCst);
-        self.client_io.wake();
+        self.io.wake();
     }
 
     /// Whether a drain has been requested (by signal or by a client's
@@ -2160,27 +2062,23 @@ impl Router {
 
     /// Drain and stop everything, in dependency order: the listener
     /// and client connections first (their windows guarantee every
-    /// accepted eval has been answered — the pacer and upstream pools
-    /// must still be alive for that), then the pacer, then upstream
-    /// and probe threads, then owned replicas.  Returns the final
-    /// `stats`.
+    /// accepted eval has been answered — the pacer, the prober and the
+    /// replica connections must still be alive for that), then the
+    /// replica connections, then the pacer and the prober, then owned
+    /// replicas.  Returns the final `stats`.
     pub fn join(mut self) -> Stats {
         self.inner.draining.store(true, Ordering::SeqCst);
-        // The io threads drop the listener, hold each connection until
-        // its window empties and its replies are out, then exit.
-        self.client_io.join();
+        // The io threads drop the listener, hold each client connection
+        // until its window empties and its replies are out, close the
+        // replica connections once no client is left, then exit.
+        self.io.join();
         self.inner.pacer.halt();
         if let Some(h) = self.pacer_thread.take() {
             let _ = h.join();
         }
-        self.inner.stop_upstream.store(true, Ordering::SeqCst);
-        for h in self.upstream_threads.drain(..) {
-            let _ = h.join();
-        }
-        for h in std::mem::take(&mut *self.inner.joined_threads.lock().unwrap()) {
-            let _ = h.join();
-        }
+        self.inner.stop_probe.store(true, Ordering::SeqCst);
         if let Some(h) = self.probe_thread.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
         if let Some(l) = self.metrics_listener.take() {
@@ -2250,7 +2148,7 @@ mod tests {
         let mut heap = DeadlineHeap::default();
         for (i, ms) in [30u64, 10, 20, 15].iter().enumerate() {
             let target = if i % 2 == 0 {
-                Target::Relay(Weak::new(), Action::Retry)
+                Target::Relay(Weak::new(), Action::Hedge)
             } else {
                 Target::Plan(Weak::new())
             };

@@ -108,7 +108,8 @@ struct TraceState {
 }
 
 /// One traced request's span tree, shared by everything that touches
-/// the request (client io, upstream readers, the pacer).  All methods
+/// the request (the io threads of its client and of its replicas, and
+/// the pacer).  All methods
 /// take the internal lock briefly; none call out while holding it.
 pub struct TraceHandle {
     pub trace_id: String,

@@ -1,10 +1,12 @@
-//! The connection loop both tiers run: `gtree serve` for its clients
-//! and `gtree route` for its own.
+//! The connection loop both tiers run: `gtree serve` for its clients,
+//! and `gtree route` for its clients and its replicas.
 //!
 //! ```text
 //! I/O threads (fixed pool, epoll loops; thread 0 owns the listener)
 //!   ├─ accept──▶ conns distributed round-robin across the pool
+//!   ├─ adopt───▶ outbound conns placed round-robin across the pool
 //!   ├─ readable──▶ per-conn line state machine ──▶ LineHandler::line
+//!   │                                  (outbound: LineHandler::outbound_line)
 //!   └─ wakeups──▶ flush outbound queues, resume parsing
 //! any thread ──ConnReply::enqueue / release_slot──▶ owner woken
 //! ```
@@ -23,6 +25,18 @@
 //! owning I/O thread ever touches the socket, so no thread waits on a
 //! client it does not serve.
 //!
+//! ## Outbound connections
+//!
+//! A tier that talks to peers connects to each itself and hands the
+//! socket to [`IoLoop::adopt`], keeping the [`ConnReply`] it gets back
+//! as the write half: a send only enqueues.  What the peer sends are
+//! replies, handed to [`LineHandler::outbound_line`].  They are never
+//! gated by the window, the connection never idles out, and no error
+//! line is ever written to it.  Any read, write or overflow error
+//! closes both halves: [`LineHandler::outbound_closed`] fires exactly
+//! once, and every later `enqueue` on the write half returns false.
+//! Outbound connections never count in the tier's [`ConnCounters`].
+//!
 //! ## Backpressure and slow readers
 //!
 //! Reads stop while a connection's window is full or its outbox is
@@ -39,8 +53,10 @@
 //!
 //! Once [`LineHandler::draining`] reports true, every thread drops the
 //! listener, stops parsing input, and holds each connection open just
-//! long enough to flush its in-flight replies; [`IoLoop::join`]
-//! returns when every thread's slab is empty.
+//! long enough to flush its in-flight replies.  Outbound connections
+//! carry those replies in, so they stay open, still read, until no
+//! inbound connection remains on any thread, and then close;
+//! [`IoLoop::join`] returns when every thread's slab is empty.
 
 use crate::io::{
     drain_outbox, raise_nofile_limit, BufferPool, LineAction, LineReader, LineTooLong, Poller,
@@ -171,6 +187,16 @@ pub trait LineHandler: Send + Sync + 'static {
     /// Called on thread 0 at each gauge refresh, at most once per
     /// poll interval.
     fn sample(&self) {}
+
+    /// One line (lossily decoded, trimmed, non-empty) from the
+    /// outbound connection adopted as `peer`, on its I/O thread.
+    fn outbound_line(_this: &Arc<Self>, _peer: usize, _line: &str) {}
+
+    /// The outbound connection adopted as `peer` closed: no line
+    /// follows, and every later `enqueue` on its write half returns
+    /// false.  Called exactly once per adopted connection, on its I/O
+    /// thread.
+    fn outbound_closed(_this: &Arc<Self>, _peer: usize) {}
 }
 
 /// How a tier sizes its loop.
@@ -191,6 +217,9 @@ pub struct LoopConfig {
 enum IoCmd {
     /// A freshly accepted connection to adopt.
     Conn(TcpStream),
+    /// An outbound connection, its peer tag, and the write half its
+    /// adopter already holds.
+    Adopt(TcpStream, usize, Arc<ConnReply>),
     /// Service the connection registered under this token: flush its
     /// outbox, resume parsing if its window freed, retire it if done.
     Wake(u64),
@@ -244,7 +273,12 @@ pub struct ConnReply {
     inflight: AtomicUsize,
     /// Collapses redundant `Wake` commands between services.
     wake_queued: AtomicBool,
-    token: u64,
+    /// The poller token; [`UNREGISTERED`] until an adopted connection
+    /// reaches its I/O thread, which stores it with `Release` before it
+    /// first services the connection.  `notify` loads it with `Acquire`
+    /// after its `wake_queued` swap, so a wake queued after that
+    /// service carries the stored token.
+    token: AtomicU64,
     io: Arc<IoHandle>,
 }
 
@@ -259,7 +293,7 @@ impl ConnReply {
             }),
             inflight: AtomicUsize::new(0),
             wake_queued: AtomicBool::new(false),
-            token,
+            token: AtomicU64::new(token),
             io,
         }
     }
@@ -321,14 +355,19 @@ impl ConnReply {
         if self.wake_queued.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.io.push(IoCmd::Wake(self.token));
+        // An unregistered token wakes nothing: the registration itself
+        // services the connection.
+        self.io
+            .push(IoCmd::Wake(self.token.load(Ordering::Acquire)));
     }
 }
 
 /// A running connection loop.
 pub struct IoLoop {
     handles: Vec<Arc<IoHandle>>,
-    joins: Vec<JoinHandle<()>>,
+    joins: Mutex<Vec<JoinHandle<()>>>,
+    /// Round-robin cursor of [`IoLoop::adopt`].
+    next: AtomicUsize,
 }
 
 impl IoLoop {
@@ -373,7 +412,25 @@ impl IoLoop {
                     .spawn(move || io.run())?,
             );
         }
-        Ok(IoLoop { handles, joins })
+        Ok(IoLoop {
+            handles,
+            joins: Mutex::new(joins),
+            next: AtomicUsize::new(0),
+        })
+    }
+
+    /// Place the connected outbound `stream` on an I/O thread
+    /// (round-robin) and return its write half.  The peer's lines go
+    /// to [`LineHandler::outbound_line`] with `peer`, then its close
+    /// to [`LineHandler::outbound_closed`].  Never blocks: the thread
+    /// registers the socket on its next turn, and what is enqueued
+    /// before that is flushed then.
+    pub fn adopt(&self, stream: TcpStream, peer: usize) -> Arc<ConnReply> {
+        let at = self.next.fetch_add(1, Ordering::Relaxed) % self.handles.len();
+        let io = &self.handles[at];
+        let reply = Arc::new(ConnReply::new(UNREGISTERED, Arc::clone(io)));
+        io.push(IoCmd::Adopt(stream, peer, Arc::clone(&reply)));
+        reply
     }
 
     /// Pull every I/O thread out of its poll sleep, so a drain starts
@@ -386,9 +443,10 @@ impl IoLoop {
 
     /// Wait for every I/O thread to finish its drain and exit.  Set
     /// the handler's drain flag first, or this blocks until it is set.
-    pub fn join(self) {
+    pub fn join(&self) {
         self.wake();
-        for h in self.joins {
+        let joins = std::mem::take(&mut *self.joins.lock().expect("join holders never panic"));
+        for h in joins {
             let _ = h.join();
         }
     }
@@ -400,6 +458,8 @@ const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 /// Connection slab index `i` registers under token `i + TOKEN_BASE`.
 const TOKEN_BASE: u64 = 2;
+/// The token of an adopted connection not yet registered.
+const UNREGISTERED: u64 = u64::MAX;
 
 /// Why a connection is being retired (feeds the close counters).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -426,6 +486,9 @@ struct ConnState {
     peer_closed: bool,
     /// When the last complete request line arrived (idle clock).
     last_line: Instant,
+    /// The peer tag of an adopted outbound connection; `None` for an
+    /// accepted one.
+    outbound: Option<usize>,
 }
 
 /// One readiness-driven I/O thread: a poller, a slab of connection
@@ -510,8 +573,22 @@ impl<H: LineHandler> IoThread<H> {
                 work_start.duration_since(wait_start).as_micros() as u64,
                 work_start.elapsed().as_micros() as u64,
             );
-            if self.draining && self.conns.iter().all(Option::is_none) {
-                break;
+            if self.draining {
+                // Outbound connections carry replies in: they close
+                // only once no inbound connection is left anywhere.
+                if self.handler.counters().open.load(Ordering::Relaxed) == 0 {
+                    for idx in 0..self.conns.len() {
+                        if self.conns[idx]
+                            .as_ref()
+                            .is_some_and(|c| c.outbound.is_some())
+                        {
+                            self.close(idx, CloseReason::Done);
+                        }
+                    }
+                }
+                if self.conns.iter().all(Option::is_none) {
+                    break;
+                }
             }
         }
     }
@@ -541,8 +618,10 @@ impl<H: LineHandler> IoThread<H> {
         for idx in 0..self.conns.len() {
             if let Some(conn) = self.conns[idx].as_mut() {
                 // Unparsed carried bytes are requests we will never
-                // run — drop them.
-                conn.reader = LineReader::new(MAX_LINE_BYTES);
+                // run — drop them.  An outbound carry is a reply.
+                if conn.outbound.is_none() {
+                    conn.reader = LineReader::new(MAX_LINE_BYTES);
+                }
             }
             self.service(idx);
         }
@@ -555,7 +634,8 @@ impl<H: LineHandler> IoThread<H> {
             match cmd {
                 // A conn raced in after the drain began: drop it.
                 IoCmd::Conn(_) if self.draining => {}
-                IoCmd::Conn(stream) => self.register(stream),
+                IoCmd::Conn(stream) => self.register(stream, None),
+                IoCmd::Adopt(stream, peer, reply) => self.register(stream, Some((peer, reply))),
                 IoCmd::Wake(token) => {
                     if token >= TOKEN_BASE {
                         self.service((token - TOKEN_BASE) as usize);
@@ -587,36 +667,50 @@ impl<H: LineHandler> IoThread<H> {
             let target = self.next_peer % self.peers.len().max(1);
             self.next_peer = self.next_peer.wrapping_add(1);
             if target == self.me {
-                self.register(stream);
+                self.register(stream, None);
             } else {
                 self.peers[target].push(IoCmd::Conn(stream));
             }
         }
     }
 
-    /// Adopt one connection into the slab and the poller.
-    fn register(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        // Replies are small writes the client may block on; Nagle
-        // would hold them for the peer's delayed ACK.
-        let _ = stream.set_nodelay(true);
+    /// Adopt one connection into the slab and the poller: an accepted
+    /// one, or an outbound one with its peer tag and the write half its
+    /// adopter holds.  An outbound one that cannot be registered gets
+    /// its close notice at once.
+    fn register(&mut self, stream: TcpStream, outbound: Option<(usize, Arc<ConnReply>)>) {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
         });
         let token = idx as u64 + TOKEN_BASE;
-        if self
-            .poller
-            .add(stream.as_raw_fd(), token, true, false)
-            .is_err()
+        if stream.set_nonblocking(true).is_err()
+            || self
+                .poller
+                .add(stream.as_raw_fd(), token, true, false)
+                .is_err()
         {
             self.free.push(idx);
+            if let Some((peer, reply)) = outbound {
+                reply.outbox().closed = true;
+                H::outbound_closed(&self.handler, peer);
+            }
             return;
         }
-        let reply = Arc::new(ConnReply::new(token, Arc::clone(&self.handle)));
-        self.handler.counters().open.fetch_add(1, Ordering::Relaxed);
+        // Replies are small writes the client may block on; Nagle
+        // would hold them for the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        let (reply, outbound) = match outbound {
+            Some((peer, reply)) => {
+                reply.token.store(token, Ordering::Release);
+                (reply, Some(peer))
+            }
+            None => {
+                self.handler.counters().open.fetch_add(1, Ordering::Relaxed);
+                let reply = Arc::new(ConnReply::new(token, Arc::clone(&self.handle)));
+                (reply, None)
+            }
+        };
         self.conns[idx] = Some(ConnState {
             stream,
             reply,
@@ -625,7 +719,12 @@ impl<H: LineHandler> IoThread<H> {
             interest: (true, false),
             peer_closed: false,
             last_line: Instant::now(),
+            outbound,
         });
+        if outbound.is_some() {
+            // Flush what was sent before the connection got here.
+            self.service(idx);
+        }
     }
 
     /// Pull bytes off a readable connection and run them through its
@@ -645,18 +744,22 @@ impl<H: LineHandler> IoThread<H> {
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
                 return;
             };
-            if *draining {
+            // A peer's replies are read to the end, drain or not.
+            let outbound = conn.outbound;
+            if *draining && outbound.is_none() {
                 return;
             }
             loop {
                 // Flow control *before* pulling more bytes: a full
                 // window or a backed-up outbox leaves them in the
                 // kernel buffer, which is TCP backpressure.
-                if conn.reply.inflight.load(Ordering::Acquire) >= *window {
-                    break;
-                }
-                if conn.reply.outbox().bytes >= OUTBOX_HIGH_WATER {
-                    break;
+                if outbound.is_none() {
+                    if conn.reply.inflight.load(Ordering::Acquire) >= *window {
+                        break;
+                    }
+                    if conn.reply.outbox().bytes >= OUTBOX_HIGH_WATER {
+                        break;
+                    }
                 }
                 let n = match conn.stream.read(scratch) {
                     Ok(0) => {
@@ -671,7 +774,11 @@ impl<H: LineHandler> IoThread<H> {
                         break;
                     }
                 };
-                if let Some(reason) = feed_conn(handler, conn, &scratch[..n], pool, *window) {
+                let fed = match outbound {
+                    None => feed_conn(handler, conn, &scratch[..n], pool, *window),
+                    Some(peer) => feed_outbound(handler, conn, peer, &scratch[..n], pool),
+                };
+                if let Some(reason) = fed {
                     close = Some(reason);
                     break;
                 }
@@ -707,8 +814,10 @@ impl<H: LineHandler> IoThread<H> {
                 close = Some(CloseReason::Done);
             }
             // Parsing may have been deferred on a full window or a
-            // high outbox; both may have cleared now.
-            if close.is_none() && !*draining && conn.reader.has_carry() {
+            // high outbox; both may have cleared now.  An outbound
+            // connection defers nothing.
+            let outbound = conn.outbound.is_some();
+            if close.is_none() && !outbound && !*draining && conn.reader.has_carry() {
                 if let Some(reason) = feed_conn(handler, conn, &[], pool, *window) {
                     close = Some(reason);
                 }
@@ -723,19 +832,27 @@ impl<H: LineHandler> IoThread<H> {
                 } else {
                     let inflight = conn.reply.inflight.load(Ordering::Acquire);
                     let outbox_empty = ob.queue.is_empty();
-                    if (conn.peer_closed || *draining) && inflight == 0 && outbox_empty {
+                    // A peer's EOF closes its outbound connection at
+                    // once: nothing it owes can arrive any more.
+                    let done = if outbound {
+                        conn.peer_closed
+                    } else {
+                        (conn.peer_closed || *draining) && inflight == 0 && outbox_empty
+                    };
+                    if done {
                         close = Some(CloseReason::Done);
                     } else {
-                        let read_i = !*draining
-                            && !conn.peer_closed
-                            && inflight < *window
-                            && ob.bytes < OUTBOX_HIGH_WATER;
+                        let read_i = outbound
+                            || (!*draining
+                                && !conn.peer_closed
+                                && inflight < *window
+                                && ob.bytes < OUTBOX_HIGH_WATER);
                         settled = (read_i, !outbox_empty);
                     }
                 }
             }
             if close.is_none() && conn.interest != settled {
-                let token = conn.reply.token;
+                let token = idx as u64 + TOKEN_BASE;
                 // A modify failure strands the conn silently; close it.
                 match self
                     .poller
@@ -762,7 +879,8 @@ impl<H: LineHandler> IoThread<H> {
         for idx in 0..self.conns.len() {
             let expired = match &self.conns[idx] {
                 Some(c) => {
-                    c.reply.inflight.load(Ordering::Acquire) == 0
+                    c.outbound.is_none()
+                        && c.reply.inflight.load(Ordering::Acquire) == 0
                         && now.duration_since(c.last_line) >= timeout
                 }
                 None => false,
@@ -773,22 +891,32 @@ impl<H: LineHandler> IoThread<H> {
         }
     }
 
-    /// Retire one connection: deregister, drop, recycle the slot.
+    /// Retire one connection: deregister, drop, recycle the slot.  An
+    /// outbound one then gets its close notice.
     fn close(&mut self, idx: usize, reason: CloseReason) {
         let Some(mut conn) = self.conns.get_mut(idx).and_then(Option::take) else {
             return;
         };
         let _ = self.poller.delete(conn.stream.as_raw_fd());
         // One best-effort flush so a final error reply (over-long
-        // line, ...) reaches a live peer; whatever the socket refuses
-        // is dropped with the connection.
-        let _ = flush_outbox(&mut conn);
+        // line, ...) reaches a live client; whatever the socket refuses
+        // is dropped with the connection.  Requests still queued for a
+        // peer are its adopter's to re-send.
+        if conn.outbound.is_none() {
+            let _ = flush_outbox(&mut conn);
+        }
         {
             // Late replies from still-running work become no-ops.
             let mut ob = conn.reply.outbox();
             ob.closed = true;
             ob.queue.clear();
             ob.bytes = 0;
+        }
+        self.free.push(idx);
+        if let Some(peer) = conn.outbound {
+            drop(conn);
+            H::outbound_closed(&self.handler, peer);
+            return;
         }
         let c = self.handler.counters();
         c.open.fetch_sub(1, Ordering::Relaxed);
@@ -798,7 +926,6 @@ impl<H: LineHandler> IoThread<H> {
             CloseReason::Overlong => c.overlong_closed.fetch_add(1, Ordering::Relaxed),
             CloseReason::Done => 0,
         };
-        self.free.push(idx);
     }
 }
 
@@ -821,6 +948,29 @@ fn flush_outbox(conn: &mut ConnState) -> std::io::Result<()> {
         }
         Err(e) => Err(e),
     }
+}
+
+/// Hand each complete line from an outbound connection's peer to the
+/// tier.  The lines are replies, not requests: no window, no idle
+/// clock, and nothing is ever written back; only an over-long line
+/// closes the connection.
+fn feed_outbound<H: LineHandler>(
+    handler: &Arc<H>,
+    conn: &mut ConnState,
+    peer: usize,
+    data: &[u8],
+    pool: &mut BufferPool,
+) -> Option<CloseReason> {
+    let fed = conn.reader.feed(data, pool, |raw| {
+        let text = String::from_utf8_lossy(raw);
+        let trimmed = text.trim();
+        if !trimmed.is_empty() {
+            H::outbound_line(handler, peer, trimmed);
+        }
+        LineAction::Continue
+    });
+    conn.reader.release(pool);
+    fed.err().map(|LineTooLong| CloseReason::Done)
 }
 
 /// Feed bytes (or `&[]` to resume the carry) through the connection's
@@ -910,6 +1060,180 @@ impl ConnReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::SocketAddr;
+
+    /// A tier that forwards: each request line sends `payload` to the
+    /// adopted peer, if any, and is answered `ok` inline; a `hold`
+    /// line instead keeps its window slot until the test settles it.
+    #[derive(Default)]
+    struct Forwarder {
+        counters: ConnCounters,
+        draining: AtomicBool,
+        payload: String,
+        upstream: Mutex<Option<Arc<ConnReply>>>,
+        held: Mutex<Option<Arc<ConnReply>>>,
+        lines: Mutex<Vec<(usize, String)>>,
+        closed: AtomicUsize,
+    }
+
+    impl LineHandler for Forwarder {
+        fn line(this: &Arc<Self>, line: &str, _recv: Instant, conn: &Arc<ConnReply>) {
+            if line == "hold" {
+                conn.claim_slot();
+                *this.held.lock().unwrap() = Some(Arc::clone(conn));
+                return;
+            }
+            if let Some(up) = this.upstream.lock().unwrap().as_ref() {
+                up.enqueue(&this.payload);
+            }
+            conn.enqueue("ok");
+        }
+
+        fn draining(&self) -> bool {
+            self.draining.load(Ordering::SeqCst)
+        }
+
+        fn counters(&self) -> &ConnCounters {
+            &self.counters
+        }
+
+        fn outbound_line(this: &Arc<Self>, peer: usize, line: &str) {
+            this.lines.lock().unwrap().push((peer, line.to_string()));
+        }
+
+        fn outbound_closed(this: &Arc<Self>, _peer: usize) {
+            this.closed.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A one-thread loop, so every send is made on the thread that
+    /// owns the outbound connection too.
+    fn start(handler: &Arc<Forwarder>) -> (IoLoop, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = LoopConfig {
+            name: "test-io",
+            threads: 1,
+            window: 4,
+            idle_timeout: None,
+        };
+        let io = IoLoop::spawn(listener, config, Arc::clone(handler)).unwrap();
+        (io, addr)
+    }
+
+    /// A connected pair: the end to adopt, and the peer's end.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (theirs, _) = listener.accept().unwrap();
+        (ours, theirs)
+    }
+
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < give_up, "no {what} within 10 s");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn a_reset_outbound_connection_closes_once_and_refuses_later_sends() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, _) = start(&handler);
+        let (ours, mut theirs) = socket_pair();
+        let up = io.adopt(ours, 7);
+        // Both halves work, and the connection counts as no client.
+        assert!(up.enqueue("hello"));
+        let mut buf = [0u8; 6];
+        theirs.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"hello\n");
+        theirs.write_all(b"world\n").unwrap();
+        wait_for("peer line", || !handler.lines.lock().unwrap().is_empty());
+        assert_eq!(handler.lines.lock().unwrap()[0], (7, "world".into()));
+        assert_eq!(handler.counters.open.load(Ordering::Relaxed), 0);
+        // Closing with input unread resets the connection.
+        assert!(up.enqueue("unread"));
+        theirs.peek(&mut buf).unwrap();
+        drop(theirs);
+        wait_for("close notice", || handler.closed.load(Ordering::SeqCst) > 0);
+        assert!(!up.enqueue("late"), "a send after the close was taken");
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+        assert_eq!(handler.closed.load(Ordering::SeqCst), 1);
+        assert_eq!(handler.counters.accepted.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_stalls_no_client_of_the_sending_thread() {
+        let handler = Arc::new(Forwarder {
+            payload: "x".repeat(256 * 1024),
+            ..Forwarder::default()
+        });
+        let (io, addr) = start(&handler);
+        // The peer's end is held open and never read.
+        let (ours, _theirs) = socket_pair();
+        *handler.upstream.lock().unwrap() = Some(io.adopt(ours, 0));
+        let client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut writer = client;
+        // 32 MiB sent from the client's own io thread: far more than
+        // the kernel buffers and the outbox's cap together hold.
+        for i in 0..128 {
+            writeln!(writer, "req {i}").unwrap();
+            let mut line = String::new();
+            reader
+                .read_line(&mut line)
+                .unwrap_or_else(|e| panic!("request {i} stalled: {e}"));
+            assert_eq!(line, "ok\n");
+        }
+        // The outbox overflowed, which closed the connection once.
+        wait_for("close notice", || handler.closed.load(Ordering::SeqCst) > 0);
+        let up = handler.upstream.lock().unwrap().take().unwrap();
+        assert!(!up.enqueue("late"));
+        drop((reader, writer));
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+        assert_eq!(handler.closed.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_drain_keeps_outbound_connections_until_no_client_is_left() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler);
+        let (ours, mut theirs) = socket_pair();
+        let _up = io.adopt(ours, 3);
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(b"hold\n").unwrap();
+        wait_for("held request", || handler.held.lock().unwrap().is_some());
+        handler.draining.store(true, Ordering::SeqCst);
+        io.wake();
+        // Two poll ticks into the drain the client is owed a reply, so
+        // the peer is still read.
+        thread::sleep(POLL_INTERVAL * 2);
+        theirs.write_all(b"late reply\n").unwrap();
+        wait_for("peer line", || !handler.lines.lock().unwrap().is_empty());
+        assert_eq!(handler.closed.load(Ordering::SeqCst), 0);
+        let held = handler.held.lock().unwrap().take().unwrap();
+        held.enqueue("done");
+        held.release_slot();
+        let mut line = String::new();
+        BufReader::new(&mut client).read_line(&mut line).unwrap();
+        assert_eq!(line, "done\n");
+        drop(client);
+        io.join();
+        assert_eq!(handler.closed.load(Ordering::SeqCst), 1);
+        let mut rest = Vec::new();
+        assert_eq!(
+            theirs.read_to_end(&mut rest).unwrap(),
+            0,
+            "the drain closed it"
+        );
+    }
 
     #[test]
     fn outbox_enqueue_caps_total_bytes_and_latches_overflow() {

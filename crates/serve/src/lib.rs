@@ -23,7 +23,7 @@
 //!   thread census at 10 000 open connections equals the census at
 //!   ten.  The loop takes a per-tier line handler, and both tiers run
 //!   on it: [`server`] for `gtree serve` and `gt-router` for its
-//!   clients.
+//!   clients and, adopted as outbound connections, its replicas.
 //! * **Shared evaluation executor** ([`executor`]) — a fixed pool of
 //!   evaluation workers fed by per-algorithm queues, so total engine
 //!   concurrency is `--eval-workers` no matter how many connections

@@ -278,16 +278,6 @@ impl Aggregator {
         self.cut
     }
 
-    /// Children absorbed so far.
-    pub fn seen(&self) -> u32 {
-        self.seen
-    }
-
-    /// Children expected in total.
-    pub fn expected(&self) -> u32 {
-        self.expected
-    }
-
     /// The window remaining children should be searched under.
     pub fn window(&self) -> (Value, Value) {
         (self.alpha, self.beta)
@@ -554,7 +544,7 @@ mod tests {
         let v = agg.value();
         assert!(!agg.absorb(1), "late (discarded) arrivals do not re-fire");
         assert_eq!(agg.value(), v);
-        assert_eq!(agg.seen(), 1);
+        assert!(agg.settled());
     }
 
     #[test]

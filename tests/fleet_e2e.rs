@@ -235,8 +235,8 @@ fn a_killed_replica_rejoins_warm_from_its_snapshot() {
 
     // First window after the restart: replay the keyset.  A owns the
     // same keys it owned before the kill and answers them from the
-    // restored cache — well above the 50%-hit floor.  The router's
-    // upstream pool to A reconnects with backoff, so early replays can
+    // restored cache — well above the 50%-hit floor.  The router
+    // reconnects to A once a probe sees it answer, so early replays can
     // still fail over to B; keep replaying until A serves traffic.
     let replay_deadline = Instant::now() + Duration::from_secs(10);
     let snap = loop {

@@ -3,7 +3,8 @@
 
 use gt_analysis::Json;
 use gt_router::{Router, RouterConfig};
-use gt_serve::{Client, Config, Server};
+use gt_serve::protocol::error_line_with;
+use gt_serve::{Client, Config, ErrorCode, Server};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,9 +22,10 @@ fn start_replica() -> Server {
 }
 
 /// A replica impostor: answers health probes so the router keeps
-/// routing at it, but swallows every eval without replying.  The
-/// harness for hedge and local-timeout behaviour.
-fn start_stub() -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) {
+/// routing at it, but swallows every eval without replying, or with
+/// `busy` answers each with a 429.  The harness for hedge, retry and
+/// local-timeout behaviour.
+fn start_stub(busy: bool) -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     listener.set_nonblocking(true).unwrap();
@@ -35,7 +37,7 @@ fn start_stub() -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let stop3 = Arc::clone(&stop2);
-                    conns.push(std::thread::spawn(move || stub_conn(stream, stop3)));
+                    conns.push(std::thread::spawn(move || stub_conn(stream, stop3, busy)));
                 }
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
@@ -47,7 +49,7 @@ fn start_stub() -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) {
     (addr, stop, handle)
 }
 
-fn stub_conn(stream: TcpStream, stop: Arc<AtomicBool>) {
+fn stub_conn(stream: TcpStream, stop: Arc<AtomicBool>, busy: bool) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     let Ok(mut writer) = stream.try_clone() else {
         return;
@@ -62,6 +64,17 @@ fn stub_conn(stream: TcpStream, stop: Arc<AtomicBool>) {
                     let _ = writer.write_all(
                         b"{\"ok\":true,\"uptime_s\":1,\"queued\":0,\"inflight\":0,\"draining\":false}\n",
                     );
+                } else if busy {
+                    let id = Json::parse(line.trim())
+                        .ok()
+                        .and_then(|r| r.get("id").and_then(Json::as_str).map(str::to_string));
+                    let reply = error_line_with(
+                        &id,
+                        ErrorCode::Busy,
+                        "stub is busy",
+                        vec![("retry_after_ms", Json::from(1u64))],
+                    );
+                    let _ = writeln!(writer, "{reply}");
                 }
                 line.clear();
             }
@@ -332,7 +345,7 @@ fn same_key_sticks_to_one_replica_and_composes_a_fleet_cache() {
 
 #[test]
 fn hedged_request_returns_exactly_one_reply_from_the_live_replica() {
-    let (stub_addr, stub_stop, stub_handle) = start_stub();
+    let (stub_addr, stub_stop, stub_handle) = start_stub(false);
     let replica = start_replica();
     let addrs = vec![stub_addr.to_string(), replica.local_addr().to_string()];
     // A key owned by the stub: the first copy is swallowed, the hedge
@@ -407,8 +420,76 @@ fn hedged_request_returns_exactly_one_reply_from_the_live_replica() {
 }
 
 #[test]
+fn a_busy_reply_is_retried_on_the_next_replica() {
+    let (stub_addr, stub_stop, stub_handle) = start_stub(true);
+    let replica = start_replica();
+    let addrs = vec![stub_addr.to_string(), replica.local_addr().to_string()];
+    // A key owned by the busy stub: its 429 must move the request on.
+    let spec = spec_owned_by(&addrs, 0);
+    let router = Router::start(RouterConfig {
+        replicas: addrs,
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let client = TcpStream::connect(router.local_addr()).unwrap();
+    let line = format!(r#"{{"op":"eval","id":"b1","spec":"{spec}","algo":"cascade:w=1"}}"#);
+    let reply = ask_within(&client, &line, Duration::from_secs(5));
+    assert!(is_ok(&reply), "no retried reply within 5 s: {reply:?}");
+    let reply = reply.unwrap();
+    assert_eq!(
+        reply.get("replica").and_then(Json::as_str),
+        Some(replica.local_addr().to_string().as_str())
+    );
+    assert_eq!(reply.get("retries").and_then(Json::as_u64), Some(1));
+    let snap = router.join();
+    assert_eq!(snap.u64("replicas.0.busy"), 1);
+    stub_stop.store(true, Ordering::SeqCst);
+    let _ = stub_handle.join();
+    replica.request_shutdown();
+    replica.join();
+}
+
+#[test]
+fn an_eval_beside_a_client_holding_every_upstream_slot_gets_its_value() {
+    let router = Router::start(RouterConfig {
+        spawn: 1,
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    // 32 pipelined slow evals fill the hog's client window and every
+    // slot of the one connection to the replica.  Their deadline keeps
+    // the slots held for seconds at most, even in a debug build.
+    let mut hog = TcpStream::connect(router.local_addr()).unwrap();
+    let burst: String = (0..32)
+        .map(|i| {
+            format!(
+                "{{\"op\":\"eval\",\"id\":\"h{i}\",\"spec\":\"minmax-worst:d=2,n=20,seed={i}\",\"algo\":\"alphabeta\",\"deadline_ms\":3000}}\n"
+            )
+        })
+        .collect();
+    hog.write_all(burst.as_bytes()).unwrap();
+    let other = TcpStream::connect(router.local_addr()).unwrap();
+    let held = Instant::now() + Duration::from_secs(10);
+    while router.stats().u64("replicas.0.inflight") < 32 {
+        assert!(Instant::now() < held, "the burst never held all 32 slots");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The second client's eval waits for a slot instead of a 429.
+    let reply = ask_within(
+        &other,
+        r#"{"op":"eval","id":"o1","spec":"worst:d=2,n=6","algo":"seq-solve"}"#,
+        Duration::from_secs(30),
+    );
+    assert!(is_ok(&reply), "{reply:?}");
+    assert!(reply.unwrap().get("value").is_some());
+    drop(hog);
+    let snap = router.join();
+    assert_eq!(snap.u64("unrouted"), 0);
+}
+
+#[test]
 fn unresponsive_fleet_yields_a_local_timeout_not_a_hang() {
-    let (stub_addr, stub_stop, stub_handle) = start_stub();
+    let (stub_addr, stub_stop, stub_handle) = start_stub(false);
     let router = Router::start(RouterConfig {
         replicas: vec![stub_addr.to_string()],
         ..RouterConfig::default()

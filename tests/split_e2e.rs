@@ -38,7 +38,7 @@ fn sequential_value(spec: &str) -> i64 {
 enum Stub {
     /// Slam the connection shut the moment a subeval arrives: the
     /// transport-death flavour of a replica crash, as seen by the
-    /// router's upstream reader.
+    /// router's connection to it.
     Die,
     /// Read every subeval and never answer: a wedged replica.
     Swallow,
