@@ -7,8 +7,10 @@
 //!   ├─ adopt───▶ outbound conns placed round-robin across the pool
 //!   ├─ readable──▶ per-conn line state machine ──▶ LineHandler::line
 //!   │                                  (outbound: LineHandler::outbound_line)
-//!   └─ wakeups──▶ flush outbound queues, resume parsing
-//! any thread ──ConnReply::enqueue / release_slot──▶ owner woken
+//!   ├─ wakeups──▶ flush outbound queues, resume parsing
+//!   └─ listed───▶ before each poll: flush what this thread enqueued
+//! owning I/O thread ──ConnReply::enqueue / release_slot──▶ listed
+//! any other thread  ──ConnReply::enqueue / release_slot──▶ owner woken
 //! ```
 //!
 //! A connection never owns a thread.  Each one is a small state
@@ -24,6 +26,19 @@
 //! [`ConnReply::enqueue`] then [`ConnReply::release_slot`].  Only the
 //! owning I/O thread ever touches the socket, so no thread waits on a
 //! client it does not serve.
+//!
+//! ## Settling without a wake
+//!
+//! A settle made on the connection's own I/O thread (an inline reply,
+//! a handler that settles another of the thread's connections, a send
+//! on one of its outbound connections) only lists the connection on
+//! that thread's dirty list; the thread services every listed
+//! connection before it polls again, so what one iteration enqueues
+//! on a connection leaves together, in one `writev` when it fits.  A
+//! settle from any other thread queues a wake command and writes the
+//! thread's waker pipe.  Reads stop after a read shorter than the
+//! scratch buffer: the poller is level-triggered and reports whatever
+//! is left.
 //!
 //! ## Outbound connections
 //!
@@ -64,6 +79,7 @@ use crate::io::{
 };
 use crate::metrics::LatencyHistogram;
 use crate::protocol::{error_line, ErrorCode};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
@@ -226,8 +242,8 @@ enum IoCmd {
 }
 
 /// The cross-thread face of one I/O thread: an injector the accept
-/// path and reply completions push commands onto, plus the waker that
-/// pulls the thread out of its poll sleep.
+/// path and other threads' reply completions push commands onto, plus
+/// the waker that pulls the thread out of its poll sleep.
 struct IoHandle {
     injector: Mutex<Vec<IoCmd>>,
     waker: Waker,
@@ -265,19 +281,25 @@ struct Outbox {
 
 /// The write half of a connection as seen from any thread.  Replies
 /// are never written directly: they are enqueued here and the owning
-/// I/O thread is woken to flush them.  Also carries the pipelining
-/// window as a plain atomic — nothing ever blocks on a slot.
+/// I/O thread flushes them, before its next poll when it enqueued
+/// them itself, or once woken when another thread did.  Also carries
+/// the pipelining window as a plain atomic — nothing ever blocks on a
+/// slot.
 pub struct ConnReply {
     outbox: Mutex<Outbox>,
     /// Dispatched-and-unanswered requests on this connection.
     inflight: AtomicUsize,
     /// Collapses redundant `Wake` commands between services.
     wake_queued: AtomicBool,
+    /// On the owning thread's dirty list since its last service; only
+    /// that thread touches it.
+    listed: AtomicBool,
     /// The poller token; [`UNREGISTERED`] until an adopted connection
     /// reaches its I/O thread, which stores it with `Release` before it
-    /// first services the connection.  `notify` loads it with `Acquire`
-    /// after its `wake_queued` swap, so a wake queued after that
-    /// service carries the stored token.
+    /// first services the connection.  `notify` from another thread
+    /// loads it with `Acquire` after its `wake_queued` swap, so a wake
+    /// queued after that service carries the stored token; the owning
+    /// thread reads its own store.
     token: AtomicU64,
     io: Arc<IoHandle>,
 }
@@ -293,6 +315,7 @@ impl ConnReply {
             }),
             inflight: AtomicUsize::new(0),
             wake_queued: AtomicBool::new(false),
+            listed: AtomicBool::new(false),
             token: AtomicU64::new(token),
             io,
         }
@@ -311,9 +334,9 @@ impl ConnReply {
         )))
     }
 
-    /// Queue one reply line (newline appended) and wake the I/O
-    /// thread.  Returns false when the connection is gone or its
-    /// queue overflowed — the reply is dropped either way.
+    /// Queue one reply line (newline appended) for the owning I/O
+    /// thread to flush.  Returns false when the connection is gone or
+    /// its queue overflowed — the reply is dropped either way.
     pub fn enqueue(&self, line: &str) -> bool {
         {
             let mut ob = self.outbox();
@@ -351,8 +374,22 @@ impl ConnReply {
         self.notify();
     }
 
+    /// Have the owning I/O thread service this connection: listed
+    /// for its next pass when called on that thread, else woken.
     fn notify(&self) {
-        if self.wake_queued.swap(true, Ordering::AcqRel) {
+        let owned = ON_LOOP.try_with(|on| {
+            let mut on = on.borrow_mut();
+            if !std::ptr::eq(on.io, Arc::as_ptr(&self.io)) {
+                return false;
+            }
+            // An unregistered token is listed but services nothing:
+            // the registration, queued on the injector, does that.
+            if !self.listed.swap(true, Ordering::Relaxed) {
+                on.listed.push(self.token.load(Ordering::Relaxed));
+            }
+            true
+        });
+        if owned == Ok(true) || self.wake_queued.swap(true, Ordering::AcqRel) {
             return;
         }
         // An unregistered token wakes nothing: the registration itself
@@ -360,6 +397,25 @@ impl ConnReply {
         self.io
             .push(IoCmd::Wake(self.token.load(Ordering::Acquire)));
     }
+}
+
+/// What an I/O thread keeps for itself while it runs.
+struct OnLoop {
+    /// The running thread's handle (compared, never dereferenced);
+    /// null on any other thread.
+    io: *const IoHandle,
+    /// Tokens of the thread's connections notified on it since it last
+    /// serviced them.
+    listed: Vec<u64>,
+}
+
+thread_local! {
+    static ON_LOOP: RefCell<OnLoop> = const {
+        RefCell::new(OnLoop {
+            io: std::ptr::null(),
+            listed: Vec::new(),
+        })
+    };
 }
 
 /// A running connection loop.
@@ -493,8 +549,9 @@ struct ConnState {
 
 /// One readiness-driven I/O thread: a poller, a slab of connection
 /// state machines, and (on thread 0) the listener.  Fresh connections
-/// arrive via accept or the injector; replies arrive as `Wake`
-/// commands from whichever thread settled them.
+/// arrive via accept or the injector; replies settled on this thread
+/// arrive on its dirty list, and those settled elsewhere as `Wake`
+/// commands.
 struct IoThread<H> {
     handler: Arc<H>,
     poller: Poller,
@@ -517,6 +574,7 @@ struct IoThread<H> {
 
 impl<H: LineHandler> IoThread<H> {
     fn run(mut self) {
+        ON_LOOP.with(|on| on.borrow_mut().io = Arc::as_ptr(&self.handle));
         if self
             .poller
             .add(self.handle.waker.read_fd(), TOKEN_WAKER, true, false)
@@ -569,6 +627,7 @@ impl<H: LineHandler> IoThread<H> {
                 last_gauge = work_start;
                 self.refresh_gauges();
             }
+            self.service_listed();
             self.stats.record_iteration(
                 work_start.duration_since(wait_start).as_micros() as u64,
                 work_start.elapsed().as_micros() as u64,
@@ -576,6 +635,8 @@ impl<H: LineHandler> IoThread<H> {
             if self.draining {
                 // Outbound connections carry replies in: they close
                 // only once no inbound connection is left anywhere.
+                // That empties the slab, so what their close notices
+                // list is moot.
                 if self.handler.counters().open.load(Ordering::Relaxed) == 0 {
                     for idx in 0..self.conns.len() {
                         if self.conns[idx]
@@ -589,6 +650,23 @@ impl<H: LineHandler> IoThread<H> {
                 if self.conns.iter().all(Option::is_none) {
                     break;
                 }
+            }
+        }
+    }
+
+    /// Service every connection notified on this thread since its
+    /// last service, and any that servicing lists in turn.
+    fn service_listed(&mut self) {
+        while let Some(token) = ON_LOOP.with(|on| on.borrow_mut().listed.pop()) {
+            let idx = token.wrapping_sub(TOKEN_BASE) as usize;
+            // One serviced since it was listed has nothing left to do.
+            if self
+                .conns
+                .get(idx)
+                .and_then(Option::as_ref)
+                .is_some_and(|c| c.reply.listed.load(Ordering::Relaxed))
+            {
+                self.service(idx);
             }
         }
     }
@@ -782,6 +860,11 @@ impl<H: LineHandler> IoThread<H> {
                     close = Some(reason);
                     break;
                 }
+                // A short read took all there was; the level-triggered
+                // poller reports whatever arrives next, EOF included.
+                if n < scratch.len() {
+                    break;
+                }
             }
         }
         if let Some(reason) = close {
@@ -810,6 +893,7 @@ impl<H: LineHandler> IoThread<H> {
             // Reset the wake collapse *before* looking at state, so a
             // completion landing mid-service queues a fresh wake.
             conn.reply.wake_queued.store(false, Ordering::Release);
+            conn.reply.listed.store(false, Ordering::Relaxed);
             if flush_outbox(conn).is_err() {
                 close = Some(CloseReason::Done);
             }
@@ -1064,8 +1148,10 @@ mod tests {
     use std::net::SocketAddr;
 
     /// A tier that forwards: each request line sends `payload` to the
-    /// adopted peer, if any, and is answered `ok` inline; a `hold`
-    /// line instead keeps its window slot until the test settles it.
+    /// adopted peer, if any, and is answered `ok` inline.  Three verbs
+    /// differ: `hold` keeps its window slot until it is settled,
+    /// `settle` settles the held request from the handler (then is
+    /// answered `ok`), and `echo X` is answered `X`.
     #[derive(Default)]
     struct Forwarder {
         counters: ConnCounters,
@@ -1082,6 +1168,18 @@ mod tests {
             if line == "hold" {
                 conn.claim_slot();
                 *this.held.lock().unwrap() = Some(Arc::clone(conn));
+                return;
+            }
+            if line == "settle" {
+                if let Some(held) = this.held.lock().unwrap().take() {
+                    held.enqueue("settled");
+                    held.release_slot();
+                }
+                conn.enqueue("ok");
+                return;
+            }
+            if let Some(text) = line.strip_prefix("echo ") {
+                conn.enqueue(text);
                 return;
             }
             if let Some(up) = this.upstream.lock().unwrap().as_ref() {
@@ -1107,13 +1205,13 @@ mod tests {
         }
     }
 
-    /// A one-thread loop, so every send is made on the thread that
-    /// owns the outbound connection too.
-    fn start(handler: &Arc<Forwarder>) -> (IoLoop, SocketAddr) {
+    /// A one-thread loop whose thread is `{name}-0`, so every send is
+    /// made on the thread that owns the outbound connection too.
+    fn start(handler: &Arc<Forwarder>, name: &'static str) -> (IoLoop, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let config = LoopConfig {
-            name: "test-io",
+            name,
             threads: 1,
             window: 4,
             idle_timeout: None,
@@ -1138,10 +1236,208 @@ mod tests {
         }
     }
 
+    /// This process's thread whose name is `comm`, as a
+    /// `/proc/self/task` entry.
+    #[cfg(target_os = "linux")]
+    fn task_named(comm: &str) -> std::path::PathBuf {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        loop {
+            for task in std::fs::read_dir("/proc/self/task").unwrap() {
+                let path = task.unwrap().path();
+                let name = std::fs::read_to_string(path.join("comm")).unwrap_or_default();
+                if name.trim_end() == comm {
+                    return path;
+                }
+            }
+            assert!(Instant::now() < give_up, "no thread {comm} within 10 s");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// The read and write syscalls (`syscr`, `syscw`) a thread has
+    /// made: the waker pipe's `read` and `write` and each `writev`
+    /// count; socket `recv` and `send` do not.
+    #[cfg(target_os = "linux")]
+    fn syscalls(task: &std::path::Path) -> (u64, u64) {
+        let io = std::fs::read_to_string(task.join("io")).unwrap();
+        let field = |name: &str| -> u64 {
+            let line = io.lines().find(|l| l.starts_with(name)).unwrap();
+            line[name.len()..].trim().parse().unwrap()
+        };
+        (field("syscr:"), field("syscw:"))
+    }
+
+    /// A client of `addr` with a 5 s read timeout: its reader and
+    /// writer halves.
+    fn client(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    }
+
+    /// Send `line` and return the one reply line.
+    #[cfg(target_os = "linux")]
+    fn call(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &str) -> String {
+        writeln!(writer, "{line}").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_inline_reply_costs_one_writev_and_no_waker_read() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "inline-io");
+        let task = task_named("inline-io-0");
+        let (mut reader, mut writer) = client(addr);
+        assert_eq!(call(&mut reader, &mut writer, "echo warm"), "warm\n");
+        let (r0, w0) = syscalls(&task);
+        for i in 0..200 {
+            assert_eq!(
+                call(&mut reader, &mut writer, &format!("echo {i}")),
+                format!("{i}\n")
+            );
+        }
+        let (r1, w1) = syscalls(&task);
+        assert_eq!(r1 - r0, 0, "an inline reply read the waker");
+        assert!(w1 - w0 <= 200, "{} writes for 200 inline replies", w1 - w0);
+        drop((reader, writer));
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_send_on_the_threads_own_outbound_connection_needs_no_wake() {
+        let handler = Arc::new(Forwarder {
+            payload: "p".into(),
+            ..Forwarder::default()
+        });
+        let (io, addr) = start(&handler, "send-io");
+        let task = task_named("send-io-0");
+        let (ours, theirs) = socket_pair();
+        theirs
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        *handler.upstream.lock().unwrap() = Some(io.adopt(ours, 0));
+        let mut peer = BufReader::new(theirs);
+        let (mut reader, mut writer) = client(addr);
+        // The first send finds the connection registered and flushed.
+        assert_eq!(call(&mut reader, &mut writer, "warm"), "ok\n");
+        let mut sent = String::new();
+        peer.read_line(&mut sent).unwrap();
+        assert_eq!(sent, "p\n");
+        let (r0, w0) = syscalls(&task);
+        for _ in 0..200 {
+            assert_eq!(call(&mut reader, &mut writer, "req"), "ok\n");
+        }
+        let (r1, w1) = syscalls(&task);
+        assert_eq!(r1 - r0, 0, "a same-thread send read the waker");
+        assert!(w1 - w0 <= 400, "{} writes for 200 lines", w1 - w0);
+        for _ in 0..200 {
+            sent.clear();
+            peer.read_line(&mut sent).unwrap();
+            assert_eq!(sent, "p\n");
+        }
+        drop((reader, writer));
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_handler_settles_another_connection_of_its_thread_without_a_wake() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "settle-io");
+        let task = task_named("settle-io-0");
+        let (mut held_reader, mut held_writer) = client(addr);
+        held_reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        writeln!(held_writer, "hold").unwrap();
+        wait_for("held request", || handler.held.lock().unwrap().is_some());
+        let (mut reader, mut writer) = client(addr);
+        assert_eq!(call(&mut reader, &mut writer, "echo warm"), "warm\n");
+        let (r0, _) = syscalls(&task);
+        assert_eq!(call(&mut reader, &mut writer, "settle"), "ok\n");
+        let mut line = String::new();
+        held_reader
+            .read_line(&mut line)
+            .expect("the held client's reply within 1 s");
+        assert_eq!(line, "settled\n");
+        let (r1, _) = syscalls(&task);
+        assert_eq!(r1 - r0, 0, "settling on the thread read the waker");
+        drop((held_reader, held_writer, reader, writer));
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+    }
+
+    #[test]
+    fn pipelined_lines_over_four_read_chunks_all_get_replies_in_order() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "test-io");
+        let (mut reader, mut writer) = client(addr);
+        // 4096 lines of 16 bytes: one write of 4 × READ_CHUNK.
+        let lines = 4 * READ_CHUNK / 16;
+        let mut burst = String::new();
+        for i in 0..lines {
+            burst.push_str(&format!("echo {i:010}\n"));
+        }
+        assert_eq!(burst.len(), 4 * READ_CHUNK);
+        let sender = thread::spawn(move || writer.write_all(burst.as_bytes()).map(|_| writer));
+        let mut line = String::new();
+        for i in 0..lines {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line, format!("{i:010}\n"));
+        }
+        drop((reader, sender.join().unwrap().unwrap()));
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+    }
+
+    #[test]
+    fn a_last_line_then_a_half_close_gets_its_reply_then_the_close() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "test-io");
+        let (mut reader, mut writer) = client(addr);
+        writer.write_all(b"echo last\n").unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest, "last\n", "the reply, then EOF");
+        wait_for("the close", || {
+            handler.counters.open.load(Ordering::Relaxed) == 0
+        });
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+    }
+
+    #[test]
+    fn an_outbound_peer_that_replies_and_closes_delivers_the_line_then_one_notice() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, _) = start(&handler, "test-io");
+        let (ours, mut theirs) = socket_pair();
+        let _up = io.adopt(ours, 5);
+        theirs.write_all(b"bye\n").unwrap();
+        drop(theirs);
+        wait_for("close notice", || handler.closed.load(Ordering::SeqCst) > 0);
+        // Lines are handed over on the thread that closes: the line
+        // came first or not at all.
+        assert_eq!(*handler.lines.lock().unwrap(), vec![(5, "bye".into())]);
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+        assert_eq!(handler.closed.load(Ordering::SeqCst), 1);
+    }
+
     #[test]
     fn a_reset_outbound_connection_closes_once_and_refuses_later_sends() {
         let handler = Arc::new(Forwarder::default());
-        let (io, _) = start(&handler);
+        let (io, _) = start(&handler, "test-io");
         let (ours, mut theirs) = socket_pair();
         let up = io.adopt(ours, 7);
         // Both halves work, and the connection counts as no client.
@@ -1171,7 +1467,7 @@ mod tests {
             payload: "x".repeat(256 * 1024),
             ..Forwarder::default()
         });
-        let (io, addr) = start(&handler);
+        let (io, addr) = start(&handler, "test-io");
         // The peer's end is held open and never read.
         let (ours, _theirs) = socket_pair();
         *handler.upstream.lock().unwrap() = Some(io.adopt(ours, 0));
@@ -1204,7 +1500,7 @@ mod tests {
     #[test]
     fn a_drain_keeps_outbound_connections_until_no_client_is_left() {
         let handler = Arc::new(Forwarder::default());
-        let (io, addr) = start(&handler);
+        let (io, addr) = start(&handler, "test-io");
         let (ours, mut theirs) = socket_pair();
         let _up = io.adopt(ours, 3);
         let mut client = TcpStream::connect(addr).unwrap();

@@ -8,11 +8,16 @@
 //! * [`Poller`] — readiness registration and waiting.  On Linux it is
 //!   an `epoll` instance (level-triggered, interest recomputed
 //!   explicitly by the owner); elsewhere it degrades to a `poll(2)`
-//!   sweep over the registered set.  Tokens are plain `u64`s chosen by
-//!   the caller (the I/O threads use slab indices).
+//!   sweep over the registered set.  Both report an fd again while it
+//!   stays ready, so an owner may stop reading after a short read.
+//!   Tokens are plain `u64`s chosen by the caller (the I/O threads use
+//!   slab indices).
 //! * [`Waker`] — a nonblocking self-pipe plus a collapsing flag, so
-//!   any thread can pull a [`Poller::wait`] out of its sleep exactly
-//!   once per batch of notifications no matter how many arrive.
+//!   any other thread can pull a [`Poller::wait`] out of its sleep
+//!   exactly once per batch of notifications no matter how many
+//!   arrive.  The poller's own thread has no use for it: the
+//!   connection loop handles what that thread settles before it waits
+//!   again.
 //! * [`LineReader`] — the per-connection NDJSON state machine:
 //!   incremental line scanning over freshly-read bytes with a pooled
 //!   carry buffer for partial lines, `max_line` enforced *in the state
@@ -381,6 +386,8 @@ pub use sys::Poller;
 /// read end is registered like any other fd.  Redundant wakes collapse
 /// onto one pending byte, so a storm of reply completions costs one
 /// `write(2)` and one `read(2)` per poll cycle, not one per reply.
+/// [`crate::eventloop`] rings it only from threads other than the
+/// loop's own; a reply the loop's thread settles costs no wake.
 pub struct Waker {
     read_fd: RawFd,
     write_fd: RawFd,

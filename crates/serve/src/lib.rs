@@ -19,7 +19,9 @@
 //!   with pooled carry buffers, per-connection pipelining windows,
 //!   bounded outbound queues drained by vectored writes, an idle sweep
 //!   that closes dribbling connections, and a self-pipe waker for
-//!   replies settled on other threads.  No thread per connection: the
+//!   replies settled on other threads (a reply an I/O thread settles
+//!   itself is written before it next polls, with no wake).  No
+//!   thread per connection: the
 //!   thread census at 10 000 open connections equals the census at
 //!   ten.  The loop takes a per-tier line handler, and both tiers run
 //!   on it: [`server`] for `gtree serve` and `gt-router` for its
