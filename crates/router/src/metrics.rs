@@ -486,6 +486,12 @@ pub(crate) const ROUTER_FAMILIES: &[Family<RouterView>] = &[
         |v| per_replica(v, |r| Value::from(&r.counters.probe_failures)),
     ),
     gauge(
+        "router_replica_connected",
+        "replicas[].connected",
+        "1 while the router holds the member's connection, else 0.",
+        |v| per_replica(v, |r| Value::from(u64::from(r.connected()))),
+    ),
+    gauge(
         "router_replica_inflight",
         "replicas[].inflight",
         "Requests awaiting a reply per replica.",

@@ -25,18 +25,21 @@
 //! Replica connections run on the same loop and the same two I/O
 //! threads, adopted as outbound connections: a send only enqueues, so
 //! no thread ever waits on a replica.  A request that finds no
-//! connected replica with window room waits on the pacer while some
-//! member of its route is routable, and is shed only when none is.
+//! connected replica with window room waits (a timer, [`ROOM_WAIT`])
+//! while some member of its route is routable, and is shed only when
+//! none is.
 //!
 //! ## Control path
 //!
 //! A background prober drives each replica's health machine (see
 //! [`crate::health`] — data-path errors never touch health) and, after
 //! a probe that succeeds, reconnects a member whose connection is
-//! down.  A pacer thread fires deferred retries, hedges, re-sends of
-//! waiting requests, and a last-resort expiry for every relay and
-//! every split plan.  When a replica's connection closes, its close
-//! notice re-dispatches every request orphaned on it.
+//! down.  Deferred retries, hedges, re-sends of waiting requests, and
+//! a last-resort expiry for every relay and every split plan are
+//! timers on the client's connection ([`ConnReply::schedule`]): each
+//! fires on that connection's I/O thread, so what it answers leaves
+//! with no wake.  When a replica's connection closes, its close notice
+//! re-dispatches every request orphaned on it.
 
 use crate::hash;
 use crate::health::{tier_route, HealthMachine, HealthPolicy};
@@ -45,14 +48,13 @@ use crate::metrics::{ReplicaCounters, RouterMetrics, RouterView, ROUTER_FAMILIES
 use crate::split::{plan_levels, Dispatch, Effects, FailKind, Outcome, SplitConfig, SplitMachine};
 use crate::trace::{SpanRecorder, TraceHandle, ROOT_SPAN};
 use gt_analysis::Json;
-use gt_serve::deadline::{Answerable, DeadlineHeap};
-use gt_serve::eventloop::{ConnCounters, ConnReply, IoLoop, LineHandler, LoopConfig};
+use gt_serve::deadline::Answerable;
+use gt_serve::eventloop::{ConnCounters, ConnReply, IoLoop, LineHandler, LoopConfig, Timer};
 use gt_serve::protocol::{
     error_line, error_line_with, ok_line, ErrorCode, Op, Request, Response, TraceContext,
     PROTOCOL_VERSION,
 };
 use gt_serve::registry::{prometheus_text, stats_json, Stats};
-use gt_serve::trace::{spawn_metrics_listener, MetricsListener};
 use gt_serve::workload;
 use gt_tree::split::{path_text, SubtreeSpec};
 use gt_tree::Value;
@@ -60,18 +62,17 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The pacer's longest sleep, so it sees its stop flag at least this
-/// often.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// How long a request that found no connected upstream with room
 /// waits before it walks its route again: a tenth of the default probe
 /// interval, within which a replica that comes back is reconnected.
 const ROOM_WAIT: Duration = Duration::from_millis(10);
+
+/// The router's own 408: a deadline passed with no upstream answer.
+const EXPIRED: &str = "deadline expired in router";
 
 /// Slack past a relay's deadline before the router answers `timeout`
 /// locally.  Within the slack the upstream — which was handed the same
@@ -225,6 +226,11 @@ impl Replica {
         self.upstream().pending.len() as u64
     }
 
+    /// Whether the router holds this member's write half.
+    pub(crate) fn connected(&self) -> bool {
+        self.upstream().conn.is_some()
+    }
+
     fn upstream(&self) -> MutexGuard<'_, Upstream> {
         self.upstream.lock().expect("upstream holders never panic")
     }
@@ -240,8 +246,8 @@ struct OutstandingEntry {
 }
 
 /// One client request in flight through the router.  Shared by the
-/// client's I/O thread (creation), the replica connections' I/O
-/// threads (replies), and the pacer (retries/hedges/expiry);
+/// client's I/O thread (creation, and its timers: retries, hedges,
+/// expiry) and the replica connections' I/O threads (replies);
 /// `answered` is the single claim that guarantees exactly one reply
 /// line reaches the client.
 struct Relay {
@@ -283,36 +289,38 @@ impl Relay {
 }
 
 // ---------------------------------------------------------------------------
-// Pacer: one thread, one min-heap of deferred actions.
+// Timers: deferred actions on the client's connection.
 // ---------------------------------------------------------------------------
 
-enum Action {
-    /// Launch the hedge copy if still unanswered.
-    Hedge,
-    /// Last resort: answer `timeout` locally so the client window is
-    /// always released, even with a wedged upstream.
-    Expire,
-}
-
-/// What a pacer entry fires on.
+/// What a timer fires on.
 enum Target {
-    /// A relayed request, and what to do to it.
-    Relay(Weak<Relay>, Action),
+    /// Launch a relay's hedge copy if it is still unanswered.
+    Hedge(Weak<Relay>),
+    /// Last resort: answer a relay `timeout` locally, so the client
+    /// window is always released, even with a wedged upstream.
+    Expire(Weak<Relay>),
     /// A relay to dispatch again: after a busy backoff, or once it has
-    /// waited for a connected upstream with room.  The entry owns the
+    /// waited for a connected upstream with room.  The timer owns the
     /// relay until then.
     Resend(Arc<Relay>, AttemptKind),
     /// A split plan's deadline: fail it with `timeout` if unanswered.
     Plan(Weak<ActivePlan>),
     /// A subeval waiting for a connected upstream with room: send it
-    /// again.  The entry owns the subeval until then.
+    /// again.  The timer owns the subeval until then.
     Sub(Arc<SubFlight>),
 }
 
-impl Answerable for Target {
+/// A [`Target`] due at some instant, scheduled on the connection of
+/// the client it answers, so it fires on that client's I/O thread.
+struct Deferred {
+    inner: Arc<Inner>,
+    target: Target,
+}
+
+impl Answerable for Deferred {
     fn answered(&self) -> bool {
-        match self {
-            Target::Relay(relay, _) => relay
+        match &self.target {
+            Target::Hedge(relay) | Target::Expire(relay) => relay
                 .upgrade()
                 .is_none_or(|r| r.answered.load(Ordering::SeqCst)),
             Target::Resend(relay, _) => relay.answered.load(Ordering::SeqCst),
@@ -324,40 +332,39 @@ impl Answerable for Target {
     }
 }
 
-struct Pacer {
-    heap: Mutex<DeadlineHeap<Target>>,
-    cv: Condvar,
-    stop: AtomicBool,
+impl Timer for Deferred {
+    fn fire(self: Box<Self>) {
+        let Deferred { inner, target } = *self;
+        match target {
+            Target::Hedge(relay) => {
+                if let Some(relay) = relay.upgrade() {
+                    if !relay.hedged.swap(true, Ordering::SeqCst) {
+                        RouterMetrics::bump(&inner.metrics.hedges);
+                        dispatch_attempt(&inner, &relay, AttemptKind::Hedge);
+                    }
+                }
+            }
+            Target::Expire(relay) => {
+                if let Some(relay) = relay.upgrade() {
+                    settle_local(&inner, &relay, ErrorCode::Timeout, EXPIRED, Vec::new());
+                }
+            }
+            Target::Resend(relay, kind) => dispatch_attempt(&inner, &relay, kind),
+            Target::Plan(plan) => {
+                if let Some(plan) = plan.upgrade() {
+                    fail_plan(&inner, &plan, FailKind::Timeout, EXPIRED);
+                }
+            }
+            Target::Sub(sf) => resend_sub(&inner, &sf),
+        }
+    }
 }
 
-impl Pacer {
-    fn new() -> Pacer {
-        Pacer {
-            heap: Mutex::new(DeadlineHeap::default()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-        }
-    }
-
-    /// Queue `target` to fire at `due`.  The pacer thread is woken
-    /// only when the new entry is the earliest; a later one is already
-    /// covered by the timer it sleeps on.  Answered entries are swept
-    /// as the heap grows (see [`DeadlineHeap`]).
-    fn schedule(&self, due: Instant, target: Target) {
-        if self
-            .heap
-            .lock()
-            .expect("pacer lock poisoned")
-            .push(due, target)
-        {
-            self.cv.notify_one();
-        }
-    }
-
-    fn halt(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
-    }
+/// Fire `target` at `due` on the I/O thread of `conn`, the connection
+/// of the client it answers.
+fn defer(inner: &Arc<Inner>, conn: &ConnReply, due: Instant, target: Target) {
+    let inner = Arc::clone(inner);
+    conn.schedule(due, Box::new(Deferred { inner, target }));
 }
 
 // ---------------------------------------------------------------------------
@@ -381,7 +388,6 @@ pub(crate) struct Inner {
     joins: Mutex<Vec<(Request, Arc<ConnReply>)>>,
     pub(crate) metrics: RouterMetrics,
     pub(crate) recorder: SpanRecorder,
-    pacer: Pacer,
     seq: AtomicU64,
     /// Client-facing drain flag: stop accepting, reject new evals.
     draining: AtomicBool,
@@ -640,20 +646,15 @@ impl AttemptKind {
 ///
 /// A walk that places nothing leaves the request to a copy still
 /// racing, if there is one (a hedge is then simply not sent).
-/// Otherwise the request waits on the pacer while some member of its
-/// route is routable, as a subeval does, and is shed once none is.
-fn dispatch_attempt(inner: &Inner, relay: &Arc<Relay>, kind: AttemptKind) {
+/// Otherwise the request waits [`ROOM_WAIT`] and walks again while
+/// some member of its route is routable, as a subeval does, and is
+/// shed once none is.
+fn dispatch_attempt(inner: &Arc<Inner>, relay: &Arc<Relay>, kind: AttemptKind) {
     if relay.answered.load(Ordering::SeqCst) {
         return;
     }
     if Instant::now() >= relay.deadline {
-        settle_local(
-            inner,
-            relay,
-            ErrorCode::Timeout,
-            "deadline expired in router",
-            Vec::new(),
-        );
+        settle_local(inner, relay, ErrorCode::Timeout, EXPIRED, Vec::new());
         return;
     }
     let reps = inner.members();
@@ -709,10 +710,8 @@ fn dispatch_attempt(inner: &Inner, relay: &Arc<Relay>, kind: AttemptKind) {
         return;
     }
     if relay.route.iter().any(|&i| reps[i].routable()) {
-        inner.pacer.schedule(
-            Instant::now() + ROOM_WAIT,
-            Target::Resend(Arc::clone(relay), kind),
-        );
+        let resend = Target::Resend(Arc::clone(relay), kind);
+        defer(inner, &relay.conn, Instant::now() + ROOM_WAIT, resend);
         return;
     }
     fail_unrouted(inner, relay);
@@ -753,7 +752,7 @@ fn send_upstream(
 
 /// Schedule a deferred re-dispatch after a busy reply, biased by the
 /// upstream's own estimate of when its backlog will have drained.
-fn schedule_retry(inner: &Inner, relay: &Arc<Relay>, hint_ms: Option<u64>) {
+fn schedule_retry(inner: &Arc<Inner>, relay: &Arc<Relay>, hint_ms: Option<u64>) {
     if relay.answered.load(Ordering::SeqCst) {
         return;
     }
@@ -767,32 +766,26 @@ fn schedule_retry(inner: &Inner, relay: &Arc<Relay>, hint_ms: Option<u64>) {
         .clamp(1, 250);
     let due = Instant::now() + Duration::from_millis(backoff);
     if due >= relay.deadline {
-        settle_local(
-            inner,
-            relay,
-            ErrorCode::Timeout,
-            "deadline expired in router",
-            Vec::new(),
-        );
+        settle_local(inner, relay, ErrorCode::Timeout, EXPIRED, Vec::new());
         return;
     }
-    inner
-        .pacer
-        .schedule(due, Target::Resend(Arc::clone(relay), AttemptKind::Retry));
+    let retry = Target::Resend(Arc::clone(relay), AttemptKind::Retry);
+    defer(inner, &relay.conn, due, retry);
 }
 
-/// Put a freshly built relay in flight: queue its expiry (and hedge)
-/// on the pacer, then make the first attempt.
-fn launch_relay(inner: &Inner, relay: &Arc<Relay>) {
-    inner.pacer.schedule(
-        relay.deadline + EXPIRE_GRACE,
-        Target::Relay(Arc::downgrade(relay), Action::Expire),
-    );
+/// Put a freshly built relay in flight: schedule its expiry (and
+/// hedge) on the client's connection, then make the first attempt.
+fn launch_relay(inner: &Arc<Inner>, relay: &Arc<Relay>) {
+    let expire = Target::Expire(Arc::downgrade(relay));
+    defer(inner, &relay.conn, relay.deadline + EXPIRE_GRACE, expire);
     if let Some(hedge_ms) = inner.config.hedge_ms {
         if relay.route.len() > 1 {
-            inner.pacer.schedule(
+            let hedge = Target::Hedge(Arc::downgrade(relay));
+            defer(
+                inner,
+                &relay.conn,
                 relay.start + Duration::from_millis(hedge_ms),
-                Target::Relay(Arc::downgrade(relay), Action::Hedge),
+                hedge,
             );
         }
     }
@@ -934,7 +927,7 @@ fn answer_plan(inner: &Inner, plan: &ActivePlan, outcome: &Outcome) {
 
 /// Fail the plan: feed the machine (so late arrivals count as
 /// discards) and answer the client.
-fn fail_plan(inner: &Inner, plan: &Arc<ActivePlan>, kind: FailKind, message: &str) {
+fn fail_plan(inner: &Arc<Inner>, plan: &Arc<ActivePlan>, kind: FailKind, message: &str) {
     let fx = plan.machine.lock().unwrap().on_fail(kind, message);
     apply_effects(inner, plan, fx);
 }
@@ -942,7 +935,7 @@ fn fail_plan(inner: &Inner, plan: &Arc<ActivePlan>, kind: FailKind, message: &st
 /// Carry out what a machine event asked for: cutoff counters, new
 /// subeval dispatches, or the terminal answer.  Always called with the
 /// machine lock released — dispatch does socket writes.
-fn apply_effects(inner: &Inner, plan: &Arc<ActivePlan>, fx: Effects) {
+fn apply_effects(inner: &Arc<Inner>, plan: &Arc<ActivePlan>, fx: Effects) {
     if fx.skipped > 0 {
         inner
             .metrics
@@ -984,7 +977,7 @@ fn apply_effects(inner: &Inner, plan: &Arc<ActivePlan>, fx: Effects) {
 
 /// Route one fresh subeval by rendezvous hash on its subtree key and
 /// put it on the wire.
-fn dispatch_new_sub(inner: &Inner, plan: &Arc<ActivePlan>, d: Dispatch) {
+fn dispatch_new_sub(inner: &Arc<Inner>, plan: &Arc<ActivePlan>, d: Dispatch) {
     // The routing key deliberately omits the window: re-dispatches
     // re-stamp the window from the live aggregator, and the subtree
     // keeps its replica (cache) affinity across that.
@@ -1006,10 +999,10 @@ fn dispatch_new_sub(inner: &Inner, plan: &Arc<ActivePlan>, d: Dispatch) {
 /// Walk the subflight's route from its cursor until a replica takes
 /// the subeval; once the plan is answered, nothing more goes out.
 /// When no member has a connected upstream with window room, the
-/// subeval waits on the pacer and tries again (see [`resend_sub`]) as
+/// subeval waits [`ROOM_WAIT`] and tries again (see [`resend_sub`]) as
 /// long as some member of its route is routable.  Once none is, the
 /// whole plan fails — a missing child value cannot be folded around.
-fn send_sub(inner: &Inner, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'static str) {
+fn send_sub(inner: &Arc<Inner>, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'static str) {
     if sf.plan.answered.load(Ordering::SeqCst) {
         if kind == "subeval" {
             // A first dispatch the plan's answer overtook (a naive plan
@@ -1069,11 +1062,10 @@ fn send_sub(inner: &Inner, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'stati
     if sf.route.iter().any(|&i| reps[i].routable()) {
         // A member that is not ejected is reconnecting or has a full
         // window.  Waiting for it spends no retry budget, as a dead
-        // connection's orphans spend none; the plan's deadline entry
+        // connection's orphans spend none; the plan's deadline timer
         // still answers 408 if nothing comes back in time.
-        inner
-            .pacer
-            .schedule(Instant::now() + ROOM_WAIT, Target::Sub(Arc::clone(sf)));
+        let resend = Target::Sub(Arc::clone(sf));
+        defer(inner, &sf.plan.conn, Instant::now() + ROOM_WAIT, resend);
         return;
     }
     fail_plan(
@@ -1087,7 +1079,7 @@ fn send_sub(inner: &Inner, sf: &Arc<SubFlight>, sub: &SubtreeSpec, kind: &'stati
 /// A subeval bounced off a busy replica: re-stamp the window from the
 /// live aggregator and walk on down the hash order, bounded by the
 /// retry budget.
-fn retry_sub(inner: &Inner, sf: &Arc<SubFlight>) {
+fn retry_sub(inner: &Arc<Inner>, sf: &Arc<SubFlight>) {
     let n = sf.busy_retries.fetch_add(1, Ordering::SeqCst) + 1;
     if n > inner.config.retries {
         fail_plan(inner, &sf.plan, FailKind::Busy, "subeval retries exhausted");
@@ -1112,7 +1104,7 @@ fn retry_sub(inner: &Inner, sf: &Arc<SubFlight>) {
 /// A subeval's connection died with it in flight, or it waited out
 /// [`ROOM_WAIT`] for one: send it again under the level's current
 /// window, unbudgeted — the route walk is how a live replica is found.
-fn resend_sub(inner: &Inner, sf: &Arc<SubFlight>) {
+fn resend_sub(inner: &Arc<Inner>, sf: &Arc<SubFlight>) {
     if sf.plan.answered.load(Ordering::SeqCst) {
         return;
     }
@@ -1131,7 +1123,7 @@ fn resend_sub(inner: &Inner, sf: &Arc<SubFlight>) {
 
 /// An upstream reply matched a subeval: feed the machine and carry out
 /// what it wants.
-fn handle_sub_reply(inner: &Inner, replica: &Replica, sf: &Arc<SubFlight>, resp: &Response) {
+fn handle_sub_reply(inner: &Arc<Inner>, replica: &Replica, sf: &Arc<SubFlight>, resp: &Response) {
     if let Some(h) = &sf.plan.trace {
         let span = sf.span.load(Ordering::SeqCst);
         if span != 0 {
@@ -1184,7 +1176,12 @@ fn handle_sub_reply(inner: &Inner, replica: &Replica, sf: &Arc<SubFlight>, resp:
 /// Decide whether this eval splits across the fleet.  Returns `true`
 /// if the request was consumed (plan launched, or rejected with an
 /// error); `false` to fall through to whole-eval relaying.
-fn start_split_plan(inner: &Inner, conn: &Arc<ConnReply>, req: &Request, spec_c: &str) -> bool {
+fn start_split_plan(
+    inner: &Arc<Inner>,
+    conn: &Arc<ConnReply>,
+    req: &Request,
+    spec_c: &str,
+) -> bool {
     let Some(threshold) = inner.config.split.cost_threshold else {
         return false;
     };
@@ -1243,11 +1240,9 @@ fn start_split_plan(inner: &Inner, conn: &Arc<ConnReply>, req: &Request, spec_c:
     });
     RouterMetrics::bump(&inner.metrics.splits_total);
     inner.metrics.record_split_depth(depth as u64);
-    // The same last-resort expiry a relay gets, on the same heap.
-    inner.pacer.schedule(
-        plan.deadline + EXPIRE_GRACE,
-        Target::Plan(Arc::downgrade(&plan)),
-    );
+    // The same last-resort expiry a relay gets.
+    let expire = Target::Plan(Arc::downgrade(&plan));
+    defer(inner, &plan.conn, plan.deadline + EXPIRE_GRACE, expire);
     apply_effects(inner, &plan, fx);
     true
 }
@@ -1276,7 +1271,7 @@ fn connect_to(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 /// re-dispatch the ones with no other copy still racing.  This is the
 /// connection's close notice from the loop, so it runs once per
 /// connection, after its last reply.
-fn conn_died(inner: &Inner, replica: &Replica) {
+fn conn_died(inner: &Arc<Inner>, replica: &Replica) {
     let orphans: Vec<(u64, PendingReply)> = {
         let mut up = replica.upstream();
         up.conn = None;
@@ -1313,7 +1308,7 @@ fn conn_died(inner: &Inner, replica: &Replica) {
     }
 }
 
-fn handle_reply(inner: &Inner, replica: &Replica, line: &str) {
+fn handle_reply(inner: &Arc<Inner>, replica: &Replica, line: &str) {
     let Ok(resp) = Response::parse(line) else {
         RouterMetrics::bump(&inner.metrics.stale_replies);
         return;
@@ -1454,80 +1449,6 @@ fn probe_loop(inner: Arc<Inner>, io: Arc<IoLoop>) {
 }
 
 // ---------------------------------------------------------------------------
-// Pacer thread.
-// ---------------------------------------------------------------------------
-
-fn pacer_loop(inner: Arc<Inner>) {
-    loop {
-        let target = {
-            let mut heap = inner.pacer.heap.lock().expect("pacer lock poisoned");
-            loop {
-                if inner.pacer.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let now = Instant::now();
-                if let Some(target) = heap.pop_due(now) {
-                    break target;
-                }
-                let wait = heap
-                    .next_due()
-                    .map_or(POLL_INTERVAL, |due| (due - now).min(POLL_INTERVAL));
-                (heap, _) = inner
-                    .pacer
-                    .cv
-                    .wait_timeout(heap, wait)
-                    .expect("pacer lock poisoned");
-            }
-        };
-        let (relay, action) = match target {
-            Target::Relay(relay, action) => (relay, action),
-            Target::Resend(relay, kind) => {
-                dispatch_attempt(&inner, &relay, kind);
-                continue;
-            }
-            Target::Plan(plan) => {
-                if let Some(plan) = plan.upgrade() {
-                    if !plan.answered.load(Ordering::SeqCst) {
-                        fail_plan(
-                            &inner,
-                            &plan,
-                            FailKind::Timeout,
-                            "deadline expired in router",
-                        );
-                    }
-                }
-                continue;
-            }
-            Target::Sub(sf) => {
-                resend_sub(&inner, &sf);
-                continue;
-            }
-        };
-        let Some(relay) = relay.upgrade() else {
-            continue;
-        };
-        if relay.answered.load(Ordering::SeqCst) {
-            continue;
-        }
-        match action {
-            Action::Hedge => {
-                if !relay.hedged.swap(true, Ordering::SeqCst) {
-                    RouterMetrics::bump(&inner.metrics.hedges);
-                    dispatch_attempt(&inner, &relay, AttemptKind::Hedge);
-                }
-            }
-            Action::Expire => settle_local(
-                &inner,
-                &relay,
-                ErrorCode::Timeout,
-                "deadline expired in router",
-                Vec::new(),
-            ),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Client connections.
 // ---------------------------------------------------------------------------
 
@@ -1573,7 +1494,7 @@ fn relay_target(req: &Request) -> Result<(String, Request), String> {
 /// hedging and expiry.  An eval above the split threshold is not
 /// relayed at all: the split planner scatters subevals across the
 /// fleet and the router itself aggregates the answer.
-fn route_request(inner: &Inner, conn: &Arc<ConnReply>, req: Request) {
+fn route_request(inner: &Arc<Inner>, conn: &Arc<ConnReply>, req: Request) {
     RouterMetrics::bump(&inner.metrics.requests);
     if inner.draining.load(Ordering::SeqCst) {
         RouterMetrics::bump(&inner.metrics.draining);
@@ -1860,6 +1781,10 @@ impl LineHandler for Inner {
     fn outbound_closed(inner: &Arc<Inner>, peer: usize) {
         conn_died(inner, &inner.members()[peer]);
     }
+
+    fn metrics_text(inner: &Arc<Inner>) -> String {
+        prometheus_text(ROUTER_FAMILIES, &RouterView::of(inner))
+    }
 }
 
 /// Answer `op:"trace"`: one assembled tree by id (active or finished),
@@ -1904,15 +1829,14 @@ fn stats_of(inner: &Arc<Inner>) -> Stats {
 // The Router handle.
 // ---------------------------------------------------------------------------
 
-/// A running router: the connection loop for its clients and
-/// replicas, prober, pacer, and any replicas it spawned itself.
+/// A running router: the connection loop for its clients, replicas
+/// and scrapes, the prober, and any replicas it spawned itself.
 pub struct Router {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
     io: Arc<IoLoop>,
-    pacer_thread: Option<JoinHandle<()>>,
     probe_thread: Option<JoinHandle<()>>,
-    metrics_listener: Option<MetricsListener>,
+    metrics_addr: Option<SocketAddr>,
     spawned: Vec<gt_serve::Server>,
 }
 
@@ -1961,7 +1885,6 @@ impl Router {
             member_lock: Mutex::new(()),
             joins: Mutex::new(Vec::new()),
             metrics: RouterMetrics::default(),
-            pacer: Pacer::new(),
             seq: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             stop_probe: AtomicBool::new(false),
@@ -1969,12 +1892,16 @@ impl Router {
             recorder,
         });
 
-        let pacer_thread = {
-            let inner2 = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("gt-router-pacer".into())
-                .spawn(move || pacer_loop(inner2))?
-        };
+        let metrics_listener = inner
+            .config
+            .metrics_addr
+            .as_deref()
+            .map(TcpListener::bind)
+            .transpose()?;
+        let metrics_addr = metrics_listener
+            .as_ref()
+            .map(TcpListener::local_addr)
+            .transpose()?;
         let io = Arc::new(IoLoop::spawn(
             listener,
             LoopConfig {
@@ -1982,6 +1909,7 @@ impl Router {
                 threads: IO_THREADS,
                 window: inner.config.client_window,
                 idle_timeout: None,
+                metrics: metrics_listener,
             },
             Arc::clone(&inner),
         )?);
@@ -1996,23 +1924,12 @@ impl Router {
                 .spawn(move || probe_loop(inner2, io2))?
         };
         let _ = inner.prober.set(probe_thread.thread().clone());
-        let metrics_listener = match inner.config.metrics_addr.clone() {
-            Some(addr) => {
-                let inner2 = Arc::clone(&inner);
-                Some(spawn_metrics_listener(
-                    addr.as_str(),
-                    Arc::new(move || prometheus_text(ROUTER_FAMILIES, &RouterView::of(&inner2))),
-                )?)
-            }
-            None => None,
-        };
         Ok(Router {
             inner,
             local_addr,
             io,
-            pacer_thread: Some(pacer_thread),
             probe_thread: Some(probe_thread),
-            metrics_listener,
+            metrics_addr,
             spawned,
         })
     }
@@ -2039,7 +1956,7 @@ impl Router {
 
     /// The bound `/metrics` address, when the listener is enabled.
     pub fn metrics_listener_addr(&self) -> Option<SocketAddr> {
-        self.metrics_listener.as_ref().map(|l| l.local_addr())
+        self.metrics_addr
     }
 
     /// Begin a graceful drain: stop accepting, reject new evals,
@@ -2062,27 +1979,20 @@ impl Router {
 
     /// Drain and stop everything, in dependency order: the listener
     /// and client connections first (their windows guarantee every
-    /// accepted eval has been answered — the pacer, the prober and the
-    /// replica connections must still be alive for that), then the
-    /// replica connections, then the pacer and the prober, then owned
-    /// replicas.  Returns the final `stats`.
+    /// accepted eval has been answered — the io threads' timers, the
+    /// prober and the replica connections must still be alive for
+    /// that), then the replica connections and `/metrics`, then the
+    /// prober, then owned replicas.  Returns the final `stats`.
     pub fn join(mut self) -> Stats {
         self.inner.draining.store(true, Ordering::SeqCst);
         // The io threads drop the listener, hold each client connection
         // until its window empties and its replies are out, close the
         // replica connections once no client is left, then exit.
         self.io.join();
-        self.inner.pacer.halt();
-        if let Some(h) = self.pacer_thread.take() {
-            let _ = h.join();
-        }
         self.inner.stop_probe.store(true, Ordering::SeqCst);
         if let Some(h) = self.probe_thread.take() {
             h.thread().unpark();
             let _ = h.join();
-        }
-        if let Some(l) = self.metrics_listener.take() {
-            l.shutdown();
         }
         let snap = stats_of(&self.inner);
         for server in self.spawned.drain(..) {
@@ -2140,102 +2050,6 @@ mod tests {
         let rerouted = route_for(key, &table, &tiers);
         assert_eq!(rerouted[2], all_up[0]);
         assert_eq!(rerouted[..2], all_up[1..]);
-    }
-
-    #[test]
-    fn pacer_heap_pops_earliest_due_first() {
-        let now = Instant::now();
-        let mut heap = DeadlineHeap::default();
-        for (i, ms) in [30u64, 10, 20, 15].iter().enumerate() {
-            let target = if i % 2 == 0 {
-                Target::Relay(Weak::new(), Action::Hedge)
-            } else {
-                Target::Plan(Weak::new())
-            };
-            heap.push(now + Duration::from_millis(*ms), target);
-        }
-        let order: Vec<Instant> = std::iter::from_fn(|| {
-            let due = heap.next_due()?;
-            heap.pop_due(due).map(|_| due)
-        })
-        .collect();
-        assert_eq!(order.len(), 4);
-        assert!(order.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    fn test_relay(conn: &Arc<ConnReply>) -> Arc<Relay> {
-        let now = Instant::now();
-        Arc::new(Relay {
-            client_id: None,
-            upstream: Request::default(),
-            start: now,
-            deadline: now + Duration::from_secs(10),
-            route: Vec::new(),
-            cursor: AtomicUsize::new(0),
-            retries: AtomicU32::new(0),
-            hedged: AtomicBool::new(false),
-            answered: AtomicBool::new(false),
-            outstanding: Mutex::new(Vec::new()),
-            conn: Arc::clone(conn),
-            trace: None,
-        })
-    }
-
-    fn test_plan(conn: &Arc<ConnReply>, shape: &[crate::split::PlanLevel]) -> Arc<ActivePlan> {
-        let (machine, _) = SplitMachine::new(shape.to_vec(), &SplitConfig::default());
-        let now = Instant::now();
-        Arc::new(ActivePlan {
-            client_id: None,
-            spec_text: String::new(),
-            machine: Mutex::new(machine),
-            answered: AtomicBool::new(false),
-            start: now,
-            deadline: now + Duration::from_secs(10),
-            depth: shape.len(),
-            naive: false,
-            conn: Arc::clone(conn),
-            trace: None,
-            split_span: 0,
-        })
-    }
-
-    #[test]
-    fn answered_schedules_leave_the_pacer_heap_bounded() {
-        let conn = ConnReply::detached().unwrap();
-        let root = SubtreeSpec::whole(gt_tree::GenSpec::parse("worst:d=2,n=4").unwrap());
-        let shape = plan_levels(&root, 1, 1).unwrap().unwrap();
-        let pacer = Pacer::new();
-        let due = Instant::now() + Duration::from_secs(10);
-        // One relay and one plan stay unanswered: every sweep keeps them.
-        let open_relay = test_relay(&conn);
-        let open_plan = test_plan(&conn, &shape);
-        pacer.schedule(
-            due,
-            Target::Relay(Arc::downgrade(&open_relay), Action::Expire),
-        );
-        pacer.schedule(due, Target::Plan(Arc::downgrade(&open_plan)));
-        // Thousands answered well before their expiry, half of them
-        // still referenced elsewhere and half already dropped.
-        let mut alive = Vec::new();
-        for i in 0..4_000 {
-            let relay = test_relay(&conn);
-            pacer.schedule(due, Target::Relay(Arc::downgrade(&relay), Action::Expire));
-            relay.answered.store(true, Ordering::SeqCst);
-            let plan = test_plan(&conn, &shape);
-            pacer.schedule(due, Target::Plan(Arc::downgrade(&plan)));
-            plan.answered.store(true, Ordering::SeqCst);
-            if i % 2 == 0 {
-                alive.push((relay, plan));
-            }
-        }
-        let heap = pacer.heap.lock().unwrap();
-        assert!(
-            heap.len() <= 2 * gt_serve::deadline::SWEEP_FLOOR,
-            "heap holds {} entries for 2 open requests",
-            heap.len()
-        );
-        let open = heap.iter().filter(|t| !t.answered()).count();
-        assert_eq!(open, 2, "a sweep dropped an unanswered entry");
     }
 
     #[test]

@@ -108,9 +108,9 @@ struct TraceState {
 }
 
 /// One traced request's span tree, shared by everything that touches
-/// the request (the io threads of its client and of its replicas, and
-/// the pacer).  All methods
-/// take the internal lock briefly; none call out while holding it.
+/// the request (the io threads of its client, whose timers fire there
+/// too, and of its replicas).  All methods take the internal lock
+/// briefly; none call out while holding it.
 pub struct TraceHandle {
     pub trace_id: String,
     started: Instant,

@@ -1,17 +1,16 @@
-//! A min-heap of deadlines for one timer thread.
+//! A min-heap of deadlines: the timers of one I/O thread.
 //!
-//! The replica's deadline reaper ([`crate::server`]) and the router's
-//! pacer each keep one thread asleep on the earliest entry of a
-//! [`DeadlineHeap`].  An entry's weak handle pins its request's
-//! allocation until the entry pops, yet most requests are answered
-//! long before they are due, so [`DeadlineHeap::push`] drops the
-//! answered entries whenever the heap has doubled since the last
-//! sweep: the heap stays proportional to the requests still
-//! outstanding, at O(1) amortized cost per push.  `push` also reports
-//! whether the new entry is the earliest, the only case in which the
-//! sleeping thread must be woken.  A sweep only removes entries, so at
-//! worst it leaves the thread a stale timer that fires, finds nothing
-//! due, and re-arms.
+//! Each thread of the connection loop ([`crate::eventloop`]) keeps one
+//! [`DeadlineHeap`] of the timers scheduled on its connections and
+//! sleeps in its poll no longer than until the earliest entry.  An
+//! entry's handle may pin its request's allocation until the entry
+//! pops, yet most requests are answered long before they are due, so
+//! [`DeadlineHeap::push`] drops the answered entries whenever the heap
+//! has doubled since the last sweep: the heap stays proportional to
+//! the requests still outstanding, at O(1) amortized cost per push.
+//! `push` also reports whether the new entry is the earliest.  A sweep
+//! only removes entries, so at worst it leaves the thread a wake that
+//! finds nothing due.
 
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -63,13 +62,19 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-impl<T> Default for DeadlineHeap<T> {
-    fn default() -> Self {
+impl<T> DeadlineHeap<T> {
+    pub const fn new() -> Self {
         DeadlineHeap {
             heap: BinaryHeap::new(),
             swept_len: SWEEP_FLOOR,
             seq: 0,
         }
+    }
+}
+
+impl<T> Default for DeadlineHeap<T> {
+    fn default() -> Self {
+        DeadlineHeap::new()
     }
 }
 
@@ -82,10 +87,15 @@ impl<T: Answerable> DeadlineHeap<T> {
         let seq = self.seq;
         self.heap.push(Entry { due, seq, item });
         if self.heap.len() >= 2 * self.swept_len {
-            self.heap.retain(|e| !e.item.answered());
-            self.swept_len = self.heap.len().max(SWEEP_FLOOR);
+            self.sweep();
         }
         self.heap.peek().is_some_and(|top| top.seq == seq)
+    }
+
+    /// Drop every answered entry.
+    pub fn sweep(&mut self) {
+        self.heap.retain(|e| !e.item.answered());
+        self.swept_len = self.heap.len().max(SWEEP_FLOOR);
     }
 
     /// Remove and return the earliest item if it is due by `now`.
@@ -108,11 +118,6 @@ impl<T: Answerable> DeadlineHeap<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// The queued items, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.heap.iter().map(|e| &e.item)
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +136,7 @@ mod tests {
     #[test]
     fn push_reports_a_new_earliest_entry_and_pops_in_deadline_order() {
         let now = Instant::now();
-        let mut heap = DeadlineHeap::default();
+        let mut heap = DeadlineHeap::new();
         let mut earliest = Vec::new();
         for ms in [30u64, 10, 20, 10, 5] {
             earliest.push(heap.push(now + Duration::from_millis(ms), Open));

@@ -2,15 +2,19 @@
 //! and `gtree route` for its clients and its replicas.
 //!
 //! ```text
-//! I/O threads (fixed pool, epoll loops; thread 0 owns the listener)
+//! I/O threads (fixed pool, epoll loops; thread 0 owns the listeners)
 //!   ├─ accept──▶ conns distributed round-robin across the pool
+//!   ├─ scrape──▶ /metrics conns kept on thread 0, one response each
 //!   ├─ adopt───▶ outbound conns placed round-robin across the pool
 //!   ├─ readable──▶ per-conn line state machine ──▶ LineHandler::line
 //!   │                                  (outbound: LineHandler::outbound_line)
 //!   ├─ wakeups──▶ flush outbound queues, resume parsing
+//!   ├─ timers───▶ after the events: fire every due Timer
 //!   └─ listed───▶ before each poll: flush what this thread enqueued
 //! owning I/O thread ──ConnReply::enqueue / release_slot──▶ listed
 //! any other thread  ──ConnReply::enqueue / release_slot──▶ owner woken
+//! owning I/O thread ──ConnReply::schedule──▶ its own timer heap
+//! any other thread  ──ConnReply::schedule──▶ owner woken, heap pushed
 //! ```
 //!
 //! A connection never owns a thread.  Each one is a small state
@@ -39,6 +43,18 @@
 //! thread's waker pipe.  Reads stop after a read shorter than the
 //! scratch buffer: the poller is level-triggered and reports whatever
 //! is left.
+//!
+//! ## Timers and `/metrics`
+//!
+//! A [`Timer`] ([`ConnReply::schedule`]) lives on the [`DeadlineHeap`]
+//! of the connection's I/O thread and fires there after the events,
+//! unless answered by then; each poll sleeps no longer than until the
+//! earliest, rounded up to a whole millisecond so it never spins.
+//! [`LoopConfig::metrics`] is a second listener of thread 0: each
+//! connection on it is one scrape, its request head due within one
+//! 500 ms deadline, then answered with [`LineHandler::metrics_text`]
+//! and closed.  Both go on through a drain: a thread exits once its
+//! connections are closed and its timers answered.
 //!
 //! ## Outbound connections
 //!
@@ -71,8 +87,10 @@
 //! long enough to flush its in-flight replies.  Outbound connections
 //! carry those replies in, so they stay open, still read, until no
 //! inbound connection remains on any thread, and then close;
-//! [`IoLoop::join`] returns when every thread's slab is empty.
+//! [`IoLoop::join`] returns when every thread's slab is empty and its
+//! timers are answered.
 
+use crate::deadline::{Answerable, DeadlineHeap};
 use crate::io::{
     drain_outbox, raise_nofile_limit, BufferPool, LineAction, LineReader, LineTooLong, Poller,
     Waker,
@@ -85,16 +103,22 @@ use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Longest accepted request line; longer input closes the connection.
 const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// The I/O threads' poll-wait timeout, so drains and idle sweeps tick
+/// The I/O threads' longest poll wait, so drains and idle sweeps tick
 /// at least this often.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long a `/metrics` scrape has to send its whole request head.
+const SCRAPE_HEAD_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Longest `/metrics` request-head line; a longer one ends the head.
+const SCRAPE_HEAD_MAX: usize = 8 * 1024;
 
 /// Outbound-queue level above which a connection's requests stop
 /// being parsed: a slow reader backpressures itself instead of
@@ -213,6 +237,28 @@ pub trait LineHandler: Send + Sync + 'static {
     /// false.  Called exactly once per adopted connection, on its I/O
     /// thread.
     fn outbound_closed(_this: &Arc<Self>, _peer: usize) {}
+
+    /// The Prometheus text exposition a `/metrics` scrape gets (see
+    /// [`LoopConfig::metrics`]), rendered on I/O thread 0.
+    fn metrics_text(_this: &Arc<Self>) -> String {
+        String::new()
+    }
+}
+
+/// Work an I/O thread runs at a due instant, scheduled with
+/// [`ConnReply::schedule`] on one of its connections.  One that is
+/// [`Answerable::answered`] when it comes due is dropped unfired, and
+/// a sweep of its thread's heap may drop it earlier.
+pub trait Timer: Answerable + Send {
+    /// Run, on the connection's I/O thread, at or after the due
+    /// instant.
+    fn fire(self: Box<Self>);
+}
+
+impl Answerable for Box<dyn Timer> {
+    fn answered(&self) -> bool {
+        (**self).answered()
+    }
 }
 
 /// How a tier sizes its loop.
@@ -227,6 +273,9 @@ pub struct LoopConfig {
     /// line, once nothing is in flight on it; `None` keeps idle
     /// connections forever.
     pub idle_timeout: Option<Duration>,
+    /// A second listener for thread 0: each connection on it is one
+    /// `/metrics` scrape, answered with [`LineHandler::metrics_text`].
+    pub metrics: Option<TcpListener>,
 }
 
 /// Commands injected into an I/O thread from outside its loop.
@@ -239,6 +288,9 @@ enum IoCmd {
     /// Service the connection registered under this token: flush its
     /// outbox, resume parsing if its window freed, retire it if done.
     Wake(u64),
+    /// A timer scheduled from another thread on one of this thread's
+    /// connections.
+    Schedule(Instant, Box<dyn Timer>),
 }
 
 /// The cross-thread face of one I/O thread: an injector the accept
@@ -374,6 +426,19 @@ impl ConnReply {
         self.notify();
     }
 
+    /// Fire `timer` at `due` on this connection's I/O thread: pushed
+    /// onto that thread's heap when called on it, else handed over
+    /// with a wake.  It fires whether or not the connection is still
+    /// open.
+    pub fn schedule(&self, due: Instant, timer: Box<dyn Timer>) {
+        let here = ON_LOOP.try_with(|on| std::ptr::eq(on.borrow().io, Arc::as_ptr(&self.io)));
+        if here == Ok(true) {
+            ON_LOOP.with(|on| on.borrow_mut().timers.push(due, timer));
+        } else {
+            self.io.push(IoCmd::Schedule(due, timer));
+        }
+    }
+
     /// Have the owning I/O thread service this connection: listed
     /// for its next pass when called on that thread, else woken.
     fn notify(&self) {
@@ -407,6 +472,8 @@ struct OnLoop {
     /// Tokens of the thread's connections notified on it since it last
     /// serviced them.
     listed: Vec<u64>,
+    /// The timers scheduled on the thread's connections.
+    timers: DeadlineHeap<Box<dyn Timer>>,
 }
 
 thread_local! {
@@ -414,8 +481,59 @@ thread_local! {
         RefCell::new(OnLoop {
             io: std::ptr::null(),
             listed: Vec::new(),
+            timers: DeadlineHeap::new(),
         })
     };
+}
+
+/// Fire every timer on this thread due by `now`; one answered by
+/// then is dropped unfired.  A timer fires with the heap released, so
+/// it may schedule more.
+fn fire_timers(now: Instant) {
+    while let Some(timer) = ON_LOOP.with(|on| on.borrow_mut().timers.pop_due(now)) {
+        if !timer.answered() {
+            timer.fire();
+        }
+    }
+}
+
+/// Whether every timer on this thread is answered; answered ones are
+/// dropped.
+fn timers_settled() -> bool {
+    ON_LOOP.with(|on| {
+        let timers = &mut on.borrow_mut().timers;
+        timers.sweep();
+        timers.is_empty()
+    })
+}
+
+/// How long the thread may sleep in its poll: until its earliest
+/// timer, rounded up to a whole millisecond so the wake never comes a
+/// fraction early, and at most [`POLL_INTERVAL`].
+fn poll_timeout_ms(now: Instant) -> i32 {
+    let left = ON_LOOP
+        .with(|on| on.borrow().timers.next_due())
+        .map(|due| due.saturating_duration_since(now));
+    let wait = left.map_or(POLL_INTERVAL, |left| left.min(POLL_INTERVAL));
+    wait.as_micros().div_ceil(1000) as i32
+}
+
+/// A scrape's head deadline: services the connection, which answers
+/// it if its head has not ended by then.
+struct ScrapeDue(Weak<ConnReply>);
+
+impl Answerable for ScrapeDue {
+    fn answered(&self) -> bool {
+        self.0.upgrade().is_none_or(|reply| reply.outbox().closed)
+    }
+}
+
+impl Timer for ScrapeDue {
+    fn fire(self: Box<Self>) {
+        if let Some(reply) = self.0.upgrade() {
+            reply.notify();
+        }
+    }
 }
 
 /// A running connection loop.
@@ -437,6 +555,10 @@ impl IoLoop {
         // C10K needs the fds to hold the Ks of connections.
         let _ = raise_nofile_limit(NOFILE_TARGET);
         listener.set_nonblocking(true)?;
+        let mut metrics = config.metrics;
+        if let Some(l) = &metrics {
+            l.set_nonblocking(true)?;
+        }
         let threads = config.threads.max(1);
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
@@ -454,6 +576,7 @@ impl IoLoop {
                 me,
                 next_peer: 0,
                 listener: if me == 0 { listener.take() } else { None },
+                metrics: if me == 0 { metrics.take() } else { None },
                 conns: Vec::new(),
                 free: Vec::new(),
                 pool: BufferPool::new(64, MAX_LINE_BYTES),
@@ -512,8 +635,10 @@ impl IoLoop {
 const TOKEN_WAKER: u64 = 0;
 /// Poller token of the listener (thread 0 only).
 const TOKEN_LISTENER: u64 = 1;
+/// Poller token of the `/metrics` listener (thread 0 only).
+const TOKEN_METRICS: u64 = 2;
 /// Connection slab index `i` registers under token `i + TOKEN_BASE`.
-const TOKEN_BASE: u64 = 2;
+const TOKEN_BASE: u64 = 3;
 /// The token of an adopted connection not yet registered.
 const UNREGISTERED: u64 = u64::MAX;
 
@@ -530,6 +655,19 @@ enum CloseReason {
     Overlong,
 }
 
+/// What a connection is to its I/O thread.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// An accepted client: its lines are requests for the handler.
+    Client,
+    /// An adopted outbound connection, with its peer tag: its lines
+    /// are replies.
+    Outbound(usize),
+    /// A `/metrics` scrape, its request head due by the instant;
+    /// `None` once its response is queued.
+    Scrape(Option<Instant>),
+}
+
 /// Per-connection state owned by exactly one I/O thread.
 struct ConnState {
     stream: TcpStream,
@@ -542,16 +680,14 @@ struct ConnState {
     peer_closed: bool,
     /// When the last complete request line arrived (idle clock).
     last_line: Instant,
-    /// The peer tag of an adopted outbound connection; `None` for an
-    /// accepted one.
-    outbound: Option<usize>,
+    role: Role,
 }
 
 /// One readiness-driven I/O thread: a poller, a slab of connection
-/// state machines, and (on thread 0) the listener.  Fresh connections
+/// state machines, and (on thread 0) the listeners.  Fresh connections
 /// arrive via accept or the injector; replies settled on this thread
 /// arrive on its dirty list, and those settled elsewhere as `Wake`
-/// commands.
+/// commands.  Its timers live in [`ON_LOOP`].
 struct IoThread<H> {
     handler: Arc<H>,
     poller: Poller,
@@ -561,6 +697,8 @@ struct IoThread<H> {
     me: usize,
     next_peer: usize,
     listener: Option<TcpListener>,
+    /// The `/metrics` listener (thread 0 only, when enabled).
+    metrics: Option<TcpListener>,
     conns: Vec<Option<ConnState>>,
     free: Vec<usize>,
     pool: BufferPool,
@@ -582,13 +720,14 @@ impl<H: LineHandler> IoThread<H> {
         {
             return;
         }
-        if let Some(l) = &self.listener {
-            if self
-                .poller
-                .add(l.as_raw_fd(), TOKEN_LISTENER, true, false)
-                .is_err()
-            {
-                return;
+        for (l, token) in [
+            (&self.listener, TOKEN_LISTENER),
+            (&self.metrics, TOKEN_METRICS),
+        ] {
+            if let Some(l) = l {
+                if self.poller.add(l.as_raw_fd(), token, true, false).is_err() {
+                    return;
+                }
             }
         }
         let mut events = Vec::with_capacity(256);
@@ -596,9 +735,7 @@ impl<H: LineHandler> IoThread<H> {
         loop {
             events.clear();
             let wait_start = Instant::now();
-            let _ = self
-                .poller
-                .wait(&mut events, POLL_INTERVAL.as_millis() as i32);
+            let _ = self.poller.wait(&mut events, poll_timeout_ms(wait_start));
             let work_start = Instant::now();
             if !self.draining && self.handler.draining() {
                 self.begin_drain();
@@ -607,6 +744,7 @@ impl<H: LineHandler> IoThread<H> {
                 match ev.token {
                     TOKEN_WAKER => self.drain_injector(),
                     TOKEN_LISTENER => self.accept_ready(),
+                    TOKEN_METRICS => self.accept_scrapes(),
                     token => {
                         let idx = (token - TOKEN_BASE) as usize;
                         if ev.readable {
@@ -620,6 +758,7 @@ impl<H: LineHandler> IoThread<H> {
                     }
                 }
             }
+            fire_timers(work_start);
             self.sweep_idle();
             // Gauges are a sweep over the slab (outbox locks), so
             // refresh at most once per poll interval, not per wake.
@@ -641,17 +780,22 @@ impl<H: LineHandler> IoThread<H> {
                     for idx in 0..self.conns.len() {
                         if self.conns[idx]
                             .as_ref()
-                            .is_some_and(|c| c.outbound.is_some())
+                            .is_some_and(|c| matches!(c.role, Role::Outbound(_)))
                         {
                             self.close(idx, CloseReason::Done);
                         }
                     }
                 }
-                if self.conns.iter().all(Option::is_none) {
+                // A timer still unanswered owes a request of a closed
+                // connection its timeout and its run's cancellation.
+                if self.conns.iter().all(Option::is_none) && timers_settled() {
                     break;
                 }
             }
         }
+        // What is still queued reaches no connection of this loop;
+        // dropping it here frees what it holds.
+        drop(std::mem::take(&mut *self.handle.commands()));
     }
 
     /// Service every connection notified on this thread since its
@@ -686,8 +830,9 @@ impl<H: LineHandler> IoThread<H> {
         }
     }
 
-    /// Shutdown observed: drop the listener, stop parsing input, and
-    /// keep each connection only until its in-flight replies flush.
+    /// Shutdown observed: drop the client listener, stop parsing
+    /// requests, and keep each client connection only until its
+    /// in-flight replies flush.  Scrapes go on.
     fn begin_drain(&mut self) {
         self.draining = true;
         if let Some(l) = self.listener.take() {
@@ -697,7 +842,7 @@ impl<H: LineHandler> IoThread<H> {
             if let Some(conn) = self.conns[idx].as_mut() {
                 // Unparsed carried bytes are requests we will never
                 // run — drop them.  An outbound carry is a reply.
-                if conn.outbound.is_none() {
+                if conn.role == Role::Client {
                     conn.reader = LineReader::new(MAX_LINE_BYTES);
                 }
             }
@@ -712,12 +857,17 @@ impl<H: LineHandler> IoThread<H> {
             match cmd {
                 // A conn raced in after the drain began: drop it.
                 IoCmd::Conn(_) if self.draining => {}
-                IoCmd::Conn(stream) => self.register(stream, None),
-                IoCmd::Adopt(stream, peer, reply) => self.register(stream, Some((peer, reply))),
+                IoCmd::Conn(stream) => self.register(stream, Role::Client, None),
+                IoCmd::Adopt(stream, peer, reply) => {
+                    self.register(stream, Role::Outbound(peer), Some(reply))
+                }
                 IoCmd::Wake(token) => {
                     if token >= TOKEN_BASE {
                         self.service((token - TOKEN_BASE) as usize);
                     }
+                }
+                IoCmd::Schedule(due, timer) => {
+                    ON_LOOP.with(|on| on.borrow_mut().timers.push(due, timer));
                 }
             }
         }
@@ -726,18 +876,7 @@ impl<H: LineHandler> IoThread<H> {
     /// Accept until the listener would block, distributing conns
     /// round-robin across the pool (thread 0 adopts its own share).
     fn accept_ready(&mut self) {
-        let mut accepted = Vec::new();
-        if let Some(listener) = &self.listener {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => accepted.push(stream),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
-        }
-        for stream in accepted {
+        for stream in accept_all(self.listener.as_ref()) {
             self.handler
                 .counters()
                 .accepted
@@ -745,18 +884,27 @@ impl<H: LineHandler> IoThread<H> {
             let target = self.next_peer % self.peers.len().max(1);
             self.next_peer = self.next_peer.wrapping_add(1);
             if target == self.me {
-                self.register(stream, None);
+                self.register(stream, Role::Client, None);
             } else {
                 self.peers[target].push(IoCmd::Conn(stream));
             }
         }
     }
 
+    /// Accept every pending scrape; each stays on this thread, its
+    /// head due by the scrape deadline.
+    fn accept_scrapes(&mut self) {
+        for stream in accept_all(self.metrics.as_ref()) {
+            let due = Instant::now() + SCRAPE_HEAD_TIMEOUT;
+            self.register(stream, Role::Scrape(Some(due)), None);
+        }
+    }
+
     /// Adopt one connection into the slab and the poller: an accepted
-    /// one, or an outbound one with its peer tag and the write half its
+    /// client or scrape, or an outbound one with the write half its
     /// adopter holds.  An outbound one that cannot be registered gets
     /// its close notice at once.
-    fn register(&mut self, stream: TcpStream, outbound: Option<(usize, Arc<ConnReply>)>) {
+    fn register(&mut self, stream: TcpStream, role: Role, adopted: Option<Arc<ConnReply>>) {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
@@ -769,7 +917,7 @@ impl<H: LineHandler> IoThread<H> {
                 .is_err()
         {
             self.free.push(idx);
-            if let Some((peer, reply)) = outbound {
+            if let (Role::Outbound(peer), Some(reply)) = (role, adopted) {
                 reply.outbox().closed = true;
                 H::outbound_closed(&self.handler, peer);
             }
@@ -778,28 +926,37 @@ impl<H: LineHandler> IoThread<H> {
         // Replies are small writes the client may block on; Nagle
         // would hold them for the peer's delayed ACK.
         let _ = stream.set_nodelay(true);
-        let (reply, outbound) = match outbound {
-            Some((peer, reply)) => {
+        let reply = match adopted {
+            Some(reply) => {
                 reply.token.store(token, Ordering::Release);
-                (reply, Some(peer))
+                reply
             }
-            None => {
-                self.handler.counters().open.fetch_add(1, Ordering::Relaxed);
-                let reply = Arc::new(ConnReply::new(token, Arc::clone(&self.handle)));
-                (reply, None)
-            }
+            None => Arc::new(ConnReply::new(token, Arc::clone(&self.handle))),
         };
+        let mut max_line = MAX_LINE_BYTES;
+        match role {
+            Role::Client => {
+                self.handler.counters().open.fetch_add(1, Ordering::Relaxed);
+            }
+            Role::Scrape(due) => {
+                max_line = SCRAPE_HEAD_MAX;
+                if let Some(due) = due {
+                    reply.schedule(due, Box::new(ScrapeDue(Arc::downgrade(&reply))));
+                }
+            }
+            Role::Outbound(_) => {}
+        }
         self.conns[idx] = Some(ConnState {
             stream,
             reply,
-            reader: LineReader::new(MAX_LINE_BYTES),
+            reader: LineReader::new(max_line),
             write_offset: 0,
             interest: (true, false),
             peer_closed: false,
             last_line: Instant::now(),
-            outbound,
+            role,
         });
-        if outbound.is_some() {
+        if let Role::Outbound(_) = role {
             // Flush what was sent before the connection got here.
             self.service(idx);
         }
@@ -822,16 +979,17 @@ impl<H: LineHandler> IoThread<H> {
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
                 return;
             };
-            // A peer's replies are read to the end, drain or not.
-            let outbound = conn.outbound;
-            if *draining && outbound.is_none() {
+            // A peer's replies and a scrape's head are read to the
+            // end, drain or not.
+            let role = conn.role;
+            if *draining && role == Role::Client {
                 return;
             }
             loop {
                 // Flow control *before* pulling more bytes: a full
                 // window or a backed-up outbox leaves them in the
                 // kernel buffer, which is TCP backpressure.
-                if outbound.is_none() {
+                if role == Role::Client {
                     if conn.reply.inflight.load(Ordering::Acquire) >= *window {
                         break;
                     }
@@ -852,9 +1010,18 @@ impl<H: LineHandler> IoThread<H> {
                         break;
                     }
                 };
-                let fed = match outbound {
-                    None => feed_conn(handler, conn, &scratch[..n], pool, *window),
-                    Some(peer) => feed_outbound(handler, conn, peer, &scratch[..n], pool),
+                let fed = match role {
+                    Role::Client => feed_conn(handler, conn, &scratch[..n], pool, *window),
+                    Role::Outbound(peer) => feed_outbound(handler, conn, peer, &scratch[..n], pool),
+                    Role::Scrape(Some(_)) => {
+                        if head_ended(conn, &scratch[..n], pool) {
+                            answer_scrape(handler, conn);
+                            break;
+                        }
+                        None
+                    }
+                    // Bytes past an answered head are dropped.
+                    Role::Scrape(None) => break,
                 };
                 if let Some(reason) = fed {
                     close = Some(reason);
@@ -894,14 +1061,21 @@ impl<H: LineHandler> IoThread<H> {
             // completion landing mid-service queues a fresh wake.
             conn.reply.wake_queued.store(false, Ordering::Release);
             conn.reply.listed.store(false, Ordering::Relaxed);
+            // A scrape whose head broke off or ran out of time is
+            // answered now.
+            if let Role::Scrape(Some(due)) = conn.role {
+                if conn.peer_closed || Instant::now() >= due {
+                    answer_scrape(handler, conn);
+                }
+            }
             if flush_outbox(conn).is_err() {
                 close = Some(CloseReason::Done);
             }
             // Parsing may have been deferred on a full window or a
-            // high outbox; both may have cleared now.  An outbound
-            // connection defers nothing.
-            let outbound = conn.outbound.is_some();
-            if close.is_none() && !outbound && !*draining && conn.reader.has_carry() {
+            // high outbox; both may have cleared now.  Only a client
+            // defers.
+            let role = conn.role;
+            if close.is_none() && role == Role::Client && !*draining && conn.reader.has_carry() {
                 if let Some(reason) = feed_conn(handler, conn, &[], pool, *window) {
                     close = Some(reason);
                 }
@@ -916,21 +1090,24 @@ impl<H: LineHandler> IoThread<H> {
                 } else {
                     let inflight = conn.reply.inflight.load(Ordering::Acquire);
                     let outbox_empty = ob.queue.is_empty();
-                    // A peer's EOF closes its outbound connection at
-                    // once: nothing it owes can arrive any more.
-                    let done = if outbound {
-                        conn.peer_closed
-                    } else {
-                        (conn.peer_closed || *draining) && inflight == 0 && outbox_empty
+                    let (done, read_i) = match role {
+                        // A peer's EOF closes its outbound connection
+                        // at once: nothing it owes can arrive any more.
+                        Role::Outbound(_) => (conn.peer_closed, true),
+                        // A scrape reads its head, then closes once
+                        // its response is out.
+                        Role::Scrape(due) => (due.is_none() && outbox_empty, due.is_some()),
+                        Role::Client => (
+                            (conn.peer_closed || *draining) && inflight == 0 && outbox_empty,
+                            !*draining
+                                && !conn.peer_closed
+                                && inflight < *window
+                                && ob.bytes < OUTBOX_HIGH_WATER,
+                        ),
                     };
                     if done {
                         close = Some(CloseReason::Done);
                     } else {
-                        let read_i = outbound
-                            || (!*draining
-                                && !conn.peer_closed
-                                && inflight < *window
-                                && ob.bytes < OUTBOX_HIGH_WATER);
                         settled = (read_i, !outbox_empty);
                     }
                 }
@@ -963,7 +1140,7 @@ impl<H: LineHandler> IoThread<H> {
         for idx in 0..self.conns.len() {
             let expired = match &self.conns[idx] {
                 Some(c) => {
-                    c.outbound.is_none()
+                    c.role == Role::Client
                         && c.reply.inflight.load(Ordering::Acquire) == 0
                         && now.duration_since(c.last_line) >= timeout
                 }
@@ -986,7 +1163,8 @@ impl<H: LineHandler> IoThread<H> {
         // line, ...) reaches a live client; whatever the socket refuses
         // is dropped with the connection.  Requests still queued for a
         // peer are its adopter's to re-send.
-        if conn.outbound.is_none() {
+        let role = conn.role;
+        if !matches!(role, Role::Outbound(_)) {
             let _ = flush_outbox(&mut conn);
         }
         {
@@ -997,10 +1175,14 @@ impl<H: LineHandler> IoThread<H> {
             ob.bytes = 0;
         }
         self.free.push(idx);
-        if let Some(peer) = conn.outbound {
-            drop(conn);
-            H::outbound_closed(&self.handler, peer);
-            return;
+        match role {
+            Role::Client => {}
+            Role::Outbound(peer) => {
+                drop(conn);
+                H::outbound_closed(&self.handler, peer);
+                return;
+            }
+            Role::Scrape(_) => return,
         }
         let c = self.handler.counters();
         c.open.fetch_sub(1, Ordering::Relaxed);
@@ -1032,6 +1214,53 @@ fn flush_outbox(conn: &mut ConnState) -> std::io::Result<()> {
         }
         Err(e) => Err(e),
     }
+}
+
+/// Accept from `listener` until it would block.
+fn accept_all(listener: Option<&TcpListener>) -> Vec<TcpStream> {
+    let mut accepted = Vec::new();
+    if let Some(listener) = listener {
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => accepted.push(stream),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+    }
+    accepted
+}
+
+/// Scan bytes of a scrape's request head; true once the head has
+/// ended: a blank line, or a line over [`SCRAPE_HEAD_MAX`].
+fn head_ended(conn: &mut ConnState, data: &[u8], pool: &mut BufferPool) -> bool {
+    let mut blank = false;
+    let fed = conn.reader.feed(data, pool, |line| {
+        blank = line.is_empty();
+        if blank {
+            LineAction::Stop
+        } else {
+            LineAction::Continue
+        }
+    });
+    conn.reader.release(pool);
+    blank || fed.is_err()
+}
+
+/// Queue the tier's exposition as the scrape's one HTTP response; the
+/// connection stops reading and closes once it is written.
+fn answer_scrape<H: LineHandler>(handler: &Arc<H>, conn: &mut ConnState) {
+    conn.role = Role::Scrape(None);
+    let body = H::metrics_text(handler);
+    let head = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    let mut ob = conn.reply.outbox();
+    ob.bytes += head.len() + body.len();
+    ob.queue.push_back(head.into_bytes());
+    ob.queue.push_back(body.into_bytes());
 }
 
 /// Hand each complete line from an outbound connection's peer to the
@@ -1141,6 +1370,12 @@ impl ConnReply {
     }
 }
 
+/// Timers on the calling thread's heap.
+#[cfg(test)]
+fn timers_here() -> usize {
+    ON_LOOP.with(|on| on.borrow().timers.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1148,10 +1383,13 @@ mod tests {
     use std::net::SocketAddr;
 
     /// A tier that forwards: each request line sends `payload` to the
-    /// adopted peer, if any, and is answered `ok` inline.  Three verbs
+    /// adopted peer, if any, and is answered `ok` inline.  Five verbs
     /// differ: `hold` keeps its window slot until it is settled,
     /// `settle` settles the held request from the handler (then is
-    /// answered `ok`), and `echo X` is answered `X`.
+    /// answered `ok`), `echo X` is answered `X`, `after MS` schedules a
+    /// [`Probe`] due in MS ms on its connection (answered `ok`, then
+    /// `fired`), and `answered N` schedules N answered ones due in
+    /// 20 ms and is answered with the length of its thread's heap.
     #[derive(Default)]
     struct Forwarder {
         counters: ConnCounters,
@@ -1161,10 +1399,78 @@ mod tests {
         held: Mutex<Option<Arc<ConnReply>>>,
         lines: Mutex<Vec<(usize, String)>>,
         closed: AtomicUsize,
+        stats: Arc<IoLoopStats>,
+        fired: Mutex<Vec<Fired>>,
+    }
+
+    /// What a [`Probe`] saw when it fired.
+    struct Fired {
+        thread: Option<String>,
+        /// It fired before its due instant.
+        early: bool,
+        /// Loop iterations completed between its scheduling and its
+        /// firing.
+        iterations: u64,
+    }
+
+    /// A timer that logs a [`Fired`] and answers `fired` on its
+    /// connection.
+    struct Probe {
+        handler: Arc<Forwarder>,
+        conn: Arc<ConnReply>,
+        due: Instant,
+        scheduled_at: u64,
+        answered: bool,
+    }
+
+    impl Probe {
+        fn new(handler: &Arc<Forwarder>, conn: &Arc<ConnReply>, due: Instant) -> Box<Probe> {
+            Box::new(Probe {
+                handler: Arc::clone(handler),
+                conn: Arc::clone(conn),
+                due,
+                scheduled_at: handler.stats.iterations.load(Ordering::Relaxed),
+                answered: false,
+            })
+        }
+    }
+
+    impl Answerable for Probe {
+        fn answered(&self) -> bool {
+            self.answered
+        }
+    }
+
+    impl Timer for Probe {
+        fn fire(self: Box<Self>) {
+            let iterations = self.handler.stats.iterations.load(Ordering::Relaxed);
+            self.handler.fired.lock().unwrap().push(Fired {
+                thread: thread::current().name().map(str::to_string),
+                early: Instant::now() < self.due,
+                iterations: iterations - self.scheduled_at,
+            });
+            self.conn.enqueue("fired");
+        }
     }
 
     impl LineHandler for Forwarder {
         fn line(this: &Arc<Self>, line: &str, _recv: Instant, conn: &Arc<ConnReply>) {
+            if let Some(ms) = line.strip_prefix("after ") {
+                let due = Instant::now() + Duration::from_millis(ms.parse().unwrap());
+                conn.schedule(due, Probe::new(this, conn, due));
+                conn.enqueue("ok");
+                return;
+            }
+            if let Some(n) = line.strip_prefix("answered ") {
+                let due = Instant::now() + Duration::from_millis(20);
+                for _ in 0..n.parse().unwrap() {
+                    let mut probe = Probe::new(this, conn, due);
+                    probe.answered = true;
+                    conn.schedule(due, probe);
+                }
+                conn.enqueue(&timers_here().to_string());
+                return;
+            }
             if line == "hold" {
                 conn.claim_slot();
                 *this.held.lock().unwrap() = Some(Arc::clone(conn));
@@ -1196,6 +1502,10 @@ mod tests {
             &self.counters
         }
 
+        fn loop_stats(&self) -> Arc<IoLoopStats> {
+            Arc::clone(&self.stats)
+        }
+
         fn outbound_line(this: &Arc<Self>, peer: usize, line: &str) {
             this.lines.lock().unwrap().push((peer, line.to_string()));
         }
@@ -1215,6 +1525,7 @@ mod tests {
             threads: 1,
             window: 4,
             idle_timeout: None,
+            metrics: None,
         };
         let io = IoLoop::spawn(listener, config, Arc::clone(handler)).unwrap();
         (io, addr)
@@ -1278,7 +1589,6 @@ mod tests {
     }
 
     /// Send `line` and return the one reply line.
-    #[cfg(target_os = "linux")]
     fn call(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &str) -> String {
         writeln!(writer, "{line}").unwrap();
         let mut reply = String::new();
@@ -1374,6 +1684,135 @@ mod tests {
         drop((held_reader, held_writer, reader, writer));
         handler.draining.store(true, Ordering::SeqCst);
         io.join();
+    }
+
+    /// Read reply lines until `n` of them are `fired`.
+    fn await_fired(reader: &mut BufReader<TcpStream>, n: usize) {
+        let mut seen = 0;
+        while seen < n {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            seen += usize::from(line == "fired\n");
+        }
+    }
+
+    /// Stop a loop whose clients are all gone.
+    fn stop(handler: &Forwarder, io: IoLoop) {
+        handler.draining.store(true, Ordering::SeqCst);
+        io.join();
+    }
+
+    #[test]
+    fn answered_timers_leave_their_threads_heap_bounded_and_never_fire() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "sweep-io");
+        let (mut reader, mut writer) = client(addr);
+        let len: usize = call(&mut reader, &mut writer, "answered 10000")
+            .trim()
+            .parse()
+            .unwrap();
+        assert!(
+            len <= 2 * crate::deadline::SWEEP_FLOOR,
+            "10k answered timers left {len} heap entries"
+        );
+        // All were due 20 ms in: those the sweep kept popped unfired.
+        thread::sleep(Duration::from_millis(100));
+        assert_eq!(call(&mut reader, &mut writer, "answered 0"), "0\n");
+        assert!(
+            handler.fired.lock().unwrap().is_empty(),
+            "an answered timer fired"
+        );
+        drop((reader, writer));
+        stop(&handler, io);
+    }
+
+    #[test]
+    fn no_timer_fires_before_its_due_instant() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "due-io");
+        let (mut reader, mut writer) = client(addr);
+        // Pipelined: a timer due at once may fire before the next
+        // line is read.
+        writer
+            .write_all(b"after 29\nafter 1\nafter 0\nafter 12\nafter 5\nafter 12\n")
+            .unwrap();
+        await_fired(&mut reader, 6);
+        let fired = handler.fired.lock().unwrap();
+        assert_eq!(fired.len(), 6);
+        assert!(fired.iter().all(|f| !f.early), "a timer fired early");
+        drop(fired);
+        drop((reader, writer));
+        stop(&handler, io);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_timer_scheduled_on_its_thread_fires_without_a_wake() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "fire-io");
+        let task = task_named("fire-io-0");
+        let (mut reader, mut writer) = client(addr);
+        assert_eq!(call(&mut reader, &mut writer, "echo warm"), "warm\n");
+        let (r0, _) = syscalls(&task);
+        assert_eq!(call(&mut reader, &mut writer, "after 20"), "ok\n");
+        await_fired(&mut reader, 1);
+        let (r1, _) = syscalls(&task);
+        assert_eq!(r1 - r0, 0, "a timer on its own thread read the waker");
+        drop((reader, writer));
+        stop(&handler, io);
+    }
+
+    #[test]
+    fn a_timer_scheduled_from_another_thread_fires_on_the_connections() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "remote-io");
+        let (mut reader, mut writer) = client(addr);
+        writeln!(writer, "hold").unwrap();
+        wait_for("held request", || handler.held.lock().unwrap().is_some());
+        let held = handler.held.lock().unwrap().take().unwrap();
+        let due = Instant::now() + Duration::from_millis(10);
+        held.schedule(due, Probe::new(&handler, &held, due));
+        await_fired(&mut reader, 1);
+        {
+            let fired = handler.fired.lock().unwrap();
+            assert_eq!(fired[0].thread.as_deref(), Some("remote-io-0"));
+            assert!(!fired[0].early, "it fired early");
+        }
+        held.release_slot();
+        drop((reader, writer));
+        stop(&handler, io);
+    }
+
+    #[test]
+    fn an_idle_thread_sleeps_until_its_timer_without_spinning() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "idle-io");
+        let (mut reader, mut writer) = client(addr);
+        assert_eq!(call(&mut reader, &mut writer, "after 30"), "ok\n");
+        await_fired(&mut reader, 1);
+        let iterations = handler.fired.lock().unwrap()[0].iterations;
+        assert!(
+            iterations <= 3,
+            "{iterations} loop iterations for one 30 ms timer"
+        );
+        drop((reader, writer));
+        stop(&handler, io);
+    }
+
+    #[test]
+    fn a_draining_thread_fires_its_timers_before_it_exits() {
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "drain-io");
+        let (mut reader, mut writer) = client(addr);
+        assert_eq!(call(&mut reader, &mut writer, "after 100"), "ok\n");
+        // Its connection closes at once; its timer is still owed.
+        drop((reader, writer));
+        stop(&handler, io);
+        assert_eq!(
+            handler.fired.lock().unwrap().len(),
+            1,
+            "the drain dropped a timer"
+        );
     }
 
     #[test]

@@ -471,10 +471,13 @@ impl<J: Send + 'static> Executor<J> {
         });
         let run = Arc::new(run);
         let workers = (0..config.workers.max(1))
-            .map(|_| {
+            .map(|i| {
                 let shared = Arc::clone(&shared);
                 let run = Arc::clone(&run);
-                thread::spawn(move || worker_loop(&shared, run.as_ref()))
+                thread::Builder::new()
+                    .name(format!("gt-serve-eval-{i}"))
+                    .spawn(move || worker_loop(&shared, run.as_ref()))
+                    .expect("an eval worker thread starts")
             })
             .collect();
         Executor {

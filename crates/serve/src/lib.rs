@@ -34,8 +34,9 @@
 //!   dedicated dispatch; submissions past the bounded depth are shed
 //!   with a 429-style `busy` error instead of growing a backlog.
 //! * **Deadlines without parked threads** ([`server`], [`deadline`]) —
-//!   per-request deadlines live in a single reaper thread's min-heap
-//!   (the same heap type times the router's pacer) and drive the
+//!   per-request deadlines are timers on the client connection's I/O
+//!   thread, in that thread's min-heap (the router's retries, hedges
+//!   and expiries are timers on the same loop), and drive the
 //!   engines' cooperative cancellation
 //!   (`gt_core::engine::Cancelled`); an expired request gets a timely
 //!   `timeout` reply even while its abandoned work winds down.
@@ -57,8 +58,8 @@
 //! * **Tracing** ([`trace`]) — every request is stamped through recv →
 //!   parse → probe → enqueue → dispatch → engine → write; a bounded
 //!   flight recorder retains recent and notable (slow/shed/timed-out)
-//!   traces for the `trace` request, and a minimal HTTP listener
-//!   serves `/metrics`.
+//!   traces for the `trace` request; `/metrics` is a second listener
+//!   on the connection loop.
 //! * **Load generator** ([`loadgen`]) — open- and closed-loop client
 //!   fleets, optionally pipelined, so throughput and tail latency are
 //!   measurable in-repo.
@@ -114,5 +115,5 @@ pub use protocol::{ErrorCode, Op, Request, Response};
 pub use registry::Stats;
 pub use server::{Config, Server};
 pub use singleflight::{Flight, FlightResult, FlightTable, Joined};
-pub use trace::{FlightRecorder, MetricsListener, StageStamps, TraceRecord};
+pub use trace::{FlightRecorder, StageStamps, TraceRecord};
 pub use workload::{estimated_cost, AlgoSpec, EvalOutcome};

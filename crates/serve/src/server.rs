@@ -6,12 +6,13 @@
 //! ## Thread structure
 //!
 //! ```text
-//! I/O threads (the connection loop; thread 0 owns the listener)
-//!   └─ request line──▶ inline replies (control ops, cache hits),
-//!                      misses submitted
+//! I/O threads (the connection loop; thread 0 owns the listeners)
+//!   ├─ request line──▶ inline replies (control ops, cache hits),
+//!   │                  misses submitted, deadline timer scheduled
+//!   ├─ due timer──▶ 408 reply, flight detach
+//!   └─ /metrics scrape──▶ Prometheus text, rendered inline
 //! eval workers (fixed pool) ──pop batches, evaluate, publish──▶ Flight
 //! publish ──drained waiters──▶ replies enqueued, I/O thread woken
-//! deadline reaper ──expired waiters──▶ 408 replies, flight detach
 //! ```
 //!
 //! Each connection is **pipelined**: its I/O thread parses NDJSON
@@ -40,11 +41,12 @@
 //!
 //! ## Deadlines
 //!
-//! Every dispatched request is registered with the **deadline
-//! reaper**, a single thread holding a min-heap of expiry times.  When
-//! a deadline fires first, the reaper claims the pending reply,
-//! answers `timeout`, and detaches it from its flight; detaching the
-//! last waiter cancels the engine run cooperatively.  Publication and
+//! Every dispatched request schedules its deadline as a timer on its
+//! client's connection ([`ConnReply::schedule`]), which lands on that
+//! connection's I/O thread's heap.  When a deadline fires first, the
+//! timer claims the pending reply, answers `timeout` on its own thread
+//! (no wake), and detaches it from its flight; detaching the last
+//! waiter cancels the engine run cooperatively.  Publication and
 //! expiry race on an atomic claim, so every request is answered
 //! exactly once.
 //!
@@ -54,14 +56,16 @@
 //! handler) sets a flag that every loop polls: the I/O threads drop
 //! the listener, stop parsing input, and hold each connection open
 //! just long enough to flush its in-flight replies (bounded by the
-//! requests' own deadlines), new evals are refused with `draining`,
-//! and [`Server::join`] reaps every thread — I/O pool, then executor
-//! workers, then the reaper — before handing back the final metrics
-//! snapshot.
+//! requests' own deadlines, whose timers keep firing), new evals are
+//! refused with `draining`, and [`Server::join`] reaps every thread —
+//! I/O pool, then executor workers — before handing back the final
+//! metrics snapshot.
 
 use crate::cache::ShardedCache;
-use crate::deadline::{Answerable, DeadlineHeap};
-use crate::eventloop::{ConnCounters, ConnReply, IoLoop, IoLoopStats, LineHandler, LoopConfig};
+use crate::deadline::Answerable;
+use crate::eventloop::{
+    ConnCounters, ConnReply, IoLoop, IoLoopStats, LineHandler, LoopConfig, Timer,
+};
 use crate::executor::{CostClass, Executor, ExecutorConfig, SubmitError, TenantGovernor};
 use crate::metrics::{Metrics, ServeView, SERVE_FAMILIES};
 use crate::protocol::{
@@ -71,9 +75,7 @@ use crate::protocol::{
 use crate::registry::{prometheus_text, stats_json, Stats};
 use crate::singleflight::{Flight, FlightResult, FlightTable, Joined};
 use crate::snapshot;
-use crate::trace::{
-    spawn_metrics_listener, FlightRecorder, MetricsListener, StageStamps, TraceRecord,
-};
+use crate::trace::{FlightRecorder, StageStamps, TraceRecord};
 use crate::workload::{
     estimated_cost, estimated_subtree_cost, evaluate, evaluate_subtree, validate, validate_subeval,
     AlgoSpec, EvalError, EvalOutcome,
@@ -84,7 +86,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -254,7 +256,6 @@ struct Shared {
     cache: ResultCache,
     flights: Arc<FlightTable<Pending>>,
     executor: Arc<Executor<Job>>,
-    reaper: Arc<Reaper>,
     recorder: Arc<FlightRecorder>,
     governor: Arc<TenantGovernor>,
     shutdown: Arc<AtomicBool>,
@@ -330,11 +331,15 @@ impl LineHandler for Shared {
     fn sample(&self) {
         self.metrics.record_queue_depth(self.executor.queued());
     }
+
+    fn metrics_text(shared: &Arc<Shared>) -> String {
+        prometheus_text(SERVE_FAMILIES, &shared.view())
+    }
 }
 
 /// One dispatched request awaiting its reply: everything needed to
 /// answer the client from whichever thread settles it first (an eval
-/// worker publishing, or the deadline reaper expiring it).  The
+/// worker publishing, or its I/O thread expiring it).  The
 /// `answered` claim guarantees exactly one reply per request.
 struct Pending {
     answered: AtomicBool,
@@ -554,7 +559,7 @@ fn answer_pending(
         m.latency.record(latency_us);
     }
     // Fold the outcome into the tenant's accounting card.  (Timeouts
-    // settle through the reaper, internal failures through neither
+    // settle through `Expiry`, internal failures through neither
     // counter — requests/ok/shed is the fairness ledger.)
     if let Some(t) = &p.tenant {
         let ts = m.tenant_stats(t);
@@ -598,17 +603,19 @@ fn retry_after_hint_ms(queued: usize, workers: usize, mean_engine_us: Option<f64
     (drain_ms.ceil() as u64).clamp(1, 5_000)
 }
 
-/// One registered deadline.  Weak handles keep the reaper from
-/// extending any request's lifetime, though each still pins its
-/// `Pending` and `Flight` allocations until the entry goes.  An entry
-/// whose pending reply was already answered is skipped when due, and
-/// swept out earlier as the heap grows (see [`DeadlineHeap`]).
-struct ReaperEntry {
+/// A dispatched request's deadline, a timer on its client's
+/// connection.  Weak handles keep it from extending the request's
+/// lifetime, though each still pins its `Pending` and `Flight`
+/// allocations until the entry goes.  Once the request is answered
+/// the timer is dropped unfired, or swept out earlier as its thread's
+/// heap grows.
+struct Expiry {
     pending: Weak<Pending>,
     flight: Weak<Flight<Pending>>,
+    shared: Arc<Shared>,
 }
 
-impl Answerable for ReaperEntry {
+impl Answerable for Expiry {
     fn answered(&self) -> bool {
         self.pending
             .upgrade()
@@ -616,95 +623,36 @@ impl Answerable for ReaperEntry {
     }
 }
 
-struct ReaperState {
-    heap: DeadlineHeap<ReaperEntry>,
-    stopped: bool,
-}
-
-/// The deadline reaper: one thread, a min-heap of expiry times.
-/// Replaces the old model where every dispatched request parked its
-/// own thread in a timed wait.
-struct Reaper {
-    state: Mutex<ReaperState>,
-    cv: Condvar,
-}
-
-impl Reaper {
-    fn new() -> Reaper {
-        Reaper {
-            state: Mutex::new(ReaperState {
-                heap: DeadlineHeap::default(),
-                stopped: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Register a deadline.  The reaper thread is woken only when the
-    /// new entry is the earliest; otherwise it already sleeps on an
-    /// earlier deadline.
-    fn register(&self, deadline: Instant, pending: &Arc<Pending>, flight: &Arc<Flight<Pending>>) {
-        let entry = ReaperEntry {
-            pending: Arc::downgrade(pending),
-            flight: Arc::downgrade(flight),
+impl Timer for Expiry {
+    fn fire(self: Box<Self>) {
+        let Some(p) = self.pending.upgrade() else {
+            return; // already answered and dropped
         };
-        if self.state.lock().unwrap().heap.push(deadline, entry) {
-            self.cv.notify_one();
+        if !p.try_claim() {
+            return; // publication won the race
         }
-    }
-
-    fn stop(&self) {
-        self.state.lock().unwrap().stopped = true;
-        self.cv.notify_all();
-    }
-
-    fn run(&self, metrics: &Metrics, recorder: &FlightRecorder) {
-        loop {
-            let due = {
-                let mut st = self.state.lock().unwrap();
-                loop {
-                    if st.stopped {
-                        return;
-                    }
-                    let now = Instant::now();
-                    if let Some(entry) = st.heap.pop_due(now) {
-                        break entry;
-                    }
-                    match st.heap.next_due() {
-                        Some(due) => (st, _) = self.cv.wait_timeout(st, due - now).unwrap(),
-                        None => st = self.cv.wait(st).unwrap(),
-                    }
-                }
-            };
-            let Some(p) = due.pending.upgrade() else {
-                continue; // already answered and dropped
-            };
-            if !p.try_claim() {
-                continue; // publication won the race
-            }
-            // The request is answered: its tenant-inflight slot frees
-            // before the timeout reply can trigger a follow-up.
-            p.release_tenant_slot();
-            metrics.timeout.fetch_add(1, Ordering::Relaxed);
-            // Traced before the reply goes out, so a client that has
-            // seen its 408 can always fetch the trace (`op:"trace"`).
-            let latency_us = p.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            let flight = due.flight.upgrade();
-            recorder.record(trace_from(
-                &p,
-                "timeout",
-                flight.as_deref().map(|f| &f.stamps),
-                None,
-                latency_us,
-            ));
-            let _ = p
-                .conn
-                .enqueue(&error_line(&p.id, ErrorCode::Timeout, "deadline exceeded"));
-            p.conn.release_slot();
-            // Leaving the flight cancels the run if nobody else waits.
-            if let Some(f) = flight {
-                f.detach(&p);
-            }
+        // The request is answered: its tenant-inflight slot frees
+        // before the timeout reply can trigger a follow-up.
+        p.release_tenant_slot();
+        self.shared.metrics.timeout.fetch_add(1, Ordering::Relaxed);
+        // Traced before the reply goes out, so a client that has seen
+        // its 408 can always fetch the trace (`op:"trace"`).
+        let latency_us = p.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let flight = self.flight.upgrade();
+        self.shared.recorder.record(trace_from(
+            &p,
+            "timeout",
+            flight.as_deref().map(|f| &f.stamps),
+            None,
+            latency_us,
+        ));
+        let _ = p
+            .conn
+            .enqueue(&error_line(&p.id, ErrorCode::Timeout, "deadline exceeded"));
+        p.conn.release_slot();
+        // Leaving the flight cancels the run if nobody else waits.
+        if let Some(f) = flight {
+            f.detach(&p);
         }
     }
 }
@@ -714,8 +662,7 @@ pub struct Server {
     local_addr: SocketAddr,
     shared: Shared,
     io: IoLoop,
-    reaper_handle: JoinHandle<()>,
-    metrics_listener: Option<MetricsListener>,
+    metrics_addr: Option<SocketAddr>,
     snapshot_path: Option<String>,
     announce_handle: Option<JoinHandle<()>>,
 }
@@ -755,14 +702,6 @@ impl Server {
             }
         }
 
-        let reaper = Arc::new(Reaper::new());
-        let reaper_handle = {
-            let reaper = Arc::clone(&reaper);
-            let metrics = Arc::clone(&metrics);
-            let recorder = Arc::clone(&recorder);
-            thread::spawn(move || reaper.run(&metrics, &recorder))
-        };
-
         let executor = {
             let cache = Arc::clone(&cache);
             let flights = Arc::clone(&flights);
@@ -784,7 +723,6 @@ impl Server {
             cache: Arc::clone(&cache),
             flights,
             executor: Arc::clone(&executor),
-            reaper: Arc::clone(&reaper),
             recorder: Arc::clone(&recorder),
             governor,
             shutdown: Arc::clone(&shutdown),
@@ -793,14 +731,15 @@ impl Server {
             workers: config.workers.max(1),
             io_threads,
         };
-        let metrics_listener = match &config.metrics_addr {
-            Some(addr) => {
-                let shared = shared.clone();
-                let render = move || prometheus_text(SERVE_FAMILIES, &shared.view());
-                Some(spawn_metrics_listener(addr.as_str(), Arc::new(render))?)
-            }
-            None => None,
-        };
+        let metrics_listener = config
+            .metrics_addr
+            .as_deref()
+            .map(TcpListener::bind)
+            .transpose()?;
+        let metrics_addr = metrics_listener
+            .as_ref()
+            .map(TcpListener::local_addr)
+            .transpose()?;
         let io = IoLoop::spawn(
             listener,
             LoopConfig {
@@ -808,6 +747,7 @@ impl Server {
                 threads: io_threads,
                 window: config.conn_window,
                 idle_timeout: config.conn_idle_timeout_ms.map(Duration::from_millis),
+                metrics: metrics_listener,
             },
             Arc::new(shared.clone()),
         )?;
@@ -846,8 +786,7 @@ impl Server {
             local_addr,
             shared,
             io,
-            reaper_handle,
-            metrics_listener,
+            metrics_addr,
             snapshot_path: config.snapshot_path.clone(),
             announce_handle,
         })
@@ -876,7 +815,7 @@ impl Server {
     /// Where the `/metrics` endpoint is listening, if enabled (useful
     /// with port 0 in `--metrics-addr`).
     pub fn metrics_listener_addr(&self) -> Option<SocketAddr> {
-        self.metrics_listener.as_ref().map(|l| l.local_addr())
+        self.metrics_addr
     }
 
     /// Begin a graceful drain (idempotent, returns immediately).
@@ -895,18 +834,13 @@ impl Server {
     /// request do it) or this blocks until one arrives.
     pub fn join(self) -> Stats {
         // Each I/O thread drops the listener, flushes every
-        // connection's in-flight replies, and exits; the workers and
-        // the reaper are still live here, so every outstanding reply
-        // is settled by result or by deadline.
+        // connection's in-flight replies, and exits; the workers are
+        // still live here and the threads still fire their timers, so
+        // every outstanding reply is settled by result or by deadline.
         self.io.join();
         self.shared.executor.shutdown();
-        self.shared.reaper.stop();
-        let _ = self.reaper_handle.join();
         if let Some(h) = self.announce_handle {
             let _ = h.join();
-        }
-        if let Some(listener) = self.metrics_listener {
-            listener.shutdown();
         }
         // Every engine result is published and cached by now: freeze
         // the hit set to disk so the next boot starts warm.
@@ -1381,11 +1315,11 @@ fn process_subeval(request: &Request, shared: &Shared, recv: Instant, parse_us: 
 
 /// Run one cache miss through the flight table on the I/O thread:
 /// lead (submit the job to the executor) or follow (coalesce), attach
-/// the pending reply, and hand the deadline to the reaper.  Never
-/// blocks — the caller already claimed a window slot.
+/// the pending reply, and schedule its deadline on the connection.
+/// Never blocks — the caller already claimed a window slot.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_eval(
-    shared: &Shared,
+    shared: &Arc<Shared>,
     conn: &Arc<ConnReply>,
     id: Option<String>,
     work: JobWork,
@@ -1508,7 +1442,12 @@ fn dispatch_eval(
     // this point is skipped at its deadline, or swept out earlier by a
     // later registration, so a racing answer is harmless.
     if !pending.answered.load(Ordering::SeqCst) {
-        shared.reaper.register(deadline, &pending, &flight);
+        let expiry = Expiry {
+            pending: Arc::downgrade(&pending),
+            flight: Arc::downgrade(&flight),
+            shared: Arc::clone(shared),
+        };
+        conn.schedule(deadline, Box::new(expiry));
     }
 }
 
@@ -1645,7 +1584,6 @@ mod tests {
                 },
                 |_batch: Vec<Job>| {},
             )),
-            reaper: Arc::new(Reaper::new()),
             recorder: Arc::new(FlightRecorder::new(16, 100_000)),
             governor: Arc::new(TenantGovernor::new(0)),
             shutdown: Arc::new(AtomicBool::new(draining)),
@@ -1654,46 +1592,6 @@ mod tests {
             workers: 1,
             io_threads: 1,
         }
-    }
-
-    #[test]
-    fn answered_registrations_leave_the_reaper_heap_bounded() {
-        let reaper = Reaper::new();
-        let Joined::Leader(flight) = FlightTable::new().join("k") else {
-            panic!("a fresh table has no flights");
-        };
-        let conn = ConnReply::detached().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut outstanding = Vec::new();
-        for i in 0..10_000 {
-            let pending = Arc::new(Pending {
-                answered: AtomicBool::new(false),
-                id: None,
-                coalesced: false,
-                start: Instant::now(),
-                key: String::new(),
-                algo: String::new(),
-                parse_us: 0,
-                probe_us: 0,
-                trace: None,
-                tenant: None,
-                slot: Mutex::new(None),
-                conn: Arc::clone(&conn),
-            });
-            reaper.register(deadline, &pending, &flight);
-            if i % 1_000 == 0 {
-                outstanding.push(pending);
-            } else {
-                // Answered: the claim is taken and the handles drop.
-                assert!(pending.try_claim());
-            }
-        }
-        let len = reaper.state.lock().unwrap().heap.len();
-        assert!(
-            (outstanding.len()..=2 * crate::deadline::SWEEP_FLOOR).contains(&len),
-            "10k registrations with {} outstanding left {len} heap entries",
-            outstanding.len()
-        );
     }
 
     #[test]
@@ -1961,8 +1859,10 @@ mod tests {
 
     #[test]
     fn tenant_governor_sheds_at_cap_with_retry_hint() {
-        let mut shared = test_shared(false);
-        shared.governor = Arc::new(TenantGovernor::new(1));
+        let shared = Arc::new(Shared {
+            governor: Arc::new(TenantGovernor::new(1)),
+            ..test_shared(false)
+        });
         // Occupy the tenant's only slot, as a dispatched-and-pending
         // request would.
         assert!(shared.governor.try_acquire("acme"));

@@ -1,7 +1,7 @@
-//! gt-trace: per-request stage tracing, a flight recorder, and the
-//! `/metrics` HTTP listener for gt-serve.
+//! gt-trace: per-request stage tracing and a flight recorder for
+//! gt-serve.
 //!
-//! Three pieces, all std-only:
+//! Two pieces, all std-only:
 //!
 //! * [`StageStamps`] — a per-flight timestamp card.  The base instant
 //!   is taken when the flight is enqueued; workers stamp microsecond
@@ -17,19 +17,15 @@
 //!   construction: two `Vec`s of `Option<Arc<TraceRecord>>` slots that
 //!   are overwritten in place, never grown.  The `op:"trace"` protocol
 //!   verb snapshots both rings, newest first.
-//! * [`spawn_metrics_listener`] — a minimal single-threaded HTTP
-//!   listener on `--metrics-addr` that serves whatever its render
-//!   function returns.  Both tiers hand it
-//!   [`crate::registry::prometheus_text`] over their family table.
+//!
+//! `/metrics` is served by the connection loop itself
+//! ([`crate::eventloop::LoopConfig::metrics`]).
 
 use crate::workload::EvalOutcome;
 use gt_analysis::Json;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Sentinel for "stage not reached".
 const UNSET: u64 = u64::MAX;
@@ -369,121 +365,10 @@ impl FlightRecorder {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The /metrics HTTP listener.
-// ---------------------------------------------------------------------------
-
-/// How often the listener polls for shutdown while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-/// A running `/metrics` endpoint; drop-in observable from any
-/// Prometheus scraper or plain `curl`.
-pub struct MetricsListener {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl MetricsListener {
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop the listener and join its thread.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsListener {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Serve `render()` over HTTP on `addr`.  The listener is a single
-/// thread handling one connection at a time — scrapes are rare and the
-/// body is rendered fresh per request, so there is nothing to pipeline.
-/// Every request path gets the exposition (a scraper only ever asks
-/// for `/metrics`; being liberal costs nothing).
-pub fn spawn_metrics_listener<A: ToSocketAddrs>(
-    addr: A,
-    render: Arc<dyn Fn() -> String + Send + Sync>,
-) -> std::io::Result<MetricsListener> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let bound = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stop = Arc::clone(&shutdown);
-    let handle = std::thread::Builder::new()
-        .name("gt-serve-metrics".into())
-        .spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => serve_one(stream, &*render),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        })?;
-    Ok(MetricsListener {
-        addr: bound,
-        shutdown,
-        handle: Some(handle),
-    })
-}
-
-/// Read (and discard) the request head, then write one exposition
-/// response and close.  Any I/O error just drops the connection.
-fn serve_one(mut stream: std::net::TcpStream, render: &dyn Fn() -> String) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_nodelay(true);
-    // Read until the blank line ending the request head (or give up at
-    // 8 KiB / timeout — the body is served regardless).
-    let mut head = Vec::new();
-    let mut buf = [0u8; 1024];
-    while head.len() < 8192 {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n")
-                    || head.windows(2).any(|w| w == b"\n\n")
-                {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let body = render();
-    let response = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn record(seq_hint: u64, status: &str, latency_us: u64) -> TraceRecord {
         TraceRecord {
@@ -625,23 +510,5 @@ mod tests {
         assert_eq!(back.parent_span, Some(12));
         assert_eq!(back.tenant.as_deref(), Some("acme"));
         assert_eq!(back, linked);
-    }
-
-    #[test]
-    fn metrics_listener_serves_the_exposition() {
-        let render: Arc<dyn Fn() -> String + Send + Sync> =
-            Arc::new(|| "gtserve_up 1\n".to_string());
-        let listener = spawn_metrics_listener("127.0.0.1:0", render).unwrap();
-        let addr = listener.local_addr();
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n")
-            .unwrap();
-        let mut reply = String::new();
-        stream.read_to_string(&mut reply).unwrap();
-        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
-        assert!(reply.contains("text/plain; version=0.0.4"));
-        assert!(reply.ends_with("gtserve_up 1\n"), "{reply}");
-        listener.shutdown();
     }
 }

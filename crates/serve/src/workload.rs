@@ -412,7 +412,7 @@ where
 /// Run one validated request to completion (or cancellation) on the
 /// calling thread.  The fork-join engines (`round`, `cascade`, `ybw`)
 /// also fork onto the pool of [`gt_tree::par`]; every arm polls the
-/// one cancellation flag, so a deadline reaper flipping it stops the
+/// one cancellation flag, so a deadline timer flipping it stops the
 /// whole evaluation.
 pub fn evaluate(
     spec: &GenSpec,

@@ -498,6 +498,18 @@ start_split_fleet() { # extra `gtree route` flags as args
     sleep 0.05
   done
   [ -n "$up" ] || { echo "ci_smoke: split router did not come up" >&2; exit 1; }
+  # The router accepts before every replica is connected; a replica
+  # that was not listening yet is connected by the prober later.
+  local connected=0
+  for _ in $(seq 1 100); do
+    connected=$(split_stats | grep -o '"connected":1' | wc -l)
+    [ "$connected" -ge 3 ] && break
+    sleep 0.05
+  done
+  [ "$connected" -ge 3 ] || {
+    echo "ci_smoke: split router connected $connected of 3 replicas: $(split_stats)" >&2
+    exit 1
+  }
 }
 
 stop_split_fleet() {

@@ -225,8 +225,9 @@ const ROUTER_KEYS: &str = "
     bad_request connections draining ejects expired forwarded_errors hedge_losers hedge_wins
     hedges membership.duplicate_joins membership.joined membership.members
     membership.refreshed membership.reweighted membership.stale_joins membership.version ok
-    open_conns overflow_closed overlong_closed replicas[].addr replicas[].busy replicas[].ejects replicas[].errors
-    replicas[].generation replicas[].inflight replicas[].last_probe_age_s replicas[].ok
+    open_conns overflow_closed overlong_closed replicas[].addr replicas[].busy replicas[].connected
+    replicas[].ejects replicas[].errors replicas[].generation replicas[].inflight
+    replicas[].last_probe_age_s replicas[].ok
     replicas[].probe_failures replicas[].sent replicas[].state replicas[].tier
     replicas[].transport replicas[].weight requests retries route_latency.buckets[]
     route_latency.count route_latency.mean_us route_latency.p50_us route_latency.p90_us

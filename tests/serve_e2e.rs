@@ -525,6 +525,66 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     assert!(TcpStream::connect(metrics_addr).is_err() || scrape_is_dead(metrics_addr));
 }
 
+/// A scraper that dribbles its request head holds up no other scrape:
+/// while one sends a byte of a head that never ends every 400 ms for
+/// 3 s, a second scrape is answered within 1 s, and the dribbler is
+/// closed once its head's 500 ms deadline passes.
+#[test]
+fn a_dribbling_scraper_delays_no_other_scrape() {
+    use std::io::Read as _;
+    let server = start(Config {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..Config::default()
+    });
+    let metrics_addr = server.metrics_listener_addr().unwrap();
+    let dribbler = TcpStream::connect(metrics_addr).unwrap();
+    let opened = Instant::now();
+    let mut dribble_reader = dribbler.try_clone().unwrap();
+    dribble_reader
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let drip = std::thread::spawn(move || {
+        let mut dribbler = dribbler;
+        for byte in b"GET /met" {
+            if dribbler.write_all(&[*byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(400));
+        }
+    });
+    // The dribbler's close, seen from its read side: EOF or a reset.
+    let closed = std::thread::spawn(move || {
+        let _ = dribble_reader.read_to_end(&mut Vec::new());
+        opened.elapsed()
+    });
+
+    std::thread::sleep(Duration::from_millis(100));
+    let asked = Instant::now();
+    let mut scrape = TcpStream::connect(metrics_addr).unwrap();
+    scrape
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(scrape, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let mut reply = String::new();
+    let _ = scrape.read_to_string(&mut reply);
+    let waited = asked.elapsed();
+    assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+    assert!(reply.contains("gtserve_requests_total"), "{reply}");
+    assert!(
+        waited < Duration::from_secs(1),
+        "a scrape waited {waited:?} behind a dribbling one"
+    );
+
+    let closed_after = closed.join().unwrap();
+    assert!(
+        (Duration::from_millis(450)..Duration::from_secs(3)).contains(&closed_after),
+        "the dribbler was closed {closed_after:?} after it connected"
+    );
+    drip.join().unwrap();
+    server.request_shutdown();
+    server.join();
+}
+
 /// After shutdown the metrics port may still accept briefly on some
 /// platforms; a dead listener never answers.
 fn scrape_is_dead(addr: std::net::SocketAddr) -> bool {
@@ -548,9 +608,10 @@ fn process_thread_count() -> usize {
 /// Regression test for the unbounded-thread model this service started
 /// with: every cache miss used to get a detached `thread::spawn`, so a
 /// cold storm of distinct keys meant one OS thread per in-flight
-/// request.  With the shared executor the census is fixed — one
-/// acceptor, one reader per connection, `workers` eval threads, and one
-/// reaper — no matter how many misses are queued.
+/// request.  With the connection loop and the shared executor the
+/// census is fixed — the `io_threads` loop threads, which also fire
+/// every deadline, and `workers` eval threads — no matter how many
+/// connections are open or misses queued.
 #[cfg(target_os = "linux")]
 #[test]
 fn cold_storm_keeps_a_fixed_thread_census() {
@@ -592,11 +653,12 @@ fn cold_storm_keeps_a_fixed_thread_census() {
     let during = process_thread_count();
     let spawned = during.saturating_sub(before);
 
-    // Budget: acceptor + one reader per connection + 2 eval workers +
-    // reaper, plus generous slack for the *other* e2e tests sharing
-    // this process under the parallel test harness.  The old per-miss
-    // model would spawn 128 eval threads on top of the readers and sit
-    // well past 160.
+    // Budget: what the thread-per-connection model before the loop
+    // ran (an acceptor, one reader per connection, 2 eval workers and a
+    // deadline thread), plus generous slack for the *other* e2e tests
+    // sharing this process under the parallel test harness.  The old
+    // per-miss model would spawn 128 eval threads on top of the readers
+    // and sit well past 160.
     let budget = CONNS + 2 + 2 + 64;
     assert!(
         spawned <= budget,
@@ -604,8 +666,8 @@ fn cold_storm_keeps_a_fixed_thread_census() {
          eval concurrency is no longer bounded by the worker pool"
     );
 
-    // Closing the sockets lets the readers drain; queued jobs resolve
-    // via the reaper at their 2s deadlines.
+    // Closing the sockets lets the loop drain; queued jobs resolve via
+    // their deadline timers at 2s.
     drop(conns);
     let mut client = Client::connect(addr).unwrap();
     client.shutdown_server().unwrap();
@@ -675,8 +737,8 @@ fn deadline_stops_every_thread_of_a_forked_eval() {
     // 2^30 leaves in worst ordering: alpha-beta prunes nothing, so
     // cascade cannot finish inside 100ms.  The root's children sit far
     // above the fork grain, so the eval forks onto the pool.  The
-    // reaper flips the flight's one cancel flag; every arm polls it and
-    // aborts.
+    // deadline timer flips the flight's one cancel flag; every arm
+    // polls it and aborts.
     let started = Instant::now();
     let r = client
         .eval("minmax-worst:d=2,n=30,seed=1", "cascade:w=1", Some(100))
