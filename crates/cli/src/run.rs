@@ -41,7 +41,7 @@ USAGE:
   gtree eval   (--gen <SPEC> | --tree <FILE>) [--algo A] [--width W] [--processors P]
   gtree render (--gen <SPEC> | --tree <FILE>) [--dot]
   gtree msgsim --gen <SPEC> [--processors P]
-  gtree serve  [--addr A] [--eval-workers N] [--queue-depth N] [--batch-max N]
+  gtree serve  [--addr A] [--eval-workers N] [--queue-depth N]
                [--small-cost C] [--cache N] [--shards N] [--cache-ttl MS]
                [--conn-window N] [--deadline-ms MS] [--trace-ring N]
                [--slow-us US] [--metrics-addr A] [--io-threads N]
@@ -53,7 +53,7 @@ USAGE:
                [--hedge-ms MS] [--backoff-ms MS] [--probe-interval MS]
                [--probe-timeout MS] [--eject-after N] [--readmit-ms MS]
                [--deadline-ms MS] [--metrics-addr A] [--split-cost C]
-               [--split-depth N] [--split-naive] [--split-speculative]
+               [--split-depth N] [--split-naive]
                [--trace-sample F] [--trace-ring N]
   gtree loadgen [--addr A] [--conns N] [--connections N] [--rps R]
                [--duration SECS] [--pipeline N] [--spec SPEC]
@@ -75,9 +75,10 @@ drives it: open loop at --rps, closed loop when --rps 0, pipelined
 closed loop with --pipeline > 1, distinct-key cold storm with
 --distinct.  Serve-side algorithms: seq-solve alphabeta parallel-solve
 round cascade ybw tt.  --eval-workers (default 4) bounds how many
-evals run at once; jobs cheaper than --small-cost leaves are
-micro-batched up to --batch-max per dispatch; --cache-ttl expires
-cached results.
+evals run at once, each worker taking one job at a time; jobs of at
+most --small-cost leaves are served before larger ones; past
+--queue-depth waiting jobs a request is shed with a 429; --cache-ttl
+expires cached results.
 --io-threads sizes the fixed readiness-driven I/O pool that
 multiplexes all connections (no thread per connection);
 --conn-idle-timeout closes connections with no complete request for
@@ -123,8 +124,7 @@ default 1: the root's children) and their subtrees fanned out across
 the fleet as subevals under narrowing alpha/beta windows; a deeper
 plan adds a serial wave of subevals per level.  --split-naive
 dispatches everything at once under the root window (benchmark
-baseline) and --split-speculative races each level's second child
-alongside the eldest.  `loadgen --split-heavy` replaces --spec with a
+baseline).  `loadgen --split-heavy` replaces --spec with a
 rotating pool of large trees sized to exercise a router's split
 planner.
 
@@ -526,7 +526,6 @@ fn run_serve(args: &[String]) -> Result<String, CliError> {
                 config.workers = parse_flag("--eval-workers", &next(&mut i)?)?;
             }
             "--queue-depth" => config.queue_depth = parse_flag("--queue-depth", &next(&mut i)?)?,
-            "--batch-max" => config.batch_max = parse_flag("--batch-max", &next(&mut i)?)?,
             "--small-cost" => {
                 config.small_cost_max = parse_flag("--small-cost", &next(&mut i)?)?;
             }
@@ -641,7 +640,6 @@ fn run_route(args: &[String]) -> Result<String, CliError> {
                 config.split.max_depth = parse_flag("--split-depth", &next(&mut i)?)?;
             }
             "--split-naive" => config.split.naive = true,
-            "--split-speculative" => config.split.speculative = true,
             "--trace-sample" => {
                 config.trace_sample = parse_flag("--trace-sample", &next(&mut i)?)?;
             }
@@ -853,6 +851,47 @@ mod tests {
         );
     }
 
+    /// The `[--flag` tokens of one command's usage block.
+    fn usage_flags(cmd: &str, next: &str) -> Vec<String> {
+        let from = USAGE.find(&format!("  gtree {cmd} ")).unwrap();
+        let to = from + USAGE[from..].find(&format!("  gtree {next} ")).unwrap();
+        USAGE[from..to]
+            .split('[')
+            .filter(|t| t.starts_with("--"))
+            .map(|t| t.split([' ', ']']).next().unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn usage_flags_are_known_and_removed_flags_are_not() {
+        // Each flag alone: a value flag fails on its missing value and
+        // a route switch on the missing --replica, so nothing starts,
+        // and an unknown flag would say so.
+        for (cmd, next) in [("serve", "route"), ("route", "loadgen")] {
+            let flags = usage_flags(cmd, next);
+            assert!(flags.len() >= 10, "{cmd}: {flags:?}");
+            for flag in &flags {
+                let err = run_str(&[cmd, flag]).unwrap_err();
+                assert_eq!(err.exit_code, 2, "{cmd} {flag}");
+                assert!(
+                    !err.message.contains("unknown argument"),
+                    "{cmd} {flag}: {}",
+                    err.message
+                );
+            }
+        }
+        for (cmd, flag) in [("serve", "--batch-max"), ("route", "--split-speculative")] {
+            let err = run_str(&[cmd, flag, "4"]).unwrap_err();
+            assert_eq!(err.exit_code, 2);
+            assert!(
+                err.message
+                    .starts_with(&format!("unknown argument {flag:?}")),
+                "{cmd} {flag}: {}",
+                err.message
+            );
+        }
+    }
+
     #[test]
     fn errors_carry_usage_and_codes() {
         assert_eq!(run_str(&[]).unwrap_err().exit_code, 2);
@@ -919,7 +958,6 @@ mod tests {
         assert!(err.message.contains("closed loop"));
         for flag in [
             "--eval-workers",
-            "--batch-max",
             "--small-cost",
             "--cache-ttl",
             "--trace-ring",
@@ -1054,7 +1092,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("\"ok\":"), "{out}");
         assert!(
-            out.contains("\"batch_jobs\":"),
+            out.contains("\"evaluated\":"),
             "--server-stats embeds the server snapshot: {out}"
         );
         assert!(

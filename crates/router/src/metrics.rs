@@ -3,7 +3,7 @@
 //! is exported.
 //!
 //! Counters are atomics (plus gt-serve's lock-free
-//! [`LatencyHistogram`]) so the data path never takes a lock to count.
+//! [`Histogram`]) so the data path never takes a lock to count.
 //! [`ROUTER_FAMILIES`] declares every series once, reading a
 //! [`RouterView`]; `op:"stats"`, the `/metrics` listener and the
 //! shutdown dump of `gtree route` are all rendered from it by
@@ -12,7 +12,7 @@
 use crate::membership::MembershipCounters;
 use crate::router::{Inner, Replica};
 use gt_serve::eventloop::ConnCounters;
-use gt_serve::metrics::LatencyHistogram;
+use gt_serve::metrics::Histogram;
 use gt_serve::protocol::PROTOCOL_VERSION;
 use gt_serve::registry::{
     build_info, counter, gauge, histogram, info, one, uptime, Family, Sample, Value,
@@ -98,7 +98,7 @@ pub struct RouterMetrics {
     /// Membership-change counters (joins, refreshes, reweights).
     pub members: MembershipCounters,
     /// End-to-end latency of ok replies, microseconds.
-    pub route_latency: LatencyHistogram,
+    pub route_latency: Histogram,
 }
 
 impl Default for RouterMetrics {
@@ -126,7 +126,7 @@ impl Default for RouterMetrics {
             subevals_skipped_on_cutoff: AtomicU64::new(0),
             split_depth: AtomicU64::new(0),
             members: MembershipCounters::default(),
-            route_latency: LatencyHistogram::default(),
+            route_latency: Histogram::default(),
         }
     }
 }

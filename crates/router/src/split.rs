@@ -40,11 +40,6 @@ pub struct SplitConfig {
     /// level immediately, all under the root window — no eldest-first
     /// ordering, no narrowing.  Values still fold correctly.
     pub naive: bool,
-    /// Dispatch each level's second child speculatively, alongside the
-    /// eldest, under the not-yet-narrowed window.  Buys latency on
-    /// trees where the eldest rarely cuts, at the price of some wasted
-    /// (discarded) work when it does.
-    pub speculative: bool,
     /// Maximum levels in the eldest chain (plan recursion depth).  The
     /// default is 1: a plan dispatches one level's siblings at a time,
     /// so each level deeper adds a serial wave and `d - 1` subevals,
@@ -58,7 +53,6 @@ impl Default for SplitConfig {
         SplitConfig {
             cost_threshold: None,
             naive: false,
-            speculative: false,
             max_depth: 1,
         }
     }
@@ -135,8 +129,6 @@ struct MachineLevel {
     children: Vec<SubtreeSpec>,
     state: Vec<ChildState>,
     agg: Aggregator,
-    /// Child 0 is produced by the level below, not by a subeval.
-    chain: bool,
     /// Settled indirectly: an ancestor level cut while this one was
     /// still working, so its value no longer matters.
     moot: bool,
@@ -207,17 +199,16 @@ impl SplitMachine {
             .map(|(k, (node, children))| {
                 let mode = node_mode(&node.spec, node.path.len());
                 let expected = children.len() as u32;
-                let chain = k + 1 < depth;
                 let mut state = vec![ChildState::Waiting; children.len()];
-                if chain {
-                    // Supplied by the level below from the start.
+                if k + 1 < depth {
+                    // A chain level: child 0 is the level below's
+                    // value, supplied from the start.
                     state[0] = ChildState::InFlight;
                 }
                 MachineLevel {
                     state,
                     agg: Aggregator::new(mode, expected, node.alpha, node.beta),
                     children,
-                    chain,
                     moot: false,
                 }
             })
@@ -239,11 +230,6 @@ impl SplitMachine {
         } else {
             let deepest = machine.levels.len() - 1;
             machine.stage(deepest, 0, &mut fx);
-            if config.speculative {
-                for k in 0..machine.levels.len() {
-                    machine.stage(k, 1, &mut fx);
-                }
-            }
         }
         (machine, fx)
     }
@@ -251,14 +237,6 @@ impl SplitMachine {
     /// Number of levels in the plan.
     pub fn depth(&self) -> usize {
         self.levels.len()
-    }
-
-    /// Subevals the plan would dispatch with no cutoffs at all.
-    pub fn planned_subevals(&self) -> u64 {
-        self.levels
-            .iter()
-            .map(|l| (l.children.len() - usize::from(l.chain)) as u64)
-            .sum()
     }
 
     /// Mark `child` in-flight and emit its dispatch under the level's
@@ -512,18 +490,19 @@ mod tests {
         let (mut m, fx) = SplitMachine::new(
             shape,
             &SplitConfig {
-                speculative: true,
+                naive: true,
                 ..SplitConfig::default()
             },
         );
-        // Speculative mode dispatches each level's child 1 alongside
-        // the deepest eldest.
-        assert!(fx.dispatch.len() > 1);
+        // Naive mode dispatches every child at once: the root's two
+        // siblings, then the chain level's three children.
+        assert_eq!(fx.dispatch.len(), 5);
         let mut fx_all = Effects::default();
         let mut queue = fx.dispatch;
         let mut outcome = None;
-        // Deliver every dispatched result, even after the plan
-        // settles: the stragglers must be counted as discarded.
+        // Deliver every dispatched result last-first, even after the
+        // plan settles.  The chain level's value (1) cuts the root
+        // before its siblings land: both must be counted as discarded.
         while let Some(d) = queue.pop() {
             let st = sub_evaluate(&d.sub).unwrap();
             let fx = m.on_value(d.level, d.child, st.value, st.leaves_evaluated);
@@ -537,9 +516,9 @@ mod tests {
             Outcome::Value { value, .. } => assert_eq!(value, 0),
             other => panic!("{other:?}"),
         }
-        assert!(
-            fx_all.discarded > 0,
-            "speculative losers should be discarded on arrival"
+        assert_eq!(
+            fx_all.discarded, 2,
+            "in-flight losers should be discarded on arrival"
         );
     }
 

@@ -187,14 +187,6 @@ impl TraceHandle {
         }
     }
 
-    /// Attach detail to a span without closing it.
-    pub fn annotate(&self, id: u64, key: &str, value: Json) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(span) = st.spans.iter_mut().find(|s| s.id == id) {
-            span.extra.push((key.to_string(), value));
-        }
-    }
-
     /// Spans recorded so far.
     pub fn span_count(&self) -> usize {
         self.state.lock().unwrap().spans.len()

@@ -95,7 +95,7 @@ use crate::io::{
     drain_outbox, raise_nofile_limit, BufferPool, LineAction, LineReader, LineTooLong, Poller,
     Waker,
 };
-use crate::metrics::LatencyHistogram;
+use crate::metrics::Histogram;
 use crate::protocol::{error_line, ErrorCode};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -158,7 +158,7 @@ pub struct IoLoopStats {
     /// refreshed on the owner's gauge cadence, not per write).
     pub outbox_bytes: AtomicU64,
     /// Distribution of per-iteration work time — loop-iteration lag.
-    pub lag: LatencyHistogram,
+    pub lag: Histogram,
 }
 
 impl IoLoopStats {

@@ -1,6 +1,6 @@
 //! The shared evaluation executor: a fixed pool of workers fed by
-//! per-algorithm queues with a small/large priority split and
-//! cross-key micro-batching of small jobs.
+//! per-algorithm queues with a small/large priority split, one job per
+//! dispatch.
 //!
 //! Before this module, every cache miss spawned a detached request
 //! thread, so total engine concurrency was `connections × window` —
@@ -13,26 +13,18 @@
 //! ## Scheduling discipline
 //!
 //! Jobs are keyed by algorithm and classified by estimated cost
-//! ([`CostClass`]):
+//! ([`CostClass`]).  [`Scheduler::pop`] serves **small** work first
+//! (across all algorithms, round-robin between their queues so no
+//! algorithm starves another) and falls back to **large** jobs only
+//! when no small work is queued.  This is the serving-layer analogue
+//! of the paper's processor-per-level machine (Section 7): each
+//! processor takes one message at a time, and cheap `val` messages get
+//! ahead of long `P-SOLVE*` searches by the order they are served in.
 //!
-//! * **Small** jobs — cheap, deterministic specs whose per-job
-//!   dispatch overhead (queue handoff, fork-join pool entry, allocator
-//!   traffic, cache/single-flight bookkeeping) rivals their actual
-//!   evaluation cost.  A worker drains up to `batch_max` of them from
-//!   one algorithm's queue in a single dispatch and evaluates the
-//!   whole batch back-to-back on its own thread, amortizing that
-//!   overhead across the batch.  The batch crosses cache keys but
-//!   never priority classes.
-//! * **Large** jobs — everything else.  One job per dispatch, so a
-//!   long engine run occupies exactly one worker and its cooperative
-//!   cancellation flag stays per-flight.
-//!
-//! `pop` serves small work first (across all algorithms, round-robin
-//! between their queues so no algorithm starves another) and falls
-//! back to large jobs only when no small work is queued.  This is the
-//! serving-layer analogue of the paper's processor-per-level machine
-//! (Section 7): many cheap units of work share one processor bank,
-//! while expensive subtree evaluations get dedicated processors.
+//! Every dispatch carries exactly one job.  A worker holds only the
+//! job it is running, so every job not yet started is visible to
+//! [`Executor::queued`], and a job's cooperative cancellation flag
+//! stays its own flight's.
 //!
 //! The queue is bounded *globally* (`queue_depth`); a submit past the
 //! bound fails fast so the server can shed with `busy` instead of
@@ -45,9 +37,9 @@ use std::thread::{self, JoinHandle};
 /// Cost class of one job, decided before it enters the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostClass {
-    /// Cheap enough that dispatch overhead matters: batchable.
+    /// Cheap: served before any large job.
     Small,
-    /// Runs long enough to deserve a dedicated worker.
+    /// Runs long; waits while small work is queued.
     Large,
 }
 
@@ -63,26 +55,16 @@ impl CostClass {
     }
 }
 
-struct AlgoQueue<J> {
-    small: VecDeque<J>,
-    large: VecDeque<J>,
-}
-
-impl<J> AlgoQueue<J> {
-    fn new() -> Self {
-        AlgoQueue {
-            small: VecDeque::new(),
-            large: VecDeque::new(),
-        }
-    }
-}
+/// One algorithm's queue: a FIFO band per [`CostClass`], indexed by
+/// the class.
+type AlgoQueue<J> = [VecDeque<J>; 2];
 
 /// The executor's queue discipline, free of threads and locks so it
-/// can be property-tested and benchmarked directly.
+/// can be property-tested directly.
 ///
-/// Holds one [`AlgoQueue`] per algorithm name, each split into a
-/// small (batchable) and a large band.  Total occupancy is bounded by
-/// `capacity` across all queues.
+/// Holds one [`AlgoQueue`] per algorithm name, each split into a small
+/// and a large band.  Total occupancy is bounded by `capacity` across
+/// all queues.
 pub struct Scheduler<J> {
     queues: Vec<AlgoQueue<J>>,
     index: HashMap<String, usize>,
@@ -115,11 +97,6 @@ impl<J> Scheduler<J> {
         self.len == 0
     }
 
-    /// The configured global bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Enqueue `job` on `algo`'s queue in its class band; returns the
     /// job when the global bound is reached.
     pub fn push(&mut self, algo: &str, class: CostClass, job: J) -> Result<(), J> {
@@ -130,81 +107,52 @@ impl<J> Scheduler<J> {
             Some(&qi) => qi,
             None => {
                 let qi = self.queues.len();
-                self.queues.push(AlgoQueue::new());
+                self.queues.push(Default::default());
                 self.index.insert(algo.to_string(), qi);
                 qi
             }
         };
-        match class {
-            CostClass::Small => self.queues[qi].small.push_back(job),
-            CostClass::Large => self.queues[qi].large.push_back(job),
-        }
+        self.queues[qi][class as usize].push_back(job);
         self.len += 1;
         Ok(())
     }
 
-    /// Dequeue the next dispatch: up to `batch_max` small jobs from
-    /// one algorithm's queue, or a single large job when no small
-    /// work is queued anywhere.  Within one `(algorithm, class)` band
-    /// jobs leave in arrival order; the round-robin cursor rotates
-    /// between algorithms so none starves.
-    pub fn pop_batch(&mut self, batch_max: usize) -> Vec<J> {
+    /// Dequeue the next job: the small band of every algorithm before
+    /// any large band.  Within one `(algorithm, class)` band jobs leave
+    /// in arrival order; the round-robin cursor rotates between
+    /// algorithms so none starves.
+    pub fn pop(&mut self) -> Option<J> {
         let n = self.queues.len();
-        if n == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        let batch_max = batch_max.max(1);
-        // First pass: small work anywhere wins.
-        for step in 0..n {
-            let qi = (self.cursor + step) % n;
-            if !self.queues[qi].small.is_empty() {
-                self.cursor = (qi + 1) % n;
-                let take = self.queues[qi].small.len().min(batch_max);
-                let batch: Vec<J> = self.queues[qi].small.drain(..take).collect();
-                self.len -= batch.len();
-                return batch;
+        for band in [CostClass::Small, CostClass::Large] {
+            for step in 0..n {
+                let qi = (self.cursor + step) % n;
+                if let Some(job) = self.queues[qi][band as usize].pop_front() {
+                    self.cursor = (qi + 1) % n;
+                    self.len -= 1;
+                    return Some(job);
+                }
             }
         }
-        // No small work: one large job, dedicated dispatch.
-        for step in 0..n {
-            let qi = (self.cursor + step) % n;
-            if let Some(job) = self.queues[qi].large.pop_front() {
-                self.cursor = (qi + 1) % n;
-                self.len -= 1;
-                return vec![job];
-            }
-        }
-        Vec::new()
+        None
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per-tenant fairness: deficit round-robin over tenant lanes.
+// Per-tenant fairness: round-robin over tenant lanes.
 // ---------------------------------------------------------------------------
 
-/// One tenant's lane: its own [`Scheduler`] (so the small/large and
-/// per-algorithm disciplines hold *within* the tenant) plus its DRR
-/// deficit.
-struct TenantLane<J> {
-    sched: Scheduler<J>,
-    /// Jobs this lane may still dispatch in its current turn.
-    deficit: u64,
-}
-
-/// Deficit-round-robin across per-tenant lanes, layered over the
-/// per-algorithm [`Scheduler`] discipline.
+/// Round-robin across per-tenant lanes, each its own [`Scheduler`], so
+/// the small/large and per-algorithm disciplines hold *within* a
+/// tenant.
 ///
 /// Every submitted job carries a tenant id (the anonymous tenant `""`
-/// is a lane like any other).  A lane with queued work is visited in
-/// round-robin order and granted a `quantum` of dispatch credit; each
-/// dispatch costs the number of jobs it pops, and the cursor only
-/// moves on when the lane's credit is spent or its queue drains.  A
-/// tenant flooding the queue therefore cannot starve another: each
-/// nonempty lane dispatches ~`quantum` jobs per cycle regardless of
-/// how deep any one lane's backlog is.
+/// is a lane like any other).  Each pop takes one job from the next
+/// lane with queued work, so with `k` tenants backlogged a tenant
+/// waits at most `k − 1` pops between two of its own, however deep any
+/// one lane's backlog is.
 ///
 /// The cost unit is *jobs dispatched*, not engine time — a large job
-/// costs one unit just like a small one.  Runtime skew from expensive
+/// counts once just like a small one.  Runtime skew from expensive
 /// jobs is bounded separately, by the per-tenant inflight cap
 /// ([`TenantGovernor`]) and the router's deadline machinery.
 ///
@@ -212,27 +160,24 @@ struct TenantLane<J> {
 /// a push past the bound fails fast so the server sheds instead of
 /// building invisible backlog.
 pub struct TenantScheduler<J> {
-    lanes: Vec<TenantLane<J>>,
+    lanes: Vec<Scheduler<J>>,
     index: HashMap<String, usize>,
     /// Round-robin cursor over `lanes`.
     cursor: usize,
     len: usize,
     capacity: usize,
-    quantum: u64,
 }
 
 impl<J> TenantScheduler<J> {
     /// A scheduler admitting at most `capacity` queued jobs across
-    /// all tenants, granting `quantum` jobs of credit per DRR turn
-    /// (both clamped to at least 1).
-    pub fn new(capacity: usize, quantum: u64) -> Self {
+    /// all tenants (clamped to at least 1).
+    pub fn new(capacity: usize) -> Self {
         TenantScheduler {
             lanes: Vec::new(),
             index: HashMap::new(),
             cursor: 0,
             len: 0,
             capacity: capacity.max(1),
-            quantum: quantum.max(1),
         }
     }
 
@@ -246,16 +191,9 @@ impl<J> TenantScheduler<J> {
         self.len == 0
     }
 
-    /// The configured global bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Jobs queued for one tenant.
     pub fn queued_for(&self, tenant: &str) -> usize {
-        self.index
-            .get(tenant)
-            .map_or(0, |&ti| self.lanes[ti].sched.len())
+        self.index.get(tenant).map_or(0, |&ti| self.lanes[ti].len())
     }
 
     /// Enqueue `job` for `tenant` on `algo`'s queue in its class
@@ -268,54 +206,31 @@ impl<J> TenantScheduler<J> {
             Some(&ti) => ti,
             None => {
                 let ti = self.lanes.len();
-                self.lanes.push(TenantLane {
-                    // The global bound is enforced here, so the inner
-                    // scheduler's own bound must never bind first.
-                    sched: Scheduler::new(self.capacity),
-                    deficit: 0,
-                });
+                // The global bound is enforced here, so the lane's own
+                // bound must never bind first.
+                self.lanes.push(Scheduler::new(self.capacity));
                 self.index.insert(tenant.to_string(), ti);
                 ti
             }
         };
-        self.lanes[ti].sched.push(algo, class, job)?;
+        self.lanes[ti].push(algo, class, job)?;
         self.len += 1;
         Ok(())
     }
 
-    /// Dequeue the next dispatch from the lane whose DRR turn it is:
-    /// up to `batch_max` jobs (further capped by the lane's remaining
-    /// credit), chosen by the lane's own small/large discipline.  An
-    /// empty lane forfeits its credit and its turn.
-    pub fn pop_batch(&mut self, batch_max: usize) -> Vec<J> {
+    /// Dequeue one job from the next lane with queued work, chosen by
+    /// that lane's own small/large discipline.
+    pub fn pop(&mut self) -> Option<J> {
         let n = self.lanes.len();
-        if n == 0 || self.len == 0 {
-            return Vec::new();
-        }
         for step in 0..n {
             let ti = (self.cursor + step) % n;
-            if self.lanes[ti].sched.is_empty() {
-                self.lanes[ti].deficit = 0;
-                continue;
+            if let Some(job) = self.lanes[ti].pop() {
+                self.cursor = (ti + 1) % n;
+                self.len -= 1;
+                return Some(job);
             }
-            let quantum = self.quantum;
-            let lane = &mut self.lanes[ti];
-            if lane.deficit == 0 {
-                lane.deficit = quantum;
-            }
-            let cap = lane.deficit.min(batch_max.max(1) as u64) as usize;
-            let batch = lane.sched.pop_batch(cap);
-            self.len -= batch.len();
-            lane.deficit = lane.deficit.saturating_sub(batch.len() as u64);
-            if lane.sched.is_empty() {
-                lane.deficit = 0;
-            }
-            // A lane with credit left keeps the floor; otherwise the
-            // next lane is up.
-            self.cursor = if lane.deficit > 0 { ti } else { (ti + 1) % n };
-            return batch;
         }
-        Vec::new()
+        None
     }
 }
 
@@ -387,20 +302,6 @@ impl TenantGovernor {
     }
 }
 
-/// Effective small-batch cap for the current backlog: spread the
-/// queued jobs evenly across the worker pool instead of always filling
-/// a dispatch to `batch_max`.
-///
-/// An idle server (one queued job, several free workers) dispatches a
-/// batch of 1, so a lone request never waits behind batch assembly;
-/// only when the backlog exceeds `workers × batch_max` does every
-/// dispatch fill to the configured cap.  Monotone in `queued`, clamped
-/// to `1..=batch_max`.
-pub fn adaptive_batch_cap(queued: usize, workers: usize, batch_max: usize) -> usize {
-    let per_worker = queued.div_ceil(workers.max(1));
-    per_worker.clamp(1, batch_max.max(1))
-}
-
 /// Why a submit was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
@@ -417,8 +318,6 @@ pub struct ExecutorConfig {
     pub workers: usize,
     /// Global queue bound across all algorithm queues.
     pub queue_depth: usize,
-    /// Most small jobs evaluated per dispatch.
-    pub batch_max: usize,
 }
 
 impl Default for ExecutorConfig {
@@ -426,7 +325,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             workers: 2,
             queue_depth: 64,
-            batch_max: 16,
         }
     }
 }
@@ -439,35 +337,31 @@ struct Core<J> {
 struct ExecutorShared<J> {
     core: Mutex<Core<J>>,
     cv: Condvar,
-    batch_max: usize,
-    workers: usize,
 }
 
 /// A fixed pool of evaluation workers over a shared [`Scheduler`].
 ///
 /// Generic over the job type and the dispatch function so the serving
-/// layer, the unit tests, and the criterion bench can all drive it;
-/// `run` receives each popped batch on a worker thread.
+/// layer and the unit tests can both drive it; `run` is called on a
+/// worker thread with exactly one job per dispatch.
 pub struct Executor<J: Send + 'static> {
     shared: Arc<ExecutorShared<J>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<J: Send + 'static> Executor<J> {
-    /// Start `config.workers` worker threads dispatching batches to
-    /// `run`.
+    /// Start `config.workers` worker threads dispatching jobs to `run`,
+    /// one job per call.
     pub fn start<F>(config: ExecutorConfig, run: F) -> Executor<J>
     where
         F: Fn(Vec<J>) + Send + Sync + 'static,
     {
         let shared = Arc::new(ExecutorShared {
             core: Mutex::new(Core {
-                sched: TenantScheduler::new(config.queue_depth, config.batch_max.max(1) as u64),
+                sched: TenantScheduler::new(config.queue_depth),
                 closed: false,
             }),
             cv: Condvar::new(),
-            batch_max: config.batch_max.max(1),
-            workers: config.workers.max(1),
         });
         let run = Arc::new(run);
         let workers = (0..config.workers.max(1))
@@ -492,8 +386,8 @@ impl<J: Send + 'static> Executor<J> {
         self.submit_tagged("", algo, class, job)
     }
 
-    /// Submit one job for `tenant`; jobs are dispatched under deficit
-    /// round-robin across tenants (see [`TenantScheduler`]).
+    /// Submit one job for `tenant`; jobs are dispatched round-robin
+    /// across tenants (see [`TenantScheduler`]).
     pub fn submit_tagged(
         &self,
         tenant: &str,
@@ -513,7 +407,7 @@ impl<J: Send + 'static> Executor<J> {
         Ok(())
     }
 
-    /// Jobs currently queued (not yet popped by a worker).
+    /// Jobs currently queued (not yet taken by a worker).
     pub fn queued(&self) -> usize {
         self.shared.core.lock().unwrap().sched.len()
     }
@@ -540,23 +434,19 @@ where
     F: Fn(Vec<J>),
 {
     loop {
-        let batch = {
+        let job = {
             let mut core = shared.core.lock().unwrap();
             loop {
                 if core.closed {
                     return;
                 }
-                if !core.sched.is_empty() {
-                    let cap =
-                        adaptive_batch_cap(core.sched.len(), shared.workers, shared.batch_max);
-                    break core.sched.pop_batch(cap);
+                if let Some(job) = core.sched.pop() {
+                    break job;
                 }
                 core = shared.cv.wait(core).unwrap();
             }
         };
-        if !batch.is_empty() {
-            run(batch);
-        }
+        run(vec![job]);
     }
 }
 
@@ -565,6 +455,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
+
+    fn drain<J>(s: &mut Scheduler<J>) -> Vec<J> {
+        std::iter::from_fn(|| s.pop()).collect()
+    }
 
     #[test]
     fn classify_splits_on_the_threshold() {
@@ -579,19 +473,8 @@ mod tests {
         for i in 0..5 {
             s.push("a", CostClass::Small, i).unwrap();
         }
-        assert_eq!(s.pop_batch(16), vec![0, 1, 2, 3, 4]);
+        assert_eq!(drain(&mut s), vec![0, 1, 2, 3, 4]);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn scheduler_batches_at_most_batch_max() {
-        let mut s = Scheduler::new(64);
-        for i in 0..10 {
-            s.push("a", CostClass::Small, i).unwrap();
-        }
-        assert_eq!(s.pop_batch(4), vec![0, 1, 2, 3]);
-        assert_eq!(s.pop_batch(4), vec![4, 5, 6, 7]);
-        assert_eq!(s.pop_batch(4), vec![8, 9]);
     }
 
     #[test]
@@ -602,8 +485,7 @@ mod tests {
         s.push("tiny", CostClass::Small, 2).unwrap();
         // Small band drains first even though the large job arrived
         // earlier on a different queue.
-        assert_eq!(s.pop_batch(8), vec![1, 2]);
-        assert_eq!(s.pop_batch(8), vec![100]);
+        assert_eq!(drain(&mut s), vec![1, 2, 100]);
     }
 
     #[test]
@@ -611,8 +493,9 @@ mod tests {
         let mut s = Scheduler::new(16);
         s.push("a", CostClass::Large, 1).unwrap();
         s.push("a", CostClass::Large, 2).unwrap();
-        assert_eq!(s.pop_batch(8), vec![1]);
-        assert_eq!(s.pop_batch(8), vec![2]);
+        assert_eq!(s.pop(), Some(1));
+        assert_eq!(s.pop(), Some(2));
+        assert_eq!(s.pop(), None);
     }
 
     #[test]
@@ -623,10 +506,7 @@ mod tests {
             s.push("b", CostClass::Small, 20 + i).unwrap();
         }
         // Alternating dispatches: neither algorithm starves.
-        assert_eq!(s.pop_batch(2), vec![10, 11]);
-        assert_eq!(s.pop_batch(2), vec![20, 21]);
-        assert_eq!(s.pop_batch(2), vec![12]);
-        assert_eq!(s.pop_batch(2), vec![22]);
+        assert_eq!(drain(&mut s), vec![10, 20, 11, 21, 12, 22]);
     }
 
     #[test]
@@ -635,35 +515,16 @@ mod tests {
         s.push("a", CostClass::Small, 1).unwrap();
         s.push("b", CostClass::Large, 2).unwrap();
         assert_eq!(s.push("c", CostClass::Small, 3), Err(3));
-        let _ = s.pop_batch(8);
+        let _ = s.pop();
         assert!(s.push("c", CostClass::Small, 3).is_ok());
     }
 
     #[test]
-    fn adaptive_cap_scales_with_backlog() {
-        // Idle: a lone job dispatches alone, no batch-wait added.
-        assert_eq!(adaptive_batch_cap(1, 2, 16), 1);
-        assert_eq!(adaptive_batch_cap(0, 2, 16), 1);
-        // Light backlog: batches stay proportional to depth.
-        assert_eq!(adaptive_batch_cap(4, 2, 16), 2);
-        assert_eq!(adaptive_batch_cap(5, 2, 16), 3);
-        // Saturated: the configured cap is the ceiling.
-        assert_eq!(adaptive_batch_cap(64, 2, 16), 16);
-        assert_eq!(adaptive_batch_cap(1_000_000, 2, 16), 16);
-        // Degenerate knobs are clamped, never zero or a panic.
-        assert_eq!(adaptive_batch_cap(10, 0, 0), 1);
-        // Monotone in queue depth.
-        let caps: Vec<usize> = (0..200).map(|q| adaptive_batch_cap(q, 3, 8)).collect();
-        assert!(caps.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn tenant_drr_shares_dispatches_between_backlogged_tenants() {
-        // Tenant "flood" queues 40 jobs, tenant "calm" queues 8.
-        // With a quantum of 4 the dispatch stream must alternate
-        // 4-job turns until calm drains, instead of serving flood's
-        // whole backlog first.
-        let mut s: TenantScheduler<&'static str> = TenantScheduler::new(64, 4);
+    fn tenant_round_robin_shares_dispatches_between_backlogged_tenants() {
+        // Tenant "flood" queues 40 jobs, tenant "calm" queues 8.  The
+        // dispatch stream must alternate until calm drains, instead of
+        // serving flood's whole backlog first.
+        let mut s: TenantScheduler<&'static str> = TenantScheduler::new(64);
         for _ in 0..40 {
             s.push("flood", "a", CostClass::Small, "flood").unwrap();
         }
@@ -672,59 +533,37 @@ mod tests {
         }
         let mut calm_done_at = None;
         let mut served = 0usize;
-        while !s.is_empty() {
-            let batch = s.pop_batch(16);
-            assert!(!batch.is_empty());
-            served += batch.len();
+        while let Some(_job) = s.pop() {
+            served += 1;
             if calm_done_at.is_none() && s.queued_for("calm") == 0 {
                 calm_done_at = Some(served);
             }
         }
         assert_eq!(served, 48);
-        // Calm's 8 jobs ride along in the first few cycles: by the
-        // time ~2 full cycles (2 × (4+4) = 16 jobs) have been served,
-        // calm must be drained.  FIFO-by-arrival would have made calm
-        // wait for all 40 flood jobs.
-        assert!(
-            calm_done_at.unwrap() <= 16,
-            "calm drained only after {} dispatched jobs",
-            calm_done_at.unwrap()
-        );
-    }
-
-    #[test]
-    fn tenant_lane_keeps_the_floor_while_it_has_credit() {
-        // quantum 4, batch cap 2: a lane's turn spans two dispatches
-        // before the cursor moves on.
-        let mut s: TenantScheduler<u32> = TenantScheduler::new(64, 4);
-        for i in 0..8 {
-            s.push("a", "x", CostClass::Small, 10 + i).unwrap();
-            s.push("b", "x", CostClass::Small, 20 + i).unwrap();
-        }
-        assert_eq!(s.pop_batch(2), vec![10, 11]);
-        assert_eq!(s.pop_batch(2), vec![12, 13]); // credit left: same lane
-        assert_eq!(s.pop_batch(2), vec![20, 21]); // quantum spent: next lane
-        assert_eq!(s.pop_batch(2), vec![22, 23]);
-        assert_eq!(s.pop_batch(2), vec![14, 15]);
+        assert!(s.is_empty());
+        // Calm's 8 jobs alternate with flood's: calm is drained after
+        // 16 dispatches.  FIFO-by-arrival would have made calm wait
+        // for all 40 flood jobs.
+        assert_eq!(calm_done_at, Some(16));
     }
 
     #[test]
     fn tenant_scheduler_keeps_small_over_large_within_a_lane() {
-        let mut s: TenantScheduler<u32> = TenantScheduler::new(16, 8);
+        let mut s: TenantScheduler<u32> = TenantScheduler::new(16);
         s.push("t", "a", CostClass::Large, 100).unwrap();
         s.push("t", "a", CostClass::Small, 1).unwrap();
-        assert_eq!(s.pop_batch(8), vec![1]);
-        assert_eq!(s.pop_batch(8), vec![100]);
+        assert_eq!(s.pop(), Some(1));
+        assert_eq!(s.pop(), Some(100));
         assert!(s.is_empty());
     }
 
     #[test]
     fn tenant_scheduler_capacity_is_global_across_lanes() {
-        let mut s: TenantScheduler<u32> = TenantScheduler::new(2, 4);
+        let mut s: TenantScheduler<u32> = TenantScheduler::new(2);
         s.push("a", "x", CostClass::Small, 1).unwrap();
         s.push("b", "x", CostClass::Small, 2).unwrap();
         assert_eq!(s.push("c", "x", CostClass::Small, 3), Err(3));
-        let _ = s.pop_batch(8);
+        let _ = s.pop();
         assert!(s.push("c", "x", CostClass::Small, 3).is_ok());
     }
 
@@ -759,12 +598,11 @@ mod tests {
             ExecutorConfig {
                 workers: 2,
                 queue_depth: 256,
-                batch_max: 4,
             },
             {
                 let total = Arc::clone(&total);
-                move |batch: Vec<usize>| {
-                    total.fetch_add(batch.iter().sum::<usize>(), Ordering::SeqCst);
+                move |jobs: Vec<usize>| {
+                    total.fetch_add(jobs.iter().sum::<usize>(), Ordering::SeqCst);
                 }
             },
         );
@@ -794,19 +632,23 @@ mod tests {
     #[test]
     fn executor_runs_every_submitted_job() {
         let total = Arc::new(AtomicUsize::new(0));
-        let batches = Arc::new(AtomicUsize::new(0));
+        let calls = Arc::new(AtomicUsize::new(0));
+        let not_one = Arc::new(AtomicUsize::new(0));
         let exec: Executor<usize> = Executor::start(
             ExecutorConfig {
                 workers: 3,
                 queue_depth: 256,
-                batch_max: 8,
             },
             {
                 let total = Arc::clone(&total);
-                let batches = Arc::clone(&batches);
-                move |batch| {
-                    batches.fetch_add(1, Ordering::SeqCst);
-                    total.fetch_add(batch.iter().sum::<usize>(), Ordering::SeqCst);
+                let calls = Arc::clone(&calls);
+                let not_one = Arc::clone(&not_one);
+                move |jobs: Vec<usize>| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    if jobs.len() != 1 {
+                        not_one.fetch_add(1, Ordering::SeqCst);
+                    }
+                    total.fetch_add(jobs.iter().sum::<usize>(), Ordering::SeqCst);
                 }
             },
         );
@@ -837,14 +679,67 @@ mod tests {
         }
         exec.shutdown();
         assert_eq!(total.load(Ordering::SeqCst), want);
-        assert!(
-            batches.load(Ordering::SeqCst) >= 10,
-            "large jobs alone force ≥10 dispatches"
+        assert_eq!(calls.load(Ordering::SeqCst), 100, "one run per job");
+        assert_eq!(
+            not_one.load(Ordering::SeqCst),
+            0,
+            "every run receives exactly one job"
         );
         assert_eq!(
             exec.submit("algo", CostClass::Small, 1),
             Err(SubmitError::Closed)
         );
+    }
+
+    #[test]
+    fn a_busy_worker_holds_one_job_and_the_queue_counts_the_rest() {
+        // Each run blocks until the test releases it, so the one
+        // worker's second dispatch happens with four jobs queued.
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let gate_rx = Mutex::new(gate_rx);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let exec: Executor<u32> = Executor::start(
+            ExecutorConfig {
+                workers: 1,
+                queue_depth: 4,
+            },
+            {
+                let calls = Arc::clone(&calls);
+                move |jobs: Vec<u32>| {
+                    assert_eq!(jobs.len(), 1);
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    let _ = gate_rx.lock().unwrap().recv();
+                }
+            },
+        );
+        let wait_for = |what: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !what() {
+                assert!(Instant::now() < deadline, "executor stalled");
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+        exec.submit("a", CostClass::Small, 0).unwrap();
+        wait_for(&|| calls.load(Ordering::SeqCst) == 1);
+        for i in 1..=4 {
+            exec.submit("a", CostClass::Small, i).unwrap();
+        }
+        assert_eq!(
+            exec.submit("a", CostClass::Small, 5),
+            Err(SubmitError::Full)
+        );
+        // Release the first run: the worker takes one more job and
+        // blocks in it; the other three stay queued and counted.
+        gate_tx.send(()).unwrap();
+        wait_for(&|| calls.load(Ordering::SeqCst) == 2);
+        assert_eq!(exec.queued(), 3);
+        assert!(exec.submit("a", CostClass::Small, 6).is_ok());
+        assert_eq!(
+            exec.submit("a", CostClass::Small, 7),
+            Err(SubmitError::Full)
+        );
+        drop(gate_tx); // unblock every later run
+        exec.shutdown();
     }
 
     #[test]
@@ -856,7 +751,6 @@ mod tests {
             ExecutorConfig {
                 workers: 1,
                 queue_depth: 1,
-                batch_max: 1,
             },
             move |_| {
                 let _ = gate_rx.lock().unwrap().recv();

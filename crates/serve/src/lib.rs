@@ -1,4 +1,4 @@
-//! # gt-serve — a batching, backpressure-aware game-tree evaluation service
+//! # gt-serve — a backpressure-aware game-tree evaluation service
 //!
 //! Everything before this crate was a one-shot process: generate a
 //! workload, evaluate it, print, exit.  `gt-serve` turns the Karp–Zhang
@@ -29,10 +29,10 @@
 //! * **Shared evaluation executor** ([`executor`]) — a fixed pool of
 //!   evaluation workers fed by per-algorithm queues, so total engine
 //!   concurrency is `--eval-workers` no matter how many connections
-//!   are open.  Cheap jobs (estimated cost below a threshold) are
-//!   micro-batched across keys into one dispatch; big jobs get a
-//!   dedicated dispatch; submissions past the bounded depth are shed
-//!   with a 429-style `busy` error instead of growing a backlog.
+//!   are open.  Each dispatch carries one job; cheap jobs (estimated
+//!   cost at or below a threshold) are served before big ones;
+//!   submissions past the bounded depth are shed with a 429-style
+//!   `busy` error instead of growing a backlog.
 //! * **Deadlines without parked threads** ([`server`], [`deadline`]) —
 //!   per-request deadlines are timers on the client connection's I/O
 //!   thread, in that thread's min-heap (the router's retries, hedges

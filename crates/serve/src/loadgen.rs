@@ -73,8 +73,8 @@ pub struct LoadgenConfig {
     /// seeds still exercise the fleet's subeval caches).
     pub split_heavy: bool,
     /// After the run, fetch the server's `stats` snapshot over a fresh
-    /// connection and embed it in the report (batch-size distribution,
-    /// cache telemetry, ...).
+    /// connection and embed it in the report (engine runs, stage
+    /// histograms, cache telemetry, ...).
     pub include_server_stats: bool,
     /// After the run, fetch the span trees of the N slowest traced
     /// requests via the router's `op:"trace"` verb and embed them in
@@ -440,17 +440,6 @@ impl LoadgenReport {
                 self.traced_latencies_us.len(),
                 percentile(&self.traced_latencies_us, 0.50),
             );
-        }
-        if let Some(stats) = &self.server_stats {
-            let batches = stats.get("batches").and_then(Json::as_u64).unwrap_or(0);
-            let jobs = stats.get("batch_jobs").and_then(Json::as_u64).unwrap_or(0);
-            if batches > 0 {
-                let _ = writeln!(
-                    out,
-                    "server batches {batches} ({jobs} jobs, mean size {:.2})",
-                    jobs as f64 / batches as f64
-                );
-            }
         }
         if !self.sampled_traces.is_empty() {
             let _ = writeln!(
@@ -1171,7 +1160,10 @@ mod tests {
             Some(0),
             "server agrees nothing hit the cache"
         );
-        assert!(stats.get("batches").and_then(Json::as_u64).unwrap_or(0) > 0);
+        assert!(
+            stats.get("evaluated").and_then(Json::as_u64).unwrap_or(0) > 0,
+            "every distinct request ran an engine"
+        );
         let j = report.to_json();
         assert!(j.get("server").is_some());
         server.request_shutdown();

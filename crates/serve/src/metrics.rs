@@ -9,10 +9,9 @@
 //! point.  Distributions land in power-of-two [`Histogram`] buckets;
 //! quantiles are read back by linear interpolation within the bucket
 //! holding the target rank, so unimodal load does not collapse
-//! p50/p90/p99 onto one bucket bound.  Each algorithm gets four stage
-//! histograms (`queue_wait`, `batch_wait`, `engine`, `write`) and the
-//! paper's work counters (leaves, steps, max frontier width, pruning
-//! events).
+//! p50/p90/p99 onto one bucket bound.  Each algorithm gets three stage
+//! histograms (`queue_wait`, `engine`, `write`) and the paper's work
+//! counters (leaves, steps, max frontier width, pruning events).
 //!
 //! [`SERVE_FAMILIES`] declares every series once: its exposition name,
 //! type, help text and `stats` key, and how to read it from a
@@ -37,22 +36,20 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
     (lo, 1u64 << (i + 1))
 }
 
-/// Lock-free histogram over `N` power-of-two buckets: bucket `i`
+/// Buckets per [`Histogram`].
+const BUCKETS: usize = 40;
+
+/// Lock-free histogram over 40 power-of-two buckets, for microsecond
+/// latencies (and the unitless executor queue depth): bucket `i`
 /// counts observations in `[2^i, 2^{i+1})` (0 and 1 land in bucket 0,
 /// everything past the top bound in the last bucket).
-pub struct Histogram<const N: usize> {
-    buckets: [AtomicU64; N],
+pub struct Histogram {
+    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-/// Microsecond latencies (and the unitless executor queue depth).
-pub type LatencyHistogram = Histogram<40>;
-
-/// Executor dispatch sizes — the cross-key micro-batching telemetry.
-pub type BatchHistogram = Histogram<12>;
-
-impl<const N: usize> Default for Histogram<N> {
+impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -62,9 +59,9 @@ impl<const N: usize> Default for Histogram<N> {
     }
 }
 
-impl<const N: usize> Histogram<N> {
+impl Histogram {
     fn bucket_index(v: u64) -> usize {
-        (63 - v.max(1).leading_zeros() as usize).min(N - 1)
+        (63 - v.max(1).leading_zeros() as usize).min(BUCKETS - 1)
     }
 
     /// Record one observation.
@@ -135,15 +132,12 @@ impl HistogramSnapshot {
 /// dispatched.
 #[derive(Default)]
 pub struct AlgoStages {
-    /// Enqueue → a worker popped the job's batch.
-    pub queue_wait: LatencyHistogram,
-    /// Batch popped → this job's engine started (time behind
-    /// batchmates).
-    pub batch_wait: LatencyHistogram,
+    /// Enqueue → a worker took the job.
+    pub queue_wait: Histogram,
     /// Engine run time.
-    pub engine: LatencyHistogram,
+    pub engine: Histogram,
     /// Result published → reply bytes written.
-    pub write: LatencyHistogram,
+    pub write: Histogram,
     /// Engine runs completed for this algorithm.
     pub evals: AtomicU64,
     /// Total leaves/positions evaluated — the paper's work `W(T)`,
@@ -182,7 +176,7 @@ pub struct TenantStats {
     /// Requests shed by the tenant's inflight cap (429).
     pub shed: AtomicU64,
     /// End-to-end latency of this tenant's answered requests.
-    pub latency: LatencyHistogram,
+    pub latency: Histogram,
 }
 
 /// Server start time with a `Default` impl so [`Metrics`] can keep
@@ -225,9 +219,7 @@ pub struct Metrics {
     /// Accepts and closes, kept by the connection loop.
     pub conns: ConnCounters,
     /// End-to-end server-side latency of eval requests.
-    pub latency: LatencyHistogram,
-    /// Executor dispatch sizes (micro-batching telemetry).
-    pub batches: BatchHistogram,
+    pub latency: Histogram,
     /// `cachepull` requests served (peers warm-filling from us).
     pub cachepull_served: AtomicU64,
     /// Entries shipped across all served `cachepull`s.
@@ -245,7 +237,7 @@ pub struct Metrics {
     io_loops: RwLock<Vec<Arc<IoLoopStats>>>,
     /// Executor queue depth sampled over time (power-of-two depth
     /// buckets, not microseconds) — the queue-depth-over-time series.
-    pub queue_depth: LatencyHistogram,
+    pub queue_depth: Histogram,
     /// When this registry (≈ the server) came up.
     started: StartTime,
 }
@@ -479,32 +471,6 @@ pub(crate) const SERVE_FAMILIES: &[Family<ServeView>] = &[
         |v| one(&v.metrics.latency),
     ),
     counter(
-        "gtserve_batches_total",
-        "batches",
-        "Executor dispatches performed.",
-        |v| one(&v.metrics.batches.count),
-    ),
-    counter(
-        "gtserve_batch_jobs_total",
-        "batch_jobs",
-        "Jobs carried by executor dispatches.",
-        |v| one(&v.metrics.batches.sum),
-    ),
-    info(
-        "batch_mean_size",
-        "Mean jobs per dispatch: batch_jobs / batches.",
-        |v| one(v.metrics.batches.snapshot().mean()),
-    ),
-    Family {
-        unit: Unit::One,
-        ..histogram(
-            "gtserve_batch_size",
-            "batch_size_",
-            "Jobs per executor dispatch (le = jobs).",
-            |v| one(&v.metrics.batches),
-        )
-    },
-    counter(
         "gtserve_cachepull_served_total",
         "cachepull_served",
         "cachepull requests served to warm-filling peers.",
@@ -531,13 +497,12 @@ pub(crate) const SERVE_FAMILIES: &[Family<ServeView>] = &[
     histogram(
         "gtserve_stage_latency_seconds",
         "stages.{algo}.{stage}",
-        "Per-stage latency by algorithm (queue_wait, batch_wait, engine, write).",
+        "Per-stage latency by algorithm (queue_wait, engine, write).",
         |v| {
             let mut out = Vec::new();
             for (algo, s) in v.metrics.algos() {
                 for (stage, h) in [
                     ("queue_wait", &s.queue_wait),
-                    ("batch_wait", &s.batch_wait),
                     ("engine", &s.engine),
                     ("write", &s.write),
                 ] {
@@ -766,14 +731,13 @@ mod tests {
 
     #[test]
     fn bucket_boundaries() {
-        assert_eq!(LatencyHistogram::bucket_index(0), 0);
-        assert_eq!(LatencyHistogram::bucket_index(1), 0);
-        assert_eq!(LatencyHistogram::bucket_index(2), 1);
-        assert_eq!(LatencyHistogram::bucket_index(3), 1);
-        assert_eq!(LatencyHistogram::bucket_index(4), 2);
-        assert_eq!(LatencyHistogram::bucket_index(1024), 10);
-        assert_eq!(LatencyHistogram::bucket_index(u64::MAX), 39);
-        assert_eq!(BatchHistogram::bucket_index(u64::MAX), 11);
+        assert_eq!(Histogram::bucket_index(0), 0);
+        assert_eq!(Histogram::bucket_index(1), 0);
+        assert_eq!(Histogram::bucket_index(2), 1);
+        assert_eq!(Histogram::bucket_index(3), 1);
+        assert_eq!(Histogram::bucket_index(4), 2);
+        assert_eq!(Histogram::bucket_index(1024), 10);
+        assert_eq!(Histogram::bucket_index(u64::MAX), 39);
     }
 
     #[test]
@@ -839,7 +803,7 @@ mod tests {
         assert_eq!(s.u64("stages.cascade.work.max_width"), 9);
         assert_eq!(s.u64("stages.cascade.queue_wait.count"), 1);
         assert_eq!(s.u64("stages.cascade.engine.count"), 1);
-        assert_eq!(s.u64("stages.cascade.batch_wait.count"), 0);
+        assert!(s.get("stages.cascade.batch_wait").is_none());
     }
 
     #[test]
@@ -895,30 +859,6 @@ mod tests {
         let s = stats(Metrics::default());
         assert_eq!(s.get("latency_p50_us"), Some(&Json::Null));
         assert_eq!(s.get("latency_mean_us"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn batch_histogram_tracks_dispatches() {
-        let m = Metrics::default();
-        m.batches.record(1);
-        m.batches.record(8);
-        m.batches.record(8);
-        m.batches.record(64);
-        let s = stats(m);
-        assert_eq!(s.u64("batches"), 4);
-        assert_eq!(s.u64("batch_jobs"), 81);
-        assert_eq!(
-            s.get("batch_mean_size").and_then(Json::as_f64),
-            Some(81.0 / 4.0)
-        );
-        let buckets = s
-            .get("batch_size_buckets")
-            .and_then(Json::as_array)
-            .unwrap();
-        assert_eq!(buckets.len(), 12);
-        assert_eq!(buckets[BatchHistogram::bucket_index(1)].as_u64(), Some(1));
-        assert_eq!(buckets[BatchHistogram::bucket_index(8)].as_u64(), Some(2));
-        assert_eq!(buckets[BatchHistogram::bucket_index(64)].as_u64(), Some(1));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   │                  misses submitted, deadline timer scheduled
 //!   ├─ due timer──▶ 408 reply, flight detach
 //!   └─ /metrics scrape──▶ Prometheus text, rendered inline
-//! eval workers (fixed pool) ──pop batches, evaluate, publish──▶ Flight
+//! eval workers (fixed pool) ──pop one job, evaluate, publish──▶ Flight
 //! publish ──drained waiters──▶ replies enqueued, I/O thread woken
 //! ```
 //!
@@ -123,10 +123,8 @@ pub struct Config {
     /// Bounded queue depth across all algorithm queues; submits
     /// beyond it are shed with `busy`.
     pub queue_depth: usize,
-    /// Most small jobs evaluated in one executor dispatch.
-    pub batch_max: usize,
     /// Estimated-cost threshold (leaves) at or below which a job is
-    /// batchable small work.
+    /// small work, served before any large job.
     pub small_cost_max: u64,
     /// Result-cache entries across all shards (0 disables caching).
     pub cache_capacity: usize,
@@ -194,7 +192,6 @@ impl Default for Config {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             queue_depth: 64,
-            batch_max: 16,
             small_cost_max: 4096,
             cache_capacity: 256,
             cache_shards: 8,
@@ -231,6 +228,23 @@ impl JobWork {
         match self {
             JobWork::Eval { algo, .. } => &algo.name,
             JobWork::Subeval { .. } => SUBEVAL_ALGO,
+        }
+    }
+
+    /// [`Self::algo_label`], owned: an eval's name is moved out, not
+    /// copied.
+    fn into_algo_label(self) -> String {
+        match self {
+            JobWork::Eval { algo, .. } => algo.name,
+            JobWork::Subeval { .. } => SUBEVAL_ALGO.to_string(),
+        }
+    }
+
+    /// Estimated leaves, for the executor's small/large split.
+    fn estimated_cost(&self) -> u64 {
+        match self {
+            JobWork::Eval { spec, algo } => estimated_cost(spec, algo),
+            JobWork::Subeval { sub } => estimated_subtree_cost(sub),
         }
     }
 }
@@ -711,9 +725,12 @@ impl Server {
                 ExecutorConfig {
                     workers: config.workers,
                     queue_depth: config.queue_depth,
-                    batch_max: config.batch_max,
                 },
-                move |batch: Vec<Job>| run_batch(batch, &cache, &flights, &metrics, &recorder),
+                move |jobs: Vec<Job>| {
+                    for job in jobs {
+                        run_job(job, &cache, &flights, &metrics, &recorder);
+                    }
+                },
             ))
         };
 
@@ -974,72 +991,60 @@ fn announce_and_warmfill(
         .fetch_add(filled, Ordering::Relaxed);
 }
 
-/// Evaluate one executor batch: per-job cancellation check, engine
-/// run, cache insert, publish, and every drained waiter answered.
-/// Cancelling one job's flight never touches its batchmates — each
-/// job carries its own flight and flag.
-fn run_batch(
-    batch: Vec<Job>,
+/// Evaluate one job a worker took: cancellation check, engine run,
+/// cache insert, publish, and every drained waiter answered.
+fn run_job(
+    job: Job,
     cache: &ResultCache,
     flights: &FlightTable<Pending>,
     metrics: &Metrics,
     recorder: &FlightRecorder,
 ) {
-    metrics.batches.record(batch.len() as u64);
-    // One dispatch stamp for the whole batch: every job left the queue
-    // when the worker popped it; time behind batchmates is batch_wait.
-    for job in &batch {
-        job.flight.stamps.stamp_dispatch();
+    let stamps = &job.flight.stamps;
+    stamps.stamp_dispatch();
+    // Every waiter already gave up (last one out set the flag): skip
+    // the run, retire the flight.
+    if job.flight.cancel.load(Ordering::Relaxed) {
+        for w in flights.publish(&job.cache_key, &job.flight, FlightResult::Cancelled) {
+            answer_pending(&w, metrics, &FlightResult::Cancelled, recorder, None);
+        }
+        return;
     }
-    for job in batch {
-        // Every waiter already gave up (last one out set the flag):
-        // skip the run, retire the flight.
-        if job.flight.cancel.load(Ordering::Relaxed) {
-            for w in flights.publish(&job.cache_key, &job.flight, FlightResult::Cancelled) {
-                answer_pending(&w, metrics, &FlightResult::Cancelled, recorder, None);
-            }
-            continue;
-        }
-        let stamps = &job.flight.stamps;
-        stamps.stamp_engine_start();
-        let evaluated = match &job.work {
-            JobWork::Eval { spec, algo } => evaluate(spec, algo, &job.flight.cancel),
-            JobWork::Subeval { sub } => evaluate_subtree(sub, &job.flight.cancel),
-        };
-        stamps.stamp_engine_end();
+    stamps.stamp_engine_start();
+    let evaluated = match &job.work {
+        JobWork::Eval { spec, algo } => evaluate(spec, algo, &job.flight.cancel),
+        JobWork::Subeval { sub } => evaluate_subtree(sub, &job.flight.cancel),
+    };
+    stamps.stamp_engine_end();
 
-        // Fold this run into the per-algorithm stage histograms and
-        // work aggregates (dispatch is always stamped here, so the
-        // unwraps below cannot misfire — but stay defensive).
-        let stages = metrics.algo_stages(job.work.algo_label());
-        if let Some(d) = stamps.dispatch_us() {
-            stages.queue_wait.record(d);
-            if let Some(es) = stamps.engine_start_us() {
-                stages.batch_wait.record(es.saturating_sub(d));
-                if let Some(ee) = stamps.engine_end_us() {
-                    stages.engine.record(ee.saturating_sub(es));
-                }
-            }
-        }
+    // Fold this run into the per-algorithm stage histograms and work
+    // aggregates (every stamp was taken above, so the lets below cannot
+    // misfire — but stay defensive).
+    let stages = metrics.algo_stages(job.work.algo_label());
+    if let Some(d) = stamps.dispatch_us() {
+        stages.queue_wait.record(d);
+    }
+    if let (Some(es), Some(ee)) = (stamps.engine_start_us(), stamps.engine_end_us()) {
+        stages.engine.record(ee.saturating_sub(es));
+    }
 
-        let result = match evaluated {
-            Ok(outcome) => {
-                metrics.evaluated.fetch_add(1, Ordering::Relaxed);
-                if matches!(job.work, JobWork::Subeval { .. }) {
-                    metrics.subevals.fetch_add(1, Ordering::Relaxed);
-                }
-                stages.record_work(&outcome);
-                // Insert before publishing: once any waiter observes
-                // the result, the cache must already have it.
-                cache.insert(job.cache_key.clone(), outcome);
-                FlightResult::Done(outcome)
+    let result = match evaluated {
+        Ok(outcome) => {
+            metrics.evaluated.fetch_add(1, Ordering::Relaxed);
+            if matches!(job.work, JobWork::Subeval { .. }) {
+                metrics.subevals.fetch_add(1, Ordering::Relaxed);
             }
-            Err(EvalError::Cancelled) => FlightResult::Cancelled,
-            Err(EvalError::Bad(e)) => FlightResult::Failed(e),
-        };
-        for w in flights.publish(&job.cache_key, &job.flight, result.clone()) {
-            answer_pending(&w, metrics, &result, recorder, Some(stamps));
+            stages.record_work(&outcome);
+            // Insert before publishing: once any waiter observes the
+            // result, the cache must already have it.
+            cache.insert(job.cache_key.clone(), outcome);
+            FlightResult::Done(outcome)
         }
+        Err(EvalError::Cancelled) => FlightResult::Cancelled,
+        Err(EvalError::Bad(e)) => FlightResult::Failed(e),
+    };
+    for w in flights.publish(&job.cache_key, &job.flight, result.clone()) {
+        answer_pending(&w, metrics, &result, recorder, Some(stamps));
     }
 }
 
@@ -1154,42 +1159,62 @@ fn process_line(line: &str, shared: &Shared, recv: Instant) -> Handled {
                 ],
             ))
         }
-        Op::Eval => process_eval(&request, shared, recv, parse_us),
-        Op::Subeval => process_subeval(&request, shared, recv, parse_us),
+        Op::Eval | Op::Subeval => process_eval(&request, shared, recv, parse_us),
     }
 }
 
+/// Validate an `eval` or `subeval` line into its cache key and the
+/// work a miss would run.  The two verbs differ only here.
+fn validate_job(request: &Request) -> Result<(String, JobWork), String> {
+    let spec_text = request.spec.as_deref().unwrap_or_default();
+    if request.op == Op::Subeval {
+        let path_text = request.path.as_deref().unwrap_or_default();
+        let v = validate_subeval(spec_text, path_text, request.alpha, request.beta)?;
+        Ok((v.cache_key, JobWork::Subeval { sub: v.sub }))
+    } else {
+        let algo_text = request.algo.as_deref().unwrap_or(DEFAULT_ALGO);
+        let v = validate(spec_text, algo_text)?;
+        let work = JobWork::Eval {
+            spec: v.spec,
+            algo: v.algo,
+        };
+        Ok((v.cache_key, work))
+    }
+}
+
+/// Handle one `eval` or `subeval` line: answer a cache hit inline, or
+/// hand a miss to the flight table and the executor.
 fn process_eval(request: &Request, shared: &Shared, recv: Instant, parse_us: u64) -> Handled {
     let m = &shared.metrics;
     let id = &request.id;
+    if request.op == Op::Subeval {
+        m.subeval_requests.fetch_add(1, Ordering::Relaxed);
+    }
     if shared.shutdown.load(Ordering::SeqCst) {
         m.draining.fetch_add(1, Ordering::Relaxed);
         return Handled::Inline(error_line(id, ErrorCode::Draining, "server is draining"));
     }
-    let spec_text = request.spec.as_deref().unwrap_or_default();
-    let algo_text = request.algo.as_deref().unwrap_or(DEFAULT_ALGO);
-    let validated = match validate(spec_text, algo_text) {
+    let (cache_key, work) = match validate_job(request) {
         Ok(v) => v,
         Err(e) => {
             m.bad_request.fetch_add(1, Ordering::Relaxed);
             return Handled::Inline(error_line(id, ErrorCode::BadRequest, &e));
         }
     };
-    let start = recv;
 
-    if let Some(hit) = shared.cache.get(&validated.cache_key) {
+    if let Some(hit) = shared.cache.get(&cache_key) {
         let probe_us = recv.elapsed().as_micros() as u64;
         record_tenant_hit(m, request.tenant.as_deref(), recv);
         let echo = request
             .trace
             .as_ref()
-            .map(|ctx| trace_echo_json(ctx, start, parse_us, probe_us, None));
-        let reply = ok_eval_line(id, &hit, true, false, start, m, echo);
+            .map(|ctx| trace_echo_json(ctx, recv, parse_us, probe_us, None));
+        let reply = ok_eval_line(id, &hit, true, false, recv, m, echo);
         shared.recorder.record(TraceRecord {
             seq: 0,
             id: id.clone(),
-            key: validated.cache_key,
-            algo: validated.algo.name,
+            key: cache_key,
+            algo: work.into_algo_label(),
             status: "ok".to_string(),
             cached: true,
             coalesced: false,
@@ -1211,18 +1236,14 @@ fn process_eval(request: &Request, shared: &Shared, recv: Instant, parse_us: u64
 
     let deadline_ms = request.deadline_ms.unwrap_or(shared.default_deadline_ms);
     // Clamp to a day so absurd values cannot overflow Instant math.
-    let deadline = start + Duration::from_millis(deadline_ms.min(86_400_000));
-    let cost = estimated_cost(&validated.spec, &validated.algo);
+    let deadline = recv + Duration::from_millis(deadline_ms.min(86_400_000));
     Handled::Dispatch {
         id: id.clone(),
-        work: JobWork::Eval {
-            spec: validated.spec,
-            algo: validated.algo,
-        },
-        cache_key: validated.cache_key,
-        cost,
+        cost: work.estimated_cost(),
+        work,
+        cache_key,
         deadline,
-        start,
+        start: recv,
         parse_us,
         probe_us,
         trace: request.trace.clone(),
@@ -1239,77 +1260,6 @@ fn record_tenant_hit(m: &Metrics, tenant: Option<&str>, recv: Instant) {
         ts.requests.fetch_add(1, Ordering::Relaxed);
         ts.ok.fetch_add(1, Ordering::Relaxed);
         ts.latency.record(recv.elapsed().as_micros() as u64);
-    }
-}
-
-/// Handle one `subeval` line: validate the subtree triple, probe the
-/// window-scoped cache, dispatch a miss through the same flight
-/// table/executor path as whole evals.
-fn process_subeval(request: &Request, shared: &Shared, recv: Instant, parse_us: u64) -> Handled {
-    let m = &shared.metrics;
-    let id = &request.id;
-    m.subeval_requests.fetch_add(1, Ordering::Relaxed);
-    if shared.shutdown.load(Ordering::SeqCst) {
-        m.draining.fetch_add(1, Ordering::Relaxed);
-        return Handled::Inline(error_line(id, ErrorCode::Draining, "server is draining"));
-    }
-    let spec_text = request.spec.as_deref().unwrap_or_default();
-    let path_text = request.path.as_deref().unwrap_or_default();
-    let validated = match validate_subeval(spec_text, path_text, request.alpha, request.beta) {
-        Ok(v) => v,
-        Err(e) => {
-            m.bad_request.fetch_add(1, Ordering::Relaxed);
-            return Handled::Inline(error_line(id, ErrorCode::BadRequest, &e));
-        }
-    };
-    let start = recv;
-
-    if let Some(hit) = shared.cache.get(&validated.cache_key) {
-        let probe_us = recv.elapsed().as_micros() as u64;
-        record_tenant_hit(m, request.tenant.as_deref(), recv);
-        let echo = request
-            .trace
-            .as_ref()
-            .map(|ctx| trace_echo_json(ctx, start, parse_us, probe_us, None));
-        let reply = ok_eval_line(id, &hit, true, false, start, m, echo);
-        shared.recorder.record(TraceRecord {
-            seq: 0,
-            id: id.clone(),
-            key: validated.cache_key,
-            algo: SUBEVAL_ALGO.to_string(),
-            status: "ok".to_string(),
-            cached: true,
-            coalesced: false,
-            latency_us: recv.elapsed().as_micros() as u64,
-            parse_us,
-            probe_us,
-            enqueue_us: None,
-            dispatch_us: None,
-            engine_start_us: None,
-            engine_end_us: None,
-            work: Some(hit),
-            trace_id: request.trace.as_ref().map(|t| t.trace_id.clone()),
-            parent_span: request.trace.as_ref().and_then(|t| t.parent_span),
-            tenant: request.tenant.clone(),
-        });
-        return Handled::Inline(reply);
-    }
-    let probe_us = recv.elapsed().as_micros() as u64;
-
-    let deadline_ms = request.deadline_ms.unwrap_or(shared.default_deadline_ms);
-    let deadline = start + Duration::from_millis(deadline_ms.min(86_400_000));
-    let cost = estimated_subtree_cost(&validated.sub);
-    Handled::Dispatch {
-        id: id.clone(),
-        work: JobWork::Subeval { sub: validated.sub },
-        cache_key: validated.cache_key,
-        cost,
-        deadline,
-        start,
-        parse_us,
-        probe_us,
-        trace: request.trace.clone(),
-        tenant: request.tenant.clone(),
     }
 }
 
@@ -1555,13 +1505,10 @@ mod tests {
         let stats = r.body.get("stats").unwrap();
         assert_eq!(stats.get("cache_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("bad_request").and_then(Json::as_u64), Some(1));
-        // The stats snapshot also reports the sharded cache and the
-        // executor's batching.
+        // The stats snapshot also reports the sharded cache.
         let cache = stats.get("cache").unwrap();
         assert_eq!(cache.get("len").and_then(Json::as_u64), Some(1));
         assert_eq!(cache.get("shards").and_then(Json::as_u64), Some(8));
-        assert_eq!(stats.get("batches").and_then(Json::as_u64), Some(1));
-        assert_eq!(stats.get("batch_jobs").and_then(Json::as_u64), Some(1));
 
         let r = send(&stream, &mut reader, r#"{"op":"shutdown"}"#);
         assert!(r.ok);
@@ -1580,9 +1527,8 @@ mod tests {
                 ExecutorConfig {
                     workers: 1,
                     queue_depth: 1,
-                    batch_max: 1,
                 },
-                |_batch: Vec<Job>| {},
+                |_jobs: Vec<Job>| {},
             )),
             recorder: Arc::new(FlightRecorder::new(16, 100_000)),
             governor: Arc::new(TenantGovernor::new(0)),
@@ -1780,10 +1726,9 @@ mod tests {
     }
 
     #[test]
-    fn small_and_large_jobs_share_the_executor_but_not_a_batch() {
-        // Two distinct small specs submitted back-to-back on a
-        // pipelined connection can land in one batch; a large spec
-        // never joins it.  Either way every reply arrives.
+    fn small_and_large_jobs_share_the_executor() {
+        // Two distinct small specs and a large one, pipelined on one
+        // connection to one worker: every reply arrives.
         let server = Server::start(Config {
             workers: 1,
             ..Config::default()
@@ -1812,10 +1757,6 @@ mod tests {
         server.request_shutdown();
         let snapshot = server.join();
         assert_eq!(snapshot.u64("evaluated"), 3);
-        assert!(
-            snapshot.u64("batches") >= 2,
-            "large job gets its own dispatch"
-        );
     }
 
     #[test]

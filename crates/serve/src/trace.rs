@@ -33,8 +33,7 @@ const UNSET: u64 = u64::MAX;
 /// Microsecond stage offsets for one engine flight, stamped lock-free
 /// as the job crosses thread boundaries.  The base instant is the
 /// moment the flight was created — i.e. right before the executor
-/// enqueue — so `dispatch` is the queue wait and `engine_start -
-/// dispatch` is the time spent waiting behind batchmates.
+/// enqueue — so `dispatch` is the queue wait.
 pub struct StageStamps {
     base: Instant,
     dispatch: AtomicU64,
@@ -65,7 +64,7 @@ impl StageStamps {
         self.base
     }
 
-    /// Stamp "a worker popped this job's batch".
+    /// Stamp "a worker took this job".
     pub fn stamp_dispatch(&self) {
         self.dispatch.store(self.now_us(), Ordering::Relaxed);
     }
@@ -131,7 +130,7 @@ pub struct TraceRecord {
     pub probe_us: u64,
     /// recv → flight enqueued on the executor (`None` for cache hits).
     pub enqueue_us: Option<u64>,
-    /// recv → a worker popped the batch.
+    /// recv → a worker took the job.
     pub dispatch_us: Option<u64>,
     /// recv → engine started.
     pub engine_start_us: Option<u64>,

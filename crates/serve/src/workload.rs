@@ -352,7 +352,7 @@ pub fn estimated_subtree_cost(sub: &SubtreeSpec) -> u64 {
 
 /// Rough size of the workload in positions/leaves, saturating.  The
 /// executor classifies jobs with this: cheap deterministic specs are
-/// batchable, anything big gets a dedicated dispatch.  Precision does
+/// served before anything big.  Precision does
 /// not matter — only which side of the small/large threshold a job
 /// lands on, and a uniform-tree leaf count (`d^n`, or `b^d` for game
 /// search) tracks real cost well enough for that.

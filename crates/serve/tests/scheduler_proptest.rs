@@ -1,77 +1,183 @@
-//! Property tests for the executor's queue discipline ([`Scheduler`]):
-//! random push/pop interleavings must preserve FIFO order within every
-//! `(algorithm, class)` band, the small-before-large priority, the
-//! batching invariants (one algorithm, one class, at most `batch_max`
-//! jobs per dispatch), the exact global capacity bound, and cancel
-//! isolation between batchmates.
+//! Property tests for the executor's queue discipline.  Random
+//! push/pop interleavings must preserve, for [`Scheduler::pop`], FIFO
+//! order within every `(algorithm, class)` band, the small-before-large
+//! priority, no loss or duplication, and the exact global capacity
+//! bound; and for [`TenantScheduler::pop`], that a backlogged tenant
+//! waits at most `k − 1` pops between two of its own while `k` tenants
+//! hold queued work.
 //!
-//! The scheduler is pure (no threads, no locks), so these properties
-//! check the discipline itself rather than racing worker timing.
+//! Both schedulers are pure (no threads, no locks), so these
+//! properties check the discipline itself rather than racing worker
+//! timing.
 
-use gt_serve::{CostClass, Scheduler};
+use gt_serve::{CostClass, Scheduler, TenantScheduler};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
-/// One scripted operation against the scheduler.
+/// One scripted operation against a scheduler.
 #[derive(Debug, Clone)]
 enum Op {
-    Push { algo: usize, small: bool },
+    Push {
+        tenant: usize,
+        algo: usize,
+        small: bool,
+    },
     Pop,
 }
 
-fn op_strategy(algos: usize) -> impl Strategy<Value = Op> {
+fn op_strategy(tenants: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0..algos, any::<bool>()).prop_map(|(algo, small)| Op::Push { algo, small }),
+        3 => (0..tenants, 0..ALGO_NAMES.len(), any::<bool>())
+            .prop_map(|(tenant, algo, small)| Op::Push { tenant, algo, small }),
         2 => Just(Op::Pop),
     ]
 }
 
 const ALGO_NAMES: [&str; 4] = ["seq-solve", "parallel-solve", "round", "cascade"];
+const TENANT_NAMES: [&str; 5] = ["", "t1", "t2", "t3", "t4"];
 
-/// A job as the properties see it: which queue it went to, its class,
-/// and its arrival number within that `(algo, class)` band.
+fn class(small: bool) -> CostClass {
+    if small {
+        CostClass::Small
+    } else {
+        CostClass::Large
+    }
+}
+
+/// A job as the properties see it: its tenant, which queue it went
+/// to, its class, and its arrival number within that `(algo, class)`
+/// band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Job {
+    tenant: usize,
     algo: usize,
     small: bool,
     seq: usize,
 }
 
+/// What a single-tenant run expects to come out next.
+#[derive(Default)]
+struct BandModel {
+    next_seq: [[usize; 2]; ALGO_NAMES.len()],
+    popped_seq: [[usize; 2]; ALGO_NAMES.len()],
+    queued_small: usize,
+    pushed: usize,
+    popped: usize,
+}
+
+impl BandModel {
+    fn job(&self, algo: usize, small: bool) -> Job {
+        let seq = self.next_seq[algo][usize::from(small)];
+        Job {
+            tenant: 0,
+            algo,
+            small,
+            seq,
+        }
+    }
+
+    fn pushed(&mut self, job: Job) {
+        self.next_seq[job.algo][usize::from(job.small)] += 1;
+        self.pushed += 1;
+        self.queued_small += usize::from(job.small);
+    }
+
+    fn popped(&mut self, job: Job) {
+        if job.small {
+            self.queued_small -= 1;
+        } else {
+            assert_eq!(
+                self.queued_small, 0,
+                "a large job left while small work was queued"
+            );
+        }
+        let band = usize::from(job.small);
+        assert_eq!(
+            job.seq, self.popped_seq[job.algo][band],
+            "band served out of arrival order"
+        );
+        self.popped_seq[job.algo][band] += 1;
+        self.popped += 1;
+    }
+}
+
+/// What the tenant property tracks between operations.
+#[derive(Default)]
+struct TenantModel {
+    queued: [usize; TENANT_NAMES.len()],
+    /// Per waiting tenant: the tenants seen backlogged since it began
+    /// to wait, and the pops of others it has waited through.
+    waits: [Option<(BTreeSet<usize>, usize)>; TENANT_NAMES.len()],
+    pushed: usize,
+    popped: BTreeSet<usize>,
+}
+
+impl TenantModel {
+    fn pushed(&mut self, tenant: usize) {
+        self.pushed += 1;
+        self.queued[tenant] += 1;
+        if self.queued[tenant] == 1 {
+            self.waits[tenant] = Some((BTreeSet::new(), 0));
+        }
+    }
+
+    fn pop(&mut self, sched: &mut TenantScheduler<Job>) {
+        let Some(job) = sched.pop() else {
+            assert_eq!(
+                self.queued.iter().sum::<usize>(),
+                0,
+                "pop returned nothing while jobs were queued"
+            );
+            return;
+        };
+        assert!(self.popped.insert(job.seq), "job {} popped twice", job.seq);
+        let queued = self.queued;
+        let backlogged = (0..queued.len()).filter(|&t| queued[t] > 0);
+        for (t, wait) in self.waits.iter_mut().enumerate() {
+            let Some((seen, others)) = wait else {
+                continue;
+            };
+            seen.extend(backlogged.clone());
+            if t == job.tenant {
+                assert!(
+                    *others < seen.len(),
+                    "tenant {t} waited {others} pops with {} tenants backlogged",
+                    seen.len()
+                );
+            } else {
+                *others += 1;
+            }
+        }
+        self.queued[job.tenant] -= 1;
+        self.waits[job.tenant] = (self.queued[job.tenant] > 0).then(|| (BTreeSet::new(), 0));
+    }
+}
+
 proptest! {
     /// The full discipline under random interleavings:
-    ///  * a dispatch never mixes algorithms or classes and never
-    ///    exceeds `batch_max` jobs;
-    ///  * a large job dispatches alone;
-    ///  * a large job is dispatched only when no small job is queued;
+    ///  * a large job is popped only when no small job is queued;
     ///  * within one `(algo, class)` band, jobs leave in arrival order;
-    ///  * nothing is lost or duplicated;
+    ///  * nothing is lost or duplicated, and a pop finds a job
+    ///    whenever one is queued;
     ///  * the queue never exceeds its capacity, and a push fails
     ///    exactly when the queue is at capacity.
     #[test]
     fn discipline_holds_under_random_interleavings(
-        ops in proptest::collection::vec(op_strategy(ALGO_NAMES.len()), 1..200),
+        ops in proptest::collection::vec(op_strategy(1), 1..200),
         capacity in 1usize..32,
-        batch_max in 1usize..8,
     ) {
         let mut sched: Scheduler<Job> = Scheduler::new(capacity);
-        let mut next_seq = vec![[0usize; 2]; ALGO_NAMES.len()];
-        let mut popped_seq = vec![[0usize; 2]; ALGO_NAMES.len()];
-        let mut pushed = 0usize;
-        let mut popped = 0usize;
-        let mut queued_small = 0usize;
+        let mut model = BandModel::default();
 
         for op in ops {
             match op {
-                Op::Push { algo, small } => {
-                    let band = usize::from(small);
-                    let job = Job { algo, small, seq: next_seq[algo][band] };
-                    let class = if small { CostClass::Small } else { CostClass::Large };
+                Op::Push { algo, small, .. } => {
+                    let job = model.job(algo, small);
                     let was_full = sched.len() >= capacity;
-                    match sched.push(ALGO_NAMES[algo], class, job) {
+                    match sched.push(ALGO_NAMES[algo], class(small), job) {
                         Ok(()) => {
                             prop_assert!(!was_full, "push admitted past capacity");
-                            next_seq[algo][band] += 1;
-                            pushed += 1;
-                            if small { queued_small += 1; }
+                            model.pushed(job);
                         }
                         Err(returned) => {
                             prop_assert!(was_full, "push refused below capacity");
@@ -81,78 +187,64 @@ proptest! {
                 }
                 Op::Pop => {
                     let before = sched.len();
-                    let batch = sched.pop_batch(batch_max);
-                    prop_assert_eq!(sched.len(), before - batch.len());
-                    if batch.is_empty() {
-                        prop_assert_eq!(before, 0, "pop returned nothing while jobs were queued");
-                        continue;
+                    match sched.pop() {
+                        Some(job) => model.popped(job),
+                        None => prop_assert_eq!(before, 0, "pop returned nothing while jobs were queued"),
                     }
-                    prop_assert!(batch.len() <= batch_max);
-                    let algo = batch[0].algo;
-                    let small = batch[0].small;
-                    if !small {
-                        prop_assert_eq!(batch.len(), 1, "large jobs dispatch alone");
-                        prop_assert_eq!(queued_small, 0,
-                            "a large job dispatched while small work was queued");
-                    }
-                    let band = usize::from(small);
-                    for job in &batch {
-                        prop_assert_eq!(job.algo, algo, "batch mixed algorithms");
-                        prop_assert_eq!(job.small, small, "batch mixed priority classes");
-                        prop_assert_eq!(job.seq, popped_seq[algo][band],
-                            "band served out of arrival order");
-                        popped_seq[algo][band] += 1;
-                    }
-                    popped += batch.len();
-                    if small { queued_small -= batch.len(); }
                 }
             }
             prop_assert!(sched.len() <= capacity);
-            prop_assert_eq!(sched.len(), pushed - popped, "len out of sync with traffic");
+            prop_assert_eq!(sched.len(), model.pushed - model.popped, "len out of sync with traffic");
         }
 
-        // Drain: everything pushed eventually comes back out, in order.
-        loop {
-            let batch = sched.pop_batch(batch_max);
-            if batch.is_empty() { break; }
-            let band = usize::from(batch[0].small);
-            for job in &batch {
-                prop_assert_eq!(job.seq, popped_seq[job.algo][band]);
-                popped_seq[job.algo][band] += 1;
-            }
-            popped += batch.len();
+        // Drain: everything pushed comes back out, in order.
+        while let Some(job) = sched.pop() {
+            model.popped(job);
         }
-        prop_assert_eq!(popped, pushed, "jobs lost or duplicated");
+        prop_assert_eq!(model.popped, model.pushed, "jobs lost or duplicated");
         prop_assert!(sched.is_empty());
     }
 
-    /// Cancel isolation: batchmates are independent.  Marking an
-    /// arbitrary subset of jobs cancelled and skipping them at dispatch
-    /// (exactly what the server's `run_batch` does with each job's
-    /// flight flag) still runs every non-cancelled job exactly once —
-    /// a cancelled job never takes its batchmates down with it.
+    /// Tenant round-robin under random interleavings: a tenant with
+    /// queued work — since a push to its empty lane, or after one of
+    /// its pops — is popped within `k − 1` other pops, where `k` counts
+    /// the tenants (itself included) that held queued work at some pop
+    /// in between.  Every job comes out exactly once, and the bound on
+    /// queued jobs is global across tenants.
     #[test]
-    fn cancelled_jobs_do_not_affect_their_batchmates(
-        cancelled in proptest::collection::vec(any::<bool>(), 1..64),
-        batch_max in 1usize..8,
+    fn a_backlogged_tenant_waits_at_most_k_minus_one_pops(
+        ops in proptest::collection::vec(op_strategy(TENANT_NAMES.len()), 1..300),
+        capacity in 1usize..48,
     ) {
-        let mut sched: Scheduler<(usize, bool)> = Scheduler::new(cancelled.len());
-        for (i, &c) in cancelled.iter().enumerate() {
-            sched.push("algo", CostClass::Small, (i, c)).unwrap();
-        }
-        let mut ran = vec![0usize; cancelled.len()];
-        loop {
-            let batch = sched.pop_batch(batch_max);
-            if batch.is_empty() { break; }
-            for (i, c) in batch {
-                if !c {
-                    ran[i] += 1;
+        let mut sched: TenantScheduler<Job> = TenantScheduler::new(capacity);
+        let mut model = TenantModel::default();
+        for op in ops {
+            match op {
+                Op::Push { tenant, algo, small } => {
+                    // `seq` is a global job id here.
+                    let job = Job { tenant, algo, small, seq: model.pushed };
+                    let was_full = sched.len() >= capacity;
+                    match sched.push(TENANT_NAMES[tenant], ALGO_NAMES[algo], class(small), job) {
+                        Ok(()) => {
+                            prop_assert!(!was_full, "push admitted past capacity");
+                            model.pushed(tenant);
+                        }
+                        Err(returned) => {
+                            prop_assert!(was_full, "push refused below capacity");
+                            prop_assert_eq!(returned, job);
+                        }
+                    }
                 }
+                Op::Pop => model.pop(&mut sched),
+            }
+            prop_assert_eq!(sched.len(), model.queued.iter().sum::<usize>());
+            for (t, name) in TENANT_NAMES.iter().enumerate() {
+                prop_assert_eq!(sched.queued_for(name), model.queued[t]);
             }
         }
-        for (i, &c) in cancelled.iter().enumerate() {
-            prop_assert_eq!(ran[i], usize::from(!c),
-                "job {} ran {} times (cancelled: {})", i, ran[i], c);
+        while !sched.is_empty() {
+            model.pop(&mut sched);
         }
+        prop_assert_eq!(model.popped.len(), model.pushed, "jobs lost or duplicated");
     }
 }

@@ -15,16 +15,15 @@
 #   cold_storm        cache disabled, 64 conns × window 4 of
 #                     *distinct* keys (--distinct salts every spec):
 #                     nothing caches, nothing coalesces, every
-#                     request crosses the executor — the batch-size
-#                     distribution here is the micro-batching evidence
-#                     for the cold path.
+#                     request crosses the executor, one job per
+#                     dispatch — the cold path's throughput.
 #
 #   tenant_fairness   4 round-robin tenants (loadgen --tenants 4) into
 #                     a server capped at --tenant-max-inflight 2: the
 #                     standing pipelined windows keep ~8 distinct-key
 #                     requests in flight per tenant, so the governor
-#                     sheds the overflow (429) while the weighted DRR
-#                     lanes keep service even.  Recorded: the report's
+#                     sheds the overflow (429) while the round-robin
+#                     tenant lanes keep service even.  Recorded: the report's
 #                     per-tenant sent/ok/shed/p99 slices.  Asserted:
 #                     the cap engaged (shed > 0), every tenant kept
 #                     making progress, and the busiest tenant's ok
@@ -42,8 +41,8 @@
 #                     and RSS stays under a quarter-GB ceiling.
 #
 # Every scenario passes --server-stats, so each report embeds the
-# server's own snapshot (stage histograms, engine work counters,
-# batching) alongside the client-side latency figures.
+# server's own snapshot (stage histograms, engine work counters)
+# alongside the client-side latency figures.
 #
 # Three fleet scenarios ride along (gt-router, docs/ROUTING.md):
 #
@@ -147,7 +146,7 @@ p50_of() { printf '%s' "$1" | sed -n 's/.*"latency_p50_us":\([0-9.e+-]*\).*/\1/p
 
 loadgen() { # extra `gtree loadgen` flags as args; prints one JSON line
   # --server-stats on every scenario: each report embeds the server's
-  # snapshot (stage histograms, work counters, batching) at that point.
+  # snapshot (stage histograms, work counters) at that point.
   "$BIN" loadgen --addr "$ADDR" --rps 0 --duration "$DUR" --json --server-stats "$@"
 }
 
@@ -189,7 +188,7 @@ stop_server
 # every request crosses the per-tenant governor (docs/SERVING.md).
 # 4 conns x window 8 over 4 round-robin tenants keeps up to 8 requests
 # in flight per tenant against a cap of 2: the overflow sheds, the
-# DRR lanes keep what's admitted even.
+# round-robin lanes keep what's admitted even.
 start_server --queue-depth 1024 --tenant-max-inflight 2
 tenant_fairness=$(loadgen --conns 4 --pipeline 8 --tenants 4 \
   --spec worst:d=2,n=12 --algo seq-solve --distinct)

@@ -144,7 +144,7 @@ case "$trace_reply" in
 esac
 
 # Cold-storm burst: 16 conns × window 4 of distinct small keys.  The
-# executor must batch through all of them within their (default 10s)
+# executor must work through all of them within their (default 10s)
 # deadlines and without shedding — sheds or timeouts mean the cold
 # path regressed.
 json=$("$BIN" loadgen --addr "$ADDR" --rps 0 --duration "$DUR" --conns 16 \

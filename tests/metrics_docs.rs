@@ -191,8 +191,7 @@ fn assert_shape(tier: &str, stats: &Stats, pinned: &str) {
 }
 
 const SERVE_KEYS: &str = "
-    bad_request batch_jobs batch_mean_size batch_size_buckets[] batch_size_count
-    batch_size_mean batch_size_p50 batch_size_p90 batch_size_p99 batch_size_sum batches
+    bad_request
     cache.admitted cache.capacity cache.evictions cache.len
     cache.per_shard_evictions[] cache.per_shard_len[] cache.shards cache.ttl_evictions
     cache.ttl_ms cache_hits cache_misses cachepull_entries cachepull_served coalesced_hits
@@ -205,9 +204,7 @@ const SERVE_KEYS: &str = "
     overflow_closed overlong_closed queue_depth.buckets[] queue_depth.count queue_depth.mean
     queue_depth.p50
     queue_depth.p90 queue_depth.p99 queue_depth.sum received shed snapshot_restored
-    stages.*.batch_wait.buckets[] stages.*.batch_wait.count stages.*.batch_wait.mean_us
-    stages.*.batch_wait.p50_us stages.*.batch_wait.p90_us stages.*.batch_wait.p99_us
-    stages.*.batch_wait.sum_us stages.*.engine.buckets[] stages.*.engine.count
+    stages.*.engine.buckets[] stages.*.engine.count
     stages.*.engine.mean_us stages.*.engine.p50_us stages.*.engine.p90_us
     stages.*.engine.p99_us stages.*.engine.sum_us stages.*.queue_wait.buckets[]
     stages.*.queue_wait.count stages.*.queue_wait.mean_us stages.*.queue_wait.p50_us

@@ -346,7 +346,7 @@ fn stats_request_reflects_traffic() {
 fn stage_accounting_sums_to_end_to_end_latency() {
     // The tracing acceptance bar: on loopback, for cold evals, the
     // stage means must account for the e2e mean —
-    // queue_wait + batch_wait + engine + write ≈ latency, within 15%.
+    // queue_wait + engine + write ≈ latency, within 15%.
     let server = start(Config {
         workers: 2,
         cache_capacity: 0, // all cold: the e2e histogram sees only dispatched evals
@@ -379,10 +379,7 @@ fn stage_accounting_sums_to_end_to_end_latency() {
             .and_then(gt_analysis::Json::as_f64)
             .unwrap_or_else(|| panic!("stage {name} has no mean"))
     };
-    let sum = stage_mean("queue_wait")
-        + stage_mean("batch_wait")
-        + stage_mean("engine")
-        + stage_mean("write");
+    let sum = stage_mean("queue_wait") + stage_mean("engine") + stage_mean("write");
     let ratio = sum / e2e_mean;
     assert!(
         (0.85..=1.15).contains(&ratio),

@@ -13,7 +13,7 @@ use gt_tree::GenSpec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -24,6 +24,46 @@ fn start_replica() -> Server {
         ..Config::default()
     })
     .expect("replica start")
+}
+
+/// The kernel's ephemeral port range: `:0` binds and the source ports
+/// of outgoing connects are taken from it.  Off Linux, a range that
+/// covers both Linux's default and the IANA one.
+fn ephemeral_range() -> (u16, u16) {
+    let text = std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range");
+    let bounds: Vec<u16> = text
+        .iter()
+        .flat_map(|t| t.split_whitespace())
+        .map(|n| n.parse().expect("a port number"))
+        .collect();
+    match bounds[..] {
+        [lo, hi] => (lo, hi),
+        _ => (32768, 65535),
+    }
+}
+
+/// A loopback address nothing listens on, whose port lies below the
+/// ephemeral range, so no `:0` bind and no connect's source port in
+/// this process can take it while a test leaves it unbound.  Ports are
+/// handed out downwards from the range's start, each once per process.
+fn unbound_addr() -> SocketAddr {
+    static NEXT: Mutex<Option<u16>> = Mutex::new(None);
+    let (lo, hi) = ephemeral_range();
+    let mut next = NEXT.lock().unwrap();
+    let mut port = next.unwrap_or(lo);
+    loop {
+        port = port
+            .checked_sub(1)
+            .filter(|&p| p >= 1024)
+            .expect("no free port below the ephemeral range");
+        let addr = SocketAddr::from(([127, 0, 0, 1], port));
+        // Free now; the probe listener closes at once.
+        if TcpListener::bind(addr).is_ok() {
+            assert!(!(lo..=hi).contains(&port), "{port} is ephemeral");
+            *next = Some(port);
+            return addr;
+        }
+    }
 }
 
 fn sequential_value(spec: &str) -> i64 {
@@ -259,7 +299,6 @@ fn naive_split_discards_in_flight_losers_without_aborting() {
             cost_threshold: Some(8),
             naive: true,
             max_depth: 3,
-            ..SplitConfig::default()
         },
         ..RouterConfig::default()
     })
@@ -363,7 +402,6 @@ fn windowed_split_does_less_fleet_work_than_naive() {
                 cost_threshold: Some(27),
                 naive,
                 max_depth: 4,
-                ..SplitConfig::default()
             },
             ..RouterConfig::default()
         })
@@ -439,7 +477,6 @@ fn split_trace_shows_parallel_replica_work_that_sums_to_the_reply() {
             cost_threshold: Some(64),
             naive: true,
             max_depth: 2,
-            ..SplitConfig::default()
         },
         ..RouterConfig::default()
     })
@@ -547,12 +584,9 @@ fn the_default_plan_splits_the_roots_children_only() {
 
 #[test]
 fn a_split_eval_waits_for_a_replica_that_starts_late() {
-    // Reserve a port with nothing listening on it, so the router's
-    // first connect is refused and its reader waits out a reconnect.
-    let addr = TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap();
+    // A port with nothing listening on it, so the router's first
+    // connect is refused and it waits out a reconnect.
+    let addr = unbound_addr();
     let router = Router::start(RouterConfig {
         replicas: vec![addr.to_string()],
         split: SplitConfig {
@@ -583,10 +617,7 @@ fn a_split_eval_waits_for_a_replica_that_starts_late() {
 fn a_split_eval_against_an_ejected_fleet_is_refused_at_once() {
     // A member nothing listens on fails every probe until it is
     // ejected; a subeval then has no member worth waiting for.
-    let addr = TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap();
+    let addr = unbound_addr();
     let router = Router::start(RouterConfig {
         replicas: vec![addr.to_string()],
         probe_interval_ms: 10,
