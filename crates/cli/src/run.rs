@@ -76,9 +76,12 @@ closed loop with --pipeline > 1, distinct-key cold storm with
 --distinct.  Serve-side algorithms: seq-solve alphabeta parallel-solve
 round cascade ybw tt.  --eval-workers (default 4) bounds how many
 evals run at once, each worker taking one job at a time; jobs of at
-most --small-cost leaves are served before larger ones; past
---queue-depth waiting jobs a request is shed with a 429; --cache-ttl
-expires cached results.
+most --small-cost leaves are served before larger ones, and a miss of
+at most --small-cost leaves for seq-solve, alphabeta, cascade, ybw or a
+subeval runs on its I/O thread instead, one per loop iteration, so
+--small-cost (default 4096) also bounds the engine time one I/O-thread
+iteration may spend; past --queue-depth waiting jobs a request is shed
+with a 429; --cache-ttl expires cached results.
 --io-threads sizes the fixed readiness-driven I/O pool that
 multiplexes all connections (no thread per connection);
 --conn-idle-timeout closes connections with no complete request for

@@ -10,6 +10,7 @@
 //!   │                                  (outbound: LineHandler::outbound_line)
 //!   ├─ wakeups──▶ flush outbound queues, resume parsing
 //!   ├─ timers───▶ after the events: fire every due Timer
+//!   ├─ turn─────▶ one claim_turn per iteration: in-place work
 //!   └─ listed───▶ before each poll: flush what this thread enqueued
 //! owning I/O thread ──ConnReply::enqueue / release_slot──▶ listed
 //! any other thread  ──ConnReply::enqueue / release_slot──▶ owner woken
@@ -43,6 +44,15 @@
 //! thread's waker pipe.  Reads stop after a read shorter than the
 //! scratch buffer: the poller is level-triggered and reports whatever
 //! is left.
+//!
+//! ## One in-place turn per iteration
+//!
+//! A handler may settle a request by doing its work where it stands,
+//! when handing it to another thread would cost more than the work.
+//! [`claim_turn`] grants each I/O thread one such turn per loop
+//! iteration, so the rest of a pipelined burst is handed over and the
+//! thread's other lines and connections wait for at most one unit.
+//! Any thread that is not a loop thread never gets a turn.
 //!
 //! ## Timers and `/metrics`
 //!
@@ -141,7 +151,8 @@ const NOFILE_TARGET: u64 = 1 << 16;
 /// owning thread each iteration and read by the serve family table.
 /// `wait_us` is time spent asleep in `epoll_wait`/`poll` (idle);
 /// `work_us` is everything else in the iteration — socket reads,
-/// request parsing, outbox drains — i.e. how long freshly-ready
+/// request parsing, outbox drains, and the work a handler runs on its
+/// [`claim_turn`] — i.e. how long freshly-ready
 /// connections wait for the loop to come around, so its distribution
 /// (the `lag` histogram) is the loop's responsiveness.
 #[derive(Default)]
@@ -474,6 +485,9 @@ struct OnLoop {
     listed: Vec<u64>,
     /// The timers scheduled on the thread's connections.
     timers: DeadlineHeap<Box<dyn Timer>>,
+    /// This iteration's in-place turn is unclaimed; set at the top of
+    /// each iteration, never on any other thread.
+    turn: bool,
 }
 
 thread_local! {
@@ -482,8 +496,21 @@ thread_local! {
             io: std::ptr::null(),
             listed: Vec::new(),
             timers: DeadlineHeap::new(),
+            turn: false,
         })
     };
+}
+
+/// Claim the calling I/O thread's one in-place turn of this loop
+/// iteration: true for the first claim of an iteration, false for any
+/// later one and on any thread that is not a loop thread.  A tier
+/// spends it on work it runs where it stands rather than hand over, so
+/// one iteration runs at most one such unit before the thread's other
+/// lines and connections are served.
+pub fn claim_turn() -> bool {
+    ON_LOOP
+        .try_with(|on| std::mem::take(&mut on.borrow_mut().turn))
+        .unwrap_or(false)
 }
 
 /// Fire every timer on this thread due by `now`; one answered by
@@ -733,6 +760,7 @@ impl<H: LineHandler> IoThread<H> {
         let mut events = Vec::with_capacity(256);
         let mut last_gauge = Instant::now();
         loop {
+            ON_LOOP.with(|on| on.borrow_mut().turn = true);
             events.clear();
             let wait_start = Instant::now();
             let _ = self.poller.wait(&mut events, poll_timeout_ms(wait_start));
@@ -1383,13 +1411,15 @@ mod tests {
     use std::net::SocketAddr;
 
     /// A tier that forwards: each request line sends `payload` to the
-    /// adopted peer, if any, and is answered `ok` inline.  Five verbs
+    /// adopted peer, if any, and is answered `ok` inline.  Six verbs
     /// differ: `hold` keeps its window slot until it is settled,
     /// `settle` settles the held request from the handler (then is
     /// answered `ok`), `echo X` is answered `X`, `after MS` schedules a
     /// [`Probe`] due in MS ms on its connection (answered `ok`, then
-    /// `fired`), and `answered N` schedules N answered ones due in
-    /// 20 ms and is answered with the length of its thread's heap.
+    /// `fired`), `answered N` schedules N answered ones due in 20 ms
+    /// and is answered with the length of its thread's heap, and
+    /// `claims N` claims the turn N times and is answered with each
+    /// result.
     #[derive(Default)]
     struct Forwarder {
         counters: ConnCounters,
@@ -1486,6 +1516,13 @@ mod tests {
             }
             if let Some(text) = line.strip_prefix("echo ") {
                 conn.enqueue(text);
+                return;
+            }
+            if let Some(n) = line.strip_prefix("claims ") {
+                let claims: Vec<String> = (0..n.parse().unwrap())
+                    .map(|_| claim_turn().to_string())
+                    .collect();
+                conn.enqueue(&claims.join(" "));
                 return;
             }
             if let Some(up) = this.upstream.lock().unwrap().as_ref() {
@@ -1781,6 +1818,31 @@ mod tests {
         held.release_slot();
         drop((reader, writer));
         stop(&handler, io);
+    }
+
+    #[test]
+    fn each_iteration_grants_one_turn_and_no_other_thread_gets_one() {
+        assert!(!claim_turn(), "a thread off the loop got a turn");
+        let handler = Arc::new(Forwarder::default());
+        let (io, addr) = start(&handler, "turn-io");
+        let (mut reader, mut writer) = client(addr);
+        assert_eq!(
+            call(&mut reader, &mut writer, "claims 3"),
+            "true false false\n"
+        );
+        // A later line is read in a later iteration, with a fresh turn.
+        assert_eq!(call(&mut reader, &mut writer, "claims 1"), "true\n");
+        // Two lines in one read share their iteration's turn.
+        writer.write_all(b"claims 1\nclaims 1\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "true\n");
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "false\n");
+        drop((reader, writer));
+        stop(&handler, io);
+        assert!(!claim_turn(), "a thread off the loop got a turn");
     }
 
     #[test]

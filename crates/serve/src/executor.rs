@@ -6,9 +6,12 @@
 //! thread, so total engine concurrency was `connections × window` —
 //! unbounded in the number of clients.  The executor inverts that:
 //! readers *submit* jobs and return to their socket immediately, and a
-//! fixed set of evaluation workers (the only threads that ever run an
-//! engine) pull work off a shared [`Scheduler`].  Engine concurrency
-//! is exactly `workers`, no matter how many connections are open.
+//! fixed set of evaluation workers pull work off a shared
+//! [`Scheduler`].  The only other threads that run an engine are the
+//! I/O threads, each at most one sub-grain miss per loop iteration,
+//! in place of a hand-off (see [`crate::server`]).  Engine concurrency
+//! is `workers` plus one per I/O thread, no matter how many
+//! connections are open.
 //!
 //! ## Scheduling discipline
 //!
@@ -20,6 +23,10 @@
 //! of the paper's processor-per-level machine (Section 7): each
 //! processor takes one message at a time, and cheap `val` messages get
 //! ahead of long `P-SOLVE*` searches by the order they are served in.
+//! Most small misses never queue (they run in place), so the small
+//! band orders the rest: sub-grain jobs that missed their I/O thread's
+//! turn, and the small jobs of engines the walk does not price (the
+//! step simulators and `tt`).
 //!
 //! Every dispatch carries exactly one job.  A worker holds only the
 //! job it is running, so every job not yet started is visible to
@@ -149,7 +156,9 @@ impl<J> Scheduler<J> {
 /// is a lane like any other).  Each pop takes one job from the next
 /// lane with queued work, so with `k` tenants backlogged a tenant
 /// waits at most `k − 1` pops between two of its own, however deep any
-/// one lane's backlog is.
+/// one lane's backlog is.  A lane exists only while it holds work: the
+/// pop that empties it drops it, so tenants that come and go leave
+/// nothing behind for later pops to walk.
 ///
 /// The cost unit is *jobs dispatched*, not engine time — a large job
 /// counts once just like a small one.  Runtime skew from expensive
@@ -160,10 +169,11 @@ impl<J> Scheduler<J> {
 /// a push past the bound fails fast so the server sheds instead of
 /// building invisible backlog.
 pub struct TenantScheduler<J> {
-    lanes: Vec<Scheduler<J>>,
-    index: HashMap<String, usize>,
-    /// Round-robin cursor over `lanes`.
-    cursor: usize,
+    /// The lane of each tenant with queued work.
+    lanes: HashMap<String, Scheduler<J>>,
+    /// The tenants with queued work, in turn order: the front one is
+    /// served next, then goes to the back if it still has work.
+    turns: VecDeque<String>,
     len: usize,
     capacity: usize,
 }
@@ -173,9 +183,8 @@ impl<J> TenantScheduler<J> {
     /// all tenants (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
         TenantScheduler {
-            lanes: Vec::new(),
-            index: HashMap::new(),
-            cursor: 0,
+            lanes: HashMap::new(),
+            turns: VecDeque::new(),
             len: 0,
             capacity: capacity.max(1),
         }
@@ -193,44 +202,50 @@ impl<J> TenantScheduler<J> {
 
     /// Jobs queued for one tenant.
     pub fn queued_for(&self, tenant: &str) -> usize {
-        self.index.get(tenant).map_or(0, |&ti| self.lanes[ti].len())
+        self.lanes.get(tenant).map_or(0, Scheduler::len)
     }
 
     /// Enqueue `job` for `tenant` on `algo`'s queue in its class
-    /// band; returns the job when the global bound is reached.
+    /// band; returns the job when the global bound is reached.  A
+    /// tenant without a lane gets one, and its turn comes after every
+    /// tenant already waiting.
     pub fn push(&mut self, tenant: &str, algo: &str, class: CostClass, job: J) -> Result<(), J> {
         if self.len >= self.capacity {
             return Err(job);
         }
-        let ti = match self.index.get(tenant) {
-            Some(&ti) => ti,
+        let lane = match self.lanes.get_mut(tenant) {
+            Some(lane) => lane,
             None => {
-                let ti = self.lanes.len();
+                self.turns.push_back(tenant.to_string());
                 // The global bound is enforced here, so the lane's own
                 // bound must never bind first.
-                self.lanes.push(Scheduler::new(self.capacity));
-                self.index.insert(tenant.to_string(), ti);
-                ti
+                self.lanes
+                    .entry(tenant.to_string())
+                    .or_insert_with(|| Scheduler::new(self.capacity))
             }
         };
-        self.lanes[ti].push(algo, class, job)?;
+        lane.push(algo, class, job)?;
         self.len += 1;
         Ok(())
     }
 
     /// Dequeue one job from the next lane with queued work, chosen by
-    /// that lane's own small/large discipline.
+    /// that lane's own small/large discipline; a lane left empty is
+    /// dropped.
     pub fn pop(&mut self) -> Option<J> {
-        let n = self.lanes.len();
-        for step in 0..n {
-            let ti = (self.cursor + step) % n;
-            if let Some(job) = self.lanes[ti].pop() {
-                self.cursor = (ti + 1) % n;
-                self.len -= 1;
-                return Some(job);
-            }
+        let tenant = self.turns.pop_front()?;
+        let lane = self
+            .lanes
+            .get_mut(&tenant)
+            .expect("every tenant with a turn has a lane");
+        let job = lane.pop().expect("a lane exists only while it holds work");
+        if lane.is_empty() {
+            self.lanes.remove(&tenant);
+        } else {
+            self.turns.push_back(tenant);
         }
-        None
+        self.len -= 1;
+        Some(job)
     }
 }
 
@@ -545,6 +560,31 @@ mod tests {
         // 16 dispatches.  FIFO-by-arrival would have made calm wait
         // for all 40 flood jobs.
         assert_eq!(calm_done_at, Some(16));
+    }
+
+    #[test]
+    fn a_tenant_that_comes_and_goes_leaves_no_lane() {
+        let mut s: TenantScheduler<usize> = TenantScheduler::new(4);
+        for i in 0..20_000 {
+            s.push(&format!("tenant-{i}"), "a", CostClass::Small, i)
+                .unwrap();
+            assert_eq!(s.pop(), Some(i));
+        }
+        assert!(s.is_empty());
+        assert_eq!((s.lanes.len(), s.turns.len()), (0, 0), "lanes left behind");
+    }
+
+    #[test]
+    fn an_emptied_lane_hands_the_turn_to_the_next_tenant() {
+        let mut s: TenantScheduler<&'static str> = TenantScheduler::new(8);
+        for (tenant, jobs) in [("a", 2), ("b", 1), ("c", 2)] {
+            for _ in 0..jobs {
+                s.push(tenant, "x", CostClass::Small, tenant).unwrap();
+            }
+        }
+        let order: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
+        assert_eq!(order, ["a", "b", "c", "a", "c"]);
+        assert!(s.lanes.is_empty());
     }
 
     #[test]

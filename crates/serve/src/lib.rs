@@ -28,11 +28,14 @@
 //!   clients and, adopted as outbound connections, its replicas.
 //! * **Shared evaluation executor** ([`executor`]) — a fixed pool of
 //!   evaluation workers fed by per-algorithm queues, so total engine
-//!   concurrency is `--eval-workers` no matter how many connections
-//!   are open.  Each dispatch carries one job; cheap jobs (estimated
-//!   cost at or below a threshold) are served before big ones;
-//!   submissions past the bounded depth are shed with a 429-style
-//!   `busy` error instead of growing a backlog.
+//!   concurrency is `--eval-workers`, plus one in-place run per I/O
+//!   thread, no matter how many connections are open.  A miss below
+//!   the grain (estimated cost at or below `--small-cost`, on an
+//!   engine the sequential walk prices) runs on the I/O thread that
+//!   read it, one per loop iteration, with no hand-off and no wake.
+//!   Each dispatch carries one job; cheap jobs are served before big
+//!   ones; submissions past the bounded depth are shed with a
+//!   429-style `busy` error instead of growing a backlog.
 //! * **Deadlines without parked threads** ([`server`], [`deadline`]) —
 //!   per-request deadlines are timers on the client connection's I/O
 //!   thread, in that thread's min-heap (the router's retries, hedges

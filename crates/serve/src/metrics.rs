@@ -238,6 +238,11 @@ pub struct Metrics {
     /// Executor queue depth sampled over time (power-of-two depth
     /// buckets, not microseconds) — the queue-depth-over-time series.
     pub queue_depth: Histogram,
+    /// Engine µs of the jobs eval workers ran, summed, and how many:
+    /// the drain rate behind `retry_after_ms`.  A run in place on an
+    /// I/O thread never queued, so it stays out.  Not a series.
+    executor_engine_us: AtomicU64,
+    executor_runs: AtomicU64,
     /// When this registry (≈ the server) came up.
     started: StartTime,
 }
@@ -279,22 +284,20 @@ impl Metrics {
         self.started.0.elapsed().as_micros() as u64
     }
 
-    /// Mean engine-stage time across every algorithm, in microseconds;
-    /// `None` until the first engine run completes.  Feeds the
-    /// `retry_after_ms` hint on shed replies.
-    pub fn mean_engine_us(&self) -> Option<f64> {
-        let stages = self.stages.read().unwrap();
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for s in stages.values() {
-            sum += s.engine.sum.load(Ordering::Relaxed);
-            count += s.engine.count.load(Ordering::Relaxed);
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(sum as f64 / count as f64)
-        }
+    /// Fold one eval worker's engine run into the executor's mean.
+    pub fn record_executor_run(&self, engine_us: u64) {
+        self.executor_engine_us
+            .fetch_add(engine_us, Ordering::Relaxed);
+        self.executor_runs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Mean engine time of the runs eval workers made, in
+    /// microseconds; `None` until the first completes.  Feeds the
+    /// `retry_after_ms` hint on shed replies, which is about the queue.
+    pub fn mean_executor_engine_us(&self) -> Option<f64> {
+        let count = self.executor_runs.load(Ordering::Relaxed);
+        let sum = self.executor_engine_us.load(Ordering::Relaxed);
+        (count > 0).then(|| sum as f64 / count as f64)
     }
 
     fn algos(&self) -> Vec<(String, Arc<AlgoStages>)> {
@@ -807,12 +810,16 @@ mod tests {
     }
 
     #[test]
-    fn mean_engine_time_spans_algorithms() {
+    fn mean_executor_engine_time_counts_executor_runs_only() {
         let m = Metrics::default();
-        assert_eq!(m.mean_engine_us(), None, "no engine runs yet");
+        assert_eq!(m.mean_executor_engine_us(), None, "no engine runs yet");
+        // A stage sample alone (as an in-place run leaves) is no
+        // executor history.
         m.algo_stages("a").engine.record(100);
-        m.algo_stages("b").engine.record(300);
-        assert_eq!(m.mean_engine_us(), Some(200.0));
+        assert_eq!(m.mean_executor_engine_us(), None);
+        m.record_executor_run(100);
+        m.record_executor_run(300);
+        assert_eq!(m.mean_executor_engine_us(), Some(200.0));
     }
 
     #[test]

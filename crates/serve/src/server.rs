@@ -8,47 +8,67 @@
 //! ```text
 //! I/O threads (the connection loop; thread 0 owns the listeners)
 //!   ├─ request line──▶ inline replies (control ops, cache hits),
-//!   │                  misses submitted, deadline timer scheduled
+//!   │                  one sub-grain miss per iteration run in place,
+//!   │                  other misses submitted, deadline timer scheduled
 //!   ├─ due timer──▶ 408 reply, flight detach
 //!   └─ /metrics scrape──▶ Prometheus text, rendered inline
 //! eval workers (fixed pool) ──pop one job, evaluate, publish──▶ Flight
-//! publish ──drained waiters──▶ replies enqueued, I/O thread woken
+//! publish ──drained waiters──▶ replies enqueued, owning I/O thread
+//!                              listed (its own run) or woken (else)
 //! ```
 //!
 //! Each connection is **pipelined**: its I/O thread parses NDJSON
 //! lines as they arrive, answers control ops and cache hits inline,
-//! and *submits* every miss to the shared executor, at most
-//! `conn_window` of them outstanding per connection — past the window
-//! the loop defers parsing (bytes queue in the carry buffer and the
-//! kernel) until a slot frees.  Total engine concurrency is the
-//! executor's fixed worker count, no matter how many connections are
-//! open.  Replies complete by enqueueing onto the connection's
-//! outbound queue and waking its I/O thread; they go out in
-//! completion order, correlated by the echoed `id`.  Slow readers and
-//! both shapes of slowloris are the loop's to contain.
+//! runs a miss below the grain in place (see below), and *submits*
+//! every other miss to the shared executor, at most `conn_window` of
+//! them outstanding per connection — past the window the loop defers
+//! parsing (bytes queue in the carry buffer and the kernel) until a
+//! slot frees.  Total engine concurrency is the executor's fixed
+//! worker count plus at most one in-place run per I/O thread, no
+//! matter how many connections are open.  Replies complete by
+//! enqueueing onto the connection's outbound queue and waking its I/O
+//! thread; they go out in completion order, correlated by the echoed
+//! `id`.  Slow readers and both shapes of slowloris are the loop's to
+//! contain.
+//!
+//! ## Misses below the grain
+//!
+//! Handing a miss to a worker costs a thread wake, and its reply costs
+//! a waker byte back: about as much as a small engine run.  So a miss
+//! that leads its flight, whose job is small (estimated cost at or
+//! below `--small-cost`) and whose engine the sequential walk prices
+//! ([`walk_priced`]), runs on the I/O thread that read it: evaluated,
+//! cached, published and answered before the thread polls again, with
+//! no hand-off, no waker byte and no deadline timer.  Each thread runs
+//! one such miss per loop iteration ([`claim_turn`]); a later one in
+//! the same iteration is submitted, so a burst of them delays the
+//! thread's other lines by one run at most.
 //!
 //! ## Single flight, asynchronously
 //!
 //! A miss first joins the [`FlightTable`].  The first request for a
-//! canonical key (the *leader*) submits the job; every concurrent
-//! duplicate attaches its [`Pending`] reply record to the leader's
-//! [`Flight`] and is counted as a `coalesced_hit` — one engine run, N
-//! replies.  No thread ever parks on a flight: the worker that
-//! publishes a result receives the drained waiter list and writes
-//! every reply itself.  The worker inserts the outcome into the cache
-//! *before* publishing, so by the time any waiter (or any later
-//! request) looks, the result is already cached.
+//! canonical key (the *leader*) runs or submits the job; every
+//! concurrent duplicate attaches its [`Pending`] reply record to the
+//! leader's [`Flight`] and is counted as a `coalesced_hit` — one engine
+//! run, N replies.  No thread ever parks on a flight: the thread that
+//! publishes a result (an eval worker, or the I/O thread of an
+//! in-place run) receives the drained waiter list and writes every
+//! reply itself.  It inserts the outcome into the cache *before*
+//! publishing, so by the time any waiter (or any later request) looks,
+//! the result is already cached.
 //!
 //! ## Deadlines
 //!
-//! Every dispatched request schedules its deadline as a timer on its
-//! client's connection ([`ConnReply::schedule`]), which lands on that
-//! connection's I/O thread's heap.  When a deadline fires first, the
-//! timer claims the pending reply, answers `timeout` on its own thread
-//! (no wake), and detaches it from its flight; detaching the last
-//! waiter cancels the engine run cooperatively.  Publication and
-//! expiry race on an atomic claim, so every request is answered
-//! exactly once.
+//! Every dispatched request not yet answered when its dispatch
+//! returns — every one but an in-place run — schedules its deadline as
+//! a timer on its client's connection ([`ConnReply::schedule`]), which
+//! lands on that connection's I/O thread's heap.  When a deadline
+//! fires first, the timer claims the pending reply, answers `timeout`
+//! on its own thread (no wake), and detaches it from its flight;
+//! detaching the last waiter cancels the engine run cooperatively.
+//! Publication and expiry race on an atomic claim, so every request is
+//! answered exactly once.  An in-place run cannot be cancelled, and
+//! needs no deadline: the grain bounds it.
 //!
 //! ## Shutdown
 //!
@@ -64,7 +84,7 @@
 use crate::cache::ShardedCache;
 use crate::deadline::Answerable;
 use crate::eventloop::{
-    ConnCounters, ConnReply, IoLoop, IoLoopStats, LineHandler, LoopConfig, Timer,
+    claim_turn, ConnCounters, ConnReply, IoLoop, IoLoopStats, LineHandler, LoopConfig, Timer,
 };
 use crate::executor::{CostClass, Executor, ExecutorConfig, SubmitError, TenantGovernor};
 use crate::metrics::{Metrics, ServeView, SERVE_FAMILIES};
@@ -78,12 +98,13 @@ use crate::snapshot;
 use crate::trace::{FlightRecorder, StageStamps, TraceRecord};
 use crate::workload::{
     estimated_cost, estimated_subtree_cost, evaluate, evaluate_subtree, validate, validate_subeval,
-    AlgoSpec, EvalError, EvalOutcome,
+    walk_priced, AlgoSpec, EvalError, EvalOutcome,
 };
 use gt_analysis::Json;
 use gt_tree::{GenSpec, SubtreeSpec};
 use std::io::{BufRead, BufReader, ErrorKind, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -247,6 +268,24 @@ impl JobWork {
             JobWork::Subeval { sub } => estimated_subtree_cost(sub),
         }
     }
+
+    /// Whether the estimate bounds the run time (see [`walk_priced`]);
+    /// a subeval runs the sequential kernels, so it always does.
+    fn walk_priced(&self) -> bool {
+        match self {
+            JobWork::Eval { algo, .. } => walk_priced(algo),
+            JobWork::Subeval { .. } => true,
+        }
+    }
+}
+
+/// Where a job runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Site {
+    /// On an eval worker, after the executor's queue.
+    Worker,
+    /// On the I/O thread that read its request, before it polls again.
+    InPlace,
 }
 
 /// The stage-metrics label (and executor queue name) for `subeval`
@@ -293,6 +332,12 @@ impl Shared {
 
     fn stats(&self) -> Stats {
         stats_json(SERVE_FAMILIES, &self.view())
+    }
+
+    /// The `retry_after_ms` hint of a shed with `queued` jobs ahead of
+    /// it, priced by the eval workers' own runs.
+    fn retry_after_ms(&self, queued: usize) -> u64 {
+        retry_after_hint_ms(queued, self.workers, self.metrics.mean_executor_engine_us())
     }
 }
 
@@ -352,9 +397,9 @@ impl LineHandler for Shared {
 }
 
 /// One dispatched request awaiting its reply: everything needed to
-/// answer the client from whichever thread settles it first (an eval
-/// worker publishing, or its I/O thread expiring it).  The
-/// `answered` claim guarantees exactly one reply per request.
+/// answer the client from whichever thread settles it first (the
+/// thread that publishes its flight, or its I/O thread expiring it).
+/// The `answered` claim guarantees exactly one reply per request.
 struct Pending {
     answered: AtomicBool,
     id: Option<String>,
@@ -606,9 +651,10 @@ fn answer_pending(
 
 /// Backoff hint attached to shed (`busy`) replies: roughly how long
 /// the current backlog needs to drain — queue depth × mean engine
-/// time ÷ workers — clamped to `[1, 5000]` ms.  Before any engine has
-/// run there is no mean to derive, so the hint falls back to 1 ms
-/// (retry almost immediately; an empty-history shed is transient).
+/// time of the eval workers' runs ÷ workers — clamped to `[1, 5000]`
+/// ms.  Before any worker has run an engine there is no mean to
+/// derive, so the hint falls back to 1 ms (retry almost immediately;
+/// an empty-history shed is transient).
 fn retry_after_hint_ms(queued: usize, workers: usize, mean_engine_us: Option<f64>) -> u64 {
     let Some(mean_us) = mean_engine_us else {
         return 1;
@@ -728,7 +774,7 @@ impl Server {
                 },
                 move |jobs: Vec<Job>| {
                     for job in jobs {
-                        run_job(job, &cache, &flights, &metrics, &recorder);
+                        run_job(job, Site::Worker, &cache, &flights, &metrics, &recorder);
                     }
                 },
             ))
@@ -991,10 +1037,12 @@ fn announce_and_warmfill(
         .fetch_add(filled, Ordering::Relaxed);
 }
 
-/// Evaluate one job a worker took: cancellation check, engine run,
-/// cache insert, publish, and every drained waiter answered.
+/// Evaluate one job, on a worker or in place: cancellation check,
+/// engine run, cache insert, publish, and every drained waiter
+/// answered.
 fn run_job(
     job: Job,
+    site: Site,
     cache: &ResultCache,
     flights: &FlightTable<Pending>,
     metrics: &Metrics,
@@ -1011,10 +1059,14 @@ fn run_job(
         return;
     }
     stamps.stamp_engine_start();
-    let evaluated = match &job.work {
+    // A panicking engine fails its flight, so each waiter gets one 500,
+    // and the thread lives on: an eval worker, or an I/O thread with
+    // every connection on it.
+    let evaluated = panic::catch_unwind(AssertUnwindSafe(|| match &job.work {
         JobWork::Eval { spec, algo } => evaluate(spec, algo, &job.flight.cancel),
         JobWork::Subeval { sub } => evaluate_subtree(sub, &job.flight.cancel),
-    };
+    }))
+    .unwrap_or_else(|_| Err(EvalError::Bad("engine panicked".into())));
     stamps.stamp_engine_end();
 
     // Fold this run into the per-algorithm stage histograms and work
@@ -1025,7 +1077,11 @@ fn run_job(
         stages.queue_wait.record(d);
     }
     if let (Some(es), Some(ee)) = (stamps.engine_start_us(), stamps.engine_end_us()) {
-        stages.engine.record(ee.saturating_sub(es));
+        let engine_us = ee.saturating_sub(es);
+        stages.engine.record(engine_us);
+        if site == Site::Worker {
+            metrics.record_executor_run(engine_us);
+        }
     }
 
     let result = match evaluated {
@@ -1056,9 +1112,9 @@ enum Handled {
     /// Reply computed on the reader thread (control ops, cache hits,
     /// and every error that needs no engine run).
     Inline(String),
-    /// A cache miss that must go through the flight table and the
-    /// executor; answered asynchronously when its flight publishes
-    /// or its deadline fires.
+    /// A cache miss that must go through the flight table: answered
+    /// in place, or asynchronously when its flight publishes or its
+    /// deadline fires.
     Dispatch {
         id: Option<String>,
         work: JobWork,
@@ -1264,8 +1320,9 @@ fn record_tenant_hit(m: &Metrics, tenant: Option<&str>, recv: Instant) {
 }
 
 /// Run one cache miss through the flight table on the I/O thread:
-/// lead (submit the job to the executor) or follow (coalesce), attach
-/// the pending reply, and schedule its deadline on the connection.
+/// lead (run the job in place, or submit it to the executor) or follow
+/// (coalesce), attach the pending reply, and schedule its deadline on
+/// the connection unless it is already answered.
 /// Never blocks — the caller already claimed a window slot.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_eval(
@@ -1312,11 +1369,7 @@ fn dispatch_eval(
     let slot = match tenant.as_deref() {
         Some(t) if shared.governor.enabled() => {
             if !shared.governor.try_acquire(t) {
-                let hint = retry_after_hint_ms(
-                    shared.governor.inflight(t),
-                    shared.workers,
-                    m.mean_engine_us(),
-                );
+                let hint = shared.retry_after_ms(shared.governor.inflight(t));
                 let pending = new_pending(true, false, None);
                 m.shed.fetch_add(1, Ordering::Relaxed);
                 m.tenant_stats(t).shed.fetch_add(1, Ordering::Relaxed);
@@ -1349,30 +1402,40 @@ fn dispatch_eval(
                 cache_key: key.clone(),
                 flight: Arc::clone(&flight),
             };
-            match shared.executor.submit_tagged(
-                tenant.as_deref().unwrap_or(""),
-                &algo_name,
-                class,
-                job,
-            ) {
-                Ok(()) => {}
-                Err(SubmitError::Full) => {
-                    // Publish so any follower that raced in is also
-                    // answered instead of hanging.
-                    let hint = retry_after_hint_ms(
-                        shared.executor.queued(),
-                        shared.workers,
-                        m.mean_engine_us(),
-                    );
-                    let busy = FlightResult::Busy(hint);
-                    for w in shared.flights.publish(&key, &flight, busy.clone()) {
-                        answer_pending(&w, m, &busy, recorder, None);
+            // Below the grain a walk-priced run costs about what its
+            // hand-off and its reply's wake would: on the thread's one
+            // turn of this iteration it runs here, and is answered
+            // before this returns, so it takes no deadline timer.
+            if class == CostClass::Small && job.work.walk_priced() && claim_turn() {
+                run_job(
+                    job,
+                    Site::InPlace,
+                    &shared.cache,
+                    &shared.flights,
+                    m,
+                    recorder,
+                );
+            } else {
+                let tenant = tenant.as_deref().unwrap_or("");
+                match shared
+                    .executor
+                    .submit_tagged(tenant, &algo_name, class, job)
+                {
+                    Ok(()) => {}
+                    Err(SubmitError::Full) => {
+                        // Publish so any follower that raced in is also
+                        // answered instead of hanging.
+                        let hint = shared.retry_after_ms(shared.executor.queued());
+                        let busy = FlightResult::Busy(hint);
+                        for w in shared.flights.publish(&key, &flight, busy.clone()) {
+                            answer_pending(&w, m, &busy, recorder, None);
+                        }
                     }
-                }
-                Err(SubmitError::Closed) => {
-                    let result = FlightResult::Failed("worker pool is gone".into());
-                    for w in shared.flights.publish(&key, &flight, result.clone()) {
-                        answer_pending(&w, m, &result, recorder, None);
+                    Err(SubmitError::Closed) => {
+                        let result = FlightResult::Failed("worker pool is gone".into());
+                        for w in shared.flights.publish(&key, &flight, result.clone()) {
+                            answer_pending(&w, m, &result, recorder, None);
+                        }
                     }
                 }
             }
@@ -1443,6 +1506,7 @@ fn render_ok_eval(
 mod tests {
     use super::*;
     use crate::protocol::Response;
+    use crate::workload::PANIC_ALGO;
     use std::io::{BufRead, BufReader, Write};
 
     fn send(stream: &TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Response {
@@ -1550,6 +1614,62 @@ mod tests {
         assert_eq!(retry_after_hint_ms(64, 2, Some(1_000_000.0)), 5_000);
         // Degenerate inputs never panic or return zero.
         assert_eq!(retry_after_hint_ms(0, 0, Some(0.0)), 1);
+    }
+
+    /// The job a miss on `line` would run, leading a fresh flight.
+    fn miss_job(shared: &Shared, line: &str) -> Job {
+        let request = Request::parse(line).unwrap();
+        let (cache_key, work) = validate_job(&request).unwrap();
+        let Joined::Leader(flight) = shared.flights.join(&cache_key) else {
+            panic!("{cache_key} already in flight");
+        };
+        Job {
+            work,
+            cache_key,
+            flight,
+        }
+    }
+
+    #[test]
+    fn the_retry_hint_learns_only_from_eval_worker_runs() {
+        let shared = test_shared(false);
+        let run = |seed: u32, site: Site| {
+            let line = format!(r#"{{"spec":"worst:d=2,n=14,seed={seed}","algo":"seq-solve"}}"#);
+            let job = miss_job(&shared, &line);
+            let m = &shared.metrics;
+            run_job(
+                job,
+                site,
+                &shared.cache,
+                &shared.flights,
+                m,
+                &shared.recorder,
+            );
+        };
+        let engine_us = || {
+            let stages = shared.metrics.algo_stages("seq-solve");
+            stages.engine.snapshot().sum
+        };
+        // In-place runs alone leave no executor history: 1 ms.
+        for seed in 0..3 {
+            run(seed, Site::InPlace);
+        }
+        assert!(engine_us() > 0, "the in-place runs took no time");
+        assert_eq!(shared.retry_after_ms(1_000), 1);
+        // One worker run sets the mean to its own engine time.
+        let before = engine_us();
+        run(3, Site::Worker);
+        let worker_us = engine_us() - before;
+        assert_eq!(
+            shared.metrics.mean_executor_engine_us(),
+            Some(worker_us as f64)
+        );
+        assert_eq!(
+            shared.retry_after_ms(1_000),
+            retry_after_hint_ms(1_000, shared.workers, Some(worker_us as f64))
+        );
+        assert!(shared.retry_after_ms(1_000) > 1);
+        shared.executor.shutdown();
     }
 
     #[test]
@@ -1726,9 +1846,10 @@ mod tests {
     }
 
     #[test]
-    fn small_and_large_jobs_share_the_executor() {
+    fn pipelined_small_and_large_misses_all_get_replies() {
         // Two distinct small specs and a large one, pipelined on one
-        // connection to one worker: every reply arrives.
+        // connection: the first small one runs on the I/O thread's
+        // turn, the rest go to the one worker, and every reply arrives.
         let server = Server::start(Config {
             workers: 1,
             ..Config::default()
@@ -1757,6 +1878,42 @@ mod tests {
         server.request_shutdown();
         let snapshot = server.join();
         assert_eq!(snapshot.u64("evaluated"), 3);
+    }
+
+    #[test]
+    fn an_engine_panic_answers_500_and_keeps_its_thread() {
+        let server = Server::start(Config {
+            workers: 1,
+            io_threads: 1,
+            ..Config::default()
+        })
+        .unwrap();
+        let (stream, mut reader) = connect(server.local_addr());
+        let panic = |spec: &str| format!(r#"{{"spec":"{spec}","algo":"{PANIC_ALGO}"}}"#);
+        // Below the grain it panics on the I/O thread, which lives on:
+        // the next request on the connection is served.
+        let r = send(&stream, &mut reader, &panic("worst:d=2,n=6"));
+        assert_eq!((r.status, r.code.as_deref()), (500, Some("internal")));
+        let r = send(
+            &stream,
+            &mut reader,
+            r#"{"spec":"worst:d=2,n=7","algo":"seq-solve"}"#,
+        );
+        assert!(r.ok, "the I/O thread died: {:?}", r.error);
+        // Above it, it panics on the sole eval worker, which lives on:
+        // a large eval after it completes.
+        let r = send(&stream, &mut reader, &panic("worst:d=2,n=13"));
+        assert_eq!((r.status, r.code.as_deref()), (500, Some("internal")));
+        let r = send(
+            &stream,
+            &mut reader,
+            r#"{"spec":"worst:d=2,n=13","algo":"seq-solve","deadline_ms":5000}"#,
+        );
+        assert!(r.ok, "the eval worker died: {:?}", r.error);
+        server.request_shutdown();
+        let snapshot = server.join();
+        assert_eq!(snapshot.u64("internal"), 2);
+        assert_eq!(snapshot.u64("ok"), 2);
     }
 
     #[test]

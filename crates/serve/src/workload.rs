@@ -7,7 +7,9 @@
 //! worker with the request's cancellation flag threaded into every
 //! engine.  All algorithms honour the flag cooperatively, so a
 //! deadline bounds any admitted workload and no size ceiling is
-//! needed.
+//! needed.  A miss whose engine is [`walk_priced`] and whose
+//! [`estimated_cost`] is small runs on its connection thread instead,
+//! bounded by that estimate rather than by a deadline.
 
 use gt_core::engine::{Cancelled, CascadeEngine, EngineResult, RoundEngine, TtSearch, YbwEngine};
 use gt_games::{Connect4, Game, Nim, TicTacToe};
@@ -192,16 +194,51 @@ enum Family {
     Game,
 }
 
-/// Every algorithm the server runs, with the workload family it accepts.
-const ALGOS: &[(&str, Family)] = &[
-    ("seq-solve", Family::Nor),
-    ("alphabeta", Family::Minmax),
-    ("parallel-solve", Family::Tree),
-    ("round", Family::Tree),
-    ("cascade", Family::Tree),
-    ("ybw", Family::Minmax),
-    ("tt", Family::Game),
+/// How an engine's run time relates to its [`estimated_cost`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pricing {
+    /// The sequential walk prices it: time tracks the estimated leaves.
+    /// The fork-join engines count too, since below the fork grain
+    /// they run as one sequential search.
+    Walk,
+    /// Nothing prices it: the step simulators run 26–38× slower than
+    /// sequential α-β, and `tt`'s estimate is a guessed
+    /// `branching^depth` of hashed positions, not walk leaves.
+    Unpriced,
+}
+
+/// Every algorithm the server runs, with the workload family it accepts
+/// and how its engine is priced.
+const ALGOS: &[(&str, Family, Pricing)] = &[
+    ("seq-solve", Family::Nor, Pricing::Walk),
+    ("alphabeta", Family::Minmax, Pricing::Walk),
+    ("parallel-solve", Family::Tree, Pricing::Unpriced),
+    ("round", Family::Tree, Pricing::Unpriced),
+    ("cascade", Family::Tree, Pricing::Walk),
+    ("ybw", Family::Minmax, Pricing::Walk),
+    ("tt", Family::Game, Pricing::Unpriced),
 ];
+
+/// An algorithm only this crate's tests can name: it validates as a
+/// walk-priced tree engine and panics when it runs.
+#[cfg(test)]
+pub(crate) const PANIC_ALGO: &str = "panic";
+
+/// The [`ALGOS`] row named `name`.
+fn algo_entry(name: &str) -> Option<&'static (&'static str, Family, Pricing)> {
+    #[cfg(test)]
+    if name == PANIC_ALGO {
+        return Some(&(PANIC_ALGO, Family::Tree, Pricing::Walk));
+    }
+    ALGOS.iter().find(|a| a.0 == name)
+}
+
+/// Whether the sequential walk prices `algo`, so that an
+/// [`estimated_cost`] at or below `--small-cost` bounds its run time.
+/// A subeval always is: it runs the sequential kernels.
+pub fn walk_priced(algo: &AlgoSpec) -> bool {
+    algo_entry(&algo.name).is_some_and(|a| a.2 == Pricing::Walk)
+}
 
 /// Names of games the `tt` algorithm accepts as `spec` kinds.
 const GAMES: &[&str] = &["ttt", "tictactoe", "connect4", "nim"];
@@ -218,7 +255,7 @@ fn algo_names(ok: impl Fn(Family) -> bool) -> String {
 pub fn validate(spec_text: &str, algo_text: &str) -> Result<ValidatedRequest, String> {
     let spec = GenSpec::parse(spec_text)?;
     let algo = AlgoSpec::parse(algo_text)?;
-    let Some(&(_, family)) = ALGOS.iter().find(|a| a.0 == algo.name) else {
+    let Some(&(_, family, _)) = algo_entry(&algo.name) else {
         return Err(format!(
             "unknown algorithm {:?} (expected one of {})",
             algo.name,
@@ -419,6 +456,10 @@ pub fn evaluate(
     algo: &AlgoSpec,
     cancel: &AtomicBool,
 ) -> Result<EvalOutcome, EvalError> {
+    #[cfg(test)]
+    if algo.name == PANIC_ALGO {
+        panic!("the {PANIC_ALGO:?} test algorithm ran");
+    }
     if algo.name == "tt" {
         let depth = tt_depth(spec).map_err(EvalError::Bad)?;
         return match spec.kind.as_str() {
@@ -591,6 +632,22 @@ mod tests {
         // Game search scales with depth.
         assert!(cost("ttt:d=9", "tt") > cost("ttt:d=3", "tt"));
         assert!(cost("nim:d=6", "tt") < cost("connect4:d=6", "tt"));
+    }
+
+    #[test]
+    fn only_the_walk_engines_are_walk_priced() {
+        for (algo, want) in [
+            ("seq-solve", true),
+            ("alphabeta", true),
+            ("cascade:w=2", true),
+            ("ybw", true),
+            ("round:w=2", false),
+            ("parallel-solve", false),
+            ("tt", false),
+            ("quantum", false),
+        ] {
+            assert_eq!(walk_priced(&AlgoSpec::parse(algo).unwrap()), want, "{algo}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 # CI smoke test for gt-serve: boot `gtree serve` on loopback, drive a
 # short pipelined closed-loop load, and fail on any error reply or
 # transport failure.  Then a distinct-key cold-storm burst: every
-# request is a cold miss crossing the shared executor, and any shed
-# (429) or timeout (408) fails the run — a regression guard for the
-# executor's queue sizing and dispatch throughput.  A forking cold
+# request is a cold miss, run in place by its io thread or handed to
+# the shared executor, and any shed (429) or timeout (408) fails the
+# run — a regression guard for the cold path's queue sizing and
+# dispatch throughput.  A forking cold
 # storm follows: cascade:w=1 on M(4,7) trees, whose root forks onto the
 # fork-join pool, with no bad, shed, timed-out or failed request, and
 # one such eval's value must match the sequential engine's.  Also
@@ -143,10 +144,11 @@ case "$trace_reply" in
   *'"traces":[]'*) echo "ci_smoke: trace ring is empty after load" >&2; exit 1 ;;
 esac
 
-# Cold-storm burst: 16 conns × window 4 of distinct small keys.  The
-# executor must work through all of them within their (default 10s)
-# deadlines and without shedding — sheds or timeouts mean the cold
-# path regressed.
+# Cold-storm burst: 16 conns × window 4 of distinct small keys.  Each
+# io thread runs one of them in place per loop iteration and hands the
+# rest to the executor; between them they must answer all of them
+# within their (default 10s) deadlines and without shedding — sheds or
+# timeouts mean the cold path regressed.
 json=$("$BIN" loadgen --addr "$ADDR" --rps 0 --duration "$DUR" --conns 16 \
   --pipeline 4 --spec worst:d=2,n=10 --algo seq-solve --distinct --json)
 echo "ci_smoke: cold storm $json"

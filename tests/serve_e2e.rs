@@ -100,10 +100,11 @@ fn deadline_timeout_replies_promptly_and_cancels_the_engine() {
         "timeout reply took {elapsed:?}"
     );
 
-    // The worker observed the cancellation flag and is free again:
-    // a small request on the same (sole) worker completes fine.
+    // The worker observed the cancellation flag and is free again: a
+    // request above --small-cost, so one for the same (sole) worker
+    // rather than for the I/O thread, completes fine.
     let r = client
-        .eval("worst:d=2,n=6", "cascade:w=1", Some(5_000))
+        .eval("worst:d=2,n=13", "cascade:w=1", Some(5_000))
         .unwrap();
     assert!(r.ok, "worker still wedged: {:?}", r.error);
 
@@ -111,6 +112,89 @@ fn deadline_timeout_replies_promptly_and_cancels_the_engine() {
     let stats = server.join();
     assert_eq!(stats.u64("timeout"), 1);
     assert_eq!(stats.u64("ok"), 1);
+}
+
+/// Sequential α-β's value of the generated tree `spec`.
+fn alphabeta_value(spec: &str) -> i64 {
+    let v = gt_serve::workload::validate(spec, "alphabeta").unwrap();
+    let never = std::sync::atomic::AtomicBool::new(false);
+    gt_serve::workload::evaluate(&v.spec, &v.algo, &never)
+        .unwrap()
+        .value
+}
+
+#[test]
+fn sub_grain_misses_are_answered_by_their_io_thread_without_a_hand_off() {
+    // One I/O thread: its iteration count is the whole loop's.  A miss
+    // handed to a worker costs a second iteration, for its reply's wake.
+    let server = start(Config {
+        io_threads: 1,
+        ..Config::default()
+    });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(client.ping().unwrap().ok);
+    const REQUESTS: u64 = 200;
+    let iterations = || server.stats().u64("io_loops.0.iterations");
+    let before = iterations();
+    let mut replies = Vec::new();
+    for seed in 0..REQUESTS {
+        // 4^6 = 4096 leaves: at --small-cost.
+        let spec = format!("minmax:d=4,n=6,seed={seed}");
+        let r = client.eval(&spec, "cascade:w=1", None).unwrap();
+        assert!(r.ok && !r.cached(), "{spec}: {:?}", r.error);
+        replies.push((spec, r.value().unwrap()));
+    }
+    let spent = iterations() - before;
+    assert!(
+        spent <= REQUESTS * 11 / 10,
+        "{spent} loop iterations for {REQUESTS} sub-grain misses"
+    );
+    for (spec, value) in replies {
+        assert_eq!(value, alphabeta_value(&spec), "{spec}");
+    }
+    client.shutdown_server().unwrap();
+    let stats = server.join();
+    assert_eq!(stats.u64("evaluated"), REQUESTS);
+}
+
+#[test]
+fn a_hit_behind_a_burst_of_sub_grain_misses_is_not_held_behind_them() {
+    let server = start(Config {
+        workers: 1,
+        io_threads: 1,
+        ..Config::default()
+    });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let line = |id: &str, seed: u32| {
+        format!(r#"{{"id":"{id}","spec":"minmax:d=4,n=6,seed={seed}","algo":"cascade:w=1"}}"#)
+    };
+    let warm = client.send_line(&line("warm", 1_000)).unwrap();
+    assert!(warm.ok, "{:?}", warm.error);
+    // 24 distinct misses, then the hit, in one write: one read, one
+    // iteration, one turn.  Run in place one after another, the misses
+    // would put the hit's reply 25th.
+    let mut burst: Vec<String> = (0..24).map(|i| line(&format!("m{i}"), i)).collect();
+    burst.push(line("hit", 1_000));
+    client.write_line(&burst.join("\n")).unwrap();
+    let mut order = Vec::new();
+    for _ in 0..burst.len() {
+        let r = client.read_response().unwrap();
+        assert!(r.ok, "{:?}: {:?}", r.id, r.error);
+        order.push(r.id.unwrap());
+    }
+    let at = order
+        .iter()
+        .position(|id| id == "hit")
+        .expect("the hit's reply");
+    let misses_after = order.len() - 1 - at;
+    assert!(
+        misses_after >= 12,
+        "the hit's reply came after {at} of the 24 misses: {order:?}"
+    );
+    client.shutdown_server().unwrap();
+    let stats = server.join();
+    assert_eq!(stats.u64("evaluated"), 25);
+    assert_eq!(stats.u64("cache_hits"), 1);
 }
 
 #[test]
